@@ -2,10 +2,11 @@
 // protects at most 3% of an encode-like work unit, even at a cadence far
 // more aggressive than production (200 us here vs. the 2 ms default). The
 // scrubber runs on its own thread, so the cost it can impose on the rank
-// is the commit-exclusion handshake: every commit locks the mutex the
-// scrub pass re-acquires per chunk, so the worst case a commit can wait is
-// one 4 KiB CRC32C — the bound the per-chunk rework in scrubber.cpp
-// exists to provide — plus whatever cache pressure the scan leaks.
+// is the commit-exclusion handshake: every commit takes the mutex the
+// scrub pass re-acquires per chunk through Scrubber::lock_for_commit(),
+// which makes a running pass give way, and a pass holds the mutex only to
+// copy a 4 KiB chunk out, so a commit waits for at most that one copy —
+// plus whatever cache pressure the scan leaks.
 //
 // Measurement discipline (same reasoning as monitor_overhead.cpp): on a
 // shared host a full A/B wall-clock diff of the loop cannot resolve a
@@ -135,7 +136,7 @@ RepResult driver_rep(std::vector<std::uint64_t>& block, ScrubTarget& target,
     work_unit(block, it, sink);
     if ((it + 1) % kCommitEvery != 0) continue;
     const double w0 = wall_seconds();
-    std::unique_lock lock(scrubber.commit_exclusion());
+    std::unique_lock lock = scrubber.lock_for_commit();
     const double wait = wall_seconds() - w0;
     target.reseal(++commit_index);
     lock.unlock();

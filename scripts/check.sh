@@ -53,11 +53,15 @@ echo "=== sanitizers: tsan on telemetry + async-commit suites ==="
 cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # test_encoding (the RS(k, m) ring collectives run one thread per member)
 # and test_scrubber (cadence thread vs. rank thread vs. async worker over
-# the commit-exclusion mutex) ride the same lane.
+# the commit-exclusion mutex) ride the same lane, as do test_kernels and
+# test_collectives: in the sparse delta reduce several tree children fill
+# one mailbox at once, and the async worker's dup()'d communicator shares
+# the rank's mailbox.
 cmake --build build-tsan -j --target \
-  test_telemetry test_util test_session test_monitor test_encoding test_scrubber
+  test_telemetry test_util test_session test_monitor test_encoding test_scrubber \
+  test_kernels test_collectives
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber)$' -j)
+  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives)$' -j)
 
 echo
 echo "=== monitor lane: ft_jacobi --monitor forensics + overhead gate ==="

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "ckpt/scrubber.hpp"
 #include "ckpt/store_service.hpp"
 #include "telemetry/forensics.hpp"
 #include "telemetry/metrics.hpp"
@@ -145,11 +146,9 @@ void AsyncCommitEngine::run_job(const std::shared_ptr<CommitTicket::State>& stat
     CommitGate gate(store_service_, tenant_);
     util::WallTimer commit_timer;
     // Keep the scrubber out of the sealed buffers while the state machine
-    // rewrites them (it only try-locks, so this never waits on a pass).
+    // rewrites them (a pass gives way, so this waits at most one chunk copy).
     std::unique_lock<std::mutex> scrub_lock;
-    if (commit_exclusion_ != nullptr) {
-      scrub_lock = std::unique_lock(*commit_exclusion_);
-    }
+    if (scrubber_ != nullptr) scrub_lock = scrubber_->lock_for_commit();
     stats = protocol_.commit_staged({world_, group_});
     gate.account(stats.checkpoint_bytes + stats.checksum_bytes, commit_timer.seconds());
   } catch (...) {

@@ -32,6 +32,7 @@
 
 namespace skt::ckpt {
 
+class Scrubber;
 class StoreService;
 
 /// Completion handle for one asynchronous commit epoch. Copyable; all
@@ -97,9 +98,9 @@ class AsyncCommitEngine {
   void drain();
 
   /// Serialize the worker's commit_staged() against a background scrubber
-  /// (see scrubber.hpp). `mutex` must outlive the engine; nullptr (the
+  /// (see scrubber.hpp). `scrubber` must outlive the engine; nullptr (the
   /// default) disables the exclusion. Set before the first commit_async().
-  void set_commit_exclusion(std::mutex* mutex) { commit_exclusion_ = mutex; }
+  void set_scrubber(Scrubber* scrubber) { scrubber_ = scrubber; }
 
   /// Route the worker's commits through a StoreService's fair-share
   /// turnstile as `tenant` (multi-tenant sessions; see store_service.hpp).
@@ -120,7 +121,7 @@ class AsyncCommitEngine {
   mpi::Comm world_;
   mpi::Comm group_;
   int world_rank_ = 0;
-  std::mutex* commit_exclusion_ = nullptr;   // borrowed from the Session
+  Scrubber* scrubber_ = nullptr;             // borrowed from the Session
   StoreService* store_service_ = nullptr;    // borrowed; multi-tenant only
   std::string tenant_;
 

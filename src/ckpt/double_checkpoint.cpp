@@ -198,6 +198,7 @@ CommitStats DoubleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   ctx.group.failpoint(async ? "ckpt.async_mid_update" : "ckpt.mid_update");
 
   const double encode_virtual_before = ctx.group.virtual_seconds();
+  const std::uint64_t wire_before = ctx.group.runtime().wire_bytes();
   util::WallTimer encode_timer;
   {
     SKT_SPAN("ckpt.encode");
@@ -212,6 +213,8 @@ CommitStats DoubleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   // Global barrier before publication: no rank may declare the new pair
   // committed until every rank finished writing it.
   ctx.world.barrier();
+  // Read after the barrier, as in SelfCheckpoint: every encode send is done.
+  stats.encode_wire_bytes = ctx.group.runtime().wire_bytes() - wire_before;
   if (target == 0) {
     h.bc_epoch = next;
   } else {

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 
 #include "ckpt/epoch.hpp"
-#include "encoding/kernels.hpp"
 #include "telemetry/trace.hpp"
-#include "util/aligned.hpp"
 #include "util/clock.hpp"
 
 namespace skt::ckpt {
@@ -16,15 +13,6 @@ namespace {
 
 /// Header "codec" tag distinguishing the incremental layout.
 constexpr std::uint32_t kIncrementalTag = 0x1000;
-
-void xor_reduce(mpi::Comm& group, int root, std::span<const std::byte> in,
-                std::span<std::byte> out) {
-  const std::span<const std::uint64_t> in64{
-      reinterpret_cast<const std::uint64_t*>(in.data()), in.size() / sizeof(std::uint64_t)};
-  const std::span<std::uint64_t> out64{reinterpret_cast<std::uint64_t*>(out.data()),
-                                       out.size() / sizeof(std::uint64_t)};
-  group.reduce<std::uint64_t>(root, in64, out64, mpi::BXor{});
-}
 
 }  // namespace
 
@@ -203,80 +191,40 @@ CommitStats IncrementalSelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
   // clean, so no unannotated all-dirty fallback here.
   const std::vector<std::uint8_t> dset = staging ? staged_dirty_ : tracker_.flags();
 
-  const std::size_t stripe = tracker_.stripe_bytes();
-  const int me = ctx.group.rank();
-  const int n = group_size_;
-
-  // Which families does anyone need re-encoded? For the XOR layout, my
-  // local stripe s belongs to family f = s < me ? s : s + 1 (the inverse
-  // of stripe_index); the RS layout exposes the mapping directly.
-  std::vector<std::uint8_t> family_dirty(static_cast<std::size_t>(n), 0);
-  for (int f = 0; f < n; ++f) {
-    if (codec_) {
-      if (me != f) family_dirty[static_cast<std::size_t>(f)] = dset[codec_->layout().stripe_index(me, f)];
-    } else if (rs_->contributes(me, f)) {
-      family_dirty[static_cast<std::size_t>(f)] = dset[rs_->stripe_index(me, f)];
-    }
-  }
-  std::vector<std::uint8_t> global_dirty(static_cast<std::size_t>(n));
-  ctx.group.allreduce<std::uint8_t>(family_dirty, global_dirty, mpi::Max{});
-  last_encoded_families_ = 0;
-  for (std::uint8_t d : global_dirty) last_encoded_families_ += d;
-
   CommitStats stats;
   stats.epoch = next;
   telemetry::set_epoch(next);
   ctx.group.failpoint(async ? "ckpt.async_encode_begin" : "ckpt.encode_begin");
   const double encode_virtual_before = ctx.group.virtual_seconds();
+  const std::uint64_t wire_before = ctx.group.runtime().wire_bytes();
   util::WallTimer encode_timer;
-  std::optional<telemetry::Span> encode_span{std::in_place, "ckpt.encode"};
-  if (rs_) {
-    // The GF-weighted incremental identity P' = P ^ sum c * (old ^ new),
-    // one fold per dirty family per parity row, clean families copied
-    // through — all inside the RS codec's delta path.
-    rs_->encode_delta(ctx.group, ckpt_b_->bytes(), source, check_c_->bytes(),
-                      check_d_->bytes(), dset);
-  } else {
-    util::AlignedBytes diff(stripe);
-    util::AlignedBytes reduced(stripe);
-    for (int f = 0; f < n; ++f) {
-      if (!global_dirty[static_cast<std::size_t>(f)]) {
-        // Nobody touched this family: the old checksum still describes the
-        // working side.
-        if (me == f) {
-          std::memcpy(check_d_->bytes().data() + static_cast<std::size_t>(0),
-                      check_c_->bytes().data(), stripe);
-        }
-        continue;
-      }
-      std::fill(diff.begin(), diff.end(), std::byte{0});
-      if (me != f) {
-        const std::size_t s = codec_->layout().stripe_index(me, f);
-        if (dset[s]) {
-          enc::kernels::xor_delta(diff, {ckpt_b_->bytes().data() + s * stripe, stripe},
-                                  {source.data() + s * stripe, stripe});
-        }
-      }
-      xor_reduce(ctx.group, f, diff,
-                 me == f ? std::span<std::byte>(reduced) : std::span<std::byte>{});
-      if (me == f) {
-        enc::kernels::xor_delta(check_d_->bytes().subspan(0, stripe),
-                                check_c_->bytes().subspan(0, stripe), reduced);
-      }
-    }
+  enc::DeltaOutcome outcome;
+  {
+    SKT_SPAN("ckpt.encode");
+    // The incremental identity D = C (+) diff, folded into D in place
+    // (C == D between commits, as in SelfCheckpoint): the XOR codec for
+    // parity 1, the GF-weighted P' = P ^ sum c * (old ^ new) of the RS
+    // codec otherwise.
+    outcome = rs_ ? rs_->encode_delta(ctx.group, ckpt_b_->bytes(), source, check_d_->bytes(),
+                                      check_d_->bytes(), dset)
+                  : codec_->encode_delta(ctx.group, ckpt_b_->bytes(), source,
+                                         check_d_->bytes(), check_d_->bytes(), dset);
   }
-  encode_span.reset();
+  last_encoded_families_ = outcome.dirty_families;
   stats.encode_s = encode_timer.seconds();
   stats.encode_virtual_s = ctx.group.virtual_seconds() - encode_virtual_before;
   ctx.group.failpoint(async ? "ckpt.async_encode_done" : "ckpt.encode_done");
 
   ctx.world.barrier();
+  // Read after the barrier, as in SelfCheckpoint: every encode send is done.
+  stats.encode_wire_bytes = ctx.group.runtime().wire_bytes() - wire_before;
   h.d_epoch = next;
   store_header(header_, h);
   ctx.group.failpoint(async ? "ckpt.async_sealed" : "ckpt.sealed");
   ctx.world.barrier();
 
-  // Flush only the dirty stripes (plus the small checksum).
+  // Flush only the dirty stripes (plus the checksum, when it changed).
+  const std::size_t stripe = tracker_.stripe_bytes();
   util::WallTimer flush_timer;
   std::size_t flushed = 0;
   {
@@ -287,7 +235,9 @@ CommitStats IncrementalSelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
       flushed += stripe;
     }
     ctx.group.failpoint(async ? "ckpt.async_mid_flush" : "ckpt.mid_flush");
-    std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+    if (outcome.changed) {
+      std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+    }
   }
   stats.flush_s = flush_timer.seconds();
   if (staging) {

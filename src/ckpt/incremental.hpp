@@ -5,12 +5,14 @@
 // old one and the *changes only*:
 //
 //   diff_p[s]  =  B_p[s] XOR work_p[s]          (dirty stripes only)
-//   D_f        =  C_f  XOR  (XOR-reduce of diff_p[f] over the group)
+//   D_f        =  C_f  XOR  (XOR of the diff_p[f] sent to f's owner)
 //
 // so both the encode (network) and the flush (memcpy) cost scale with the
 // application's dirty footprint between checkpoints instead of its full
-// memory. Families nobody dirtied are skipped entirely after one cheap
-// flag reduction. Recovery is IDENTICAL to SelfCheckpoint — (B, C) and
+// memory: after one small flag allgather, each dirty stripe's diff crosses
+// the wire once, on a tree toward its family's owner, and clean stripes
+// move nothing (the group codec's encode_delta; at half-dirty or more it
+// runs the full ring encode instead). Recovery is IDENTICAL to SelfCheckpoint — (B, C) and
 // (work, D) are full erasure-coded sets at all times — so the Fig. 4 CASE
 // 1/2 analysis carries over unchanged.
 //

@@ -64,6 +64,15 @@ void Scrubber::thread_loop() {
 
 ScrubStats Scrubber::scrub_now() { return run_pass(/*blocking=*/true); }
 
+std::unique_lock<std::mutex> Scrubber::lock_for_commit() {
+  // Announce first: from here on no cadence pass starts another chunk, so
+  // the lock comes free within the chunk copy in progress.
+  commits_pending_.fetch_add(1);
+  std::unique_lock lock(exclusion_);
+  commits_pending_.fetch_sub(1);
+  return lock;
+}
+
 ScrubStats Scrubber::run_pass(bool blocking) {
   static telemetry::Counter& c_passes = telemetry::metrics().counter("scrub.passes");
   static telemetry::Counter& c_chunks =
@@ -85,14 +94,17 @@ ScrubStats Scrubber::run_pass(bool blocking) {
   const std::vector<ScrubRegion> view = protocol_.scrub_view();
   const std::size_t chunk = options_.chunk_bytes;
 
-  // Per-chunk acquisition: a commit arriving mid-pass waits for at most one
-  // chunk CRC. The cadence thread only try-locks (it must never delay a
-  // commit); scrub_now blocks so tests get a deterministic full pass.
+  // Per-chunk acquisition: a chunk is copied out under the lock and its CRC
+  // computed after the release, so a commit arriving mid-pass waits for at
+  // most one 4 KiB copy, and a scrubber preempted mid-CRC holds nothing.
+  // The cadence thread must never delay a commit, so it gives way to an
+  // announced one and only try-locks; scrub_now blocks so tests get a
+  // deterministic full pass.
   const auto acquire = [&] {
     std::unique_lock g(exclusion_, std::defer_lock);
     if (blocking) {
       g.lock();
-    } else {
+    } else if (commits_pending_.load() == 0) {
       (void)g.try_lock();
     }
     return g;
@@ -112,6 +124,7 @@ ScrubStats Scrubber::run_pass(bool blocking) {
     regions_.assign(view.size(), {});
   }
 
+  std::vector<std::byte> snapshot(chunk);
   bool aborted = false;
   for (std::size_t r = 0; r < view.size() && !aborted; ++r) {
     const ScrubRegion& region = view[r];
@@ -119,21 +132,34 @@ ScrubStats Scrubber::run_pass(bool blocking) {
                                        : regions_[r].baseline.size();
     if (capture) regions_[r].baseline.resize(chunks);
     for (std::size_t i = 0; i < chunks; ++i) {
-      const std::unique_lock g = acquire();
-      if (!g.owns_lock() || protocol_.committed_epoch() != epoch) {
-        // A commit overtook the pass — the bytes under scan were (or are
-        // being) legitimately rewritten. Abandon the pass; the next one
-        // recaptures baselines for the new epoch.
-        aborted = true;
-        break;
-      }
       const std::span<std::byte> bytes = chunk_of(region.bytes, i, chunk);
+      {
+        const std::unique_lock g = acquire();
+        if (!g.owns_lock() || protocol_.committed_epoch() != epoch) {
+          // A commit is waiting for the lock or overtook the pass — the
+          // bytes under scan are about to be (or were) legitimately
+          // rewritten. Abandon the pass; the next one recaptures baselines
+          // if the epoch moved.
+          aborted = true;
+          break;
+        }
+        std::memcpy(snapshot.data(), bytes.data(), bytes.size());
+      }
+      const std::uint32_t crc = util::crc32c(std::span(snapshot).first(bytes.size()));
       if (capture) {
-        regions_[r].baseline[i] = util::crc32c(bytes);
+        regions_[r].baseline[i] = crc;
         continue;
       }
       ++delta.chunks_verified;
-      if (util::crc32c(bytes) == regions_[r].baseline[i]) continue;
+      if (crc == regions_[r].baseline[i]) continue;
+      // The snapshot diverged from the sealed baseline at this epoch: corrupt.
+      // Repair needs the lock again (rare), and a commit that got in
+      // meanwhile rewrote the chunk legitimately.
+      const std::unique_lock g(exclusion_);
+      if (protocol_.committed_epoch() != epoch) {
+        aborted = true;
+        break;
+      }
       ++delta.corruption_detected;
       bool repaired = false;
       if (region.mirror.size() == region.bytes.size()) {

@@ -13,16 +13,25 @@
 //     subsequent pass of the same epoch.
 //
 //   * Commits and scrub passes exclude each other through
-//     commit_exclusion(): the Session locks it around commit()/restore()
-//     (and hands it to the async engine for commit_staged()), while a
-//     pass re-acquires it PER CHUNK — a commit arriving mid-pass waits at
-//     most one 4 KiB CRC, not a full sweep, which is what keeps the scrub
-//     overhead on an encode-like workload under the 3% bench gate. A pass
-//     that observes the epoch advance between chunks abandons itself (the
-//     buffers it was reading were legitimately rewritten) and the next
-//     tick recaptures baselines. The cadence thread additionally only
-//     TRY-locks each chunk, so a held lock skips work instead of queueing
-//     behind the commit.
+//     commit_exclusion(): the Session takes it with lock_for_commit()
+//     around commit() (and hands the scrubber to the async engine for
+//     commit_staged()), while a pass re-acquires it PER CHUNK, only long
+//     enough to copy the chunk out; the CRC runs on the copy after the
+//     release. A pass that observes the epoch advance between chunks
+//     abandons itself (the buffers it was reading were legitimately
+//     rewritten) and the next tick recaptures baselines. The cadence
+//     thread only TRY-locks each chunk, so a held lock skips work instead
+//     of queueing behind the commit.
+//
+//   * A commit never relies on mutex fairness to get in. std::mutex hands
+//     the lock to whichever thread grabs it first, and a pass re-takes it
+//     between chunks long before a sleeping waiter wakes, so a plain
+//     lock() could wait out whole passes. lock_for_commit() raises a
+//     commit-pending count before it queues; the cadence pass checks the
+//     count before every chunk and abandons itself. A commit therefore
+//     waits for at most the one 4 KiB copy in progress, which is what
+//     keeps the scrub overhead on an encode-like workload under the 3%
+//     bench gate. Only a repair holds the lock across a CRC.
 //
 //   * A corrupt chunk whose region has a byte-identical mirror (e.g. the
 //     C/D checksum pair after a flush) is repaired in place by copying the
@@ -35,6 +44,7 @@
 // like every other metric.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -75,9 +85,18 @@ class Scrubber {
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// The commit/scrub exclusion lock. Hold it for the duration of any
-  /// commit or restore so a pass never reads a half-rewritten buffer.
+  /// The raw commit/scrub exclusion lock, for short out-of-band writes
+  /// such as fault-injection drills that flip a sealed byte. Locking it
+  /// directly excludes a pass but does not make one give way, so a
+  /// running pass can keep it for many chunks; commits take it through
+  /// lock_for_commit() instead.
   [[nodiscard]] std::mutex& commit_exclusion() { return exclusion_; }
+
+  /// Take commit_exclusion() for a commit: announce it first, so a
+  /// cadence pass abandons itself at its next chunk instead of re-taking
+  /// the lock ahead of the commit. Waits for at most one chunk copy while
+  /// a pass is running (or for whoever else holds the lock).
+  [[nodiscard]] std::unique_lock<std::mutex> lock_for_commit();
 
   /// Start the cadence thread (idempotent).
   void start();
@@ -101,8 +120,9 @@ class Scrubber {
 
   /// Runs one pass, re-acquiring exclusion_ per chunk. `blocking` selects
   /// lock() (scrub_now) vs try_lock() (cadence thread) per acquisition; a
-  /// failed try or a mid-pass epoch change abandons the pass. Holds
-  /// pass_mutex_ throughout, so passes themselves never interleave.
+  /// pending commit, a failed try or a mid-pass epoch change abandons a
+  /// cadence pass. Holds pass_mutex_ throughout, so passes themselves
+  /// never interleave.
   ScrubStats run_pass(bool blocking);
   void thread_loop();
 
@@ -110,6 +130,8 @@ class Scrubber {
   Options options_;
 
   std::mutex exclusion_;
+  /// Commits inside lock_for_commit() that do not hold exclusion_ yet.
+  std::atomic<int> commits_pending_{0};
   /// Serializes whole passes (cadence thread vs. scrub_now) now that
   /// exclusion_ is only held per chunk. Lock order: pass_mutex_ before
   /// exclusion_; commits take exclusion_ alone, so no cycle exists.

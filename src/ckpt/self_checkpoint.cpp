@@ -169,9 +169,11 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
   for (std::uint8_t d : dirty) dirty_stripes += d;
 
   // Step 3: encode the source side's checksum D. The delta form reuses the
-  // sealed (B, C) pair as the base — parity moves only for dirty families
-  // and falls back to the full reduce-scatter when most of the image
-  // changed, so this is never slower than a full encode.
+  // sealed B as the base and folds the dirty stripes' diffs into D in
+  // place: C == D between commits (every flush and restore leaves them
+  // equal), so D already holds the old checksum, and C stays intact for a
+  // CASE-1 rollback if the encode is interrupted. Mostly-dirty commits take
+  // the full ring encode instead.
   CommitStats stats;
   stats.epoch = next;
   stats.dirty_bytes = dirty_stripes * tracker_.stripe_bytes();
@@ -182,14 +184,14 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
   const double encode_virtual_before = ctx.group.virtual_seconds();
   const std::uint64_t wire_before = ctx.group.runtime().wire_bytes();
   util::WallTimer encode_timer;
+  bool checksum_changed = true;
   {
     SKT_SPAN("ckpt.encode");
-    coder_->encode_delta(ctx.group, ckpt_b_->bytes(), source, check_c_->bytes(),
-                         check_d_->bytes(), dirty);
+    checksum_changed = coder_->encode_delta(ctx.group, ckpt_b_->bytes(), source,
+                                            check_d_->bytes(), check_d_->bytes(), dirty);
   }
   stats.encode_s = encode_timer.seconds();
   stats.encode_virtual_s = ctx.group.virtual_seconds() - encode_virtual_before;
-  stats.encode_wire_bytes = ctx.group.runtime().wire_bytes() - wire_before;
   ctx.group.failpoint(async ? "ckpt.async_encode_done" : "ckpt.encode_done");
 
   {
@@ -197,6 +199,10 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
     // everywhere, so (source, D) becomes a valid recovery set.
     SKT_SPAN("ckpt.seal");
     ctx.world.barrier();
+    // The encode's job-wide wire bytes, read only now: once this barrier
+    // releases, every member's encode sends are done, so no rank's count
+    // stops short of a slower member's last segments.
+    stats.encode_wire_bytes = ctx.group.runtime().wire_bytes() - wire_before;
     h.d_epoch = next;
     store_header(header_, h);
     ctx.group.failpoint(async ? "ckpt.async_sealed" : "ckpt.sealed");
@@ -219,7 +225,10 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
       flushed += stripe;
     }
     ctx.group.failpoint(async ? "ckpt.async_mid_flush" : "ckpt.mid_flush");
-    std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+    // An untouched D still equals C, so only a changed checksum moves.
+    if (checksum_changed) {
+      std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+    }
   }
   stats.flush_s = flush_timer.seconds();
   if (!params_.async_staging) tracker_.clear();

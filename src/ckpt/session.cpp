@@ -214,7 +214,7 @@ void Session::start_scrubber() {
   options.interval_s = scrub_interval_s_;
   scrubber_ = std::make_unique<Scrubber>(*protocol_, options);
   if (engine_ != nullptr) {
-    engine_->set_commit_exclusion(&scrubber_->commit_exclusion());
+    engine_->set_scrubber(scrubber_.get());
   }
   scrubber_->start();
 }
@@ -228,9 +228,7 @@ CommitStats Session::commit() {
   CommitGate gate(service_, tenant_);
   util::WallTimer timer;
   std::unique_lock<std::mutex> scrub_lock;
-  if (scrubber_ != nullptr) {
-    scrub_lock = std::unique_lock(scrubber_->commit_exclusion());
-  }
+  if (scrubber_ != nullptr) scrub_lock = scrubber_->lock_for_commit();
   const CommitStats stats = protocol_->commit({*world_, *group_});
   gate.account(stats.checkpoint_bytes + stats.checksum_bytes, timer.seconds());
   record_commit_telemetry(stats);

@@ -236,7 +236,7 @@ class Session {
   std::unique_ptr<mpi::Comm> group_;             // owned encoding group
   std::unique_ptr<CheckpointProtocol> protocol_;
   // Teardown order (reverse of declaration): the engine joins its worker
-  // first — it borrows the scrubber's exclusion mutex and the protocol —
+  // first — it borrows the scrubber and the protocol —
   // then the scrubber stops its thread, then the protocol and comms go,
   // and the admission lease is released last.
   std::unique_ptr<LeaseHolder> lease_;

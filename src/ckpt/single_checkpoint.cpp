@@ -186,6 +186,7 @@ CommitStats SingleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   ctx.group.failpoint(async ? "ckpt.async_mid_update" : "ckpt.mid_update");
 
   const double encode_virtual_before = ctx.group.virtual_seconds();
+  const std::uint64_t wire_before = ctx.group.runtime().wire_bytes();
   util::WallTimer encode_timer;
   {
     SKT_SPAN("ckpt.encode");
@@ -206,6 +207,8 @@ CommitStats SingleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   store_header(header_, h);
   ctx.group.failpoint(async ? "ckpt.async_flushed" : "ckpt.flushed");
   ctx.world.barrier();
+  // Read after the barrier, as in SelfCheckpoint: every encode send is done.
+  stats.encode_wire_bytes = ctx.group.runtime().wire_bytes() - wire_before;
 
   stats.checkpoint_bytes = flushed;
   stats.checksum_bytes = check_c_->size();

@@ -36,11 +36,15 @@ class ErasureCoder {
                       std::span<std::byte> redundancy) const = 0;
 
   /// Collective delta re-encode: update `redundancy` from `old_redundancy`
-  /// given that only the stripes flagged in `dirty` (stripe_count()
-  /// entries) differ between `base` and `next`. Equivalent to
-  /// encode(next); clean families move no bytes. The default ignores the
-  /// delta inputs and re-encodes from scratch.
-  virtual void encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+  /// (which it may alias) given that only the stripes flagged in `dirty`
+  /// (stripe_count() entries) differ between `base` and `next`.
+  /// Equivalent to encode(next). Below half-dirty, only the dirty
+  /// (member, stripe) pairs move bytes, each crossing the wire once on a
+  /// tree toward its parity owners; at or above it, the full ring encode
+  /// runs. Returns false only
+  /// when this member's redundancy provably equals `old_redundancy`. The
+  /// default ignores the delta inputs and re-encodes from scratch.
+  virtual bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                             std::span<const std::byte> next,
                             std::span<const std::byte> old_redundancy,
                             std::span<std::byte> redundancy,
@@ -49,6 +53,7 @@ class ErasureCoder {
     (void)old_redundancy;
     (void)dirty;
     encode(group, next, redundancy);
+    return true;
   }
   /// Collective: reconstruct the listed members (size <= max_failures()).
   virtual void rebuild(mpi::Comm& group, std::span<const int> missing,
@@ -77,11 +82,11 @@ class SingleParityCoder final : public ErasureCoder {
               std::span<std::byte> redundancy) const override {
     codec_.encode(group, data, redundancy);
   }
-  void encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                     std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
                     std::span<std::byte> redundancy,
                     std::span<const std::uint8_t> dirty) const override {
-    codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
+    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty).changed;
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
                std::span<std::byte> redundancy) const override {
@@ -122,11 +127,12 @@ class DualParityCoder final : public ErasureCoder {
               std::span<std::byte> redundancy) const override {
     codec_.encode(group, data, redundancy);
   }
-  void encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                     std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
                     std::span<std::byte> redundancy,
                     std::span<const std::uint8_t> dirty) const override {
     codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
+    return true;
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
                std::span<std::byte> redundancy) const override {
@@ -160,11 +166,11 @@ class RSCoder final : public ErasureCoder {
               std::span<std::byte> redundancy) const override {
     codec_.encode(group, data, redundancy);
   }
-  void encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                     std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
                     std::span<std::byte> redundancy,
                     std::span<const std::uint8_t> dirty) const override {
-    codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
+    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty).changed;
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
                std::span<std::byte> redundancy) const override {

@@ -1,5 +1,6 @@
 #include "encoding/group_codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -35,19 +36,23 @@ std::span<const T> as_lanes(std::span<const std::byte> b) {
   return {reinterpret_cast<const T*>(b.data()), b.size() / sizeof(T)};
 }
 
+template <typename T>
+std::span<T> as_lanes(std::span<std::byte> b) {
+  return {reinterpret_cast<T*>(b.data()), b.size() / sizeof(T)};
+}
+
 /// One reduce-scatter encodes every family: block f of this member's
-/// contribution is its stripe for family f (identity for its own family),
-/// and the scatter lands family f's finished checksum exactly on member f.
+/// contribution is its stripe for family f (empty — no contribution — for
+/// its own family), and the scatter lands family f's finished checksum
+/// exactly on member f.
 template <typename T, typename Op>
 void encode_scatter(mpi::Comm& group, const StripeLayout& layout,
-                    std::span<const std::byte> data, std::span<std::byte> checksum,
-                    std::span<const std::byte> identity, Op op) {
+                    std::span<const std::byte> data, std::span<std::byte> checksum, Op op) {
   const int n = layout.group_size();
   const int me = group.rank();
   std::vector<std::span<const T>> blocks(static_cast<std::size_t>(n));
   for (int f = 0; f < n; ++f) {
-    blocks[static_cast<std::size_t>(f)] =
-        as_lanes<T>(f == me ? identity : layout.stripe(data, me, f));
+    if (f != me) blocks[static_cast<std::size_t>(f)] = as_lanes<T>(layout.stripe(data, me, f));
   }
   group.reduce_scatter_blocks<T, Op>(
       blocks, {reinterpret_cast<T*>(checksum.data()), checksum.size() / sizeof(T)}, op);
@@ -74,75 +79,85 @@ void GroupCodec::check_args(const mpi::Comm& group, std::size_t data_size,
 void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
                         std::span<std::byte> checksum) const {
   check_args(group, data.size(), checksum.size());
-  const std::vector<std::byte> identity(layout_.stripe_bytes(), std::byte{0});
   if (kind_ == CodecKind::kXor) {
-    encode_scatter<std::uint64_t>(group, layout_, data, checksum, identity, mpi::BXor{});
+    encode_scatter<std::uint64_t>(group, layout_, data, checksum, mpi::BXor{});
   } else {
-    encode_scatter<double>(group, layout_, data, checksum, identity, mpi::Sum{});
+    encode_scatter<double>(group, layout_, data, checksum, mpi::Sum{});
   }
 }
 
-void GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                              std::span<const std::byte> next,
-                              std::span<const std::byte> old_checksum,
-                              std::span<std::byte> checksum,
-                              std::span<const std::uint8_t> dirty) const {
+DeltaOutcome GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                      std::span<const std::byte> next,
+                                      std::span<const std::byte> old_checksum,
+                                      std::span<std::byte> checksum,
+                                      std::span<const std::uint8_t> dirty) const {
   check_args(group, next.size(), checksum.size());
   if (base.size() != next.size() || old_checksum.size() != checksum.size()) {
     throw std::invalid_argument("GroupCodec::encode_delta: base/old buffer size mismatch");
   }
   const int n = layout_.group_size();
-  const int me = group.rank();
-  if (dirty.size() != static_cast<std::size_t>(n - 1)) {
+  const auto stripes = static_cast<std::size_t>(n - 1);
+  if (dirty.size() != stripes) {
     throw std::invalid_argument("GroupCodec::encode_delta: dirty flags must cover all stripes");
   }
 
-  // Agree on which families changed anywhere in the group: family f is
-  // dirty when ANY member's stripe for f is flagged.
-  std::vector<std::uint8_t> family_dirty(static_cast<std::size_t>(n), 0);
+  // Every member sees every (member, stripe) flag, so all of them derive
+  // the same path and the same reductions: one per dirty family, rooted at
+  // its checksum owner, over the members whose stripe for it is dirty.
+  // Sources are listed from the owner onward (relative rank order), so the
+  // interior nodes of different families' trees fall on different members.
+  const std::vector<std::uint8_t> flags = group.allgather<std::uint8_t>(dirty);
+  std::vector<mpi::Comm::SparseReduction> families;
+  std::size_t dirty_pairs = 0;
   for (int f = 0; f < n; ++f) {
-    if (f != me) family_dirty[static_cast<std::size_t>(f)] = dirty[layout_.stripe_index(me, f)];
+    mpi::Comm::SparseReduction family{.root = f, .sources = {}};
+    for (int step = 1; step < n; ++step) {
+      const int p = (f + step) % n;
+      if (flags[static_cast<std::size_t>(p) * stripes + layout_.stripe_index(p, f)]) {
+        family.sources.push_back(p);
+      }
+    }
+    if (family.sources.empty()) continue;
+    dirty_pairs += family.sources.size();
+    families.push_back(std::move(family));
   }
-  std::vector<std::uint8_t> global_dirty(static_cast<std::size_t>(n));
-  group.allreduce<std::uint8_t>(family_dirty, global_dirty, mpi::Max{});
-  int dirty_families = 0;
-  for (std::uint8_t d : global_dirty) dirty_families += d;
+  DeltaOutcome outcome;
+  outcome.dirty_families = static_cast<int>(families.size());
 
-  // Mostly-dirty commits: one bandwidth-optimal reduce-scatter over all
-  // families beats per-family binomial reduces once half the group changed.
-  if (2 * dirty_families >= n) {
+  // Mostly-dirty commits: the ring spreads the same bytes evenly over all
+  // links and combines in one pass.
+  if (2 * dirty_pairs >= static_cast<std::size_t>(n) * stripes) {
     encode(group, next, checksum);
-    return;
+    return outcome;
   }
 
-  // Seed with the previous checksum, then fold each dirty family's reduced
-  // diff into its owner's copy. Clean families need no traffic at all.
   if (checksum.data() != old_checksum.data()) {
     std::memcpy(checksum.data(), old_checksum.data(), checksum.size());
   }
+  const int me = group.rank();
   const std::size_t stripe = layout_.stripe_bytes();
-  util::AlignedBytes diff(stripe);
-  util::AlignedBytes reduced(stripe);
-  for (int f = 0; f < n; ++f) {
-    if (!global_dirty[static_cast<std::size_t>(f)]) continue;
-    const bool mine_dirty = f != me && dirty[layout_.stripe_index(me, f)] != 0;
-    if (mine_dirty) {
-      const std::span<const std::byte> b = layout_.stripe(base, me, f);
-      const std::span<const std::byte> x = layout_.stripe(next, me, f);
-      if (kind_ == CodecKind::kXor) {
-        kernels::xor_delta(diff, b, x);
-      } else {
-        std::memcpy(diff.data(), x.data(), stripe);
-        kernels::sum_sub({reinterpret_cast<double*>(diff.data()), stripe / sizeof(double)},
-                         {reinterpret_cast<const double*>(b.data()), stripe / sizeof(double)});
-      }
+  const auto fill = [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
+    const std::size_t at = layout_.stripe_index(me, families[i].root) * stripe + off;
+    const std::span<const std::byte> b = base.subspan(at, out.size());
+    const std::span<const std::byte> x = next.subspan(at, out.size());
+    if (kind_ == CodecKind::kXor) {
+      kernels::xor_delta(out, b, x);
     } else {
-      std::memset(diff.data(), 0, stripe);
+      std::memcpy(out.data(), x.data(), out.size());
+      kernels::sum_sub(as_lanes<double>(out), as_lanes<double>(b));
     }
-    reduce_bytes(group, kind_, f, diff, f == me ? std::span<std::byte>(reduced)
-                                                : std::span<std::byte>{});
-    if (f == me) accumulate(kind_, checksum, reduced);
+  };
+  const auto fold = [&](std::size_t, std::size_t off, std::span<const std::byte> in) {
+    accumulate(kind_, checksum.subspan(off, in.size()), in);
+  };
+  if (kind_ == CodecKind::kXor) {
+    group.reduce_sparse<std::uint64_t>(families, stripe, mpi::BXor{}, fill, fold);
+  } else {
+    group.reduce_sparse<double>(families, stripe, mpi::Sum{}, fill, fold);
   }
+  outcome.changed = std::any_of(families.begin(), families.end(),
+                                [me](const auto& family) { return family.root == me; });
+  return outcome;
 }
 
 void GroupCodec::encode_reference(mpi::Comm& group, std::span<const std::byte> data,

@@ -47,16 +47,23 @@ class GroupCodec {
   /// and `dirty` a per-stripe flag vector (group_size-1 entries, indexed
   /// by stripe_index) marking which of THIS member's stripes may differ
   /// between the two. Produces the same `checksum` as encode(next) —
-  /// bit-identical for XOR — but only dirty families move bytes on the
-  /// wire: family f's owner folds the XOR (or SUM) of the members' stripe
-  /// diffs into the old checksum (parity ^= old ^ new). Falls back to the
-  /// full reduce-scatter encode when at least half the families are dirty,
-  /// where one ring pass beats per-family reduces. The dirty set is
-  /// allreduced internally, so members may pass different flags.
-  void encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next,
-                    std::span<const std::byte> old_checksum, std::span<std::byte> checksum,
-                    std::span<const std::uint8_t> dirty) const;
+  /// bit-identical for XOR, tolerance-equal for SUM.
+  ///
+  /// The members allgather their flags, so every member sees every
+  /// (member, stripe) pair. When fewer than half of the pairs are dirty,
+  /// each dirty family reduces its contributors' stripe diffs (new ^ old,
+  /// or new - old) onto its checksum owner along a binomial tree of those
+  /// contributors (Comm::reduce_sparse), and the owner folds the result
+  /// into the old checksum: each dirty pair's stripe crosses the wire
+  /// once, clean pairs send nothing, and no member receives more than
+  /// log2(contributors + 1) stripes per family. Otherwise the full ring
+  /// reduce-scatter encode runs. `old_checksum` may alias `checksum`
+  /// (the fold is then in place).
+  DeltaOutcome encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                            std::span<const std::byte> next,
+                            std::span<const std::byte> old_checksum,
+                            std::span<std::byte> checksum,
+                            std::span<const std::uint8_t> dirty) const;
 
   /// The pre-reduce-scatter baseline: one binomial reduce per family,
   /// rooted round-robin. Same result as encode() (bit-identical for XOR,

@@ -157,7 +157,8 @@ void RSGroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   // block (f + j) % n — exactly the member holding that parity slot. Each
   // member pre-multiplies its stripes by the row coefficients into a
   // scratch contribution buffer; XOR over GF(2^8) products is exactly the
-  // Reed-Solomon sum.
+  // Reed-Solomon sum. Block `me` is the row's parity of a family this
+  // member owns and never contributes to, so it stays empty.
   util::AlignedBytes scratch(static_cast<std::size_t>(n) * stripe_bytes_);
   std::vector<std::span<const std::uint64_t>> blocks(static_cast<std::size_t>(n));
   const auto block_of = [&](int b) {
@@ -173,6 +174,7 @@ void RSGroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
             data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_);
         gf256::mul_acc(as_u8(block_of(b)), as_u8(mine), coefficient(row, me, f));
       }
+      if (b == me) continue;
       blocks[static_cast<std::size_t>(b)] = {
           reinterpret_cast<const std::uint64_t*>(block_of(b).data()),
           stripe_bytes_ / sizeof(std::uint64_t)};
@@ -186,65 +188,83 @@ void RSGroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   }
 }
 
-void RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                                std::span<const std::byte> next,
-                                std::span<const std::byte> old_parity,
-                                std::span<std::byte> parity,
-                                std::span<const std::uint8_t> dirty) const {
+DeltaOutcome RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                        std::span<const std::byte> next,
+                                        std::span<const std::byte> old_parity,
+                                        std::span<std::byte> parity,
+                                        std::span<const std::uint8_t> dirty) const {
   check_args(group, next.size(), parity.size());
   if (base.size() != next.size() || old_parity.size() != parity.size()) {
     throw std::invalid_argument("RSGroupCodec::encode_delta: buffer size mismatch");
   }
   const int n = group_size_;
-  const int me = group.rank();
-  if (dirty.size() != static_cast<std::size_t>(n - parity_count_)) {
+  const auto stripes = static_cast<std::size_t>(n - parity_count_);
+  if (dirty.size() != stripes) {
     throw std::invalid_argument(
         "RSGroupCodec::encode_delta: dirty flags must cover all stripes");
   }
 
-  std::vector<std::uint8_t> family_dirty(static_cast<std::size_t>(n), 0);
-  for (int f = 0; f < n; ++f) {
-    if (contributes(me, f)) family_dirty[static_cast<std::size_t>(f)] = dirty[stripe_index(me, f)];
-  }
-  std::vector<std::uint8_t> global_dirty(static_cast<std::size_t>(n));
-  group.allreduce<std::uint8_t>(family_dirty, global_dirty, mpi::Max{});
+  // Same scheme as GroupCodec::encode_delta, with one reduction per dirty
+  // family and parity row, rooted at that row's owner; each source folds
+  // in its GF(2^8)-weighted diff.
+  struct Row {
+    int family;
+    int row;
+  };
+  const std::vector<std::uint8_t> flags = group.allgather<std::uint8_t>(dirty);
+  std::vector<mpi::Comm::SparseReduction> reductions;
+  std::vector<Row> rows;
+  std::size_t dirty_pairs = 0;
   int dirty_families = 0;
-  for (std::uint8_t d : global_dirty) dirty_families += d;
-  if (2 * dirty_families >= n) {
+  for (int f = 0; f < n; ++f) {
+    for (int row = 0; row < parity_count_; ++row) {
+      // Sources in relative rank order from the row's owner, as in
+      // GroupCodec.
+      mpi::Comm::SparseReduction r{.root = parity_owner(row, f), .sources = {}};
+      for (int step = 1; step < n; ++step) {
+        const int p = (r.root + step) % n;
+        if (contributes(p, f) &&
+            flags[static_cast<std::size_t>(p) * stripes + stripe_index(p, f)]) {
+          r.sources.push_back(p);
+        }
+      }
+      if (r.sources.empty()) break;  // a clean family: every row is empty
+      if (row == 0) {
+        dirty_pairs += r.sources.size();
+        ++dirty_families;
+      }
+      reductions.push_back(std::move(r));
+      rows.push_back({f, row});
+    }
+  }
+  DeltaOutcome outcome;
+  outcome.dirty_families = dirty_families;
+  if (2 * dirty_pairs >= static_cast<std::size_t>(n) * stripes) {
     encode(group, next, parity);
-    return;
+    return outcome;
   }
 
   if (parity.data() != old_parity.data()) {
     std::memcpy(parity.data(), old_parity.data(), parity.size());
   }
-  util::AlignedBytes diff(stripe_bytes_);
-  util::AlignedBytes scratch(stripe_bytes_);
-  util::AlignedBytes reduced(stripe_bytes_);
-  for (int f = 0; f < n; ++f) {
-    if (!global_dirty[static_cast<std::size_t>(f)]) continue;
-    const bool mine_dirty = contributes(me, f) && dirty[stripe_index(me, f)] != 0;
-    if (mine_dirty) {
-      kernels::xor_delta(diff, base.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_),
-                         next.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_));
-    }
-    for (int row = 0; row < parity_count_; ++row) {
-      const int owner = parity_owner(row, f);
-      std::memset(scratch.data(), 0, stripe_bytes_);
-      if (mine_dirty) {
-        kernels::gf256_mul_acc(as_u8(std::span<std::byte>(scratch)),
-                               as_u8(std::span<const std::byte>(diff)),
-                               coefficient(row, me, f));
-      }
-      xor_reduce(group, owner, scratch,
-                 me == owner ? std::span<std::byte>(reduced) : std::span<std::byte>{});
-      if (me == owner) {
-        kernels::xor_acc(
-            parity.subspan(static_cast<std::size_t>(row) * stripe_bytes_, stripe_bytes_),
-            reduced);
-      }
-    }
-  }
+  const int me = group.rank();
+  outcome.changed = std::any_of(reductions.begin(), reductions.end(),
+                                [me](const auto& r) { return r.root == me; });
+  group.reduce_sparse<std::uint64_t>(
+      reductions, stripe_bytes_, mpi::BXor{},
+      [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
+        // c * (old ^ new) = c * old ^ c * new, accumulated straight into
+        // the zeroed outgoing segment.
+        const std::size_t at = stripe_index(me, rows[i].family) * stripe_bytes_ + off;
+        const std::uint8_t c = coefficient(rows[i].row, me, rows[i].family);
+        kernels::gf256_mul_acc(as_u8(out), as_u8(base.subspan(at, out.size())), c);
+        kernels::gf256_mul_acc(as_u8(out), as_u8(next.subspan(at, out.size())), c);
+      },
+      [&](std::size_t i, std::size_t off, std::span<const std::byte> in) {
+        const std::size_t at = static_cast<std::size_t>(rows[i].row) * stripe_bytes_ + off;
+        kernels::xor_acc(parity.subspan(at, in.size()), in);
+      });
+  return outcome;
 }
 
 void RSGroupCodec::rebuild(mpi::Comm& group, std::span<const int> failed,

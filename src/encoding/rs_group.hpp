@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "encoding/codec.hpp"
 #include "encoding/reed_solomon.hpp"
 #include "mpi/comm.hpp"
 
@@ -58,15 +59,18 @@ class RSGroupCodec {
 
   /// Collective delta re-encode: `dirty` flags this member's stripes
   /// (k entries, indexed by stripe_index) that may differ between `base`
-  /// and `next`. All m parity rows of each dirty family are updated from
-  /// the GF(2^8)-weighted stripe diffs folded into `old_parity`
-  /// (P' = P ^ sum c_i * (old_i ^ new_i)); clean families copy through
-  /// with no traffic. Result is bit-identical to encode(next). Falls back
-  /// to the full m-pass reduce-scatter encode when at least half the
-  /// families are dirty. The dirty set is allreduced internally.
-  void encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next, std::span<const std::byte> old_parity,
-                    std::span<std::byte> parity, std::span<const std::uint8_t> dirty) const;
+  /// and `next`; the members allgather them. When fewer than half of the
+  /// n*k (member, stripe) pairs are dirty, each parity row j of a dirty
+  /// family reduces its contributors' GF(2^8)-weighted diffs
+  /// c_j * (old ^ new) onto the row's owner along a binomial tree of
+  /// those contributors, and the owner folds the result into `old_parity`
+  /// (P' = P ^ sum c_i * (old_i ^ new_i)); clean pairs send nothing.
+  /// Otherwise the full m-pass reduce-scatter encode runs. Result is
+  /// bit-identical to encode(next); `old_parity` may alias `parity`.
+  DeltaOutcome encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                            std::span<const std::byte> next,
+                            std::span<const std::byte> old_parity, std::span<std::byte> parity,
+                            std::span<const std::uint8_t> dirty) const;
 
   /// Collective: reconstruct up to m failed members' data + parity.
   /// Survivors pass intact buffers; failed members' buffer contents are

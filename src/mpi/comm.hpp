@@ -8,6 +8,7 @@
 // node unwinds the whole job just like a production MPI.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <memory>
@@ -229,6 +230,10 @@ class Comm {
   /// are forwarded hop to hop by move. `op` must be commutative (all the
   /// built-in ones are); SUM combines in ring order, so floating-point
   /// results are tolerance-equal, not bit-equal, to the binomial reduce.
+  ///
+  /// blocks[rank()] may be empty: this member then contributes nothing to
+  /// its own result, and the ring skips that combine (its last step). The
+  /// bytes on the wire do not change.
   template <typename T, typename Op>
   void reduce_scatter_blocks(std::span<const std::span<const T>> blocks, std::span<T> out,
                              Op op, std::size_t chunk_bytes = kCollectiveChunkBytes) {
@@ -238,8 +243,12 @@ class Comm {
       throw std::invalid_argument("reduce_scatter: need one block per member");
     }
     const std::size_t count = out.size();
-    for (const std::span<const T>& b : blocks) {
-      if (b.size() != count) throw std::invalid_argument("reduce_scatter: unequal block sizes");
+    const bool own_empty = blocks[static_cast<std::size_t>(rank_)].empty();
+    for (int r = 0; r < n; ++r) {
+      const std::size_t len = blocks[static_cast<std::size_t>(r)].size();
+      if (len != count && !(r == rank_ && len == 0)) {
+        throw std::invalid_argument("reduce_scatter: unequal block sizes");
+      }
     }
     if (chunk_bytes == 0) throw std::invalid_argument("reduce_scatter: zero chunk size");
     static telemetry::Histogram& h_bytes =
@@ -247,6 +256,9 @@ class Comm {
     h_bytes.record(static_cast<double>(static_cast<std::size_t>(n) * count * sizeof(T)));
     const Tag seq = next_seq();
     if (n == 1) {
+      if (own_empty && count > 0) {
+        throw std::invalid_argument("reduce_scatter: a lone member must contribute its block");
+      }
       if (out.data() != blocks[0].data() && count > 0) {
         std::memcpy(out.data(), blocks[0].data(), count * sizeof(T));
       }
@@ -275,9 +287,11 @@ class Comm {
           send_bytes(next, tag, std::move(acc[c]));
         }
         std::vector<std::byte> incoming = recv_take(prev, tag, len * sizeof(T));
-        combine_inplace<T, Op>(
-            std::span<T>(reinterpret_cast<T*>(incoming.data()), len),
-            blocks[static_cast<std::size_t>(recv_block)].subspan(off, len), op);
+        if (!(recv_block == rank_ && own_empty)) {
+          combine_inplace<T, Op>(
+              std::span<T>(reinterpret_cast<T*>(incoming.data()), len),
+              blocks[static_cast<std::size_t>(recv_block)].subspan(off, len), op);
+        }
         acc[c] = std::move(incoming);
       }
     }
@@ -302,6 +316,99 @@ class Comm {
       blocks[static_cast<std::size_t>(r)] = in.subspan(static_cast<std::size_t>(r) * count, count);
     }
     reduce_scatter_blocks<T, Op>(blocks, out, op, chunk_bytes);
+  }
+
+  /// One reduction of a sparse reduce: each member in `sources` holds one
+  /// block, and their combination lands on `root`, which contributes none.
+  struct SparseReduction {
+    int root = 0;
+    std::vector<int> sources;
+  };
+
+  /// Sparse reduce of `block_bytes` blocks. Every member must pass the same
+  /// `reductions` (e.g. built from allgathered flags); members named in
+  /// none of them move nothing. Reduction i runs a binomial tree over
+  /// [root, sources...] in the given order, rooted at position 0, so each
+  /// source's block crosses the wire exactly once — as a partial result —
+  /// and no member receives more than log2(sources + 1) blocks of it: the
+  /// bytes of a direct send to the root without its fan-in.
+  ///
+  /// A source writes segment bytes [offset, offset + out.size()) of its
+  /// block for reduction i straight into a zeroed outgoing buffer via
+  /// `fill(i, offset, out)`, combines its children's segments into it with
+  /// `op`, and moves it into the mailbox. The root hands each arriving
+  /// partial segment to `fold(i, offset, in)` instead. Every member walks
+  /// the segments, and within a segment the reductions, in the same order,
+  /// so the tree pipelines segment by segment and a member may be a source
+  /// of some reductions and the root of others.
+  template <typename T, typename Op, typename Fill, typename Fold>
+  void reduce_sparse(std::span<const SparseReduction> reductions, std::size_t block_bytes, Op op,
+                     Fill&& fill, Fold&& fold, std::size_t chunk_bytes = kCollectiveChunkBytes) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (block_bytes % sizeof(T) != 0) {
+      throw std::invalid_argument("reduce_sparse: block is not a whole number of elements");
+    }
+    if (chunk_bytes < sizeof(T)) throw std::invalid_argument("reduce_sparse: chunk too small");
+    // This member's tree position in each reduction: 0 = root, j + 1 =
+    // sources[j], -1 = not involved.
+    std::vector<int> position(reductions.size(), -1);
+    std::size_t blocks = 0;
+    for (std::size_t i = 0; i < reductions.size(); ++i) {
+      const SparseReduction& r = reductions[i];
+      std::vector<bool> seen(static_cast<std::size_t>(size()), false);
+      if (r.root < 0 || r.root >= size()) throw std::invalid_argument("reduce_sparse: bad root");
+      seen[static_cast<std::size_t>(r.root)] = true;
+      for (const int s : r.sources) {
+        if (s < 0 || s >= size() || seen[static_cast<std::size_t>(s)]) {
+          throw std::invalid_argument("reduce_sparse: bad or repeated source");
+        }
+        seen[static_cast<std::size_t>(s)] = true;
+      }
+      blocks += r.sources.size();
+      if (r.root == rank_) position[i] = 0;
+      const auto it = std::find(r.sources.begin(), r.sources.end(), rank_);
+      if (it != r.sources.end()) position[i] = static_cast<int>(it - r.sources.begin()) + 1;
+    }
+    static telemetry::Histogram& h_bytes =
+        telemetry::metrics().histogram("mpi.coll.reduce_sparse_bytes", 1.0);
+    h_bytes.record(static_cast<double>(blocks * block_bytes));
+    // One tag for the whole collective: a member is at most one node of
+    // each tree, so between any two members the segments flow one way per
+    // (segment, reduction) step, and the mailbox is FIFO per source, tag
+    // and comm while both sides walk the steps in the same order.
+    const Tag tag = collective_tag(next_seq(), 0);
+    const std::size_t segment = chunk_bytes / sizeof(T) * sizeof(T);
+    for (std::size_t off = 0; off < block_bytes; off += segment) {
+      const std::size_t len = std::min(segment, block_bytes - off);
+      for (std::size_t i = 0; i < reductions.size(); ++i) {
+        const int pos = position[i];
+        if (pos < 0) continue;
+        const SparseReduction& r = reductions[i];
+        const auto member_at = [&r](int p) {
+          return p == 0 ? r.root : r.sources[static_cast<std::size_t>(p - 1)];
+        };
+        std::vector<std::byte> acc;
+        if (pos > 0) {
+          acc.resize(len);
+          fill(i, off, std::span<std::byte>(acc));
+        }
+        // Children sit at pos + 1, pos + 2, pos + 4, ... below pos's lowest
+        // set bit; that bit names the parent.
+        const int last = static_cast<int>(r.sources.size());
+        for (int mask = 1; (pos & mask) == 0 && pos + mask <= last; mask <<= 1) {
+          const std::vector<std::byte> in = recv_take(member_at(pos + mask), tag, len);
+          if (pos == 0) {
+            fold(i, off, std::span<const std::byte>(in));
+          } else {
+            combine_inplace<T, Op>(std::span<T>(reinterpret_cast<T*>(acc.data()), len / sizeof(T)),
+                                   std::span<const T>(reinterpret_cast<const T*>(in.data()),
+                                                      len / sizeof(T)),
+                                   op);
+          }
+        }
+        if (pos > 0) send_bytes(member_at(pos - (pos & -pos)), tag, std::move(acc));
+      }
+    }
   }
 
   /// Ring allreduce: reduce-scatter followed by a ring allgather. Each rank

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "ckpt/incremental.hpp"
 #include "ckpt/session.hpp"
@@ -39,11 +40,15 @@ struct CkptAppConfig {
   /// every N commits).
   int level2_every = 0;
   /// > 0: after the initial full fill, every iteration rewrites only the
-  /// first `hot_bytes` of data() and annotates the write through
+  /// last `hot_bytes` of data() and annotates the write through
   /// Session::mark_dirty, so commits run the partially-dirty staging and
-  /// delta-encode paths. The cold remainder keeps its iteration-0 pattern
-  /// and is verified against it — a protocol that forgets to carry clean
-  /// stripes (in S, B, or the parity delta) fails the data check.
+  /// delta-encode paths. A suffix shares the last stripe with the user
+  /// state, which every commit rewrites, so a suffix within that stripe
+  /// dirties one stripe per member — the sparse reduce, not the ring.
+  /// The cold remainder keeps its iteration-0 pattern and is verified
+  /// against it — a protocol that forgets to carry clean stripes (in S, B,
+  /// or the parity delta) fails the data check. Every partially-dirty
+  /// commit must also put fewer bytes on the wire than a full encode.
   std::size_t hot_bytes = 0;
   /// > 0 starts the Session's background scrubber at this cadence.
   double scrub_interval = 0;
@@ -62,27 +67,29 @@ struct LoopState {
   std::uint64_t iteration = 0;
 };
 
+/// Fill `data` with `iteration`'s pattern; `first_lane` is the index of
+/// data's first double within the whole buffer.
 inline void fill_pattern(std::span<std::byte> data, std::uint64_t seed, int rank,
-                         std::uint64_t iteration) {
+                         std::uint64_t iteration, std::size_t first_lane = 0) {
   std::span<double> lanes{reinterpret_cast<double*>(data.data()), data.size() / sizeof(double)};
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lanes[i] = util::element_value(seed + iteration, static_cast<std::uint64_t>(rank), i);
+    lanes[i] = util::element_value(seed + iteration, static_cast<std::uint64_t>(rank),
+                                   first_lane + i);
   }
 }
 
 /// Verify data against the harness pattern. `hot_bytes` == 0 (or >= size):
 /// the whole buffer carries `iteration`'s pattern. Otherwise only the hot
-/// prefix does, and the cold remainder must still hold iteration 0's.
+/// suffix does, and the cold remainder must still hold iteration 0's.
 inline bool matches_pattern(std::span<const std::byte> data, std::uint64_t seed, int rank,
                             std::uint64_t iteration, double tolerance,
                             std::size_t hot_bytes = 0) {
   std::span<const double> lanes{reinterpret_cast<const double*>(data.data()),
                                 data.size() / sizeof(double)};
-  const std::size_t hot_lanes = hot_bytes == 0
-                                    ? lanes.size()
-                                    : std::min(hot_bytes / sizeof(double), lanes.size());
+  const std::size_t cold_lanes =
+      hot_bytes == 0 ? 0 : lanes.size() - std::min(hot_bytes / sizeof(double), lanes.size());
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const std::uint64_t it = iteration == 0 || i < hot_lanes ? iteration : 0;
+    const std::uint64_t it = iteration == 0 || i >= cold_lanes ? iteration : 0;
     const double expect = util::element_value(seed + it, static_cast<std::uint64_t>(rank), i);
     if (std::abs(lanes[i] - expect) > tolerance * (std::abs(expect) + 1.0)) return false;
   }
@@ -109,10 +116,26 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
                               .tenant(config.tenant)
                               .build(world);
 
-  // Partial-write mode: hot prefix rewritten (and annotated) per iteration,
+  // Partial-write mode: hot suffix rewritten (and annotated) per iteration,
   // cold remainder written once. Clamped so 0 and "everything" coincide.
   const std::size_t hot =
       config.hot_bytes == 0 || config.hot_bytes >= config.data_bytes ? 0 : config.hot_bytes;
+  const std::size_t hot_begin = config.data_bytes - hot;
+  // A partially-dirty commit of an encoding strategy must take the sparse
+  // delta path: fewer wire bytes than the full ring encode, which moves
+  // n(n-1) stripes of the group (checksum_bytes holds one stripe per
+  // parity row, and the ring makes one pass per row).
+  const auto check_partial_commit = [&](const ckpt::CommitStats& stats) {
+    if (hot == 0 || stats.checksum_bytes == 0 || stats.dirty_fraction >= 1.0) return;
+    const auto n = static_cast<std::uint64_t>(config.group_size);
+    const std::uint64_t full = n * (n - 1) * stats.checksum_bytes;
+    if (stats.encode_wire_bytes >= full) {
+      throw std::runtime_error("partially-dirty commit moved " +
+                               std::to_string(stats.encode_wire_bytes) +
+                               " wire bytes, not below the full encode's " +
+                               std::to_string(full));
+    }
+  };
 
   auto* state = reinterpret_cast<LoopState*>(session.user_state().data());
   if (session.open() == ckpt::OpenOutcome::kRestored) {
@@ -140,14 +163,16 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
   }
 
   const bool async = config.mode == ckpt::CommitMode::kAsync;
+  ckpt::CommitTicket in_flight;
   while (state->iteration < static_cast<std::uint64_t>(config.iterations)) {
     world.failpoint("app.work");
     const std::uint64_t next = state->iteration + 1;
     if (hot != 0) {
-      // Rewrite only the hot prefix and declare it — every strategy's
+      // Rewrite only the hot suffix and declare it — every strategy's
       // commit then copies/encodes just the covering stripes.
-      fill_pattern(session.data().subspan(0, hot), config.seed, world.rank(), next);
-      session.mark_dirty(0, hot);
+      fill_pattern(session.data().subspan(hot_begin, hot), config.seed, world.rank(), next,
+                   hot_begin / sizeof(double));
+      session.mark_dirty(hot_begin, hot);
     } else {
       fill_pattern(session.data(), config.seed, world.rank(), next);
       // Full rewrite: everything is dirty. Required annotation for the
@@ -160,13 +185,15 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
     state->iteration = next;
     try {
       if (async) {
-        // The ticket is deliberately dropped: the next commit_async() (or
-        // the drain below) provides the backpressure. The loop immediately
-        // continues mutating data() while the worker runs — that overlap
-        // is exactly what the staged pipeline must tolerate.
-        session.commit_async();
+        // The next commit_async() (or the drain below) provides the
+        // backpressure and settles the previous ticket, whose stats are
+        // then checked. The loop immediately continues mutating data()
+        // while the worker runs — that overlap is exactly what the staged
+        // pipeline must tolerate.
+        const ckpt::CommitTicket previous = std::exchange(in_flight, session.commit_async());
+        if (previous.valid()) check_partial_commit(previous.wait());
       } else {
-        session.commit();
+        check_partial_commit(session.commit());
       }
     } catch (const ckpt::Unrecoverable& e) {
       throw std::runtime_error(std::string("unrecoverable during commit: ") + e.what());
@@ -200,7 +227,10 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
       }
     }
   }
-  if (async) session.drain();
+  if (async) {
+    session.drain();
+    if (in_flight.valid()) check_partial_commit(in_flight.wait());
+  }
 
   world.failpoint("app.done");
   const double tol = config.codec == enc::CodecKind::kXor ? 0.0 : 1e-9;

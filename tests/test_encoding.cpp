@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "dirty_patterns.hpp"
 #include "encoding/codec.hpp"
 #include "encoding/dual_parity.hpp"
 #include "encoding/erasure_coder.hpp"
@@ -530,6 +533,90 @@ TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }
+
+/// The sparse delta's shapes for RS(k, m): every dirty pattern on both
+/// sides of the half-dirty switch, aliased and distinct outputs, stripes
+/// spanning several 64 KiB segments with a ragged tail. Each dirty pair's
+/// GF-weighted stripe crosses the wire once per parity row of its family.
+class RSEncodeDeltaSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RSEncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
+  const auto [n, m] = GetParam();
+  const auto stripes = static_cast<std::size_t>(n - m);
+  // 2 x 64 KiB + 960: a ragged last segment, still 64-byte aligned.
+  const std::size_t data_bytes = stripes * (2 * mpi::kCollectiveChunkBytes + 960) - 3;
+  for (const testing::DirtyPattern pattern : testing::kDirtyPatterns) {
+    MiniCluster mc(n, 0);
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const RSGroupCodec codec(data_bytes, n, m);
+      const testing::DeltaInputs in = testing::make_delta_inputs(
+          pattern, n, world.rank(), codec.stripe_bytes(), stripes);
+      std::vector<std::byte> old_parity(codec.parity_bytes());
+      codec.encode(world, in.base, old_parity);
+      std::vector<std::byte> reference(codec.parity_bytes());
+      codec.encode(world, in.next, reference);
+
+      std::vector<std::byte> in_place = old_parity;
+      const DeltaOutcome aliased =
+          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.flags);
+      std::vector<std::byte> out(codec.parity_bytes());
+      const DeltaOutcome distinct =
+          codec.encode_delta(world, in.base, in.next, old_parity, out, in.flags);
+      EXPECT_EQ(in_place, reference) << testing::to_string(pattern);
+      EXPECT_EQ(out, reference) << testing::to_string(pattern);
+
+      bool mine_dirty = false;  // a family whose parity row this member owns
+      for (int f = 0; f < n; ++f) {
+        bool dirty = false;
+        for (int p = 0; p < n; ++p) {
+          dirty |= codec.contributes(p, f) &&
+                   testing::pair_dirty(pattern, n, stripes, p, codec.stripe_index(p, f));
+        }
+        for (int row = 0; row < m; ++row) {
+          mine_dirty |= dirty && codec.parity_owner(row, f) == world.rank();
+        }
+      }
+      const bool sparse = testing::takes_sparse_path(pattern, n, stripes);
+      EXPECT_EQ(aliased.changed, !sparse || mine_dirty) << testing::to_string(pattern);
+      EXPECT_EQ(distinct.changed, aliased.changed);
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason;
+
+    if (!testing::takes_sparse_path(pattern, n, stripes)) continue;
+    // Wire bytes of the sparse reduce alone: the same job with an
+    // allgather of the flags in place of the delta encode is the baseline.
+    const auto job_wire_bytes = [&](bool delta) {
+      MiniCluster job(n, 0);
+      const auto r = job.run(n, [&](mpi::Comm& world) {
+        const RSGroupCodec codec(data_bytes, n, m);
+        const testing::DeltaInputs in = testing::make_delta_inputs(
+            pattern, n, world.rank(), codec.stripe_bytes(), stripes);
+        std::vector<std::byte> parity(codec.parity_bytes());
+        codec.encode(world, in.base, parity);
+        if (delta) {
+          codec.encode_delta(world, in.base, in.next, parity, parity, in.flags);
+        } else {
+          (void)world.allgather<std::uint8_t>(in.flags);
+        }
+      });
+      EXPECT_TRUE(r.completed) << r.abort_reason;
+      return r.wire_bytes;
+    };
+    const RSGroupCodec probe(data_bytes, n, m);
+    EXPECT_EQ(job_wire_bytes(true) - job_wire_bytes(false),
+              testing::dirty_pair_count(pattern, n, stripes) *
+                  static_cast<std::size_t>(m) * probe.stripe_bytes())
+        << testing::to_string(pattern);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, RSEncodeDeltaSweep,
+                         ::testing::Values(std::make_tuple(3, 1), std::make_tuple(4, 2),
+                                           std::make_tuple(8, 3)),
+                         [](const auto& info) {
+                           return "n" + std::to_string(std::get<0>(info.param)) + "_m" +
+                                  std::to_string(std::get<1>(info.param));
+                         });
 
 // -------------------------------------------------------- erasure coder ---
 

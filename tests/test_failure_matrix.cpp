@@ -61,6 +61,8 @@ struct Case {
   /// ckpt.mid_update, rank 0 itself has provably entered the update
   /// window, which pins the outcome.
   int trigger = -1;
+  /// > 0: partial-dirty mode (see CkptAppConfig::hot_bytes).
+  std::size_t hot_bytes = 0;
 };
 
 std::string case_name(const ::testing::TestParamInfo<std::tuple<Case, int, enc::CodecKind>>& i) {
@@ -73,6 +75,8 @@ std::string case_name(const ::testing::TestParamInfo<std::tuple<Case, int, enc::
   if (const auto dash = strategy.find('-'); dash != std::string::npos) {
     strategy = strategy.substr(0, dash);
   }
+  if (c.strategy == Strategy::kSelfIncremental) strategy = "incr";
+  if (c.hot_bytes > 0) strategy += "_pd";
   return strategy + "_" + point + "_g" + std::to_string(group) + "_" +
          std::string(enc::to_string(codec));
 }
@@ -94,6 +98,7 @@ TEST_P(FailureMatrix, KillDuringProtocolStep) {
   config.data_bytes = 2048;
   config.vault = &vault;
   config.device = storage::ssd_profile();
+  config.hot_bytes = c.hot_bytes;
 
   sim::FailureInjector injector;
   // Kill rank 1 (a member of group 0) on the SECOND visit to the failpoint
@@ -145,6 +150,24 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Case{Strategy::kSelf, "ckpt.mid_flush", true},
                                          Case{Strategy::kSelf, "ckpt.encode_done", true}),
                        ::testing::Values(4), ::testing::Values(enc::CodecKind::kSum)),
+    case_name);
+
+// Partially-dirty synchronous commits: the app annotates a 512-byte hot
+// suffix (of 2048) that lies in each member's last stripe, so 4 of the
+// group's 12 (member, stripe) pairs are dirty and the encode is the sparse
+// reduce folded into D in place (the harness fails any such commit that
+// moves as many wire bytes as a full encode). Kills land after that fold,
+// after the seal, and mid-flush — where C is refreshed only if D changed.
+INSTANTIATE_TEST_SUITE_P(
+    PartialDirtySync, FailureMatrix,
+    ::testing::Combine(
+        ::testing::Values(Case{Strategy::kSelf, "ckpt.encode_done", true, -1, 512},
+                          Case{Strategy::kSelf, "ckpt.sealed", true, -1, 512},
+                          Case{Strategy::kSelf, "ckpt.mid_flush", true, -1, 512},
+                          Case{Strategy::kSelfIncremental, "ckpt.encode_done", true, -1, 512},
+                          Case{Strategy::kSelfIncremental, "ckpt.sealed", true, -1, 512},
+                          Case{Strategy::kSelfIncremental, "ckpt.mid_flush", true, -1, 512}),
+        ::testing::Values(4), ::testing::Values(enc::CodecKind::kXor)),
     case_name);
 
 INSTANTIATE_TEST_SUITE_P(
@@ -319,12 +342,13 @@ INSTANTIATE_TEST_SUITE_P(
     async_case_name);
 
 // Partially-dirty staging under failure: the app annotates a 512-byte hot
-// prefix (of 2048), so the staged copy S refreshed only the hot stripes
-// and the worker's encode was a clean-majority delta fold when the victim
-// died mid commit_staged. Recovery reads (S, D) — the cold stripes of S
-// (carried, not recopied) and the delta-updated parity must still agree
-// bit-for-bit, and the rebuilt rank's cold region must reproduce the
-// iteration-0 pattern end-to-end.
+// suffix (of 2048) inside each member's last stripe, so the staged copy S
+// refreshed only that stripe and the worker's encode was the sparse
+// reduce (4 of 12 pairs dirty; the harness checks its wire bytes) when
+// the victim died mid commit_staged. Recovery reads (S, D) — the cold
+// stripes of S (carried, not recopied) and the delta-updated parity must
+// still agree bit-for-bit, and the rebuilt rank's cold region must
+// reproduce the iteration-0 pattern end-to-end.
 INSTANTIATE_TEST_SUITE_P(
     PartialDirtyAsync, AsyncFailureMatrix,
     ::testing::Combine(

@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/dirty_tracker.hpp"
+#include "dirty_patterns.hpp"
 #include "encoding/dual_parity.hpp"
 #include "encoding/gf256.hpp"
 #include "encoding/group_codec.hpp"
@@ -334,80 +337,118 @@ TEST(DirtyTracker, ShadowTreatsMissingTailAsZeros) {
 }  // namespace skt::ckpt
 
 // ----------------------------------------------------------------------
-// encode_delta == encode: the bit-identity the dirty-stripe commit path
-// stakes checkpoint correctness on, for both the XOR group codec and the
-// GF(2^8) dual-parity code, on both sides of the half-dirty fallback.
+// encode_delta == encode: the bit-identity (tolerance for SUM) the
+// dirty-stripe commit path stakes checkpoint correctness on, for the
+// XOR/SUM group codec and the GF(2^8) dual-parity code, on both sides of
+// the half-dirty switch.
 namespace skt::enc {
 namespace {
 
-TEST(EncodeDelta, GroupCodecMatchesFullEncode) {
-  const int group_size = 4;
-  const std::size_t data_bytes = 1000;
-  MiniCluster mc(group_size, 0);
-  const auto result = mc.run(group_size, [&](mpi::Comm& world) {
-    const GroupCodec codec(CodecKind::kXor, data_bytes, world.size());
-    const std::size_t stripe = codec.layout().stripe_bytes();
-    const std::size_t stripes = codec.padded_bytes() / stripe;
+using skt::testing::DirtyPattern;
+using skt::testing::DeltaInputs;
 
-    const auto base = random_bytes(codec.padded_bytes(), 10 + world.rank());
-    std::vector<std::byte> old_check(codec.checksum_bytes());
-    codec.encode(world, base, old_check);
-
-    // Sparse case: one rank dirties one stripe -> the per-family delta
-    // path (2 * 1 < 4 families).
-    auto next = base;
-    std::vector<std::uint8_t> dirty(stripes, 0);
-    if (world.rank() == 1) {
-      next[stripe / 2] ^= std::byte{0x3c};
-      dirty[0] = 1;  // local stripe 0 holds that byte
-    }
-    std::vector<std::byte> reference(codec.checksum_bytes());
-    codec.encode(world, next, reference);
-
-    std::vector<std::byte> delta = old_check;
-    codec.encode_delta(world, base, next, delta, delta, dirty);  // in place
-    EXPECT_EQ(delta, reference);
-
-    // Fallback case: everything dirty -> full reduce-scatter re-encode.
-    auto next2 = random_bytes(codec.padded_bytes(), 90 + world.rank());
-    std::vector<std::byte> reference2(codec.checksum_bytes());
-    codec.encode(world, next2, reference2);
-    std::vector<std::byte> delta2 = reference;  // old checksum of `next`
-    const std::vector<std::uint8_t> all_dirty(stripes, 1);
-    codec.encode_delta(world, next, next2, delta2, delta2, all_dirty);
-    EXPECT_EQ(delta2, reference2);
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
+/// Stripes that span two 64 KiB collective segments plus a ragged
+/// 1000-byte tail, so the sparse reduce streams several segments.
+std::size_t sweep_data_bytes(int n) {
+  return static_cast<std::size_t>(n - 1) * (2 * mpi::kCollectiveChunkBytes + 1000) - 5;
 }
 
-TEST(EncodeDelta, GroupCodecDistinctOutputBuffer) {
-  MiniCluster mc(4, 0);
-  const auto result = mc.run(4, [&](mpi::Comm& world) {
-    const GroupCodec codec(CodecKind::kXor, 2048, world.size());
-    const std::size_t stripe = codec.layout().stripe_bytes();
-    const auto base = random_bytes(codec.padded_bytes(), 40 + world.rank());
-    std::vector<std::byte> old_check(codec.checksum_bytes());
-    codec.encode(world, base, old_check);
+class EncodeDeltaSweep : public ::testing::TestWithParam<std::tuple<int, CodecKind>> {};
 
-    auto next = base;
-    std::vector<std::uint8_t> dirty(codec.padded_bytes() / stripe, 0);
-    if (world.rank() == 1) {
-      next[2 * stripe] ^= std::byte{0x80};  // local stripe 2 -> family 3
-      dirty[2] = 1;
-    }
+TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
+  const auto [n, kind] = GetParam();
+  for (const DirtyPattern pattern : skt::testing::kDirtyPatterns) {
+    MiniCluster mc(n, 0);
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const GroupCodec codec(kind, sweep_data_bytes(n), n);
+      const std::size_t stripe = codec.layout().stripe_bytes();
+      const auto stripes = static_cast<std::size_t>(n - 1);
+      ASSERT_GT(stripe, 2 * mpi::kCollectiveChunkBytes);
+      const DeltaInputs in =
+          skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
+      std::vector<std::byte> old_check(codec.checksum_bytes());
+      codec.encode(world, in.base, old_check);
+      std::vector<std::byte> reference(codec.checksum_bytes());
+      codec.encode(world, in.next, reference);
 
-    std::vector<std::byte> reference(codec.checksum_bytes());
-    codec.encode(world, next, reference);
-    std::vector<std::byte> out(codec.checksum_bytes());
-    codec.encode_delta(world, base, next, old_check, out, dirty);
-    EXPECT_EQ(out, reference);
-    // The delta actually changed parity — on family 3's owner.
-    if (world.rank() == 3) {
-      EXPECT_NE(old_check, reference);
-    }
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
+      std::vector<std::byte> in_place = old_check;
+      const DeltaOutcome aliased =
+          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.flags);
+      std::vector<std::byte> out(codec.checksum_bytes());
+      const DeltaOutcome distinct =
+          codec.encode_delta(world, in.base, in.next, old_check, out, in.flags);
+      for (const auto* got : {&in_place, &out}) {
+        if (kind == CodecKind::kXor) {
+          EXPECT_EQ(*got, reference) << to_string(pattern);
+        } else {
+          EXPECT_TRUE(equals(kind, *got, reference)) << to_string(pattern);
+        }
+      }
+
+      // What every member can predict from the pattern: which families
+      // have a dirty contributor, and whether this member's checksum moves.
+      int dirty_families = 0;
+      bool mine_dirty = false;
+      for (int f = 0; f < n; ++f) {
+        bool dirty = false;
+        for (int p = 0; p < n; ++p) {
+          dirty |= p != f && skt::testing::pair_dirty(pattern, n, stripes, p,
+                                                      codec.layout().stripe_index(p, f));
+        }
+        dirty_families += dirty;
+        if (f == world.rank()) mine_dirty = dirty;
+      }
+      const bool sparse = skt::testing::takes_sparse_path(pattern, n, stripes);
+      for (const DeltaOutcome& o : {aliased, distinct}) {
+        EXPECT_EQ(o.dirty_families, dirty_families) << to_string(pattern);
+        EXPECT_EQ(o.changed, !sparse || mine_dirty) << to_string(pattern);
+      }
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason;
+  }
 }
+
+TEST_P(EncodeDeltaSweep, SparseWireBytesAreDirtyPairsTimesStripe) {
+  const auto [n, kind] = GetParam();
+  const auto stripes = static_cast<std::size_t>(n - 1);
+  const GroupCodec probe(kind, sweep_data_bytes(n), n);
+  // Two jobs that differ only in their last collective: the delta encode,
+  // or an allgather of the same flags (its first step). The difference in
+  // job-wide wire bytes is the sparse reduce's payload alone.
+  const auto job_wire_bytes = [&](DirtyPattern pattern, bool delta) {
+    MiniCluster mc(n, 0);
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const GroupCodec codec(kind, sweep_data_bytes(n), n);
+      const DeltaInputs in = skt::testing::make_delta_inputs(
+          pattern, n, world.rank(), codec.layout().stripe_bytes(), stripes);
+      std::vector<std::byte> check(codec.checksum_bytes());
+      codec.encode(world, in.base, check);
+      if (delta) {
+        codec.encode_delta(world, in.base, in.next, check, check, in.flags);
+      } else {
+        (void)world.allgather<std::uint8_t>(in.flags);
+      }
+    });
+    EXPECT_TRUE(result.completed) << result.abort_reason;
+    return result.wire_bytes;
+  };
+  for (const DirtyPattern pattern : skt::testing::kDirtyPatterns) {
+    if (!skt::testing::takes_sparse_path(pattern, n, stripes)) continue;
+    EXPECT_EQ(job_wire_bytes(pattern, true) - job_wire_bytes(pattern, false),
+              skt::testing::dirty_pair_count(pattern, n, stripes) *
+                  probe.layout().stripe_bytes())
+        << to_string(pattern);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GroupSizes, EncodeDeltaSweep,
+                         ::testing::Combine(::testing::Values(3, 4, 8),
+                                            ::testing::Values(CodecKind::kXor,
+                                                              CodecKind::kSum)),
+                         [](const auto& info) {
+                           return "g" + std::to_string(std::get<0>(info.param)) + "_" +
+                                  std::string(to_string(std::get<1>(info.param)));
+                         });
 
 TEST(EncodeDelta, DualParityMatchesFullEncode) {
   const int group_size = 5;

@@ -2,10 +2,13 @@
 // accounting and epoch bookkeeping.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ckpt_harness.hpp"
 #include "ckpt/blcr_checkpoint.hpp"
 #include "ckpt/double_checkpoint.hpp"
 #include "ckpt/factory.hpp"
+#include "ckpt/session.hpp"
 #include "ckpt/self_checkpoint.hpp"
 #include "ckpt/single_checkpoint.hpp"
 #include "storage/device.hpp"
@@ -72,6 +75,101 @@ INSTANTIATE_TEST_SUITE_P(Strategies, AllStrategies,
                                             .substr(0, std::string(to_string(info.param))
                                                            .find('-'));
                          });
+
+// Every strategy fills the same CommitStats fields: the encoding ones
+// report the wire bytes of their encode (the full ring moves the group's
+// n(n-1) stripes; a delta with one dirty stripe per member moves n), BLCR,
+// which encodes nothing, reports none.
+TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
+  constexpr int kN = 4;
+  constexpr std::size_t kDataBytes = 6000;
+  for (const Strategy strategy : {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf,
+                                  Strategy::kSelfIncremental, Strategy::kBlcr}) {
+    MiniCluster mc(kN, 0);
+    storage::SnapshotVault vault;
+    const auto result = mc.run(kN, [&](mpi::Comm& world) {
+      Session session = SessionBuilder{}
+                            .strategy(strategy)
+                            .group_size(kN)
+                            .data_bytes(kDataBytes)
+                            .user_bytes(8)
+                            .key_prefix("wire")
+                            .vault(&vault)
+                            .device(storage::ssd_profile())
+                            .build(world);
+      session.open();
+      session.mark_all_dirty();
+      const CommitStats full = session.commit();
+      // The last byte of data shares the last stripe with the user state,
+      // which every commit rewrites: one dirty stripe per member. Three
+      // such commits, so double's target pair is clean since its last one.
+      CommitStats sparse;
+      for (int i = 0; i < 3; ++i) {
+        session.data()[kDataBytes - 1] ^= std::byte{1};
+        session.mark_dirty(kDataBytes - 1, 1);
+        sparse = session.commit();
+      }
+      if (strategy == Strategy::kBlcr) {
+        EXPECT_EQ(full.encode_wire_bytes, 0u);
+        EXPECT_EQ(sparse.encode_wire_bytes, 0u);
+        return;
+      }
+      const std::uint64_t stripe = full.checksum_bytes;
+      EXPECT_GE(full.encode_wire_bytes, kN * (kN - 1) * stripe) << to_string(strategy);
+      EXPECT_GE(sparse.encode_wire_bytes, kN * stripe) << to_string(strategy);
+      EXPECT_LT(sparse.encode_wire_bytes, kN * (kN - 1) * stripe / 2) << to_string(strategy);
+    });
+    EXPECT_TRUE(result.completed) << to_string(strategy) << ": " << result.abort_reason;
+  }
+}
+
+// The in-place delta fold rests on C == D between commits, and the flush
+// refreshes C only where the checksum changed: after every sparse commit
+// each member's C must still equal its D, and D the full encode of B.
+TEST(SelfCheckpoint, ChecksumTwinsStayEqualAcrossSparseCommits) {
+  constexpr int kN = 4;
+  constexpr std::size_t kDataBytes = 6000;
+  for (const Strategy strategy : {Strategy::kSelf, Strategy::kSelfIncremental}) {
+    MiniCluster mc(kN, 0);
+    const auto result = mc.run(kN, [&](mpi::Comm& world) {
+      Session session = SessionBuilder{}
+                            .strategy(strategy)
+                            .group_size(kN)
+                            .data_bytes(kDataBytes)
+                            .user_bytes(8)
+                            .key_prefix("twins")
+                            .build(world);
+      session.open();
+      session.mark_all_dirty();
+      session.commit();
+      const enc::GroupCodec codec(enc::CodecKind::kXor, kDataBytes + 8, kN);
+      for (int i = 0; i < 4; ++i) {
+        // Every member's last stripe holds the user state and is dirty on
+        // every commit, so only families 2 and 3 receive diffs: members 0
+        // and 1 keep their checksum and skip the C refresh.
+        if (world.rank() == 1) session.data()[kDataBytes - 1] ^= std::byte{0x5a};
+        session.mark_dirty(kDataBytes - 1, 1);
+        session.commit();
+        std::span<std::byte> b;
+        std::span<std::byte> c;
+        std::span<std::byte> d;
+        for (const ScrubRegion& region : session.unsafe_protocol().scrub_view()) {
+          if (region.name == "B") b = region.bytes;
+          if (region.name == "C") c = region.bytes;
+          if (region.name == "D") d = region.bytes;
+        }
+        ASSERT_EQ(c.size(), d.size());
+        EXPECT_EQ(std::memcmp(c.data(), d.data(), c.size()), 0)
+            << to_string(strategy) << " rank " << world.rank() << " commit " << i;
+        std::vector<std::byte> full(codec.checksum_bytes());
+        codec.encode(world, b, full);
+        EXPECT_EQ(std::memcmp(full.data(), d.data(), full.size()), 0)
+            << to_string(strategy) << " rank " << world.rank() << " commit " << i;
+      }
+    });
+    EXPECT_TRUE(result.completed) << to_string(strategy) << ": " << result.abort_reason;
+  }
+}
 
 TEST(SelfCheckpoint, EpochAdvancesPerCommit) {
   MiniCluster mc(3, 0);
