@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 check: the normal build + full ctest, then a -DSKT_SIMD=OFF lane
 # (the scalar kernel paths must be a complete, bit-identical implementation,
-# not a vestige), an ASan/UBSan build (SKT_SANITIZE=ON) running the mpi and
-# encoding suites — the code that moves buffers between threads by move,
-# reinterprets byte spans as uint64/double lanes, and issues unaligned
-# vector loads — a TSan pass over the async pipeline and monitor, a
+# not a vestige, and the HPL suites must solve on the scalar GEMM), an
+# ASan/UBSan build (SKT_SANITIZE=ON) running the mpi, encoding and HPL
+# suites — the code that moves buffers between threads by move,
+# reinterprets byte spans as uint64/double lanes, issues unaligned and
+# masked vector loads, and packs GEMM operands by pointer arithmetic — a
+# TSan pass over the async pipeline and monitor, a
 # monitor lane that schema-validates the postmortem a real injected kill
 # produces and gates monitoring overhead, a multi-tenant lane running the
 # shared StoreService scenario under TSan and schema-checking its store.*
@@ -21,27 +23,33 @@ cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
 echo
-echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + protocol suites ==="
+echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + protocol + HPL suites ==="
 # The SIMD tier must be droppable at configure time with zero behaviour
 # change: the kernels' scalar paths and the runtime dispatcher carry the
 # same contracts, so the full kernel/codec/protocol suites run against a
-# build where AVX2 code does not even exist.
+# build where AVX2 code does not even exist. The HPL suites run here too:
+# the trailing-update GEMM follows the same tier, so they solve and verify
+# on the scalar loop.
 cmake -B build-scalar -S . -DSKT_SIMD=OFF >/dev/null
 cmake --build build-scalar -j --target \
-  test_kernels test_encoding test_protocols test_incremental
+  test_kernels test_encoding test_protocols test_incremental \
+  test_hpl_core test_hpl_dist test_skt_hpl
 (cd build-scalar && ctest --output-on-failure \
-  -R '^(test_kernels|test_encoding|test_protocols|test_incremental)$' -j)
+  -R '^(test_kernels|test_encoding|test_protocols|test_incremental|test_hpl_core|test_hpl_dist|test_skt_hpl)$' -j)
 
 echo
-echo "=== sanitizers: asan+ubsan on mpi/encoding suites ==="
+echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl suites ==="
 # test_kernels rides along for UBSan in particular: the vector kernels take
 # arbitrarily misaligned spans and the property tests feed them offset
-# slices, so any alignment-assuming load is caught here.
+# slices, so any alignment-assuming load is caught here. test_hpl_core and
+# test_hpl_dist cover the GEMM's B packing and its fringe tiles, whose
+# pointer arithmetic must stay inside each operand's window.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
-  test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels
+  test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
+  test_hpl_core test_hpl_dist
 (cd build-asan && ctest --output-on-failure \
-  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels)$' -j)
+  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist)$' -j)
 
 echo
 echo "=== sanitizers: tsan on telemetry + async-commit suites ==="

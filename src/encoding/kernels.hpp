@@ -21,6 +21,14 @@
 // All entry points accept ANY size and ANY alignment — tails and
 // misaligned spans are handled internally — so callers need no padding
 // contract beyond matching span lengths.
+//
+// The same tier also selects the HPL trailing-update GEMM
+// (hpl::blas::gemm_minus): its packed AVX2+FMA kernel runs when the tier
+// is kAvx2 and the CPU reports FMA (util::cpu_has_fma), its scalar loop
+// otherwise, so -DSKT_SIMD=OFF, SKT_KERNELS=scalar and force_tier() pin it
+// too. Unlike the kernels here, the GEMM's two tiers round differently
+// (fused vs separate multiply-add), so they agree within tolerance, not
+// bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -9,8 +9,15 @@
 namespace skt::hpl::blas {
 
 /// C[m x n] -= A[m x k] * B[k x n]  (the trailing-matrix update).
-/// Blocked over k and j with an unrolled inner loop; this is the kernel
-/// whose throughput defines the "theoretical peak" of a simulated node.
+/// Writes nothing outside C's m x n window, for any m, n, k >= 0 and any
+/// leading dimensions. Runs on the encoding kernel tier
+/// (enc::kernels::active_tier()): on kAvx2 with FMA, B is packed per
+/// k-block into zero-padded 8-column strips in a per-thread buffer and C is
+/// updated in 6x8 register tiles, each element as the fused chain
+/// c = fma(-a_ik, b_kj, c) over ascending k; otherwise a blocked row-axpy
+/// loop runs. Results are deterministic within a tier but differ in the
+/// last bits between tiers. This is the kernel whose throughput defines
+/// the "theoretical peak" of a simulated node (calibrate_peak_gflops).
 void gemm_minus(std::int64_t m, std::int64_t n, std::int64_t k, const double* a,
                 std::int64_t lda, const double* b, std::int64_t ldb, double* c,
                 std::int64_t ldc);
@@ -24,18 +31,7 @@ void trsm_lower_unit(std::int64_t m, std::int64_t n, const double* l, std::int64
 /// y is a length-m vector (diagonal-block solve in back substitution).
 void trsv_upper(std::int64_t m, const double* u, std::int64_t ldu, double* y);
 
-/// y[0..m) -= A[m x n] * x[0..n)   (back-substitution partial updates).
-void gemv_minus(std::int64_t m, std::int64_t n, const double* a, std::int64_t lda,
-                const double* x, double* y);
-
-/// Index of the element with the largest |value| in x[0..n) (stride 1);
-/// -1 for n == 0.
-[[nodiscard]] std::int64_t iamax(std::int64_t n, const double* x);
-
 /// Swap two length-n rows.
 void swap_rows(std::int64_t n, double* a, double* b);
-
-/// x[0..n) *= alpha.
-void scal(std::int64_t n, double alpha, double* x);
 
 }  // namespace skt::hpl::blas

@@ -9,6 +9,7 @@ namespace {
 
 struct Features {
   bool avx2 = false;
+  bool fma = false;
   bool ssse3 = false;
 
   Features() {
@@ -17,6 +18,7 @@ struct Features {
     // reported when the OS actually saves the ymm state.
     __builtin_cpu_init();
     avx2 = __builtin_cpu_supports("avx2") != 0;
+    fma = __builtin_cpu_supports("fma") != 0;
     ssse3 = __builtin_cpu_supports("ssse3") != 0;
 #endif
   }
@@ -30,6 +32,8 @@ const Features& features() {
 }  // namespace
 
 bool cpu_has_avx2() { return features().avx2; }
+
+bool cpu_has_fma() { return features().fma; }
 
 bool cpu_has_ssse3() { return features().ssse3; }
 
@@ -45,6 +49,7 @@ std::string kernel_override() {
 std::string cpu_simd_summary() {
   std::string s;
   if (cpu_has_avx2()) s += "avx2";
+  if (cpu_has_fma()) s += s.empty() ? "fma" : "+fma";
   if (cpu_has_ssse3()) s += s.empty() ? "ssse3" : "+ssse3";
   if (s.empty()) s = "scalar-only";
   return s;

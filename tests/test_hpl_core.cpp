@@ -1,12 +1,19 @@
 // Unit tests for the HPL substrate's local pieces: BLAS kernels against
-// naive references and block-cyclic index arithmetic properties.
+// naive references (the GEMM on every dispatch tier) and block-cyclic
+// index arithmetic properties.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "encoding/kernels.hpp"
 #include "hpl/blas.hpp"
 #include "hpl/block_cyclic.hpp"
+#include "testing.hpp"
 #include "util/rng.hpp"
 
 namespace skt::hpl {
@@ -19,42 +26,92 @@ std::vector<double> random_matrix(std::int64_t m, std::int64_t n, std::uint64_t 
   return a;
 }
 
-TEST(Blas, GemmMinusMatchesNaive) {
-  const std::int64_t m = 37, n = 29, k = 23;
-  const auto a = random_matrix(m, k, 1);
-  const auto b = random_matrix(k, n, 2);
-  auto c = random_matrix(m, n, 3);
-  auto ref = c;
-
-  blas::gemm_minus(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+/// C -= A*B by the plain triple loop, summing each dot product first.
+void naive_gemm_minus(std::int64_t m, std::int64_t n, std::int64_t k, const double* a,
+                      std::int64_t lda, const double* b, std::int64_t ldb, double* c,
+                      std::int64_t ldc) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       double acc = 0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += a[static_cast<std::size_t>(i * k + kk)] * b[static_cast<std::size_t>(kk * n + j)];
-      }
-      ref[static_cast<std::size_t>(i * n + j)] -= acc;
+      for (std::int64_t kk = 0; kk < k; ++kk) acc += a[i * lda + kk] * b[kk * ldb + j];
+      c[i * ldc + j] -= acc;
     }
   }
-  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-12);
 }
 
-TEST(Blas, GemmMinusStridedC) {
-  // C wider than n exercises the ldc path.
-  const std::int64_t m = 8, n = 5, k = 6, ldc = 11;
-  const auto a = random_matrix(m, k, 4);
-  const auto b = random_matrix(k, n, 5);
-  auto c = random_matrix(m, ldc, 6);
-  const auto before = c;
-  blas::gemm_minus(m, n, k, a.data(), k, b.data(), n, c.data(), ldc);
-  // Columns n..ldc untouched.
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = n; j < ldc; ++j) {
-      EXPECT_EQ(c[static_cast<std::size_t>(i * ldc + j)],
-                before[static_cast<std::size_t>(i * ldc + j)]);
+/// gemm_minus on each dispatch tier: m, n and k at 0, 1, and just below,
+/// at and above the AVX2 micro-tile (6 x 8), its k-block (256) and the
+/// scalar loop's blocks (k 64, n 128), with tight and padded leading
+/// dimensions. Every cell outside the A, B and C windows is a NaN guard:
+/// reading an A or B guard would poison C, and writing a C guard changes
+/// its bits.
+class BlasTiers : public ::testing::TestWithParam<enc::kernels::Tier> {};
+
+TEST_P(BlasTiers, GemmMinusSweep) {
+  const skt::testing::TierGuard guard(GetParam());
+  if (enc::kernels::active_tier() != GetParam()) {
+    GTEST_SKIP() << "tier not compiled in or not supported on this CPU";
+  }
+  const double guard_nan = std::bit_cast<double>(std::uint64_t{0x7ff8dead0000beefULL});
+  constexpr std::int64_t kSlack = 5;  // guard cells before and after each window
+  std::uint64_t seed = 1;
+  // Buffer of `rows` x `ld` with a `kSlack` guard on both sides; the
+  // window [rows x cols] at offset kSlack holds random values.
+  const auto guarded = [&](std::int64_t rows, std::int64_t cols, std::int64_t ld) {
+    std::vector<double> buf(static_cast<std::size_t>(rows * ld + 2 * kSlack), guard_nan);
+    util::Xoshiro256 rng(seed++);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        buf[static_cast<std::size_t>(kSlack + i * ld + j)] = rng.next_centered();
+      }
+    }
+    return buf;
+  };
+  for (const std::int64_t m : {0, 1, 5, 6, 7, 13}) {
+    for (const std::int64_t n : {0, 1, 7, 8, 9, 17, 129}) {
+      for (const std::int64_t k : {0, 1, 63, 64, 65, 255, 256, 257}) {
+        for (const std::int64_t pad : {0, 3}) {
+          SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " k=" << k
+                                            << " pad=" << pad);
+          const std::int64_t lda = k + pad, ldb = n + 2 * pad, ldc = n + 3 * pad;
+          const auto a = guarded(m, k, lda);
+          const auto b = guarded(k, n, ldb);
+          const auto c0 = guarded(m, n, ldc);
+          auto c = c0;
+          auto ref = c0;
+          blas::gemm_minus(m, n, k, a.data() + kSlack, lda, b.data() + kSlack, ldb,
+                           c.data() + kSlack, ldc);
+          naive_gemm_minus(m, n, k, a.data() + kSlack, lda, b.data() + kSlack, ldb,
+                           ref.data() + kSlack, ldc);
+          const double tol = 1e-13 * static_cast<double>(k + 1);
+          for (std::size_t e = 0; e < c.size(); ++e) {
+            const std::int64_t off = static_cast<std::int64_t>(e) - kSlack;
+            const bool inside = off >= 0 && off < m * ldc && off % ldc < n;
+            if (inside) {
+              ASSERT_NEAR(c[e], ref[e], tol) << "element " << off;
+            } else {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(c[e]),
+                        std::bit_cast<std::uint64_t>(c0[e]))
+                  << "guard cell " << off << " was written";
+            }
+          }
+          auto again = c0;
+          blas::gemm_minus(m, n, k, a.data() + kSlack, lda, b.data() + kSlack, ldb,
+                           again.data() + kSlack, ldc);
+          ASSERT_EQ(std::memcmp(c.data(), again.data(), c.size() * sizeof(double)), 0)
+              << "two calls on equal inputs differ";
+        }
+      }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Tiers, BlasTiers,
+                         ::testing::Values(enc::kernels::Tier::kScalar,
+                                           enc::kernels::Tier::kAvx2),
+                         [](const auto& info) {
+                           return std::string(enc::kernels::to_string(info.param));
+                         });
 
 TEST(Blas, TrsmLowerUnitSolves) {
   const std::int64_t m = 16, n = 9;
@@ -102,37 +159,12 @@ TEST(Blas, TrsvUpperSolves) {
   }
 }
 
-TEST(Blas, GemvIamaxSwapScal) {
-  const std::int64_t m = 6, n = 4;
-  const auto a = random_matrix(m, n, 11);
-  const auto x = random_matrix(n, 1, 12);
-  std::vector<double> y(static_cast<std::size_t>(m), 1.0);
-  auto ref = y;
-  blas::gemv_minus(m, n, a.data(), n, x.data(), y.data());
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      ref[static_cast<std::size_t>(i)] -=
-          a[static_cast<std::size_t>(i * n + j)] * x[static_cast<std::size_t>(j)];
-    }
-  }
-  for (std::int64_t i = 0; i < m; ++i) {
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-12);
-  }
-
-  const double v[] = {0.1, -3.5, 2.0, 3.5};
-  EXPECT_EQ(blas::iamax(4, v), 1);  // first of the tied |3.5|
-  EXPECT_EQ(blas::iamax(0, v), -1);
-
+TEST(Blas, SwapRows) {
   double r1[] = {1, 2, 3};
   double r2[] = {4, 5, 6};
   blas::swap_rows(3, r1, r2);
   EXPECT_EQ(r1[0], 4);
   EXPECT_EQ(r2[2], 3);
-
-  double s[] = {2, 4};
-  blas::scal(2, 0.5, s);
-  EXPECT_EQ(s[0], 1);
-  EXPECT_EQ(s[1], 2);
 }
 
 // ----------------------------------------------------------- block-cyclic

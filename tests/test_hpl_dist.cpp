@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "encoding/kernels.hpp"
 #include "hpl/abft.hpp"
 #include "hpl/dist_matrix.hpp"
 #include "hpl/driver.hpp"
@@ -61,16 +63,14 @@ std::vector<double> reference_solve(std::int64_t n, std::uint64_t seed) {
   return x;
 }
 
-class LuShapes
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t, int, int>> {};
-
-TEST_P(LuShapes, SolvesAgainstSerialReference) {
-  const auto [n, nb, P, Q] = GetParam();
+/// Factor and solve an n x n system on a P x Q grid, then check the
+/// solution against the serial reference and the HPL residual test.
+void solve_and_check(std::int64_t n, std::int64_t nb, int P, int Q) {
   const std::uint64_t seed = 77;
   const std::vector<double> x_ref = reference_solve(n, seed);
 
   MiniCluster mc(P * Q, 0);
-  const auto result = mc.run(P * Q, [&, n = n, nb = nb, P = P, Q = Q](mpi::Comm& world) {
+  const auto result = mc.run(P * Q, [&](mpi::Comm& world) {
     mpi::Grid grid(world, P, Q);
     const std::int64_t elems = DistMatrix::max_local_elements(n, n + 1, nb, P, Q);
     std::vector<double> storage(static_cast<std::size_t>(elems));
@@ -90,6 +90,14 @@ TEST_P(LuShapes, SolvesAgainstSerialReference) {
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }
 
+class LuShapes
+    : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t, int, int>> {};
+
+TEST_P(LuShapes, SolvesAgainstSerialReference) {
+  const auto [n, nb, P, Q] = GetParam();
+  solve_and_check(n, nb, P, Q);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, LuShapes,
     ::testing::Values(std::make_tuple(64, 8, 2, 2),    // aligned
@@ -100,6 +108,26 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(96, 8, 1, 4),    // single process row
                       std::make_tuple(96, 8, 4, 1),    // single process column
                       std::make_tuple(50, 8, 1, 1)));  // serial grid
+
+/// The same solve with the trailing-update GEMM pinned to each kernel
+/// tier; n = 100 with nb = 16 leaves ragged local blocks, so the AVX2
+/// tier's fringe rows and columns run on every panel.
+class LuTiers : public ::testing::TestWithParam<enc::kernels::Tier> {};
+
+TEST_P(LuTiers, SolvesAgainstSerialReference) {
+  const skt::testing::TierGuard guard(GetParam());
+  if (enc::kernels::active_tier() != GetParam()) {
+    GTEST_SKIP() << "tier not compiled in or not supported on this CPU";
+  }
+  solve_and_check(100, 16, 2, 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, LuTiers,
+                         ::testing::Values(enc::kernels::Tier::kScalar,
+                                           enc::kernels::Tier::kAvx2),
+                         [](const auto& info) {
+                           return std::string(enc::kernels::to_string(info.param));
+                         });
 
 TEST(Lu, PanelHookFiresPerPanelAndCanAbort) {
   MiniCluster mc(4, 0);

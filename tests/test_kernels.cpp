@@ -25,6 +25,7 @@ namespace skt::enc {
 namespace {
 
 using skt::testing::MiniCluster;
+using skt::testing::TierGuard;
 
 std::vector<std::byte> random_bytes(std::size_t size, std::uint64_t seed) {
   std::vector<std::byte> out(size);
@@ -35,13 +36,6 @@ std::vector<std::byte> random_bytes(std::size_t size, std::uint64_t seed) {
   }
   return out;
 }
-
-/// Pins a dispatch tier for one scope; restores the previous tier on exit.
-struct TierGuard {
-  explicit TierGuard(kernels::Tier t) : prev(kernels::force_tier(t)) {}
-  ~TierGuard() { kernels::force_tier(prev); }
-  kernels::Tier prev;
-};
 
 bool avx2_available() {
   const TierGuard guard(kernels::Tier::kAvx2);

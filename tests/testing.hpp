@@ -1,9 +1,11 @@
-// Shared helpers for tests: one-line job execution over a fresh cluster.
+// Shared helpers for tests: one-line job execution over a fresh cluster,
+// and pinning the kernel dispatch tier for one scope.
 #pragma once
 
 #include <functional>
 #include <memory>
 
+#include "encoding/kernels.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/launcher.hpp"
 #include "mpi/runtime.hpp"
@@ -30,6 +32,17 @@ struct MiniCluster {
   }
 
   sim::Cluster cluster;
+};
+
+/// Pins the kernel dispatch tier (encoding kernels and the HPL GEMM) for
+/// one scope; restores the previous tier on exit. Set it before spawning
+/// rank threads: the tier is process-wide.
+struct TierGuard {
+  explicit TierGuard(enc::kernels::Tier t) : prev(enc::kernels::force_tier(t)) {}
+  ~TierGuard() { enc::kernels::force_tier(prev); }
+  TierGuard(const TierGuard&) = delete;
+  TierGuard& operator=(const TierGuard&) = delete;
+  enc::kernels::Tier prev;
 };
 
 }  // namespace skt::testing
