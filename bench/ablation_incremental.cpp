@@ -3,15 +3,17 @@
 // is modified between two checkpoints. As a result, incremental checkpoint
 // methods are not efficient for this problem."
 //
-// Two workloads over the same protected buffer:
-//  * full-footprint (HPL-like): every byte rewritten between commits —
-//    incremental degenerates to the full protocol;
-//  * sparse (5% of stripes dirtied per interval) — incremental commits
-//    shrink proportionally.
+// Incremental commits are SelfCheckpoint with annotated epochs (the dirty
+// tracker that Session::mark_dirty feeds): only the marked stripes are
+// copied, encoded and flushed. Two annotated workloads over the same
+// protected buffer, against un-annotated full commits:
+//  * full-footprint (HPL-like): every byte rewritten and marked between
+//    commits — incremental degenerates to the full protocol;
+//  * sparse (5% of the buffer rewritten per interval) — incremental
+//    commits shrink proportionally.
 #include <cstring>
 
 #include "bench_common.hpp"
-#include "ckpt/incremental.hpp"
 #include "ckpt/self_checkpoint.hpp"
 
 using namespace skt;
@@ -27,15 +29,16 @@ struct Run {
   std::size_t flushed_bytes = 0;  ///< bytes copied into B per commit
 };
 
-/// dirty_fraction: portion of the buffer rewritten (and marked) between
-/// commits; 1.0 rewrites everything.
-Run run_incremental(double dirty_fraction) {
+/// dirty_fraction: portion of the buffer rewritten between commits; 1.0
+/// rewrites everything. annotate: mark each write in the dirty tracker;
+/// otherwise every epoch is un-annotated and commits in full.
+Run run_self(double dirty_fraction, bool annotate) {
   Run out;
   bench::ClusterSpec spec;
   spec.ranks = kRanks;
   spec.spares = 0;
   (void)bench::run_job(spec, [&](mpi::Comm& world) {
-    ckpt::IncrementalSelfCheckpoint proto({.key_prefix = "inc", .data_bytes = kDataBytes});
+    ckpt::SelfCheckpoint proto({.key_prefix = "abl", .data_bytes = kDataBytes});
     ckpt::CommCtx ctx{world, world};
     proto.open(ctx);
     std::memset(proto.data().data(), 0x42, proto.data().size());
@@ -49,34 +52,7 @@ Run run_incremental(double dirty_fraction) {
       const std::size_t offset =
           window >= kDataBytes ? 0 : (static_cast<std::size_t>(i) * 977 * 4096) % (kDataBytes - window);
       std::memset(proto.data().data() + offset, 0x50 + i, window);
-      proto.mark_dirty(offset, window);
-      const ckpt::CommitStats stats = proto.commit(ctx);
-      total += stats.total_s();
-      flushed += stats.checkpoint_bytes;
-    }
-    if (world.rank() == 0) {
-      out.commit_s = total / kCommits;
-      out.flushed_bytes = flushed / kCommits;
-    }
-  });
-  return out;
-}
-
-Run run_full() {
-  Run out;
-  bench::ClusterSpec spec;
-  spec.ranks = kRanks;
-  spec.spares = 0;
-  (void)bench::run_job(spec, [&](mpi::Comm& world) {
-    ckpt::SelfCheckpoint proto({.key_prefix = "ful", .data_bytes = kDataBytes});
-    ckpt::CommCtx ctx{world, world};
-    proto.open(ctx);
-    std::memset(proto.data().data(), 0x42, proto.data().size());
-    proto.commit(ctx);
-    double total = 0.0;
-    std::size_t flushed = 0;
-    for (int i = 0; i < kCommits; ++i) {
-      std::memset(proto.data().data(), 0x50 + i, proto.data().size());
+      if (annotate) proto.dirty_tracker()->mark(offset, window);
       const ckpt::CommitStats stats = proto.commit(ctx);
       total += stats.total_s();
       flushed += stats.checkpoint_bytes;
@@ -95,13 +71,13 @@ int main() {
   bench::print_header("Ablation",
                       "incremental vs full self-checkpoint (the Section 7 argument)");
 
-  const Run full = run_full();
-  const Run incr_hpl = run_incremental(1.0);    // HPL-like footprint
-  const Run incr_sparse = run_incremental(0.05);  // sparse-update app
+  const Run full = run_self(1.0, false);
+  const Run incr_hpl = run_self(1.0, true);      // HPL-like footprint
+  const Run incr_sparse = run_self(0.05, true);  // sparse-update app
 
   util::Table table({"variant", "workload dirty fraction", "flushed bytes/commit",
                      "commit time"});
-  table.add_row({"full self-checkpoint", "100%", util::format_bytes(full.flushed_bytes),
+  table.add_row({"full (un-annotated)", "100%", util::format_bytes(full.flushed_bytes),
                  util::format_seconds(full.commit_s)});
   table.add_row({"incremental", "100% (HPL-like)",
                  util::format_bytes(incr_hpl.flushed_bytes),

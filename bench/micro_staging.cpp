@@ -6,8 +6,7 @@
 //
 //   f = 0    — no writes, no annotation: the un-annotated tracker falls
 //              back to all-dirty, so this row documents the SAFETY cost,
-//              not a fast path (except incremental, whose contract is
-//              "unmarked means clean" — its f=0 commit is near-free).
+//              not a fast path.
 //   f = 1%, 10%, 50%, 100% — annotated prefix writes.
 //
 // Sync rows cost a commit the way the repo's Table-3 benches do: wall
@@ -186,7 +185,6 @@ bool shape_check(const std::string& what, bool ok) {
 int main() {
   const StagingConfig configs[] = {
       {ckpt::Strategy::kSelf, "self", 0, false},
-      {ckpt::Strategy::kSelfIncremental, "incr", 0, false},
       {ckpt::Strategy::kDouble, "double", 0, false},
       {ckpt::Strategy::kSingle, "single", 0, false},
       {ckpt::Strategy::kBlcr, "blcr", 0, true},

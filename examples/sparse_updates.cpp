@@ -1,16 +1,16 @@
 // Incremental self-checkpoint on a sparse-update workload: a distributed
 // particle/cell store where each step touches a small, random subset of
-// cells. The incremental protocol (dirty-stripe tracking + XOR checksum
-// patching) makes checkpoints proportional to the touched volume — the
-// opposite regime from HPL, whose full footprint is exactly why the paper
-// rules incremental methods out for SKT-HPL.
+// cells and declares them with Session::mark_dirty, so each commit copies,
+// encodes and flushes only the touched stripes — the opposite regime from
+// HPL, whose full footprint is exactly why the paper rules incremental
+// methods out for SKT-HPL.
 //
 //   ./sparse_updates [--ranks 8] [--cells-kib 1024] [--steps 20]
 //                    [--touch-pct 4] [--kill-step 12]
 #include <cstdio>
 #include <cstring>
 
-#include "ckpt/incremental.hpp"
+#include "ckpt/session.hpp"
 #include "mpi/launcher.hpp"
 #include "util/log.hpp"
 #include "util/options.hpp"
@@ -28,23 +28,23 @@ struct SimState {
 
 void worker(mpi::Comm& world, std::size_t cell_bytes, int steps, int touch_pct,
             int kill_step, double* mean_commit_s, std::size_t* mean_flush) {
-  mpi::Comm group = world.split(0, world.rank());
-  ckpt::CommCtx ctx{world, group};
-
-  ckpt::IncrementalSelfCheckpoint protocol(
-      {.key_prefix = "sparse", .data_bytes = cell_bytes, .user_bytes = sizeof(SimState)});
-  const bool restored = protocol.open(ctx);
-  auto* state = reinterpret_cast<SimState*>(protocol.user_state().data());
-  const std::span<std::byte> cells = protocol.data();
-
-  if (restored) {
-    const ckpt::RestoreStats rs = protocol.restore(ctx);
-    SKT_LOG_INFO("resumed at step {} (epoch {})", state->step, rs.epoch);
+  ckpt::Session session = ckpt::SessionBuilder{}
+                              .strategy(ckpt::Strategy::kSelf)
+                              .data_bytes(cell_bytes)
+                              .user_bytes(sizeof(SimState))
+                              .key_prefix("sparse")
+                              .build(world);
+  auto* state = reinterpret_cast<SimState*>(session.user_state().data());
+  if (session.open() == ckpt::OpenOutcome::kRestored) {
+    SKT_LOG_INFO("resumed at step {} (epoch {})", state->step, session.last_restore()->epoch);
   } else {
     state->step = 0;
     state->checksum = 1469598103934665603ull;
-    std::memset(cells.data(), 0, cells.size());
+    std::memset(session.data().data(), 0, session.data().size());
+    // Every step annotates its writes, so the initial fill is declared too.
+    session.mark_all_dirty();
   }
+  const std::span<std::byte> cells = session.data();
 
   const std::size_t window = cells.size() * static_cast<std::size_t>(touch_pct) / 100;
   double commit_total = 0.0;
@@ -63,11 +63,11 @@ void worker(mpi::Comm& world, std::size_t cell_bytes, int steps, int touch_pct,
     for (std::size_t i = 0; i < window; ++i) {
       cells[offset + i] = static_cast<std::byte>(rng.next());
     }
-    protocol.mark_dirty(offset, window);
+    session.mark_dirty(offset, window);
     state->checksum = (state->checksum ^ offset) * 1099511628211ull;
     state->step = next;
 
-    const ckpt::CommitStats stats = protocol.commit(ctx);
+    const ckpt::CommitStats stats = session.commit();
     commit_total += stats.total_s();
     flush_total += stats.checkpoint_bytes;
     ++commits;
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     worker(w, cell_bytes, steps, touch_pct, kill_step, &mean_commit_s, &mean_flush);
   });
 
-  std::printf("\n=== sparse-update workload with incremental self-checkpoint ===\n");
+  std::printf("\n=== sparse-update workload with annotated self-checkpoint ===\n");
   util::Table table({"metric", "value"});
   table.add_row({"protected cells/rank", util::format_bytes(cell_bytes)});
   table.add_row({"touched per step", std::to_string(touch_pct) + "%"});

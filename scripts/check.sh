@@ -2,10 +2,11 @@
 # Tier-1 check: the normal build + full ctest, then a -DSKT_SIMD=OFF lane
 # (the scalar kernel paths must be a complete, bit-identical implementation,
 # not a vestige, and the HPL suites must solve on the scalar GEMM), an
-# ASan/UBSan build (SKT_SANITIZE=ON) running the mpi, encoding and HPL
-# suites — the code that moves buffers between threads by move,
-# reinterprets byte spans as uint64/double lanes, issues unaligned and
-# masked vector loads, and packs GEMM operands by pointer arithmetic — a
+# ASan/UBSan build (SKT_SANITIZE=ON) running the mpi, encoding, HPL and
+# checkpoint-protocol suites — the code that moves buffers between threads
+# by move, reinterprets byte spans as uint64/double lanes, issues unaligned
+# and masked vector loads, packs GEMM operands by pointer arithmetic, and
+# copies dirty stripes between checkpoint segments — a
 # TSan pass over the async pipeline and monitor, a
 # monitor lane that schema-validates the postmortem a real injected kill
 # produces and gates monitoring overhead, a multi-tenant lane running the
@@ -32,24 +33,27 @@ echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + protocol + HPL suites ==="
 # on the scalar loop.
 cmake -B build-scalar -S . -DSKT_SIMD=OFF >/dev/null
 cmake --build build-scalar -j --target \
-  test_kernels test_encoding test_protocols test_incremental \
+  test_kernels test_encoding test_protocols \
   test_hpl_core test_hpl_dist test_skt_hpl
 (cd build-scalar && ctest --output-on-failure \
-  -R '^(test_kernels|test_encoding|test_protocols|test_incremental|test_hpl_core|test_hpl_dist|test_skt_hpl)$' -j)
+  -R '^(test_kernels|test_encoding|test_protocols|test_hpl_core|test_hpl_dist|test_skt_hpl)$' -j)
 
 echo
-echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl suites ==="
+echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites ==="
 # test_kernels rides along for UBSan in particular: the vector kernels take
 # arbitrarily misaligned spans and the property tests feed them offset
 # slices, so any alignment-assuming load is caught here. test_hpl_core and
 # test_hpl_dist cover the GEMM's B packing and its fringe tiles, whose
 # pointer arithmetic must stay inside each operand's window.
+# test_protocols and test_failure_matrix carry the checkpoint protocols'
+# dirty-stripe commits, restores and moving-window sparse updates: the
+# stripe-offset copies between the work, staging and checkpoint segments.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
-  test_hpl_core test_hpl_dist
+  test_hpl_core test_hpl_dist test_protocols test_failure_matrix
 (cd build-asan && ctest --output-on-failure \
-  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist)$' -j)
+  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_protocols|test_failure_matrix)$' -j)
 
 echo
 echo "=== sanitizers: tsan on telemetry + async-commit suites ==="

@@ -17,16 +17,14 @@ void DirtyTracker::reset(std::size_t data_bytes, std::size_t user_bytes,
   user_bytes_ = user_bytes;
   stripe_bytes_ = stripe_bytes;
   flags_.assign(stripe_count, 0);
-  shadow_.clear();
   annotated_ = false;
 }
 
 void DirtyTracker::mark_stripes(std::size_t offset, std::size_t len) {
   if (len == 0) return;
   // offset/len were validated against the tracked image by the caller, so
-  // `last` cannot pass the flag vector — the silent `s < size()` clamp the
-  // old incremental tracker used (which could drop a tail stripe without a
-  // trace) is replaced by a loud invariant.
+  // `last` cannot pass the flag vector. Check anyway and throw: a silent
+  // clamp could drop a tail stripe without a trace.
   const std::size_t first = offset / stripe_bytes_;
   const std::size_t last = (offset + len - 1) / stripe_bytes_;
   if (last >= flags_.size()) {
@@ -80,40 +78,6 @@ double DirtyTracker::dirty_fraction() const {
 void DirtyTracker::clear() {
   std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
   annotated_ = false;
-}
-
-std::uint64_t DirtyTracker::stripe_hash(std::span<const std::byte> image,
-                                        std::size_t s) const {
-  // FNV-1a over the stripe; bytes past image.size() count as zero so a
-  // combined [data|user] view shorter than the padded image hashes as if
-  // zero-padded (matching what the codecs encode).
-  std::uint64_t h = 1469598103934665603ULL;
-  const std::size_t begin = s * stripe_bytes_;
-  const std::size_t end = std::min(begin + stripe_bytes_, image.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    h ^= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(image[i]));
-    h *= 1099511628211ULL;
-  }
-  for (std::size_t i = end; i < begin + stripe_bytes_; ++i) h *= 1099511628211ULL;
-  return h;
-}
-
-void DirtyTracker::capture_shadow(std::span<const std::byte> image) {
-  if (!configured()) throw std::logic_error("DirtyTracker: not configured");
-  shadow_.resize(flags_.size());
-  for (std::size_t s = 0; s < flags_.size(); ++s) shadow_[s] = stripe_hash(image, s);
-}
-
-void DirtyTracker::detect(std::span<const std::byte> image) {
-  if (!has_shadow()) throw std::logic_error("DirtyTracker::detect: no shadow captured");
-  for (std::size_t s = 0; s < flags_.size(); ++s) {
-    const std::uint64_t h = stripe_hash(image, s);
-    if (h != shadow_[s]) {
-      flags_[s] = 1;
-      shadow_[s] = h;
-    }
-  }
-  annotated_ = true;
 }
 
 }  // namespace skt::ckpt

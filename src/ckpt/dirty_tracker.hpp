@@ -7,18 +7,15 @@
 // the dirty footprint; applications that never annotate fall back to
 // all-dirty — full cost, always correct.
 //
-// The contract mirrors the incremental protocol's: once an application
-// opts in by calling mark()/mark_all(), UNMARKED mutations would silently
-// corrupt the next checkpoint, so the effective() accessor reports every
-// stripe dirty until the first mark after a clear(). A hash shadow
-// (capture_shadow()/detect()) offers a third mode for apps that cannot
-// annotate: per-stripe FNV-1a fingerprints of the last committed image
-// classify stripes by comparison instead of bookkeeping.
+// The contract is per epoch: effective() reports every stripe dirty until
+// the first mark after a clear(), so an epoch with no annotation commits
+// in full. Once an application opts in by calling mark()/mark_all(), its
+// UNMARKED mutations in that epoch would be left out of the next
+// checkpoint, so an annotating application marks every write.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace skt::ckpt {
@@ -30,7 +27,7 @@ class DirtyTracker {
   /// Configure geometry: the tracked image is `stripe_count` stripes of
   /// `stripe_bytes`, covering data [0, data_bytes), the user tail
   /// [data_bytes, data_bytes + user_bytes), and zero padding beyond.
-  /// Resets all flags and drops any shadow.
+  /// Resets all flags.
   void reset(std::size_t data_bytes, std::size_t user_bytes, std::size_t stripe_bytes,
              std::size_t stripe_count);
 
@@ -51,11 +48,8 @@ class DirtyTracker {
   /// share stripes with the end of the data region.
   void mark_user_tail();
 
-  /// True once mark()/mark_all()/detect() ran since the last clear().
+  /// True once mark()/mark_all() ran since the last clear().
   [[nodiscard]] bool annotated() const { return annotated_; }
-
-  /// Raw per-stripe flags — incremental semantics: unmarked means clean.
-  [[nodiscard]] const std::vector<std::uint8_t>& flags() const { return flags_; }
 
   /// Safe per-stripe flags: an un-annotated tracker reports every stripe
   /// dirty, so protocols degrade to full-cost commits, never to silent
@@ -67,28 +61,10 @@ class DirtyTracker {
   /// Dirty fraction of the tracked image; an un-annotated tracker is 1.0.
   [[nodiscard]] double dirty_fraction() const;
 
-  /// All clean, not annotated. The shadow (if captured) is kept.
+  /// All clean, not annotated.
   void clear();
 
-  // --- hash-shadow fallback ---------------------------------------------
-
-  /// Fingerprint `image` (the padded [data|user|pad] view, tracked_bytes()
-  /// long; a shorter span treats the missing tail as zeros) so a later
-  /// detect() can classify stripes without annotations.
-  void capture_shadow(std::span<const std::byte> image);
-
-  [[nodiscard]] bool has_shadow() const { return !shadow_.empty(); }
-
-  /// Compare `image` against the captured shadow, mark the stripes whose
-  /// fingerprint changed, and update the shadow to `image`. Marks the
-  /// tracker annotated. Requires a prior capture_shadow(). A 64-bit
-  /// collision would leave a changed stripe clean — acceptable for
-  /// opportunistic diffing, not for applications that can annotate.
-  void detect(std::span<const std::byte> image);
-
  private:
-  [[nodiscard]] std::uint64_t stripe_hash(std::span<const std::byte> image,
-                                          std::size_t s) const;
   void mark_stripes(std::size_t offset, std::size_t len);
 
   std::size_t data_bytes_ = 0;
@@ -96,7 +72,6 @@ class DirtyTracker {
   std::size_t stripe_bytes_ = 0;
   bool annotated_ = false;
   std::vector<std::uint8_t> flags_;
-  std::vector<std::uint64_t> shadow_;
 };
 
 }  // namespace skt::ckpt

@@ -5,7 +5,6 @@
 #include "ckpt/blcr_checkpoint.hpp"
 #include "ckpt/double_checkpoint.hpp"
 #include "ckpt/self_checkpoint.hpp"
-#include "ckpt/incremental.hpp"
 #include "ckpt/single_checkpoint.hpp"
 
 namespace skt::ckpt {
@@ -31,10 +30,6 @@ std::unique_ptr<CheckpointProtocol> make_protocol(Strategy strategy,
       return std::make_unique<BlcrCheckpoint>(
           BlcrCheckpoint::Params{params.key_prefix, params.data_bytes, params.user_bytes,
                                  params.vault, params.device, params.async_staging});
-    case Strategy::kSelfIncremental:
-      return std::make_unique<IncrementalSelfCheckpoint>(IncrementalSelfCheckpoint::Params{
-          params.key_prefix, params.data_bytes, params.user_bytes, params.parity_degree,
-          params.async_staging, params.owner});
     case Strategy::kNone:
       break;
   }

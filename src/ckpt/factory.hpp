@@ -22,16 +22,15 @@ struct FactoryParams {
   std::size_t data_bytes = 0;
   std::size_t user_bytes = 64;
   enc::CodecKind codec = enc::CodecKind::kXor;
-  /// Group-coded strategies (self, double, incremental): 1 = single
-  /// erasure (paper default), 2 = the RAID-6-style dual-erasure layout,
-  /// m >= 2 in general = RS(k, m) wide-stripe groups surviving m
+  /// Group-coded strategies (self, double): 1 = single erasure (paper
+  /// default); m >= 2 = RS(k, m) wide-stripe groups surviving m
   /// concurrent losses per group.
   int parity_degree = 1;
   /// BLCR only:
   storage::Vault* vault = nullptr;
   storage::DeviceProfile device;
   /// Allocate the staging buffer for stage()/commit_staged(). Changes the
-  /// persistent-store layout for the SHM strategies (self, incremental),
+  /// persistent-store layout of self-checkpoint (its SHM staging segment),
   /// so a run cannot restart with a different setting than it committed
   /// with — the header codec field records it.
   bool async_staging = false;

@@ -12,7 +12,6 @@ std::string_view to_string(Strategy strategy) {
     case Strategy::kDouble: return "double-checkpoint";
     case Strategy::kSelf: return "self-checkpoint";
     case Strategy::kBlcr: return "blcr";
-    case Strategy::kSelfIncremental: return "self-incremental";
   }
   return "?";
 }
@@ -21,8 +20,7 @@ namespace {
 
 void check_group(Strategy strategy, int group_size) {
   if ((strategy == Strategy::kSingle || strategy == Strategy::kDouble ||
-       strategy == Strategy::kSelf || strategy == Strategy::kSelfIncremental) &&
-      group_size < 2) {
+       strategy == Strategy::kSelf) && group_size < 2) {
     throw std::invalid_argument("in-memory strategies need group_size >= 2");
   }
 }
@@ -41,18 +39,9 @@ double available_fraction(Strategy strategy, int group_size) {
     case Strategy::kDouble:
       return (n - 1.0) / (3.0 * n - 1.0);  // Eq. 3
     case Strategy::kSelf:
-    case Strategy::kSelfIncremental:
-      return (n - 1.0) / (2.0 * n);  // Eq. 2 (same layout, lazier updates)
+      return (n - 1.0) / (2.0 * n);  // Eq. 2
   }
   return 0.0;
-}
-
-double available_fraction_dual(int group_size) {
-  if (group_size < 4) {
-    throw std::invalid_argument("dual-parity self-checkpoint needs group_size >= 4");
-  }
-  const double n = group_size;
-  return (n - 2.0) / (2.0 * n);
 }
 
 double available_fraction_rs(int group_size, int parity_count) {
@@ -85,8 +74,7 @@ std::size_t estimate_session_bytes(Strategy strategy, std::size_t data_bytes,
       total = m / u;
       break;
     }
-    case Strategy::kSelf:
-    case Strategy::kSelfIncremental: {
+    case Strategy::kSelf: {
       const int n = std::max(group_size, parity_degree + 2);
       const double u = parity_degree > 1 ? available_fraction_rs(n, parity_degree)
                                          : available_fraction(strategy, std::max(2, n));
@@ -126,7 +114,6 @@ MemoryPlan plan_memory(Strategy strategy, std::size_t capacity_bytes, int group_
       plan.checksum_bytes = static_cast<std::size_t>(2.0 * static_cast<double>(m) / (n - 1.0));
       break;
     case Strategy::kSelf:
-    case Strategy::kSelfIncremental:
       plan.checkpoint_bytes = m;  // B — the only full copy
       plan.checksum_bytes = static_cast<std::size_t>(2.0 * static_cast<double>(m) / (n - 1.0));
       break;

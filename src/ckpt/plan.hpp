@@ -22,7 +22,6 @@ enum class Strategy {
   kDouble,  ///< double in-memory checkpoint (Fig. 3) — the SCR/Zheng baseline
   kSelf,    ///< self-checkpoint (Figs. 4-5) — the paper's contribution
   kBlcr,    ///< full-image checkpoint to a storage device (BLCR baseline)
-  kSelfIncremental,  ///< self-checkpoint with dirty-stripe tracking (Sec. 7 extension)
 };
 
 [[nodiscard]] std::string_view to_string(Strategy strategy);
@@ -31,16 +30,10 @@ enum class Strategy {
 /// group_size must be >= 2 for the in-memory strategies.
 [[nodiscard]] double available_fraction(Strategy strategy, int group_size);
 
-/// Self-checkpoint with the dual-erasure extension: each member splits its
-/// data into N-2 stripes and stores two parity stripes per side, so
-///   total = M + M + 2*(2M/(N-2)) = 2MN/(N-2)  ->  U = (N-2)/2N.
-/// Requires group_size >= 4.
-[[nodiscard]] double available_fraction_dual(int group_size);
-
 /// Self-checkpoint with RS(k, m) wide-stripe parity: each member splits
 /// its data into k = N - m stripes and stores m parity stripes per side,
 ///   total = M + M + 2*(mM/(N-m)) = 2MN/(N-m)  ->  U = (N-m)/2N,
-/// generalizing Eq. 2 (m = 1) and the dual extension (m = 2). Requires
+/// generalizing Eq. 2 (m = 1); m = 2 gives U = (N-2)/2N. Requires
 /// group_size >= parity_count + 2.
 [[nodiscard]] double available_fraction_rs(int group_size, int parity_count);
 

@@ -29,9 +29,9 @@
 //                     place of the synchronous "ckpt.*" ones.
 //
 // Between stage() and the end of commit_staged() the application may keep
-// mutating data(); the staged copy is immutable. Strategies whose recovery
-// reads the staging buffer (self, incremental) place it in the persistent
-// store so a failure inside commit_staged() still recovers.
+// mutating data(); the staged copy is immutable. A strategy whose recovery
+// reads the staging buffer (self) places it in the persistent store so a
+// failure inside commit_staged() still recovers.
 //
 // Encoding happens inside a small *group* communicator (Section 2.1), but
 // the commit state machine is synchronized over the *world* communicator:

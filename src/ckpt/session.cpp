@@ -62,9 +62,7 @@ Session SessionBuilder::build(mpi::Comm& world) const {
   const int effective_group = group_.has_value() ? group_->size()
                               : group_size_ > 0  ? group_size_
                                                  : world.size();
-  const bool group_coded = strategy_ == Strategy::kSelf ||
-                           strategy_ == Strategy::kDouble ||
-                           strategy_ == Strategy::kSelfIncremental;
+  const bool group_coded = strategy_ == Strategy::kSelf || strategy_ == Strategy::kDouble;
   if (group_coded && params_.parity_degree >= 2 &&
       effective_group < params_.parity_degree + 2) {
     throw ConfigError("parity_degree",

@@ -181,7 +181,10 @@ class Session {
   /// Declare [offset, offset+len) of data() modified since the last
   /// commit/stage so the next commit copies and encodes only the touched
   /// stripes. Optional: protocols treat un-annotated epochs as all-dirty.
-  /// No-op for strategies without a dirty tracker.
+  /// An annotated epoch must annotate every write, since its unmarked
+  /// stripes count as clean; a fresh run that annotates its first epoch
+  /// therefore declares the initial fill with mark_all_dirty(). No-op for
+  /// strategies without a dirty tracker.
   void mark_dirty(std::size_t offset, std::size_t len) {
     if (DirtyTracker* t = protocol_->dirty_tracker()) t->mark(offset, len);
   }
@@ -193,15 +196,11 @@ class Session {
   }
 
   /// SPI escape hatch: the underlying protocol, for tests and embedders
-  /// that need strategy-specific calls (e.g. incremental dirty marking).
-  /// "unsafe" because calls on it bypass the Session's drain/scrub/tenant
-  /// sequencing — the caller owns the consequences.
+  /// that need calls the Session does not forward (e.g. scrub_view() or
+  /// the dirty tracker's state). "unsafe" because calls on it bypass the
+  /// Session's drain/scrub/tenant sequencing — the caller owns the
+  /// consequences.
   [[nodiscard]] CheckpointProtocol& unsafe_protocol() { return *protocol_; }
-
-  [[deprecated("renamed to unsafe_protocol()")]] [[nodiscard]] CheckpointProtocol&
-  protocol() {
-    return unsafe_protocol();
-  }
 
   /// The tenant namespace this session runs under ("" single-tenant).
   [[nodiscard]] const std::string& tenant() const { return tenant_; }

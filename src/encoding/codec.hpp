@@ -40,14 +40,4 @@ void fill_identity(std::span<std::byte> buf);
 [[nodiscard]] bool equals(CodecKind kind, std::span<const std::byte> a,
                           std::span<const std::byte> b, double tolerance = 1e-9);
 
-/// What a group codec's collective delta re-encode did.
-struct DeltaOutcome {
-  /// False only when this member's redundancy is byte-identical to the old
-  /// one (no dirty stripe was folded into it), so a protocol keeping a
-  /// twin copy need not refresh it. A full re-encode always reports true.
-  bool changed = true;
-  /// Families with at least one dirty contributor, group-wide.
-  int dirty_families = 0;
-};
-
 }  // namespace skt::enc

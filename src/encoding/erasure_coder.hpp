@@ -1,6 +1,6 @@
 // Uniform erasure-coder interface over the single-parity (RAID-5-style,
-// Fig. 1) and dual-parity (RAID-6-style) group codecs, so checkpoint
-// protocols can be parameterized by fault-tolerance degree.
+// Fig. 1) and RS(k, m) group codecs, so checkpoint protocols can be
+// parameterized by fault-tolerance degree.
 #pragma once
 
 #include <memory>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "encoding/codec.hpp"
-#include "encoding/dual_parity.hpp"
 #include "encoding/group_codec.hpp"
 #include "encoding/rs_group.hpp"
 
@@ -41,20 +40,13 @@ class ErasureCoder {
   /// Equivalent to encode(next). Below half-dirty, only the dirty
   /// (member, stripe) pairs move bytes, each crossing the wire once on a
   /// tree toward its parity owners; at or above it, the full ring encode
-  /// runs. Returns false only
-  /// when this member's redundancy provably equals `old_redundancy`. The
-  /// default ignores the delta inputs and re-encodes from scratch.
+  /// runs. Returns false only when this member's redundancy provably
+  /// equals `old_redundancy`.
   virtual bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                             std::span<const std::byte> next,
                             std::span<const std::byte> old_redundancy,
                             std::span<std::byte> redundancy,
-                            std::span<const std::uint8_t> dirty) const {
-    (void)base;
-    (void)old_redundancy;
-    (void)dirty;
-    encode(group, next, redundancy);
-    return true;
-  }
+                            std::span<const std::uint8_t> dirty) const = 0;
   /// Collective: reconstruct the listed members (size <= max_failures()).
   virtual void rebuild(mpi::Comm& group, std::span<const int> missing,
                        std::span<std::byte> data, std::span<std::byte> redundancy) const = 0;
@@ -86,7 +78,7 @@ class SingleParityCoder final : public ErasureCoder {
                     std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
                     std::span<std::byte> redundancy,
                     std::span<const std::uint8_t> dirty) const override {
-    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty).changed;
+    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
                std::span<std::byte> redundancy) const override {
@@ -111,45 +103,8 @@ class SingleParityCoder final : public ErasureCoder {
   GroupCodec codec_;
 };
 
-/// Dual-erasure coder over GF(2^8).
-class DualParityCoder final : public ErasureCoder {
- public:
-  DualParityCoder(std::size_t data_bytes, int group_size) : codec_(data_bytes, group_size) {}
-
-  [[nodiscard]] std::size_t padded_bytes() const override { return codec_.padded_bytes(); }
-  [[nodiscard]] std::size_t redundancy_bytes() const override {
-    return codec_.parity_bytes();
-  }
-  [[nodiscard]] int max_failures() const override { return 2; }
-  [[nodiscard]] std::size_t stripe_bytes() const override { return codec_.stripe_bytes(); }
-
-  void encode(mpi::Comm& group, std::span<const std::byte> data,
-              std::span<std::byte> redundancy) const override {
-    codec_.encode(group, data, redundancy);
-  }
-  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
-                    std::span<std::byte> redundancy,
-                    std::span<const std::uint8_t> dirty) const override {
-    codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
-    return true;
-  }
-  void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
-               std::span<std::byte> redundancy) const override {
-    codec_.rebuild(group, missing, data, redundancy);
-  }
-  [[nodiscard]] bool verify(mpi::Comm& group, std::span<const std::byte> data,
-                            std::span<const std::byte> redundancy) const override {
-    return codec_.verify(group, data, redundancy);
-  }
-
- private:
-  DualParityGroupCodec codec_;
-};
-
 /// General RS(k, m) coder over GF(2^8): m = parity_count simultaneous
-/// erasures, k = group_size - m data stripes per member. For m == 2 the
-/// outputs are bit-identical to DualParityCoder.
+/// erasures, k = group_size - m data stripes per member.
 class RSCoder final : public ErasureCoder {
  public:
   RSCoder(std::size_t data_bytes, int group_size, int parity_count)
@@ -170,7 +125,7 @@ class RSCoder final : public ErasureCoder {
                     std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
                     std::span<std::byte> redundancy,
                     std::span<const std::uint8_t> dirty) const override {
-    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty).changed;
+    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
                std::span<std::byte> redundancy) const override {
@@ -186,7 +141,7 @@ class RSCoder final : public ErasureCoder {
 };
 
 /// parity_degree 1 -> SingleParityCoder (with `kind`); >= 2 -> RSCoder
-/// (always GF/XOR-based; degree 2 is bit-identical to DualParityCoder).
+/// (always GF/XOR-based).
 [[nodiscard]] inline std::unique_ptr<ErasureCoder> make_coder(int parity_degree,
                                                               CodecKind kind,
                                                               std::size_t data_bytes,

@@ -86,11 +86,11 @@ void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   }
 }
 
-DeltaOutcome GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                                      std::span<const std::byte> next,
-                                      std::span<const std::byte> old_checksum,
-                                      std::span<std::byte> checksum,
-                                      std::span<const std::uint8_t> dirty) const {
+bool GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                              std::span<const std::byte> next,
+                              std::span<const std::byte> old_checksum,
+                              std::span<std::byte> checksum,
+                              std::span<const std::uint8_t> dirty) const {
   check_args(group, next.size(), checksum.size());
   if (base.size() != next.size() || old_checksum.size() != checksum.size()) {
     throw std::invalid_argument("GroupCodec::encode_delta: base/old buffer size mismatch");
@@ -121,14 +121,12 @@ DeltaOutcome GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byt
     dirty_pairs += family.sources.size();
     families.push_back(std::move(family));
   }
-  DeltaOutcome outcome;
-  outcome.dirty_families = static_cast<int>(families.size());
 
   // Mostly-dirty commits: the ring spreads the same bytes evenly over all
   // links and combines in one pass.
   if (2 * dirty_pairs >= static_cast<std::size_t>(n) * stripes) {
     encode(group, next, checksum);
-    return outcome;
+    return true;
   }
 
   if (checksum.data() != old_checksum.data()) {
@@ -155,9 +153,8 @@ DeltaOutcome GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byt
   } else {
     group.reduce_sparse<double>(families, stripe, mpi::Sum{}, fill, fold);
   }
-  outcome.changed = std::any_of(families.begin(), families.end(),
-                                [me](const auto& family) { return family.root == me; });
-  return outcome;
+  return std::any_of(families.begin(), families.end(),
+                     [me](const auto& family) { return family.root == me; });
 }
 
 void GroupCodec::encode_reference(mpi::Comm& group, std::span<const std::byte> data,

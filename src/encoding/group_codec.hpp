@@ -42,7 +42,7 @@ class GroupCodec {
   void encode(mpi::Comm& group, std::span<const std::byte> data,
               std::span<std::byte> checksum) const;
 
-  /// Collective delta re-encode (incremental commits). `base` is the
+  /// Collective delta re-encode (dirty-stripe commits). `base` is the
   /// buffer `old_checksum` was encoded from, `next` the current buffer,
   /// and `dirty` a per-stripe flag vector (group_size-1 entries, indexed
   /// by stripe_index) marking which of THIS member's stripes may differ
@@ -59,11 +59,15 @@ class GroupCodec {
   /// log2(contributors + 1) stripes per family. Otherwise the full ring
   /// reduce-scatter encode runs. `old_checksum` may alias `checksum`
   /// (the fold is then in place).
-  DeltaOutcome encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                            std::span<const std::byte> next,
-                            std::span<const std::byte> old_checksum,
-                            std::span<std::byte> checksum,
-                            std::span<const std::uint8_t> dirty) const;
+  ///
+  /// Returns false only when this member's checksum is byte-identical to
+  /// `old_checksum` (no dirty stripe was folded into it), so a protocol
+  /// keeping a twin copy need not refresh it. A full re-encode always
+  /// returns true.
+  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                    std::span<const std::byte> next,
+                    std::span<const std::byte> old_checksum, std::span<std::byte> checksum,
+                    std::span<const std::uint8_t> dirty) const;
 
   /// The pre-reduce-scatter baseline: one binomial reduce per family,
   /// rooted round-robin. Same result as encode() (bit-identical for XOR,

@@ -78,9 +78,8 @@ RSGroupCodec::RSGroupCodec(std::size_t data_bytes, int group_size, int parity_co
   }
   const auto stripes = static_cast<std::size_t>(group_size - parity_count);
   const std::size_t raw = (data_bytes + stripes - 1) / stripes;
-  // Same padding rule as the dual-parity codec: stripes start on the
-  // cache-line / vector-register boundary so every GF multiply-accumulate
-  // runs aligned.
+  // Stripes start on the cache-line / vector-register boundary so every
+  // GF multiply-accumulate runs aligned.
   stripe_bytes_ = (raw + util::kBufferAlign - 1) / util::kBufferAlign * util::kBufferAlign;
   if (stripe_bytes_ == 0) stripe_bytes_ = util::kBufferAlign;
 }
@@ -188,11 +187,11 @@ void RSGroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   }
 }
 
-DeltaOutcome RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                                        std::span<const std::byte> next,
-                                        std::span<const std::byte> old_parity,
-                                        std::span<std::byte> parity,
-                                        std::span<const std::uint8_t> dirty) const {
+bool RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                std::span<const std::byte> next,
+                                std::span<const std::byte> old_parity,
+                                std::span<std::byte> parity,
+                                std::span<const std::uint8_t> dirty) const {
   check_args(group, next.size(), parity.size());
   if (base.size() != next.size() || old_parity.size() != parity.size()) {
     throw std::invalid_argument("RSGroupCodec::encode_delta: buffer size mismatch");
@@ -215,7 +214,6 @@ DeltaOutcome RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::b
   std::vector<mpi::Comm::SparseReduction> reductions;
   std::vector<Row> rows;
   std::size_t dirty_pairs = 0;
-  int dirty_families = 0;
   for (int f = 0; f < n; ++f) {
     for (int row = 0; row < parity_count_; ++row) {
       // Sources in relative rank order from the row's owner, as in
@@ -229,27 +227,22 @@ DeltaOutcome RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::b
         }
       }
       if (r.sources.empty()) break;  // a clean family: every row is empty
-      if (row == 0) {
-        dirty_pairs += r.sources.size();
-        ++dirty_families;
-      }
+      if (row == 0) dirty_pairs += r.sources.size();
       reductions.push_back(std::move(r));
       rows.push_back({f, row});
     }
   }
-  DeltaOutcome outcome;
-  outcome.dirty_families = dirty_families;
   if (2 * dirty_pairs >= static_cast<std::size_t>(n) * stripes) {
     encode(group, next, parity);
-    return outcome;
+    return true;
   }
 
   if (parity.data() != old_parity.data()) {
     std::memcpy(parity.data(), old_parity.data(), parity.size());
   }
   const int me = group.rank();
-  outcome.changed = std::any_of(reductions.begin(), reductions.end(),
-                                [me](const auto& r) { return r.root == me; });
+  const bool changed = std::any_of(reductions.begin(), reductions.end(),
+                                   [me](const auto& r) { return r.root == me; });
   group.reduce_sparse<std::uint64_t>(
       reductions, stripe_bytes_, mpi::BXor{},
       [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
@@ -264,7 +257,7 @@ DeltaOutcome RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::b
         const std::size_t at = static_cast<std::size_t>(rows[i].row) * stripe_bytes_ + off;
         kernels::xor_acc(parity.subspan(at, in.size()), in);
       });
-  return outcome;
+  return changed;
 }
 
 void RSGroupCodec::rebuild(mpi::Comm& group, std::span<const int> failed,

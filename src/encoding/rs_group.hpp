@@ -1,7 +1,8 @@
 // RS(k, m) wide-stripe group encoding — the general multi-erasure upgrade
-// of the single-parity (Fig. 1) and dual-parity (RAID-6) group codecs.
+// of the single-parity (Fig. 1) group codec, and the only one in the
+// library: m = 2 is the RAID-6 case.
 //
-// Layout, generalizing dual_parity.hpp: a group of N >= m+2 members forms
+// Layout: a group of N >= m+2 members forms
 // N parity families. Family f keeps m parity stripes, one per generator
 // row; row j's stripe lives on member (f + j) % N. A member therefore
 // owns parity for exactly the m families {(me - j + N) % N : j < m} and
@@ -14,11 +15,6 @@
 // GF(2^8) (reed_solomon.hpp): every square submatrix of a Cauchy matrix
 // is invertible, so any L <= m lost contributors of a family yield an
 // L x L solvable system against the L surviving parity rows.
-//
-// With m == 2 the family layout, coefficients, and wire schedule reduce
-// exactly to DualParityGroupCodec; the outputs are bit-identical (a
-// property test in test_encoding.cpp holds the two implementations
-// together).
 #pragma once
 
 #include <cstdint>
@@ -67,10 +63,11 @@ class RSGroupCodec {
   /// (P' = P ^ sum c_i * (old_i ^ new_i)); clean pairs send nothing.
   /// Otherwise the full m-pass reduce-scatter encode runs. Result is
   /// bit-identical to encode(next); `old_parity` may alias `parity`.
-  DeltaOutcome encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                            std::span<const std::byte> next,
-                            std::span<const std::byte> old_parity, std::span<std::byte> parity,
-                            std::span<const std::uint8_t> dirty) const;
+  /// Returns false only when this member's parity provably equals
+  /// `old_parity` (it owns no row of a dirty family).
+  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                    std::span<const std::byte> next, std::span<const std::byte> old_parity,
+                    std::span<std::byte> parity, std::span<const std::uint8_t> dirty) const;
 
   /// Collective: reconstruct up to m failed members' data + parity.
   /// Survivors pass intact buffers; failed members' buffer contents are

@@ -67,7 +67,8 @@ struct SktHplResult {
   /// from the elimination loop (0 in sync runs).
   double overlap_fraction = 0.0;
   /// Dirty-stripe footprint of the commits in this run (1.0 fraction =
-  /// full-footprint epochs; less after incremental mark_dirty annotation).
+  /// full-footprint epochs; less when the epoch is annotated with
+  /// Session::mark_dirty).
   std::size_t dirty_bytes_last = 0;   ///< bytes encoded by the last commit
   std::size_t dirty_bytes_total = 0;  ///< summed over all commits
   double dirty_fraction_last = 1.0;

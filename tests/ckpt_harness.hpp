@@ -18,7 +18,6 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/incremental.hpp"
 #include "ckpt/session.hpp"
 #include "mpi/comm.hpp"
 #include "util/rng.hpp"
@@ -175,11 +174,10 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
       session.mark_dirty(hot_begin, hot);
     } else {
       fill_pattern(session.data(), config.seed, world.rank(), next);
-      // Full rewrite: everything is dirty. Required annotation for the
-      // incremental strategy (unmarked means clean there); a no-op
-      // degradation for the others, whose un-annotated trackers already
-      // report all-dirty. (Sparse-update coverage for incremental lives in
-      // test_incremental.cpp, which marks real ranges.)
+      // Full rewrite: everything is dirty. The same commit as leaving the
+      // epoch un-annotated, whose tracker already reports all-dirty; the
+      // annotation keeps the loop explicit about what it wrote. (Moving
+      // sparse windows are covered in test_protocols.cpp.)
       session.mark_all_dirty();
     }
     state->iteration = next;

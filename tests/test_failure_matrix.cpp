@@ -75,7 +75,6 @@ std::string case_name(const ::testing::TestParamInfo<std::tuple<Case, int, enc::
   if (const auto dash = strategy.find('-'); dash != std::string::npos) {
     strategy = strategy.substr(0, dash);
   }
-  if (c.strategy == Strategy::kSelfIncremental) strategy = "incr";
   if (c.hot_bytes > 0) strategy += "_pd";
   return strategy + "_" + point + "_g" + std::to_string(group) + "_" +
          std::string(enc::to_string(codec));
@@ -163,10 +162,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Case{Strategy::kSelf, "ckpt.encode_done", true, -1, 512},
                           Case{Strategy::kSelf, "ckpt.sealed", true, -1, 512},
-                          Case{Strategy::kSelf, "ckpt.mid_flush", true, -1, 512},
-                          Case{Strategy::kSelfIncremental, "ckpt.encode_done", true, -1, 512},
-                          Case{Strategy::kSelfIncremental, "ckpt.sealed", true, -1, 512},
-                          Case{Strategy::kSelfIncremental, "ckpt.mid_flush", true, -1, 512}),
+                          Case{Strategy::kSelf, "ckpt.mid_flush", true, -1, 512}),
         ::testing::Values(4), ::testing::Values(enc::CodecKind::kXor)),
     case_name);
 
@@ -235,7 +231,6 @@ std::string async_case_name(
   if (const auto dash = strategy.find('-'); dash != std::string::npos) {
     strategy = strategy.substr(0, dash);
   }
-  if (c.strategy == Strategy::kSelfIncremental) strategy = "incr";
   if (c.level2_every > 0) strategy += "_l2";
   if (c.hot_bytes > 0) strategy += "_pd";
   return strategy + "_" + point + "_g" + std::to_string(group);
@@ -300,16 +295,6 @@ INSTANTIATE_TEST_SUITE_P(
     async_case_name);
 
 INSTANTIATE_TEST_SUITE_P(
-    IncrementalAsync, AsyncFailureMatrix,
-    ::testing::Combine(
-        ::testing::Values(AsyncCase{Strategy::kSelfIncremental, "ckpt.async_stage", true},
-                          AsyncCase{Strategy::kSelfIncremental, "ckpt.async_encode_done", true},
-                          AsyncCase{Strategy::kSelfIncremental, "ckpt.async_mid_flush", true},
-                          AsyncCase{Strategy::kSelfIncremental, "ckpt.async_flushed", true}),
-        ::testing::Values(4)),
-    async_case_name);
-
-INSTANTIATE_TEST_SUITE_P(
     DoubleAsync, AsyncFailureMatrix,
     ::testing::Combine(
         ::testing::Values(AsyncCase{Strategy::kDouble, "ckpt.async_begin", true},
@@ -356,8 +341,6 @@ INSTANTIATE_TEST_SUITE_P(
             AsyncCase{Strategy::kSelf, "ckpt.async_stage", true, -1, 0, 512},
             AsyncCase{Strategy::kSelf, "ckpt.async_encode_done", true, -1, 0, 512},
             AsyncCase{Strategy::kSelf, "ckpt.async_mid_flush", true, -1, 0, 512},
-            AsyncCase{Strategy::kSelfIncremental, "ckpt.async_encode_done", true, -1, 0, 512},
-            AsyncCase{Strategy::kSelfIncremental, "ckpt.async_mid_flush", true, -1, 0, 512},
             AsyncCase{Strategy::kDouble, "ckpt.async_mid_update", true, -1, 0, 512},
             AsyncCase{Strategy::kDouble, "ckpt.async_encode_done", true, -1, 0, 512}),
         ::testing::Values(4)),
@@ -372,9 +355,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(4)),
     async_case_name);
 
-// Dual-parity self-checkpoint (the RAID-6-style extension): TWO nodes of
-// the SAME group die in the same instant, at every protocol step, and the
-// degree-2 code still recovers end-to-end.
+// Self-checkpoint over RS(k, 2), the RAID-6 case: TWO nodes of the SAME
+// group die in the same instant, at every protocol step, and the degree-2
+// code still recovers end-to-end.
 class DualParityMatrix : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DualParityMatrix, SimultaneousDoubleKillRecovers) {
@@ -510,12 +493,13 @@ INSTANTIATE_TEST_SUITE_P(
             "rs8p3_sealed", Strategy::kSelf, "ckpt.sealed", 8, 3, {1, 2, 3}, true},
         CorrelatedCase{
             "rs8p3_mid_flush", Strategy::kSelf, "ckpt.mid_flush", 8, 3, {1, 4, 6}, true},
-        // The other group-coded strategies ride the same substrate.
+        // The asynchronous pipeline: both deaths inside the worker's
+        // encode window, recovered from (S, D).
+        CorrelatedCase{"rs4p2_async_encode_done", Strategy::kSelf, "ckpt.async_encode_done", 4,
+                       2, {1, 2}, true, CommitMode::kAsync},
+        // The other group-coded strategy rides the same substrate.
         CorrelatedCase{
             "double_rs4p2", Strategy::kDouble, "ckpt.flushed", 4, 2, {1, 2}, true},
-        CorrelatedCase{"incr_rs4p2_async", Strategy::kSelfIncremental,
-                       "ckpt.async_encode_done", 4, 2, {1, 2}, true,
-                       CommitMode::kAsync},
         // Negative rows: m + 1 concurrent deaths exceed the code.
         CorrelatedCase{
             "rs4p2_three_dead", Strategy::kSelf, "ckpt.sealed", 4, 2, {1, 2, 3}, false},

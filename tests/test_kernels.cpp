@@ -14,7 +14,6 @@
 
 #include "ckpt/dirty_tracker.hpp"
 #include "dirty_patterns.hpp"
-#include "encoding/dual_parity.hpp"
 #include "encoding/gf256.hpp"
 #include "encoding/group_codec.hpp"
 #include "encoding/kernels.hpp"
@@ -230,9 +229,6 @@ TEST(DirtyTracker, UnannotatedReportsAllDirty) {
   EXPECT_TRUE(std::all_of(eff.begin(), eff.end(), [](std::uint8_t f) { return f == 1; }));
   EXPECT_EQ(t.dirty_stripes(), 5u);
   EXPECT_DOUBLE_EQ(t.dirty_fraction(), 1.0);
-  // Raw flags stay zero — the fallback lives in effective(), not flags().
-  EXPECT_TRUE(std::all_of(t.flags().begin(), t.flags().end(),
-                          [](std::uint8_t f) { return f == 0; }));
 }
 
 TEST(DirtyTracker, MarkFlagsExactlyTheCoveredStripes) {
@@ -261,9 +257,8 @@ TEST(DirtyTracker, MarkBoundsAreLoud) {
 }
 
 TEST(DirtyTracker, ResetRejectsUncoveredImage) {
-  // The loud-coverage invariant that replaced the incremental tracker's
-  // silent tail clamp: geometry that cannot hold data + user is an error
-  // at reset() time, so no mark can ever fall off the end.
+  // The loud-coverage invariant: geometry that cannot hold data + user is
+  // an error at reset() time, so no mark can ever fall off the end.
   DirtyTracker t;
   EXPECT_THROW(t.reset(1000, 64, 256, 4), std::invalid_argument);  // 1024 < 1064
   EXPECT_THROW(t.reset(1, 1, 0, 4), std::invalid_argument);
@@ -298,43 +293,14 @@ TEST(DirtyTracker, ClearDropsFlagsAndAnnotation) {
   EXPECT_DOUBLE_EQ(t.dirty_fraction(), 1.0);  // back to the safe fallback
 }
 
-TEST(DirtyTracker, ShadowDetectClassifiesChangedStripes) {
-  DirtyTracker t;
-  t.reset(1000, 24, 256, 4);
-  std::vector<std::byte> image(1024, std::byte{7});
-  t.capture_shadow(image);
-  EXPECT_TRUE(t.has_shadow());
-
-  image[600] = std::byte{8};  // stripe 2
-  t.detect(image);
-  EXPECT_TRUE(t.annotated());
-  EXPECT_EQ(t.effective(), (std::vector<std::uint8_t>{0, 0, 1, 0}));
-
-  // detect() re-captured, so an unchanged image is all-clean next round.
-  t.clear();
-  t.detect(image);
-  EXPECT_EQ(t.dirty_stripes(), 0u);
-}
-
-TEST(DirtyTracker, ShadowTreatsMissingTailAsZeros) {
-  DirtyTracker t;
-  t.reset(1000, 24, 256, 4);
-  // Capture from the unpadded view; the padded stripes hash as zeros.
-  std::vector<std::byte> image(1000, std::byte{0});
-  t.capture_shadow(image);
-  std::vector<std::byte> padded(1024, std::byte{0});
-  t.detect(padded);
-  EXPECT_EQ(t.dirty_stripes(), 0u);
-}
-
 }  // namespace
 }  // namespace skt::ckpt
 
 // ----------------------------------------------------------------------
 // encode_delta == encode: the bit-identity (tolerance for SUM) the
 // dirty-stripe commit path stakes checkpoint correctness on, for the
-// XOR/SUM group codec and the GF(2^8) dual-parity code, on both sides of
-// the half-dirty switch.
+// XOR/SUM group codec on both sides of the half-dirty switch (the RS(k, m)
+// sweep lives in test_encoding.cpp).
 namespace skt::enc {
 namespace {
 
@@ -366,11 +332,10 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
       codec.encode(world, in.next, reference);
 
       std::vector<std::byte> in_place = old_check;
-      const DeltaOutcome aliased =
+      const bool aliased =
           codec.encode_delta(world, in.base, in.next, in_place, in_place, in.flags);
       std::vector<std::byte> out(codec.checksum_bytes());
-      const DeltaOutcome distinct =
-          codec.encode_delta(world, in.base, in.next, old_check, out, in.flags);
+      const bool distinct = codec.encode_delta(world, in.base, in.next, old_check, out, in.flags);
       for (const auto* got : {&in_place, &out}) {
         if (kind == CodecKind::kXor) {
           EXPECT_EQ(*got, reference) << to_string(pattern);
@@ -379,24 +344,17 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
         }
       }
 
-      // What every member can predict from the pattern: which families
-      // have a dirty contributor, and whether this member's checksum moves.
-      int dirty_families = 0;
+      // What every member can predict from the pattern: whether its own
+      // family has a dirty contributor, so its checksum moves.
       bool mine_dirty = false;
-      for (int f = 0; f < n; ++f) {
-        bool dirty = false;
-        for (int p = 0; p < n; ++p) {
-          dirty |= p != f && skt::testing::pair_dirty(pattern, n, stripes, p,
-                                                      codec.layout().stripe_index(p, f));
-        }
-        dirty_families += dirty;
-        if (f == world.rank()) mine_dirty = dirty;
+      for (int p = 0; p < n; ++p) {
+        const int f = world.rank();
+        mine_dirty |= p != f && skt::testing::pair_dirty(pattern, n, stripes, p,
+                                                         codec.layout().stripe_index(p, f));
       }
       const bool sparse = skt::testing::takes_sparse_path(pattern, n, stripes);
-      for (const DeltaOutcome& o : {aliased, distinct}) {
-        EXPECT_EQ(o.dirty_families, dirty_families) << to_string(pattern);
-        EXPECT_EQ(o.changed, !sparse || mine_dirty) << to_string(pattern);
-      }
+      EXPECT_EQ(aliased, !sparse || mine_dirty) << to_string(pattern);
+      EXPECT_EQ(distinct, aliased) << to_string(pattern);
     });
     ASSERT_TRUE(result.completed) << result.abort_reason;
   }
@@ -443,44 +401,6 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, EncodeDeltaSweep,
                            return "g" + std::to_string(std::get<0>(info.param)) + "_" +
                                   std::string(to_string(std::get<1>(info.param)));
                          });
-
-TEST(EncodeDelta, DualParityMatchesFullEncode) {
-  const int group_size = 5;
-  const std::size_t data_bytes = 2000;
-  MiniCluster mc(group_size, 0);
-  const auto result = mc.run(group_size, [&](mpi::Comm& world) {
-    const DualParityGroupCodec codec(data_bytes, world.size());
-    const std::size_t stripe = codec.stripe_bytes();
-    const std::size_t stripes = codec.padded_bytes() / stripe;
-
-    const auto base = random_bytes(codec.padded_bytes(), 300 + world.rank());
-    std::vector<std::byte> old_parity(codec.parity_bytes());
-    codec.encode(world, base, old_parity);
-
-    // Sparse: one dirty stripe on one member -> GF-weighted delta fold.
-    auto next = base;
-    std::vector<std::uint8_t> dirty(stripes, 0);
-    if (world.rank() == 2) {
-      next[stripe + 7] ^= std::byte{0x55};
-      dirty[1] = 1;
-    }
-    std::vector<std::byte> reference(codec.parity_bytes());
-    codec.encode(world, next, reference);
-    std::vector<std::byte> delta = old_parity;
-    codec.encode_delta(world, base, next, delta, delta, dirty);
-    EXPECT_EQ(delta, reference);
-
-    // Fallback: all stripes dirty on every member.
-    auto next2 = random_bytes(codec.padded_bytes(), 700 + world.rank());
-    std::vector<std::byte> reference2(codec.parity_bytes());
-    codec.encode(world, next2, reference2);
-    std::vector<std::byte> delta2 = reference;
-    const std::vector<std::uint8_t> all_dirty(stripes, 1);
-    codec.encode_delta(world, next, next2, delta2, delta2, all_dirty);
-    EXPECT_EQ(delta2, reference2);
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
 
 }  // namespace
 }  // namespace skt::enc

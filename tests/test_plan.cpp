@@ -59,18 +59,18 @@ TEST(Plan, Table1SelfTotalsIsTwoMNOverNMinus1) {
 }
 
 TEST(Plan, DualParityFraction) {
-  // U = (N-2)/2N: two parity stripes per side instead of one.
-  EXPECT_DOUBLE_EQ(available_fraction_dual(4), 0.25);
-  EXPECT_DOUBLE_EQ(available_fraction_dual(16), 14.0 / 32.0);
+  // RS(k, 2): U = (N-2)/2N, two parity stripes per side instead of one.
+  EXPECT_DOUBLE_EQ(available_fraction_rs(4, 2), 0.25);
+  EXPECT_DOUBLE_EQ(available_fraction_rs(16, 2), 14.0 / 32.0);
   // Costs a little memory versus single parity, buys a second failure.
   for (int n : {4, 8, 16, 32}) {
-    EXPECT_LT(available_fraction_dual(n), available_fraction(Strategy::kSelf, n)) << n;
+    EXPECT_LT(available_fraction_rs(n, 2), available_fraction(Strategy::kSelf, n)) << n;
     // ...but still beats the double-checkpoint baseline from N >= 5.
     if (n >= 5) {
-      EXPECT_GT(available_fraction_dual(n), available_fraction(Strategy::kDouble, n));
+      EXPECT_GT(available_fraction_rs(n, 2), available_fraction(Strategy::kDouble, n));
     }
   }
-  EXPECT_THROW((void)available_fraction_dual(3), std::invalid_argument);
+  EXPECT_THROW((void)available_fraction_rs(3, 2), std::invalid_argument);
 }
 
 TEST(Plan, RejectsDegenerateGroups) {
