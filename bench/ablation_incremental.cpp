@@ -4,7 +4,7 @@
 // methods are not efficient for this problem."
 //
 // Incremental commits are SelfCheckpoint with annotated epochs (the dirty
-// tracker that Session::mark_dirty feeds): only the marked stripes are
+// tracker that Session::mark_dirty feeds): only the marked blocks are
 // copied, encoded and flushed. Two annotated workloads over the same
 // protected buffer, against un-annotated full commits:
 //  * full-footprint (HPL-like): every byte rewritten and marked between
@@ -91,11 +91,11 @@ int main() {
   ok &= bench::shape_check(
       "with HPL's full footprint, incremental flushes everything anyway (paper's point)",
       incr_hpl.flushed_bytes > (kDataBytes * 9) / 10);
-  // Dirty tracking works at stripe granularity (1/(N-1) of the buffer per
-  // stripe, ~14% here), so a 5% window plus the always-dirty user-state
-  // tail costs 2-3 stripes.
+  // Dirty tracking works in 4 KiB blocks, so a 5% window costs its own
+  // blocks (plus at most one partial block at each end) and the
+  // always-dirty user-state tail one more.
   ok &= bench::shape_check(
-      "with sparse updates, incremental flushes < 50% of the buffer (2-3 of 7 stripes)",
+      "with sparse updates, incremental flushes < 50% of the buffer (the window's blocks)",
       incr_sparse.flushed_bytes < kDataBytes / 2);
   ok &= bench::shape_check(
       "sparse incremental commits are at least 2x cheaper than full commits",

@@ -1,5 +1,5 @@
 // Commit cost vs dirty fraction, for every strategy, sync and async: the
-// measurement behind the dirty-stripe staging work. Each configuration
+// measurement behind the dirty-block staging work. Each configuration
 // opens an 8-rank session, performs one full warm-up commit, then times
 // commits whose application writes (and annotations, through
 // Session::mark_dirty) cover a suffix of the working buffer:
@@ -10,13 +10,13 @@
 //   f = 1%, 10%, 50%, 100% — annotated prefix writes.
 //
 // Sync rows cost a commit the way the repo's Table-3 benches do: wall
-// time for the local memory work (the dirty-stripe flush copy) plus the
+// time for the local memory work (the dirty-block flush copy) plus the
 // VIRTUAL clock's modeled network/device time for the encode collective
 // and any vault write (100 Gb/s NIC, 5 us latency). Wall-clocking the
 // whole commit() here would measure this 1-core host's rank-thread
 // scheduling — every mailbox round costs ~ms regardless of payload — and
 // bury the byte scaling the bench exists to show. Async rows time the
-// critical-path part of commit_async — the dirty-stripe stage copy, a
+// critical-path part of commit_async — the dirty-block stage copy, a
 // purely local operation — after draining the previous epoch, so the
 // number is what the application loop actually pays.
 //
@@ -106,9 +106,9 @@ RowResult measure_commit(const StagingConfig& cfg, double frac, bool async) {
 
     util::Xoshiro256 rng(11 + static_cast<std::uint64_t>(world.rank()));
     // Hot region = a SUFFIX of the buffer: the user-state tail is rewritten
-    // (and its covering stripe marked) on every commit as a protocol
-    // invariant, and that stripe is the last one — a hot suffix shares it,
-    // while a hot prefix would add two extra parity families at every
+    // (and its covering block marked) on every commit as a protocol
+    // invariant, and that block ends the last stripe — a hot suffix shares
+    // it, while a hot prefix would add an extra parity family at every
     // fraction and mask the delta path this bench measures.
     const auto scribble = [&](std::size_t bytes) {
       std::span<std::byte> data = session.data().subspan(kDataBytes - bytes, bytes);
@@ -140,7 +140,7 @@ RowResult measure_commit(const StagingConfig& cfg, double frac, bool async) {
       double cost;
       if (async) {
         // Async critical path: what the application loop blocks on — the
-        // dirty-stripe stage copy plus the worker hand-off. The encode
+        // dirty-block stage copy plus the worker hand-off. The encode
         // time is read from the ticket only after the cost is taken.
         const ckpt::CommitTicket ticket = session.commit_async();
         cost = t.seconds();

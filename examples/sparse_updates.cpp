@@ -1,7 +1,7 @@
 // Incremental self-checkpoint on a sparse-update workload: a distributed
 // particle/cell store where each step touches a small, random subset of
 // cells and declares them with Session::mark_dirty, so each commit copies,
-// encodes and flushes only the touched stripes — the opposite regime from
+// encodes and flushes only the touched blocks — the opposite regime from
 // HPL, whose full footprint is exactly why the paper rules incremental
 // methods out for SKT-HPL.
 //

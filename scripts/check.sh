@@ -6,7 +6,7 @@
 # checkpoint-protocol suites — the code that moves buffers between threads
 # by move, reinterprets byte spans as uint64/double lanes, issues unaligned
 # and masked vector loads, packs GEMM operands by pointer arithmetic, and
-# copies dirty stripes between checkpoint segments — a
+# copies dirty block runs between checkpoint segments — a
 # TSan pass over the async pipeline and monitor, a
 # monitor lane that schema-validates the postmortem a real injected kill
 # produces and gates monitoring overhead, a multi-tenant lane running the
@@ -24,19 +24,22 @@ cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
 echo
-echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + protocol + HPL suites ==="
+echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + codec + protocol + HPL suites ==="
 # The SIMD tier must be droppable at configure time with zero behaviour
 # change: the kernels' scalar paths and the runtime dispatcher carry the
 # same contracts, so the full kernel/codec/protocol suites run against a
-# build where AVX2 code does not even exist. The HPL suites run here too:
-# the trailing-update GEMM follows the same tier, so they solve and verify
-# on the scalar loop.
+# build where AVX2 code does not even exist. The delta encode's fill and
+# fold call the XOR/SUM kernels on sub-stripe slices of every length a
+# block run can have, so test_collectives (the sparse reduce) and
+# test_failure_matrix (sub-stripe commits killed mid-way) run here too.
+# The HPL suites run here as well: the trailing-update GEMM follows the
+# same tier, so they solve and verify on the scalar loop.
 cmake -B build-scalar -S . -DSKT_SIMD=OFF >/dev/null
 cmake --build build-scalar -j --target \
-  test_kernels test_encoding test_protocols \
+  test_kernels test_encoding test_protocols test_collectives test_failure_matrix \
   test_hpl_core test_hpl_dist test_skt_hpl
 (cd build-scalar && ctest --output-on-failure \
-  -R '^(test_kernels|test_encoding|test_protocols|test_hpl_core|test_hpl_dist|test_skt_hpl)$' -j)
+  -R '^(test_kernels|test_encoding|test_protocols|test_collectives|test_failure_matrix|test_hpl_core|test_hpl_dist|test_skt_hpl)$' -j)
 
 echo
 echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites ==="
@@ -46,8 +49,8 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # test_hpl_dist cover the GEMM's B packing and its fringe tiles, whose
 # pointer arithmetic must stay inside each operand's window.
 # test_protocols and test_failure_matrix carry the checkpoint protocols'
-# dirty-stripe commits, restores and moving-window sparse updates: the
-# stripe-offset copies between the work, staging and checkpoint segments.
+# dirty-block commits, restores and moving-window sparse updates: the
+# block-run copies between the work, staging and checkpoint segments.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \

@@ -1,6 +1,5 @@
 #include "ckpt/blcr_checkpoint.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -59,30 +58,13 @@ double BlcrCheckpoint::stage() {
   }
   SKT_SPAN("ckpt.stage");
   util::WallTimer timer;
-  // stage_ equals [A|A2] as of the previous stage() on every clean stripe,
-  // so only the stripes dirtied since then need copying.
+  // stage_ equals [A|A2] as of the previous stage() on every clean block,
+  // so only the runs dirtied since then need copying.
   tracker_.mark_user_tail();
-  const std::vector<std::uint8_t> eff = tracker_.effective();
-  std::size_t dirty_stripes = 0;
-  for (std::size_t s = 0; s < eff.size(); ++s) {
-    if (!eff[s]) continue;
-    ++dirty_stripes;
-    const std::size_t begin = s * kStripeBytes;
-    const std::size_t end = std::min(begin + kStripeBytes, stage_.size());
-    std::size_t pos = begin;
-    if (pos < app_.size()) {
-      const std::size_t len = std::min(end, app_.size()) - pos;
-      std::memcpy(stage_.data() + pos, app_.data() + pos, len);
-      pos += len;
-    }
-    if (pos < end) {
-      std::memcpy(stage_.data() + pos, user_.data() + (pos - app_.size()), end - pos);
-    }
+  staged_runs_ = tracker_.runs();
+  for (const enc::BlockRun& run : staged_runs_) {
+    copy_combined(app_, user_, enc::run_bytes(run, kStripeBytes), stage_.data());
   }
-  staged_dirty_bytes_ = dirty_stripes * kStripeBytes;
-  staged_dirty_fraction_ =
-      eff.empty() ? 0.0
-                  : static_cast<double>(dirty_stripes) / static_cast<double>(eff.size());
   tracker_.clear();
   return timer.seconds();
 }
@@ -114,14 +96,12 @@ CommitStats BlcrCheckpoint::commit_impl(CommCtx ctx, bool async) {
   std::vector<std::byte> image(app_.size() + user_.size());
   if (async) {
     std::memcpy(image.data(), stage_.data(), image.size());
-    stats.dirty_bytes = staged_dirty_bytes_;
-    stats.dirty_fraction = staged_dirty_fraction_;
+    tracker_.account(staged_runs_, stats);
   } else {
     std::memcpy(image.data(), app_.data(), app_.size());
     std::memcpy(image.data() + app_.size(), user_.data(), user_.size());
     tracker_.mark_user_tail();
-    stats.dirty_bytes = tracker_.dirty_stripes() * kStripeBytes;
-    stats.dirty_fraction = tracker_.dirty_fraction();
+    tracker_.account(tracker_.runs(), stats);
     tracker_.clear();
   }
   ctx.group.failpoint(async ? "ckpt.async_mid_update" : "ckpt.mid_update");

@@ -51,9 +51,9 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   [[nodiscard]] DirtyTracker* dirty_tracker() override { return &tracker_; }
 
  private:
-  /// No codec dictates a stripe size here, so dirty tracking uses a fixed
-  /// page-like granule.
-  static constexpr std::size_t kStripeBytes = 4096;
+  /// No codec dictates a stripe size here, so the tracker's stripes are
+  /// single blocks.
+  static constexpr std::size_t kStripeBytes = enc::kBlockBytes;
 
   [[nodiscard]] std::string image_key(std::uint64_t epoch) const;
   void require_open() const;
@@ -64,12 +64,12 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   std::vector<std::byte> app_;
   std::vector<std::byte> user_;
   std::vector<std::byte> stage_;  // [A|A2] snapshot, async_staging only
-  /// Stripes dirtied since the last stage()/sync commit. The vault write
+  /// Blocks dirtied since the last stage()/sync commit. The vault write
   /// is a full image either way (the strategy's defining cost), but the
-  /// stage() copy is dirty-stripes-only and commits report dirty stats.
+  /// stage() copy is dirty-runs-only and commits report dirty stats.
   DirtyTracker tracker_;
-  std::size_t staged_dirty_bytes_ = 0;
-  double staged_dirty_fraction_ = 1.0;
+  /// The runs the last stage() copied, for the staged commit's stats.
+  std::vector<enc::BlockRun> staged_runs_;
   int world_rank_ = -1;
   /// Newest image this rank has written/read. Atomic: the async worker
   /// publishes it while the rank thread may poll committed_epoch().

@@ -38,10 +38,12 @@ bool DoubleCheckpoint::open(CommCtx ctx) {
   const std::size_t stripes = coder_->stripe_count();
   tracker_.reset(params_.data_bytes, params_.user_bytes, coder_->stripe_bytes(), stripes);
   if (params_.async_staging) image_.assign(coder_->padded_bytes(), std::byte{0});
-  // Until a commit establishes the pair-content invariant, every stripe of
+  // Until a commit establishes the pair-content invariant, every block of
   // both pairs must be treated as stale.
-  pair_dirty_[0].assign(stripes, 1);
-  pair_dirty_[1].assign(stripes, 1);
+  for (enc::RunSet& pair : pair_dirty_) {
+    pair = enc::RunSet(coder_->stripe_bytes(), stripes);
+    pair.add_all();
+  }
 
   sim::PersistentStore& store = ctx.group.store();
   const std::string hdr_key = key("hdr");
@@ -76,33 +78,14 @@ std::span<std::byte> DoubleCheckpoint::data() {
 
 std::span<std::byte> DoubleCheckpoint::user_state() { return user_; }
 
-std::vector<std::uint8_t> DoubleCheckpoint::fold_dirty() {
+std::vector<enc::BlockRun> DoubleCheckpoint::fold_dirty() {
   // The user-state tail is part of every snapshot.
   tracker_.mark_user_tail();
-  std::vector<std::uint8_t> eff = tracker_.effective();
-  for (std::size_t s = 0; s < eff.size(); ++s) {
-    if (!eff[s]) continue;
-    pair_dirty_[0][s] = 1;
-    pair_dirty_[1][s] = 1;
-  }
+  std::vector<enc::BlockRun> runs = tracker_.runs();
+  pair_dirty_[0].add(runs);
+  pair_dirty_[1].add(runs);
   tracker_.clear();
-  return eff;
-}
-
-void DoubleCheckpoint::copy_stripe_to(std::size_t s, std::byte* dst) const {
-  const std::size_t stripe = tracker_.stripe_bytes();
-  const std::size_t begin = s * stripe;
-  if (begin >= combined_bytes_) return;  // padding-only stripe
-  const std::size_t end = std::min(begin + stripe, combined_bytes_);
-  std::size_t pos = begin;
-  if (pos < params_.data_bytes) {
-    const std::size_t len = std::min(end, params_.data_bytes) - pos;
-    std::memcpy(dst + pos, app_.data() + pos, len);
-    pos += len;
-  }
-  if (pos < end) {
-    std::memcpy(dst + pos, user_.data() + (pos - params_.data_bytes), end - pos);
-  }
+  return runs;
 }
 
 double DoubleCheckpoint::stage() {
@@ -113,10 +96,9 @@ double DoubleCheckpoint::stage() {
   SKT_SPAN("ckpt.stage");
   util::WallTimer timer;
   // image_ equals the working content as of the previous stage() on every
-  // clean stripe, so only the stripes dirtied since then need copying.
-  const std::vector<std::uint8_t> eff = fold_dirty();
-  for (std::size_t s = 0; s < eff.size(); ++s) {
-    if (eff[s]) copy_stripe_to(s, image_.data());
+  // clean block, so only the runs dirtied since then need copying.
+  for (const enc::BlockRun& run : fold_dirty()) {
+    copy_combined(app_, user_, enc::run_bytes(run, tracker_.stripe_bytes()), image_.data());
   }
   return timer.seconds();
 }
@@ -159,39 +141,36 @@ CommitStats DoubleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   ctx.group.failpoint(async ? "ckpt.async_begin" : "ckpt.begin");
   ctx.world.barrier();
 
-  // Staged commits snapshotted (flags + image) in stage(); synchronous
-  // ones fold the live flags here.
+  // Staged commits snapshotted (runs + image) in stage(); synchronous
+  // ones fold the live runs here.
   const bool staging = params_.async_staging;
   if (!staging) fold_dirty();
-  std::vector<std::uint8_t>& dirty = pair_dirty_[target];
-  std::size_t dirty_stripes = 0;
-  for (std::uint8_t d : dirty) dirty_stripes += d;
+  const std::vector<enc::BlockRun> dirty = pair_dirty_[target].runs();
   const std::size_t stripe = tracker_.stripe_bytes();
 
   CommitStats stats;
   stats.epoch = next;
   telemetry::set_epoch(next);
 
-  // Save the target pair's OLD content of the dirty stripes — the delta
-  // base the flush is about to overwrite. Deliberately uninitialized: the
-  // codec never reads the base on clean stripes (and its full-encode
-  // fallback reads only `next`, the fully flushed pair).
+  // Save the target pair's OLD content of the dirty runs — the delta base
+  // the flush is about to overwrite. Deliberately uninitialized: the codec
+  // reads the base only inside the runs (and its full-encode fallback
+  // reads only `next`, the fully flushed pair).
   util::AlignedBuffer base(ckpt_[target]->size());
   util::WallTimer flush_timer;
   std::size_t flushed = 0;
   {
     SKT_SPAN("ckpt.flush");
-    for (std::size_t s = 0; s < dirty.size(); ++s) {
-      if (!dirty[s]) continue;
-      std::memcpy(base.data() + s * stripe, ckpt_[target]->bytes().data() + s * stripe,
-                  stripe);
+    for (const enc::BlockRun& run : dirty) {
+      const enc::ByteRange r = enc::run_bytes(run, stripe);
+      std::memcpy(base.data() + r.begin, ckpt_[target]->bytes().data() + r.begin, r.size());
       if (staging) {
-        std::memcpy(ckpt_[target]->bytes().data() + s * stripe, image_.data() + s * stripe,
-                    stripe);
+        std::memcpy(ckpt_[target]->bytes().data() + r.begin, image_.data() + r.begin,
+                    r.size());
       } else {
-        copy_stripe_to(s, ckpt_[target]->bytes().data());
+        copy_combined(app_, user_, r, ckpt_[target]->bytes().data());
       }
-      flushed += stripe;
+      flushed += r.size();
     }
   }
   stats.flush_s = flush_timer.seconds();
@@ -208,7 +187,7 @@ CommitStats DoubleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   stats.encode_s = encode_timer.seconds();
   stats.encode_virtual_s = ctx.group.virtual_seconds() - encode_virtual_before;
   ctx.group.failpoint(async ? "ckpt.async_encode_done" : "ckpt.encode_done");
-  std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
+  pair_dirty_[target].clear();
 
   // Global barrier before publication: no rank may declare the new pair
   // committed until every rank finished writing it.
@@ -226,10 +205,7 @@ CommitStats DoubleCheckpoint::commit_impl(CommCtx ctx, bool async) {
 
   stats.checkpoint_bytes = flushed;
   stats.checksum_bytes = check_[target]->size();
-  stats.dirty_bytes = dirty_stripes * stripe;
-  stats.dirty_fraction = dirty.empty() ? 0.0
-                                       : static_cast<double>(dirty_stripes) /
-                                             static_cast<double>(dirty.size());
+  tracker_.account(dirty, stats);
   if (!async) ctx.group.record_time("checkpoint", stats.total_s());
   return stats;
 }
@@ -291,8 +267,8 @@ RestoreStats DoubleCheckpoint::restore(CommCtx ctx) {
   if (!image_.empty()) {
     std::memcpy(image_.data(), ckpt_[pair]->bytes().data(), image_.size());
   }
-  std::fill(pair_dirty_[pair].begin(), pair_dirty_[pair].end(), std::uint8_t{0});
-  std::fill(pair_dirty_[1 - pair].begin(), pair_dirty_[1 - pair].end(), std::uint8_t{1});
+  pair_dirty_[pair].clear();
+  pair_dirty_[1 - pair].add_all();
   tracker_.clear();
 
   // Re-sync the header. A rebuilt member only holds the restored pair; its
@@ -322,8 +298,7 @@ RestoreStats DoubleCheckpoint::restore(CommCtx ctx) {
 std::size_t DoubleCheckpoint::memory_bytes() const {
   if (!ckpt_[0]) return 0;
   return app_.size() + user_.size() + image_.size() + ckpt_[0]->size() + ckpt_[1]->size() +
-         check_[0]->size() + check_[1]->size() + sizeof(Header) + pair_dirty_[0].size() +
-         pair_dirty_[1].size() + tracker_.stripe_count();
+         check_[0]->size() + check_[1]->size() + sizeof(Header);
 }
 
 std::uint64_t DoubleCheckpoint::committed_epoch() const {

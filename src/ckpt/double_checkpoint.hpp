@@ -4,17 +4,17 @@
 // so one complete pair always exists; the price is a second full copy,
 // leaving less than 1/3 of memory for the application (Eq. 3).
 //
-// Dirty-stripe commits: because epoch e overwrites pair e % 2, the target
+// Dirty-block commits: because epoch e overwrites pair e % 2, the target
 // pair's content is two commits old, so each pair carries its own
-// accumulated dirty set (`pair_dirty_`): every snapshot's dirty flags fold
+// accumulated dirty set (`pair_dirty_`): every snapshot's dirty runs fold
 // into BOTH pairs, and a pair's set is cleared only when that pair
-// commits. A clean stripe of the target pair therefore already equals the
-// content to commit, so the flush copies only dirty stripes and the
-// encode goes through GroupCodec::encode_delta — the old content of the
-// dirty stripes (the delta base) is saved into a transient scratch just
-// before the flush overwrites them. With async staging, the padded
-// aligned `image_` mirror (the old full-copy stage buffer) is refreshed
-// dirty-stripes-only by stage() and serves as the commit source.
+// commits. A clean block of the target pair therefore already equals the
+// content to commit, so the flush copies only dirty runs and the encode
+// goes through ErasureCoder::encode_delta — the old content of the dirty
+// runs (the delta base) is saved into a transient scratch just before the
+// flush overwrites them. With async staging, the padded aligned `image_`
+// mirror is refreshed dirty-runs-only by stage() and serves as the commit
+// source.
 #pragma once
 
 #include <memory>
@@ -68,12 +68,9 @@ class DoubleCheckpoint final : public CheckpointProtocol {
   [[nodiscard]] std::string key(const char* part, int pair) const;
   [[nodiscard]] std::string key(const char* part) const;
   void require_open() const;
-  /// Fold the tracker's effective dirty set (tail included) into both
-  /// pairs' accumulated sets, clear the tracker, and return the set.
-  std::vector<std::uint8_t> fold_dirty();
-  /// Copy stripe `s` of the split [app_ | user_] view into `dst` (a padded
-  /// combined-layout buffer); a stripe may straddle the boundary.
-  void copy_stripe_to(std::size_t s, std::byte* dst) const;
+  /// Fold the tracker's runs (tail included) into both pairs' accumulated
+  /// sets, clear the tracker, and return the runs.
+  std::vector<enc::BlockRun> fold_dirty();
   CommitStats commit_impl(CommCtx ctx, bool async);
 
   Params params_;
@@ -84,13 +81,13 @@ class DoubleCheckpoint final : public CheckpointProtocol {
   std::vector<std::byte> user_;
   /// Padded [A|A2] snapshot mirror — the staged commit source, allocated
   /// only with async_staging. Outside a commit it equals the content of
-  /// the last stage(), so stage() refreshes dirty stripes only.
+  /// the last stage(), so stage() refreshes dirty runs only.
   util::AlignedBytes image_;
-  /// Stripes dirtied since the last snapshot (stage() or sync commit).
+  /// Blocks dirtied since the last snapshot (stage() or sync commit).
   DirtyTracker tracker_;
-  /// Per pair: stripes where image_ may differ from that pair's committed
+  /// Per pair: runs where image_ may differ from that pair's committed
   /// content. Cleared only when the pair commits.
-  std::vector<std::uint8_t> pair_dirty_[2];
+  enc::RunSet pair_dirty_[2];
 
   int world_rank_ = -1;
   bool survivor_ = false;

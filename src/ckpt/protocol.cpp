@@ -1,5 +1,8 @@
 #include "ckpt/protocol.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -37,6 +40,18 @@ void record_restore_telemetry(const RestoreStats& stats) {
   restores.increment();
   if (stats.rebuilt_member) rebuilds.increment();
   h_rebuild.record(stats.rebuild_s);
+}
+
+void copy_combined(std::span<const std::byte> data, std::span<const std::byte> user,
+                   enc::ByteRange r, std::byte* dst) {
+  const std::size_t end = std::min(r.end, data.size() + user.size());
+  std::size_t pos = r.begin;
+  if (pos < std::min(end, data.size())) {
+    const std::size_t len = std::min(end, data.size()) - pos;
+    std::memcpy(dst + pos, data.data() + pos, len);
+    pos += len;
+  }
+  if (pos < end) std::memcpy(dst + pos, user.data() + (pos - data.size()), end - pos);
 }
 
 }  // namespace skt::ckpt

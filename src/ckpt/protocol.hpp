@@ -75,10 +75,12 @@ struct CommitStats {
   /// Payload bytes the encode collective put on the (simulated) wire,
   /// job-wide; 0 for strategies that encode nothing.
   std::uint64_t encode_wire_bytes = 0;
-  /// Dirty payload this commit actually had to move (stripe-granular).
-  /// Equals the full image for un-annotated applications.
+  /// Bytes of the dirty runs this commit had to move, block-exact (see
+  /// DirtyTracker::account). Equals the full image for un-annotated
+  /// applications.
   std::size_t dirty_bytes = 0;
-  /// dirty_bytes over the tracked image size; 1.0 when untracked.
+  /// Share of the tracked image's stripes that hold a dirty block; 1.0
+  /// for un-annotated applications and strategies without a tracker.
   double dirty_fraction = 1.0;
   [[nodiscard]] double total_s() const {
     return encode_s + encode_virtual_s + flush_s + device_s;
@@ -106,6 +108,13 @@ void record_commit_telemetry(const CommitStats& stats);
 /// counters, and the trace epoch. Same contract: called by the Session
 /// layer, or by embedders driving the SPI directly.
 void record_restore_telemetry(const RestoreStats& stats);
+
+/// Copy bytes `r` of the combined image [data | user], whose two parts
+/// live in separate buffers, to the same offsets of `dst` (a padded
+/// combined-layout buffer). A range may straddle the boundary; bytes past
+/// the combined image (stripe padding) are left alone.
+void copy_combined(std::span<const std::byte> data, std::span<const std::byte> user,
+                   enc::ByteRange r, std::byte* dst);
 
 /// One sealed buffer a background scrubber may re-verify between commits
 /// (see scrub_view()). `mirror`, when non-empty, is a same-size twin the
@@ -184,7 +193,7 @@ class CheckpointProtocol {
   /// The strategy's dirty tracker, or nullptr when it tracks nothing.
   /// Valid after open(). Applications annotate writes through it (usually
   /// via Session::mark_dirty) so stage()/commit() copy and encode only the
-  /// dirty stripes; an un-annotated tracker degrades to full-cost commits.
+  /// dirty blocks; an un-annotated tracker degrades to full-cost commits.
   [[nodiscard]] virtual DirtyTracker* dirty_tracker() { return nullptr; }
 
   /// Collective over ctx.group: can THIS group's level-1 state be rebuilt

@@ -25,7 +25,7 @@ Scrubber::Scrubber(CheckpointProtocol& protocol) : Scrubber(protocol, Options{})
 
 Scrubber::Scrubber(CheckpointProtocol& protocol, Options options)
     : protocol_(protocol), options_(options) {
-  if (options_.chunk_bytes == 0) options_.chunk_bytes = 4096;
+  if (options_.chunk_bytes == 0) options_.chunk_bytes = enc::kBlockBytes;
 }
 
 Scrubber::~Scrubber() { stop(); }

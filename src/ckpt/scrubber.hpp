@@ -71,8 +71,9 @@ class Scrubber {
     /// exclusion and runs one full pass over every region.
     double interval_s = 0.002;
     /// Verification granularity. Smaller chunks localize repairs; larger
-    /// ones amortize the table-driven CRC better.
-    std::size_t chunk_bytes = 4096;
+    /// ones amortize the table-driven CRC better. Defaults to the dirty
+    /// tracker's block.
+    std::size_t chunk_bytes = enc::kBlockBytes;
   };
 
   /// `protocol` must be open()ed already and outlive the scrubber.

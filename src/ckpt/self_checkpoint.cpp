@@ -56,7 +56,7 @@ bool SelfCheckpoint::open(CommCtx ctx) {
   const std::size_t stripe = coder_->redundancy_bytes();
   tracker_.reset(params_.data_bytes, params_.user_bytes, coder_->stripe_bytes(),
                  coder_->stripe_count());
-  staged_dirty_.assign(coder_->stripe_count(), 1);
+  staged_runs_ = tracker_.runs();  // un-annotated: every stripe whole
   work_ = store.create(key("work"), padded, params_.owner);
   ckpt_b_ = store.create(key("B"), padded, params_.owner);
   check_c_ = store.create(key("C"), stripe, params_.owner);
@@ -99,16 +99,14 @@ double SelfCheckpoint::stage() {
   util::WallTimer timer;
   // Seal [A1|B2|pad] into S; the user-space A2 lands directly in S's B2
   // slot, so the staged domain is self-contained. S equals B (and work as
-  // of the previous stage) on every clean stripe, so an annotated
+  // of the previous stage) on every clean block, so an annotated
   // application pays only its dirty footprint here — the whole critical
   // path of an async commit.
   tracker_.mark_user_tail();
-  staged_dirty_ = tracker_.effective();
-  const std::size_t stripe = tracker_.stripe_bytes();
-  for (std::size_t s = 0; s < staged_dirty_.size(); ++s) {
-    if (!staged_dirty_[s]) continue;
-    std::memcpy(stage_->bytes().data() + s * stripe, work_->bytes().data() + s * stripe,
-                stripe);
+  staged_runs_ = tracker_.runs();
+  for (const enc::BlockRun& run : staged_runs_) {
+    const enc::ByteRange r = enc::run_bytes(run, tracker_.stripe_bytes());
+    std::memcpy(stage_->bytes().data() + r.begin, work_->bytes().data() + r.begin, r.size());
   }
   std::memcpy(stage_->bytes().data() + params_.data_bytes, user_.data(), params_.user_bytes);
   tracker_.clear();
@@ -160,31 +158,27 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
     ctx.group.failpoint("ckpt.copy_a2");
   }
 
-  // The stripes the source side differs from the committed B on: the
-  // staged set captured by stage(), or the live tracker. Un-annotated
+  // The runs the source side differs from the committed B on: the staged
+  // set captured by stage(), or the live tracker. Un-annotated
   // applications resolve to all-dirty (full encode + flush).
-  const std::vector<std::uint8_t> dirty =
-      params_.async_staging ? staged_dirty_ : tracker_.effective();
-  std::size_t dirty_stripes = 0;
-  for (std::uint8_t d : dirty) dirty_stripes += d;
+  const std::vector<enc::BlockRun> dirty =
+      params_.async_staging ? staged_runs_ : tracker_.runs();
 
   // Step 3: encode the source side's checksum D. The delta form reuses the
-  // sealed B as the base and folds the dirty stripes' diffs into D in
-  // place: C == D between commits (every flush and restore leaves them
-  // equal), so D already holds the old checksum, and C stays intact for a
-  // CASE-1 rollback if the encode is interrupted. Mostly-dirty commits take
-  // the full ring encode instead.
+  // sealed B as the base and folds the dirty runs' diffs into D in place:
+  // C == D between commits (every flush and restore leaves them equal), so
+  // D already holds the old checksum, and C stays intact for a CASE-1
+  // rollback if the encode is interrupted. Mostly-dirty commits take the
+  // full ring encode instead.
   CommitStats stats;
   stats.epoch = next;
-  stats.dirty_bytes = dirty_stripes * tracker_.stripe_bytes();
-  stats.dirty_fraction =
-      dirty.empty() ? 1.0 : static_cast<double>(dirty_stripes) / static_cast<double>(dirty.size());
+  tracker_.account(dirty, stats);
   telemetry::set_epoch(next);
   ctx.group.failpoint(async ? "ckpt.async_encode_begin" : "ckpt.encode_begin");
   const double encode_virtual_before = ctx.group.virtual_seconds();
   const std::uint64_t wire_before = ctx.group.runtime().wire_bytes();
   util::WallTimer encode_timer;
-  bool checksum_changed = true;
+  std::vector<enc::BlockRun> checksum_changed;
   {
     SKT_SPAN("ckpt.encode");
     checksum_changed = coder_->encode_delta(ctx.group, ckpt_b_->bytes(), source,
@@ -215,19 +209,21 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
   std::size_t flushed = 0;
   {
     SKT_SPAN("ckpt.flush");
-    // B equals the source on every clean stripe (the previous flush made
-    // them identical and clean means untouched since), so only dirty
-    // stripes move.
-    const std::size_t stripe = tracker_.stripe_bytes();
-    for (std::size_t s = 0; s < dirty.size(); ++s) {
-      if (!dirty[s]) continue;
-      std::memcpy(ckpt_b_->bytes().data() + s * stripe, source.data() + s * stripe, stripe);
-      flushed += stripe;
+    // B equals the source on every clean block (the previous flush made
+    // them identical and clean means untouched since), so only dirty runs
+    // move.
+    for (const enc::BlockRun& run : dirty) {
+      const enc::ByteRange r = enc::run_bytes(run, tracker_.stripe_bytes());
+      std::memcpy(ckpt_b_->bytes().data() + r.begin, source.data() + r.begin, r.size());
+      flushed += r.size();
     }
     ctx.group.failpoint(async ? "ckpt.async_mid_flush" : "ckpt.mid_flush");
-    // An untouched D still equals C, so only a changed checksum moves.
-    if (checksum_changed) {
-      std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+    // D still equals C outside the runs the encode changed, so only those
+    // move.
+    for (const enc::BlockRun& run : checksum_changed) {
+      const enc::ByteRange r = enc::run_bytes(run, coder_->stripe_bytes());
+      std::memcpy(check_c_->bytes().data() + r.begin, check_d_->bytes().data() + r.begin,
+                  r.size());
     }
   }
   stats.flush_s = flush_timer.seconds();
@@ -352,7 +348,7 @@ RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
   survivor_ = true;
   // work == B (== S) everywhere now, so nothing is dirty.
   tracker_.clear();
-  std::fill(staged_dirty_.begin(), staged_dirty_.end(), std::uint8_t{0});
+  staged_runs_.clear();
 
   stats.rebuild_s = timer.seconds();
   stats.rebuilt_member =

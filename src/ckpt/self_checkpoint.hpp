@@ -86,11 +86,11 @@ class SelfCheckpoint final : public CheckpointProtocol {
   std::size_t combined_bytes_ = 0;  // A1 + B2 payload
   std::unique_ptr<enc::ErasureCoder> coder_;
   std::vector<std::byte> user_;  // A2, ordinary (non-SHM) memory
-  /// Stripes dirtied since the last commit (sync) / last stage() (async).
+  /// Blocks dirtied since the last commit (sync) / last stage() (async).
   DirtyTracker tracker_;
-  /// Stripes the staged copy S differs from B on — the encode/flush set of
+  /// Runs the staged copy S differs from B on — the encode/flush set of
   /// the in-flight staged commit. Populated by stage(). Async only.
-  std::vector<std::uint8_t> staged_dirty_;
+  std::vector<enc::BlockRun> staged_runs_;
 
   int world_rank_ = -1;
   bool survivor_ = false;  // header existed at open()

@@ -1,6 +1,5 @@
 #include "ckpt/single_checkpoint.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -29,12 +28,13 @@ void SingleCheckpoint::require_open() const {
 bool SingleCheckpoint::open(CommCtx ctx) {
   world_rank_ = ctx.group.world_rank();
   codec_.emplace(params_.codec, combined_bytes_, ctx.group.size());
-  const std::size_t stripes = codec_->padded_bytes() / codec_->layout().stripe_bytes();
-  tracker_.reset(params_.data_bytes, params_.user_bytes, codec_->layout().stripe_bytes(),
-                 stripes);
+  const std::size_t stripe = codec_->layout().stripe_bytes();
+  const std::size_t stripes = codec_->padded_bytes() / stripe;
+  tracker_.reset(params_.data_bytes, params_.user_bytes, stripe, stripes);
   if (params_.async_staging) {
     image_.assign(codec_->padded_bytes(), std::byte{0});
-    staged_dirty_.assign(stripes, 1);  // image_ != committed B until proven
+    staged_ = enc::RunSet(stripe, stripes);
+    staged_.add_all();  // image_ != committed B until proven
   }
 
   sim::PersistentStore& store = ctx.group.store();
@@ -69,22 +69,6 @@ std::span<std::byte> SingleCheckpoint::data() {
 
 std::span<std::byte> SingleCheckpoint::user_state() { return user_; }
 
-void SingleCheckpoint::copy_stripe_to(std::size_t s, std::byte* dst) const {
-  const std::size_t stripe = tracker_.stripe_bytes();
-  const std::size_t begin = s * stripe;
-  if (begin >= combined_bytes_) return;  // padding-only stripe
-  const std::size_t end = std::min(begin + stripe, combined_bytes_);
-  std::size_t pos = begin;
-  if (pos < params_.data_bytes) {
-    const std::size_t len = std::min(end, params_.data_bytes) - pos;
-    std::memcpy(dst + pos, app_.data() + pos, len);
-    pos += len;
-  }
-  if (pos < end) {
-    std::memcpy(dst + pos, user_.data() + (pos - params_.data_bytes), end - pos);
-  }
-}
-
 double SingleCheckpoint::stage() {
   require_open();
   if (!params_.async_staging) {
@@ -93,14 +77,13 @@ double SingleCheckpoint::stage() {
   SKT_SPAN("ckpt.stage");
   util::WallTimer timer;
   // image_ equals the working content as of the previous stage() on every
-  // clean stripe, so only the stripes dirtied since then need copying.
+  // clean block, so only the runs dirtied since then need copying.
   tracker_.mark_user_tail();
-  const std::vector<std::uint8_t> eff = tracker_.effective();
-  for (std::size_t s = 0; s < eff.size(); ++s) {
-    if (!eff[s]) continue;
-    copy_stripe_to(s, image_.data());
-    staged_dirty_[s] = 1;
+  const std::vector<enc::BlockRun> runs = tracker_.runs();
+  for (const enc::BlockRun& run : runs) {
+    copy_combined(app_, user_, enc::run_bytes(run, tracker_.stripe_bytes()), image_.data());
   }
+  staged_.add(runs);
   tracker_.clear();
   return timer.seconds();
 }
@@ -139,18 +122,11 @@ CommitStats SingleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   ctx.group.failpoint(async ? "ckpt.async_begin" : "ckpt.begin");
   ctx.world.barrier();
 
-  // What goes into B and which stripes differ from it: the staged image
+  // What goes into B and which runs differ from it: the staged image
   // with its accumulated set, or the live [A|A2] with the tracker's.
   const bool staging = params_.async_staging;
-  std::vector<std::uint8_t> dirty;
-  if (staging) {
-    dirty = staged_dirty_;
-  } else {
-    tracker_.mark_user_tail();
-    dirty = tracker_.effective();
-  }
-  std::size_t dirty_stripes = 0;
-  for (std::uint8_t d : dirty) dirty_stripes += d;
+  if (!staging) tracker_.mark_user_tail();
+  const std::vector<enc::BlockRun> dirty = staging ? staged_.runs() : tracker_.runs();
   const std::size_t stripe = tracker_.stripe_bytes();
 
   // Mark the update window: from here until the final header write, (B, C)
@@ -162,24 +138,23 @@ CommitStats SingleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   stats.epoch = next;
   telemetry::set_epoch(next);
 
-  // Save B's old content of the dirty stripes — the delta base the flush
-  // overwrites. Deliberately uninitialized: the codec never reads the base
-  // on clean stripes (its full-encode fallback reads only `next`).
+  // Save B's old content of the dirty runs — the delta base the flush
+  // overwrites. Deliberately uninitialized: the codec reads the base only
+  // inside the runs (its full-encode fallback reads only `next`).
   util::AlignedBuffer base(ckpt_b_->size());
   util::WallTimer flush_timer;
   std::size_t flushed = 0;
   {
     SKT_SPAN("ckpt.flush");
-    for (std::size_t s = 0; s < dirty.size(); ++s) {
-      if (!dirty[s]) continue;
-      std::memcpy(base.data() + s * stripe, ckpt_b_->bytes().data() + s * stripe, stripe);
+    for (const enc::BlockRun& run : dirty) {
+      const enc::ByteRange r = enc::run_bytes(run, stripe);
+      std::memcpy(base.data() + r.begin, ckpt_b_->bytes().data() + r.begin, r.size());
       if (staging) {
-        std::memcpy(ckpt_b_->bytes().data() + s * stripe, image_.data() + s * stripe,
-                    stripe);
+        std::memcpy(ckpt_b_->bytes().data() + r.begin, image_.data() + r.begin, r.size());
       } else {
-        copy_stripe_to(s, ckpt_b_->bytes().data());
+        copy_combined(app_, user_, r, ckpt_b_->bytes().data());
       }
-      flushed += stripe;
+      flushed += r.size();
     }
   }
   stats.flush_s = flush_timer.seconds();
@@ -197,7 +172,7 @@ CommitStats SingleCheckpoint::commit_impl(CommCtx ctx, bool async) {
   stats.encode_virtual_s = ctx.group.virtual_seconds() - encode_virtual_before;
   ctx.group.failpoint(async ? "ckpt.async_encode_done" : "ckpt.encode_done");
   if (staging) {
-    std::fill(staged_dirty_.begin(), staged_dirty_.end(), std::uint8_t{0});
+    staged_.clear();
   } else {
     tracker_.clear();
   }
@@ -212,10 +187,7 @@ CommitStats SingleCheckpoint::commit_impl(CommCtx ctx, bool async) {
 
   stats.checkpoint_bytes = flushed;
   stats.checksum_bytes = check_c_->size();
-  stats.dirty_bytes = dirty_stripes * stripe;
-  stats.dirty_fraction = dirty.empty() ? 0.0
-                                       : static_cast<double>(dirty_stripes) /
-                                             static_cast<double>(dirty.size());
+  tracker_.account(dirty, stats);
   if (!async) ctx.group.record_time("checkpoint", stats.total_s());
   return stats;
 }
@@ -258,7 +230,7 @@ RestoreStats SingleCheckpoint::restore(CommCtx ctx) {
   tracker_.clear();
   if (!image_.empty()) {
     std::memcpy(image_.data(), ckpt_b_->bytes().data(), image_.size());
-    std::fill(staged_dirty_.begin(), staged_dirty_.end(), std::uint8_t{0});
+    staged_.clear();
   }
 
   Header h = load_header(header_);
@@ -282,7 +254,7 @@ RestoreStats SingleCheckpoint::restore(CommCtx ctx) {
 std::size_t SingleCheckpoint::memory_bytes() const {
   if (!ckpt_b_) return 0;
   return app_.size() + user_.size() + image_.size() + ckpt_b_->size() + check_c_->size() +
-         sizeof(Header) + tracker_.stripe_count() + staged_dirty_.size();
+         sizeof(Header);
 }
 
 std::uint64_t SingleCheckpoint::committed_epoch() const {

@@ -51,9 +51,6 @@ class SingleCheckpoint final : public CheckpointProtocol {
  private:
   [[nodiscard]] std::string key(const char* part) const;
   void require_open() const;
-  /// Copy stripe `s` of the split [app_ | user_] view into `dst` (a padded
-  /// combined-layout buffer); a stripe may straddle the boundary.
-  void copy_stripe_to(std::size_t s, std::byte* dst) const;
   CommitStats commit_impl(CommCtx ctx, bool async);
 
   Params params_;
@@ -63,13 +60,13 @@ class SingleCheckpoint final : public CheckpointProtocol {
   std::vector<std::byte> app_;   // A — ordinary memory
   std::vector<std::byte> user_;  // A2
   /// Padded [A|A2] snapshot mirror — the staged commit source, allocated
-  /// only with async_staging; stage() refreshes dirty stripes only.
+  /// only with async_staging; stage() refreshes dirty runs only.
   util::AlignedBytes image_;
-  /// Stripes dirtied since the last snapshot (stage() or sync commit).
+  /// Blocks dirtied since the last snapshot (stage() or sync commit).
   DirtyTracker tracker_;
-  /// Stripes where image_ may differ from the committed B (accumulates
+  /// Runs where image_ may differ from the committed B (accumulates
   /// across stage() calls, cleared by the staged commit's flush).
-  std::vector<std::uint8_t> staged_dirty_;
+  enc::RunSet staged_;
 
   int world_rank_ = -1;
   bool survivor_ = false;

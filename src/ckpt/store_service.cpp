@@ -312,10 +312,15 @@ void StoreService::schedule_locked() {
     if (it == tenants_.end()) continue;
     Tenant& t = it->second;
     t.queued = false;
+    t.max_bypass = std::max(t.max_bypass, t.bypass);
+    t.bypass = 0;
     if (t.active) continue;
     t.active = true;
     t.entered = 0;
     ++active_windows_;
+    for (auto& [other_name, other] : tenants_) {
+      if (other.queued) ++other.bypass;
+    }
   }
   dispatch_cv_.notify_all();
 }
@@ -365,6 +370,7 @@ TenantStats StoreService::tenant_stats(const std::string& name) const {
   stats.windows = t->windows;
   stats.gate_wait_s = t->gate_wait_s;
   stats.busy_s = t->busy_s;
+  stats.max_bypass = std::max(t->max_bypass, t->bypass);
   stats.throughput_Bps =
       tenant_throughput(t->commits, t->committed_bytes, t->busy_s, t->gate_wait_s);
   return stats;

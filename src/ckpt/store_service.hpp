@@ -29,7 +29,9 @@
 //     re-queues behind the others — round-robin over epochs. Entry for a
 //     rank of an ACTIVE tenant never blocks, so a collective commit can
 //     always complete once its tenant holds the window (no cross-tenant
-//     deadlock by construction).
+//     deadlock by construction). The queue is FIFO, so a waiting tenant
+//     sees at most (tenants - 1) * max_concurrent_commits windows go to
+//     others before its own (TenantStats::max_bypass).
 //
 // Telemetry: the service publishes store.* metrics (per-tenant reserved
 // bytes, quotas, commit counts/bytes/throughput, admission waits, and a
@@ -88,6 +90,11 @@ struct TenantStats {
   std::uint64_t windows = 0;       ///< commit windows completed (epochs dispatched)
   double gate_wait_s = 0.0;        ///< total seconds spent blocked at the turnstile
   double busy_s = 0.0;             ///< total accounted commit seconds
+  /// Most windows dispatched to other tenants during one wait of this
+  /// tenant in the dispatch queue. FIFO dispatch bounds it by
+  /// (tenants - 1) * max_concurrent_commits, whatever the OS scheduler
+  /// does; a starved tenant's grows with the others' commits.
+  std::uint64_t max_bypass = 0;
   /// Attained commit bandwidth: committed_bytes over the tenant's demand
   /// time (gate_wait_s + commit busy seconds). Idle/compute/restart gaps
   /// don't count, so the figure is comparable across tenants with
@@ -162,7 +169,10 @@ class StoreService {
   /// service time, so slow and fast commit paths compare on equal
   /// footing. 1.0 with fewer than two such tenants; fair dispatch keeps
   /// the ratio well above 0.5, while a starved tenant's gate-wait
-  /// balloons its slowdown and drags the ratio toward 0.
+  /// balloons its slowdown and drags the ratio toward 0. A wall-clock
+  /// gauge: with tiny commits both terms are thread wake-ups, so it
+  /// measures the OS scheduler as much as the turnstile. The exact
+  /// property the turnstile guarantees is TenantStats::max_bypass.
   [[nodiscard]] double fairness_ratio() const;
 
   /// Re-publish every store.* gauge into telemetry::metrics() (also done
@@ -182,6 +192,8 @@ class StoreService {
     // Dispatch turnstile state.
     bool active = false;   ///< holds a commit window
     bool queued = false;   ///< waiting in dispatch_queue_
+    std::uint64_t bypass = 0;      ///< windows dispatched to others in this wait
+    std::uint64_t max_bypass = 0;  ///< largest `bypass` of any wait
     int entered = 0;       ///< entries taken in this activation
     int in_flight = 0;     ///< entries not yet ended
   };

@@ -26,7 +26,8 @@ class ErasureCoder {
   [[nodiscard]] virtual int max_failures() const = 0;
 
   /// Stripe geometry: the padded buffer is stripe_count() stripes of
-  /// stripe_bytes() each. Dirty tracking is done at this granularity.
+  /// stripe_bytes() each, and each stripe is split into kBlockBytes blocks
+  /// (block_runs.hpp), the unit of dirty tracking and the delta encode.
   [[nodiscard]] virtual std::size_t stripe_bytes() const = 0;
   [[nodiscard]] std::size_t stripe_count() const { return padded_bytes() / stripe_bytes(); }
 
@@ -35,18 +36,19 @@ class ErasureCoder {
                       std::span<std::byte> redundancy) const = 0;
 
   /// Collective delta re-encode: update `redundancy` from `old_redundancy`
-  /// (which it may alias) given that only the stripes flagged in `dirty`
-  /// (stripe_count() entries) differ between `base` and `next`.
-  /// Equivalent to encode(next). Below half-dirty, only the dirty
-  /// (member, stripe) pairs move bytes, each crossing the wire once on a
-  /// tree toward its parity owners; at or above it, the full ring encode
-  /// runs. Returns false only when this member's redundancy provably
-  /// equals `old_redundancy`.
-  virtual bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                            std::span<const std::byte> next,
-                            std::span<const std::byte> old_redundancy,
-                            std::span<std::byte> redundancy,
-                            std::span<const std::uint8_t> dirty) const = 0;
+  /// (which it may alias) given that only the runs in `dirty` differ
+  /// between `base` and `next`, which are read only inside those runs as
+  /// the exchange packs them (GroupCodec::encode_delta).
+  /// Equivalent to encode(next). Below half of the group's bytes dirty,
+  /// only the dirty runs move bytes, each crossing the wire once per
+  /// parity row on a tree toward its parity owner; at or above it, the
+  /// full ring encode runs. Returns the runs of `redundancy` that may
+  /// differ from `old_redundancy` (stripe j = its j-th stripe).
+  virtual std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                             std::span<const std::byte> next,
+                                             std::span<const std::byte> old_redundancy,
+                                             std::span<std::byte> redundancy,
+                                             std::span<const BlockRun> dirty) const = 0;
   /// Collective: reconstruct the listed members (size <= max_failures()).
   virtual void rebuild(mpi::Comm& group, std::span<const int> missing,
                        std::span<std::byte> data, std::span<std::byte> redundancy) const = 0;
@@ -74,10 +76,11 @@ class SingleParityCoder final : public ErasureCoder {
               std::span<std::byte> redundancy) const override {
     codec_.encode(group, data, redundancy);
   }
-  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
-                    std::span<std::byte> redundancy,
-                    std::span<const std::uint8_t> dirty) const override {
+  std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                     std::span<const std::byte> next,
+                                     std::span<const std::byte> old_redundancy,
+                                     std::span<std::byte> redundancy,
+                                     std::span<const BlockRun> dirty) const override {
     return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
@@ -121,10 +124,11 @@ class RSCoder final : public ErasureCoder {
               std::span<std::byte> redundancy) const override {
     codec_.encode(group, data, redundancy);
   }
-  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next, std::span<const std::byte> old_redundancy,
-                    std::span<std::byte> redundancy,
-                    std::span<const std::uint8_t> dirty) const override {
+  std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                     std::span<const std::byte> next,
+                                     std::span<const std::byte> old_redundancy,
+                                     std::span<std::byte> redundancy,
+                                     std::span<const BlockRun> dirty) const override {
     return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
   }
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,

@@ -1,6 +1,5 @@
 #include "encoding/group_codec.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -86,56 +85,64 @@ void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   }
 }
 
-bool GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                              std::span<const std::byte> next,
-                              std::span<const std::byte> old_checksum,
-                              std::span<std::byte> checksum,
-                              std::span<const std::uint8_t> dirty) const {
+std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
+                                               std::span<const std::byte> base,
+                                               std::span<const std::byte> next,
+                                               std::span<const std::byte> old_checksum,
+                                               std::span<std::byte> checksum,
+                                               std::span<const BlockRun> dirty) const {
   check_args(group, next.size(), checksum.size());
   if (base.size() != next.size() || old_checksum.size() != checksum.size()) {
     throw std::invalid_argument("GroupCodec::encode_delta: base/old buffer size mismatch");
   }
   const int n = layout_.group_size();
   const auto stripes = static_cast<std::size_t>(n - 1);
-  if (dirty.size() != stripes) {
-    throw std::invalid_argument("GroupCodec::encode_delta: dirty flags must cover all stripes");
+  const std::size_t stripe = layout_.stripe_bytes();
+
+  // Every member sees every member's runs, so all of them derive the same
+  // path and the same reductions: one per piece of each dirty family's
+  // union, rooted at its checksum owner, over the contributors dirty on
+  // that piece. Sources are listed from the owner onward (relative rank
+  // order), so the interior nodes of different families' trees fall on
+  // different members.
+  const std::vector<StripeRuns> exchanged = exchange_runs(group, dirty, stripe, stripes);
+
+  // At least half of the group's bytes dirty: the ring spreads the same
+  // bytes evenly over all links and combines in one pass.
+  if (2 * dirty_bytes(exchanged, stripe) >= static_cast<std::size_t>(n) * stripes * stripe) {
+    encode(group, next, checksum);
+    return {{0, 0, stripe_blocks(stripe)}};
   }
 
-  // Every member sees every (member, stripe) flag, so all of them derive
-  // the same path and the same reductions: one per dirty family, rooted at
-  // its checksum owner, over the members whose stripe for it is dirty.
-  // Sources are listed from the owner onward (relative rank order), so the
-  // interior nodes of different families' trees fall on different members.
-  const std::vector<std::uint8_t> flags = group.allgather<std::uint8_t>(dirty);
-  std::vector<mpi::Comm::SparseReduction> families;
-  std::size_t dirty_pairs = 0;
+  struct Piece {
+    int family;
+    ByteRange range;  ///< within the family's stripes
+  };
+  std::vector<mpi::Comm::SparseReduction> reductions;
+  std::vector<Piece> pieces;
+  std::vector<BlockRun> changed;
+  const int me = group.rank();
   for (int f = 0; f < n; ++f) {
-    mpi::Comm::SparseReduction family{.root = f, .sources = {}};
+    std::vector<std::pair<int, std::size_t>> contributors;
     for (int step = 1; step < n; ++step) {
       const int p = (f + step) % n;
-      if (flags[static_cast<std::size_t>(p) * stripes + layout_.stripe_index(p, f)]) {
-        family.sources.push_back(p);
-      }
+      contributors.emplace_back(p, layout_.stripe_index(p, f));
     }
-    if (family.sources.empty()) continue;
-    dirty_pairs += family.sources.size();
-    families.push_back(std::move(family));
-  }
-
-  // Mostly-dirty commits: the ring spreads the same bytes evenly over all
-  // links and combines in one pass.
-  if (2 * dirty_pairs >= static_cast<std::size_t>(n) * stripes) {
-    encode(group, next, checksum);
-    return true;
+    const std::vector<FamilyPiece> family = family_pieces(exchanged, stripes, contributors);
+    for (const FamilyPiece& piece : family) {
+      const ByteRange range = block_bytes(piece.first, piece.end, stripe);
+      reductions.push_back({.root = f, .sources = piece.sources, .bytes = range.size()});
+      pieces.push_back({f, range});
+    }
+    if (f == me) append_changed(changed, 0, family);
   }
 
   if (checksum.data() != old_checksum.data()) {
     std::memcpy(checksum.data(), old_checksum.data(), checksum.size());
   }
-  const int me = group.rank();
-  const std::size_t stripe = layout_.stripe_bytes();
   const auto fill = [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
-    const std::size_t at = layout_.stripe_index(me, families[i].root) * stripe + off;
+    const std::size_t at =
+        layout_.stripe_index(me, pieces[i].family) * stripe + pieces[i].range.begin + off;
     const std::span<const std::byte> b = base.subspan(at, out.size());
     const std::span<const std::byte> x = next.subspan(at, out.size());
     if (kind_ == CodecKind::kXor) {
@@ -145,16 +152,15 @@ bool GroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
       kernels::sum_sub(as_lanes<double>(out), as_lanes<double>(b));
     }
   };
-  const auto fold = [&](std::size_t, std::size_t off, std::span<const std::byte> in) {
-    accumulate(kind_, checksum.subspan(off, in.size()), in);
+  const auto fold = [&](std::size_t i, std::size_t off, std::span<const std::byte> in) {
+    accumulate(kind_, checksum.subspan(pieces[i].range.begin + off, in.size()), in);
   };
   if (kind_ == CodecKind::kXor) {
-    group.reduce_sparse<std::uint64_t>(families, stripe, mpi::BXor{}, fill, fold);
+    group.reduce_sparse<std::uint64_t>(reductions, mpi::BXor{}, fill, fold);
   } else {
-    group.reduce_sparse<double>(families, stripe, mpi::Sum{}, fill, fold);
+    group.reduce_sparse<double>(reductions, mpi::Sum{}, fill, fold);
   }
-  return std::any_of(families.begin(), families.end(),
-                     [me](const auto& family) { return family.root == me; });
+  return changed;
 }
 
 void GroupCodec::encode_reference(mpi::Comm& group, std::span<const std::byte> data,

@@ -17,7 +17,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
+#include "encoding/block_runs.hpp"
 #include "encoding/codec.hpp"
 #include "encoding/stripes.hpp"
 #include "mpi/comm.hpp"
@@ -42,32 +44,38 @@ class GroupCodec {
   void encode(mpi::Comm& group, std::span<const std::byte> data,
               std::span<std::byte> checksum) const;
 
-  /// Collective delta re-encode (dirty-stripe commits). `base` is the
+  /// Collective delta re-encode (dirty-block commits). `base` is the
   /// buffer `old_checksum` was encoded from, `next` the current buffer,
-  /// and `dirty` a per-stripe flag vector (group_size-1 entries, indexed
-  /// by stripe_index) marking which of THIS member's stripes may differ
-  /// between the two. Produces the same `checksum` as encode(next) —
-  /// bit-identical for XOR, tolerance-equal for SUM.
+  /// and `dirty` the runs of THIS member's padded buffer (block_runs.hpp)
+  /// that may differ between the two. `base` and `next` are read only
+  /// inside the runs as the exchange packs them: a RunSet's runs are read
+  /// as given, while a stripe with more than kRunsPerStripe runs is also
+  /// read across the gap the packing merges. Produces the same `checksum`
+  /// as encode(next) — bit-identical for XOR, tolerance-equal for SUM.
   ///
-  /// The members allgather their flags, so every member sees every
-  /// (member, stripe) pair. When fewer than half of the pairs are dirty,
-  /// each dirty family reduces its contributors' stripe diffs (new ^ old,
-  /// or new - old) onto its checksum owner along a binomial tree of those
+  /// The members exchange their runs in a fixed 8-byte record per stripe
+  /// (exchange_runs), so every member sees every member's runs. Each
+  /// dirty family's union of runs is cut into pieces at its contributors'
+  /// run endpoints. When less than half of the group's bytes are dirty,
+  /// each piece reduces its contributors' diffs (new ^ old, or new - old)
+  /// onto the family's checksum owner along a binomial tree of those
   /// contributors (Comm::reduce_sparse), and the owner folds the result
-  /// into the old checksum: each dirty pair's stripe crosses the wire
-  /// once, clean pairs send nothing, and no member receives more than
-  /// log2(contributors + 1) stripes per family. Otherwise the full ring
-  /// reduce-scatter encode runs. `old_checksum` may alias `checksum`
+  /// into the old checksum at the piece's offset: each dirty byte crosses
+  /// the wire once, clean bytes send nothing, and no member receives more
+  /// than log2(contributors + 1) copies of a piece. Otherwise the full
+  /// ring reduce-scatter encode runs. `old_checksum` may alias `checksum`
   /// (the fold is then in place).
   ///
-  /// Returns false only when this member's checksum is byte-identical to
-  /// `old_checksum` (no dirty stripe was folded into it), so a protocol
-  /// keeping a twin copy need not refresh it. A full re-encode always
-  /// returns true.
-  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next,
-                    std::span<const std::byte> old_checksum, std::span<std::byte> checksum,
-                    std::span<const std::uint8_t> dirty) const;
+  /// Returns the runs of `checksum` (stripe 0) that may differ from
+  /// `old_checksum`: the union of this member's family, the whole
+  /// checksum after a full re-encode, and nothing when no dirty run was
+  /// folded into it — so a protocol keeping a twin copy refreshes only
+  /// those.
+  std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                     std::span<const std::byte> next,
+                                     std::span<const std::byte> old_checksum,
+                                     std::span<std::byte> checksum,
+                                     std::span<const BlockRun> dirty) const;
 
   /// The pre-reduce-scatter baseline: one binomial reduce per family,
   /// rooted round-robin. Same result as encode() (bit-identical for XOR,

@@ -20,7 +20,7 @@ namespace {
 
 // ------------------------------------------------------- scalar tier ---
 // memcpy-chunked uint64 loops: a single mov per 8 bytes regardless of
-// span alignment, and UBSan-clean on the odd-offset spans the dirty-stripe
+// span alignment, and UBSan-clean on the odd-offset spans the dirty-run
 // paths produce.
 
 void xor_acc_scalar(std::byte* acc, const std::byte* in, std::size_t n) {

@@ -187,76 +187,85 @@ void RSGroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   }
 }
 
-bool RSGroupCodec::encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                                std::span<const std::byte> next,
-                                std::span<const std::byte> old_parity,
-                                std::span<std::byte> parity,
-                                std::span<const std::uint8_t> dirty) const {
+std::vector<BlockRun> RSGroupCodec::encode_delta(mpi::Comm& group,
+                                                 std::span<const std::byte> base,
+                                                 std::span<const std::byte> next,
+                                                 std::span<const std::byte> old_parity,
+                                                 std::span<std::byte> parity,
+                                                 std::span<const BlockRun> dirty) const {
   check_args(group, next.size(), parity.size());
   if (base.size() != next.size() || old_parity.size() != parity.size()) {
     throw std::invalid_argument("RSGroupCodec::encode_delta: buffer size mismatch");
   }
   const int n = group_size_;
   const auto stripes = static_cast<std::size_t>(n - parity_count_);
-  if (dirty.size() != stripes) {
-    throw std::invalid_argument(
-        "RSGroupCodec::encode_delta: dirty flags must cover all stripes");
-  }
 
-  // Same scheme as GroupCodec::encode_delta, with one reduction per dirty
-  // family and parity row, rooted at that row's owner; each source folds
-  // in its GF(2^8)-weighted diff.
-  struct Row {
+  // Same scheme as GroupCodec::encode_delta, with one reduction per piece
+  // of a dirty family and parity row, rooted at that row's owner; each
+  // source folds in its GF(2^8)-weighted diff.
+  struct Piece {
     int family;
     int row;
+    ByteRange range;  ///< within the family's stripes
   };
-  const std::vector<std::uint8_t> flags = group.allgather<std::uint8_t>(dirty);
+  const std::vector<StripeRuns> exchanged = exchange_runs(group, dirty, stripe_bytes_, stripes);
+  if (2 * dirty_bytes(exchanged, stripe_bytes_) >=
+      static_cast<std::size_t>(n) * stripes * stripe_bytes_) {
+    encode(group, next, parity);
+    std::vector<BlockRun> all;
+    for (int row = 0; row < parity_count_; ++row) {
+      all.push_back({static_cast<std::size_t>(row), 0, stripe_blocks(stripe_bytes_)});
+    }
+    return all;
+  }
+
   std::vector<mpi::Comm::SparseReduction> reductions;
-  std::vector<Row> rows;
-  std::size_t dirty_pairs = 0;
+  std::vector<Piece> pieces;
+  std::vector<BlockRun> changed;
+  const int me = group.rank();
   for (int f = 0; f < n; ++f) {
     for (int row = 0; row < parity_count_; ++row) {
       // Sources in relative rank order from the row's owner, as in
       // GroupCodec.
-      mpi::Comm::SparseReduction r{.root = parity_owner(row, f), .sources = {}};
+      const int root = parity_owner(row, f);
+      std::vector<std::pair<int, std::size_t>> contributors;
       for (int step = 1; step < n; ++step) {
-        const int p = (r.root + step) % n;
-        if (contributes(p, f) &&
-            flags[static_cast<std::size_t>(p) * stripes + stripe_index(p, f)]) {
-          r.sources.push_back(p);
-        }
+        const int p = (root + step) % n;
+        if (contributes(p, f)) contributors.emplace_back(p, stripe_index(p, f));
       }
-      if (r.sources.empty()) break;  // a clean family: every row is empty
-      if (row == 0) dirty_pairs += r.sources.size();
-      reductions.push_back(std::move(r));
-      rows.push_back({f, row});
+      const std::vector<FamilyPiece> family = family_pieces(exchanged, stripes, contributors);
+      for (const FamilyPiece& piece : family) {
+        const ByteRange range = block_bytes(piece.first, piece.end, stripe_bytes_);
+        reductions.push_back({.root = root, .sources = piece.sources, .bytes = range.size()});
+        pieces.push_back({f, row, range});
+      }
+      if (root == me) append_changed(changed, static_cast<std::size_t>(row), family);
     }
-  }
-  if (2 * dirty_pairs >= static_cast<std::size_t>(n) * stripes) {
-    encode(group, next, parity);
-    return true;
   }
 
   if (parity.data() != old_parity.data()) {
     std::memcpy(parity.data(), old_parity.data(), parity.size());
   }
-  const int me = group.rank();
-  const bool changed = std::any_of(reductions.begin(), reductions.end(),
-                                   [me](const auto& r) { return r.root == me; });
   group.reduce_sparse<std::uint64_t>(
-      reductions, stripe_bytes_, mpi::BXor{},
+      reductions, mpi::BXor{},
       [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
         // c * (old ^ new) = c * old ^ c * new, accumulated straight into
         // the zeroed outgoing segment.
-        const std::size_t at = stripe_index(me, rows[i].family) * stripe_bytes_ + off;
-        const std::uint8_t c = coefficient(rows[i].row, me, rows[i].family);
+        const Piece& p = pieces[i];
+        const std::size_t at = stripe_index(me, p.family) * stripe_bytes_ + p.range.begin + off;
+        const std::uint8_t c = coefficient(p.row, me, p.family);
         kernels::gf256_mul_acc(as_u8(out), as_u8(base.subspan(at, out.size())), c);
         kernels::gf256_mul_acc(as_u8(out), as_u8(next.subspan(at, out.size())), c);
       },
       [&](std::size_t i, std::size_t off, std::span<const std::byte> in) {
-        const std::size_t at = static_cast<std::size_t>(rows[i].row) * stripe_bytes_ + off;
+        const Piece& p = pieces[i];
+        const std::size_t at =
+            static_cast<std::size_t>(p.row) * stripe_bytes_ + p.range.begin + off;
         kernels::xor_acc(parity.subspan(at, in.size()), in);
       });
+  std::sort(changed.begin(), changed.end(), [](const BlockRun& a, const BlockRun& b) {
+    return a.stripe != b.stripe ? a.stripe < b.stripe : a.first < b.first;
+  });
   return changed;
 }
 

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "encoding/block_runs.hpp"
 #include "encoding/codec.hpp"
 #include "encoding/reed_solomon.hpp"
 #include "mpi/comm.hpp"
@@ -53,21 +54,24 @@ class RSGroupCodec {
   void encode(mpi::Comm& group, std::span<const std::byte> data,
               std::span<std::byte> parity) const;
 
-  /// Collective delta re-encode: `dirty` flags this member's stripes
-  /// (k entries, indexed by stripe_index) that may differ between `base`
-  /// and `next`; the members allgather them. When fewer than half of the
-  /// n*k (member, stripe) pairs are dirty, each parity row j of a dirty
-  /// family reduces its contributors' GF(2^8)-weighted diffs
-  /// c_j * (old ^ new) onto the row's owner along a binomial tree of
-  /// those contributors, and the owner folds the result into `old_parity`
-  /// (P' = P ^ sum c_i * (old_i ^ new_i)); clean pairs send nothing.
+  /// Collective delta re-encode: `dirty` lists the runs of this member's
+  /// padded buffer (k stripes, indexed by stripe_index) that may differ
+  /// between `base` and `next`; the members exchange them as in
+  /// GroupCodec::encode_delta. When less than half of the group's bytes
+  /// are dirty, each parity row j of each piece of a dirty family's union
+  /// reduces its contributors' GF(2^8)-weighted diffs c_j * (old ^ new)
+  /// onto the row's owner along a binomial tree of those contributors, and
+  /// the owner folds the result into `old_parity` at the piece's offset
+  /// (P' = P ^ sum c_i * (old_i ^ new_i)); clean bytes send nothing.
   /// Otherwise the full m-pass reduce-scatter encode runs. Result is
   /// bit-identical to encode(next); `old_parity` may alias `parity`.
-  /// Returns false only when this member's parity provably equals
-  /// `old_parity` (it owns no row of a dirty family).
-  bool encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                    std::span<const std::byte> next, std::span<const std::byte> old_parity,
-                    std::span<std::byte> parity, std::span<const std::uint8_t> dirty) const;
+  /// Returns the runs of `parity` (stripe j = parity slot j) that may
+  /// differ from `old_parity`, in (slot, block) order.
+  std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
+                                     std::span<const std::byte> next,
+                                     std::span<const std::byte> old_parity,
+                                     std::span<std::byte> parity,
+                                     std::span<const BlockRun> dirty) const;
 
   /// Collective: reconstruct up to m failed members' data + parity.
   /// Survivors pass intact buffers; failed members' buffer contents are

@@ -66,7 +66,7 @@ struct SktHplResult {
   /// worker / (stage + worker): fraction of the full commit cost hidden
   /// from the elimination loop (0 in sync runs).
   double overlap_fraction = 0.0;
-  /// Dirty-stripe footprint of the commits in this run (1.0 fraction =
+  /// Dirty-block footprint of the commits in this run (1.0 fraction =
   /// full-footprint epochs; less when the epoch is annotated with
   /// Session::mark_dirty).
   std::size_t dirty_bytes_last = 0;   ///< bytes encoded by the last commit

@@ -108,7 +108,7 @@ LaunchResult JobLauncher::run(int nranks, const std::function<void(Comm&)>& fn) 
       rb.epoch = note.epoch;
       rb.rebuild_s = note.rebuild_s;
       if (const auto geo = recorder.geometry_of(note.rank)) {
-        // Dirty tracking is stripe-granular but rebuild is whole-image: a
+        // Dirty tracking is block-granular but rebuild is whole-image: a
         // lost member re-decodes every stripe from its surviving peers.
         rb.stripe_begin = 0;
         rb.stripe_count = geo->stripe_count;

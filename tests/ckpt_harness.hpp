@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -38,17 +39,21 @@ struct CkptAppConfig {
   /// > 0 wraps the strategy in a multi-level session (level-2 disk flush
   /// every N commits).
   int level2_every = 0;
-  /// > 0: after the initial full fill, every iteration rewrites only the
-  /// last `hot_bytes` of data() and annotates the write through
+  /// > 0: after the initial full fill, every iteration rewrites only a hot
+  /// window of `hot_bytes` of data() and annotates the write through
   /// Session::mark_dirty, so commits run the partially-dirty staging and
-  /// delta-encode paths. A suffix shares the last stripe with the user
+  /// delta-encode paths. The window is the suffix of data() unless
+  /// `hot_begin` places it. A suffix shares the last stripe with the user
   /// state, which every commit rewrites, so a suffix within that stripe
   /// dirties one stripe per member — the sparse reduce, not the ring.
   /// The cold remainder keeps its iteration-0 pattern and is verified
-  /// against it — a protocol that forgets to carry clean stripes (in S, B,
+  /// against it — a protocol that forgets to carry clean blocks (in S, B,
   /// or the parity delta) fails the data check. Every partially-dirty
   /// commit must also put fewer bytes on the wire than a full encode.
   std::size_t hot_bytes = 0;
+  /// Start of the hot window in data(); unset = the suffix. Need not be
+  /// block-aligned.
+  std::optional<std::size_t> hot_begin;
   /// > 0 starts the Session's background scrubber at this cadence.
   double scrub_interval = 0;
   /// Inject a silent bit flip into a sealed, mirror-backed checkpoint
@@ -77,18 +82,20 @@ inline void fill_pattern(std::span<std::byte> data, std::uint64_t seed, int rank
   }
 }
 
-/// Verify data against the harness pattern. `hot_bytes` == 0 (or >= size):
-/// the whole buffer carries `iteration`'s pattern. Otherwise only the hot
-/// suffix does, and the cold remainder must still hold iteration 0's.
+/// Verify data against the harness pattern. `hot_bytes` == 0: the whole
+/// buffer carries `iteration`'s pattern. Otherwise only the hot window
+/// [hot_begin, hot_begin + hot_bytes) does, and the cold remainder must
+/// still hold iteration 0's.
 inline bool matches_pattern(std::span<const std::byte> data, std::uint64_t seed, int rank,
                             std::uint64_t iteration, double tolerance,
-                            std::size_t hot_bytes = 0) {
+                            std::size_t hot_bytes = 0, std::size_t hot_begin = 0) {
   std::span<const double> lanes{reinterpret_cast<const double*>(data.data()),
                                 data.size() / sizeof(double)};
-  const std::size_t cold_lanes =
-      hot_bytes == 0 ? 0 : lanes.size() - std::min(hot_bytes / sizeof(double), lanes.size());
+  const std::size_t hot_first = hot_begin / sizeof(double);
+  const std::size_t hot_end = hot_first + hot_bytes / sizeof(double);
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const std::uint64_t it = iteration == 0 || i >= cold_lanes ? iteration : 0;
+    const bool hot = hot_bytes == 0 || (i >= hot_first && i < hot_end);
+    const std::uint64_t it = iteration == 0 || hot ? iteration : 0;
     const double expect = util::element_value(seed + it, static_cast<std::uint64_t>(rank), i);
     if (std::abs(lanes[i] - expect) > tolerance * (std::abs(expect) + 1.0)) return false;
   }
@@ -115,11 +122,17 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
                               .tenant(config.tenant)
                               .build(world);
 
-  // Partial-write mode: hot suffix rewritten (and annotated) per iteration,
-  // cold remainder written once. Clamped so 0 and "everything" coincide.
+  // Partial-write mode: hot window rewritten (and annotated) per
+  // iteration, cold remainder written once. Clamped so 0 and "everything"
+  // coincide. The window is lane-aligned so the pattern's doubles stay
+  // whole; it need not be block-aligned.
   const std::size_t hot =
       config.hot_bytes == 0 || config.hot_bytes >= config.data_bytes ? 0 : config.hot_bytes;
-  const std::size_t hot_begin = config.data_bytes - hot;
+  const std::size_t hot_begin = config.hot_begin.value_or(config.data_bytes - hot);
+  if (hot != 0 && (hot % sizeof(double) != 0 || hot_begin % sizeof(double) != 0 ||
+                   hot_begin + hot > config.data_bytes)) {
+    throw std::invalid_argument("checkpointed_app: hot window must be whole doubles in data()");
+  }
   // A partially-dirty commit of an encoding strategy must take the sparse
   // delta path: fewer wire bytes than the full ring encode, which moves
   // n(n-1) stripes of the group (checksum_bytes holds one stripe per
@@ -142,7 +155,7 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
     // commit runs once per iteration, so epoch and iteration move together.
     const double tol = config.codec == enc::CodecKind::kXor ? 0.0 : 1e-9;
     if (!matches_pattern(session.data(), config.seed, world.rank(), state->iteration, tol,
-                         hot)) {
+                         hot, hot_begin)) {
       throw std::runtime_error("restored data does not match iteration " +
                                std::to_string(state->iteration));
     }
@@ -167,8 +180,8 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
     world.failpoint("app.work");
     const std::uint64_t next = state->iteration + 1;
     if (hot != 0) {
-      // Rewrite only the hot suffix and declare it — every strategy's
-      // commit then copies/encodes just the covering stripes.
+      // Rewrite only the hot window and declare it — every strategy's
+      // commit then copies/encodes just the covering blocks.
       fill_pattern(session.data().subspan(hot_begin, hot), config.seed, world.rank(), next,
                    hot_begin / sizeof(double));
       session.mark_dirty(hot_begin, hot);
@@ -233,7 +246,7 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
   world.failpoint("app.done");
   const double tol = config.codec == enc::CodecKind::kXor ? 0.0 : 1e-9;
   if (!matches_pattern(session.data(), config.seed, world.rank(),
-                       static_cast<std::uint64_t>(config.iterations), tol, hot)) {
+                       static_cast<std::uint64_t>(config.iterations), tol, hot, hot_begin)) {
     throw std::runtime_error("final data mismatch");
   }
 }

@@ -488,14 +488,14 @@ TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
     codec.encode(world, base, old_parity);
 
     std::vector<std::byte> next = base;
-    std::vector<std::uint8_t> dirty(stripes, 0);
+    std::vector<BlockRun> dirty;
     const std::size_t victim = static_cast<std::size_t>(world.rank()) % stripes;
     if (world.rank() % 2 == 0) {
       next[victim * codec.stripe_bytes() + 1] ^= std::byte{0x77};
-      dirty[victim] = 1;
+      dirty.push_back({victim, 0, 1});
     }
     std::vector<std::byte> delta_parity(codec.parity_bytes());
-    codec.encode_delta(world, base, next, old_parity, delta_parity, dirty);
+    (void)codec.encode_delta(world, base, next, old_parity, delta_parity, dirty);
     std::vector<std::byte> full_parity(codec.parity_bytes());
     codec.encode(world, next, full_parity);
     EXPECT_EQ(delta_parity, full_parity);
@@ -505,75 +505,88 @@ TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
 
 /// The sparse delta's shapes for RS(k, m): every dirty pattern on both
 /// sides of the half-dirty switch, aliased and distinct outputs, stripes
-/// spanning several 64 KiB segments with a ragged tail. Each dirty pair's
-/// GF-weighted stripe crosses the wire once per parity row of its family.
+/// spanning several 64 KiB segments with a short last block. Each dirty
+/// run's GF-weighted bytes cross the wire once per parity row of its
+/// family.
 class RSEncodeDeltaSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(RSEncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
   const auto [n, m] = GetParam();
   const auto stripes = static_cast<std::size_t>(n - m);
-  // 2 x 64 KiB + 960: a ragged last segment, still 64-byte aligned.
+  // 2 x 64 KiB + 960: a ragged last segment and a short last block.
   const std::size_t data_bytes = stripes * (2 * mpi::kCollectiveChunkBytes + 960) - 3;
   for (const testing::DirtyPattern pattern : testing::kDirtyPatterns) {
     MiniCluster mc(n, 0);
     const auto result = mc.run(n, [&](mpi::Comm& world) {
       const RSGroupCodec codec(data_bytes, n, m);
-      const testing::DeltaInputs in = testing::make_delta_inputs(
-          pattern, n, world.rank(), codec.stripe_bytes(), stripes);
+      const std::size_t stripe = codec.stripe_bytes();
+      const testing::DeltaInputs in =
+          testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
       std::vector<std::byte> old_parity(codec.parity_bytes());
       codec.encode(world, in.base, old_parity);
       std::vector<std::byte> reference(codec.parity_bytes());
       codec.encode(world, in.next, reference);
 
       std::vector<std::byte> in_place = old_parity;
-      const bool aliased =
-          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.flags);
+      const std::vector<BlockRun> aliased =
+          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
       std::vector<std::byte> out(codec.parity_bytes());
-      const bool distinct = codec.encode_delta(world, in.base, in.next, old_parity, out, in.flags);
+      const std::vector<BlockRun> distinct =
+          codec.encode_delta(world, in.base, in.next, old_parity, out, in.runs);
       EXPECT_EQ(in_place, reference) << testing::to_string(pattern);
       EXPECT_EQ(out, reference) << testing::to_string(pattern);
 
-      bool mine_dirty = false;  // a family whose parity row this member owns
-      for (int f = 0; f < n; ++f) {
-        bool dirty = false;
-        for (int p = 0; p < n; ++p) {
-          dirty |= codec.contributes(p, f) &&
-                   testing::pair_dirty(pattern, n, stripes, p, codec.stripe_index(p, f));
+      // Parity slot j holds row j of family (rank - j) mod n, so it moves
+      // over that family's union on the sparse path, whole after the ring.
+      std::vector<BlockRun> expect;
+      const bool sparse = testing::takes_sparse_path(pattern, n, stripe, stripes);
+      for (int row = 0; row < m; ++row) {
+        const auto slot = static_cast<std::size_t>(row);
+        if (!sparse) {
+          expect.push_back({slot, 0, stripe_blocks(stripe)});
+          continue;
         }
-        for (int row = 0; row < m; ++row) {
-          mine_dirty |= dirty && codec.parity_owner(row, f) == world.rank();
+        const int f = (world.rank() - row + n) % n;
+        std::vector<std::pair<int, std::size_t>> family;
+        for (int p = 0; p < n; ++p) {
+          if (codec.contributes(p, f)) family.emplace_back(p, codec.stripe_index(p, f));
+        }
+        for (const BlockRun& run :
+             testing::family_union(pattern, n, stripe, stripes, family, slot)) {
+          expect.push_back(run);
         }
       }
-      const bool sparse = testing::takes_sparse_path(pattern, n, stripes);
-      EXPECT_EQ(aliased, !sparse || mine_dirty) << testing::to_string(pattern);
-      EXPECT_EQ(distinct, aliased);
+      EXPECT_EQ(aliased, expect) << testing::to_string(pattern);
+      EXPECT_EQ(distinct, aliased) << testing::to_string(pattern);
     });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
+    ASSERT_TRUE(result.completed) << testing::to_string(pattern) << ": "
+                                  << result.abort_reason;
 
-    if (!testing::takes_sparse_path(pattern, n, stripes)) continue;
-    // Wire bytes of the sparse reduce alone: the same job with an
-    // allgather of the flags in place of the delta encode is the baseline.
+    const RSGroupCodec probe(data_bytes, n, m);
+    const std::size_t stripe = probe.stripe_bytes();
+    if (!testing::takes_sparse_path(pattern, n, stripe, stripes)) continue;
+    // Wire bytes of the sparse reduce alone: the same job with the
+    // exchange of the runs in place of the delta encode is the baseline.
     const auto job_wire_bytes = [&](bool delta) {
       MiniCluster job(n, 0);
       const auto r = job.run(n, [&](mpi::Comm& world) {
         const RSGroupCodec codec(data_bytes, n, m);
-        const testing::DeltaInputs in = testing::make_delta_inputs(
-            pattern, n, world.rank(), codec.stripe_bytes(), stripes);
+        const testing::DeltaInputs in =
+            testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
         std::vector<std::byte> parity(codec.parity_bytes());
         codec.encode(world, in.base, parity);
         if (delta) {
-          codec.encode_delta(world, in.base, in.next, parity, parity, in.flags);
+          (void)codec.encode_delta(world, in.base, in.next, parity, parity, in.runs);
         } else {
-          (void)world.allgather<std::uint8_t>(in.flags);
+          (void)exchange_runs(world, in.runs, stripe, stripes);
         }
       });
       EXPECT_TRUE(r.completed) << r.abort_reason;
       return r.wire_bytes;
     };
-    const RSGroupCodec probe(data_bytes, n, m);
     EXPECT_EQ(job_wire_bytes(true) - job_wire_bytes(false),
-              testing::dirty_pair_count(pattern, n, stripes) *
-                  static_cast<std::size_t>(m) * probe.stripe_bytes())
+              testing::group_dirty_bytes(pattern, n, stripe, stripes) *
+                  static_cast<std::size_t>(m))
         << testing::to_string(pattern);
   }
 }

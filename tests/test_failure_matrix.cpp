@@ -156,7 +156,9 @@ INSTANTIATE_TEST_SUITE_P(
 // group's 12 (member, stripe) pairs are dirty and the encode is the sparse
 // reduce folded into D in place (the harness fails any such commit that
 // moves as many wire bytes as a full encode). Kills land after that fold,
-// after the seal, and mid-flush — where C is refreshed only if D changed.
+// after the seal, and mid-flush — where C is refreshed only over the runs
+// of D that changed. Each 688-byte stripe here is a single block; the
+// SubStripeMatrix rows below cover runs shorter than a stripe.
 INSTANTIATE_TEST_SUITE_P(
     PartialDirtySync, FailureMatrix,
     ::testing::Combine(
@@ -345,6 +347,77 @@ INSTANTIATE_TEST_SUITE_P(
             AsyncCase{Strategy::kDouble, "ckpt.async_encode_done", true, -1, 0, 512}),
         ::testing::Values(4)),
     async_case_name);
+
+// Sub-stripe dirty runs under failure. The rows above use 2 KiB buffers,
+// where one block covers a whole stripe. Here each stripe is many blocks
+// long (96 KiB of data per member: 8 blocks per XOR stripe, 12 per
+// RS(4, 2) stripe) and the app rewrites an unaligned 9000-byte window at
+// byte 5000, so every commit stages, encodes and flushes two runs per
+// member — blocks 1-3 of stripe 0 and the user tail's block — and leaves
+// the rest of each stripe alone. Kills land after the encode folded those
+// runs into D, after the seal, and mid-flush, in both commit modes; the
+// relaunched job must restore the window and the cold blocks around it
+// bit for bit.
+struct SubStripeCase {
+  const char* name;
+  const char* failpoint;
+  CommitMode mode;
+  int parity;
+};
+
+class SubStripeMatrix : public ::testing::TestWithParam<SubStripeCase> {};
+
+TEST_P(SubStripeMatrix, KillDuringSubStripeCommitRestoresBitExact) {
+  const SubStripeCase& c = GetParam();
+  constexpr int kGroup = 4;
+  const int world = 2 * kGroup;
+  skt::testing::MiniCluster mc(world, 2);
+
+  CkptAppConfig config;
+  config.strategy = Strategy::kSelf;
+  config.group_size = kGroup;
+  config.parity_degree = c.parity;
+  config.iterations = 4;
+  config.data_bytes = 96 << 10;
+  config.mode = c.mode;
+  config.hot_bytes = 9000;
+  config.hot_begin = 5000;
+
+  sim::FailureInjector injector;
+  injector.add_rule({.point = c.failpoint,
+                     .world_rank = 1,
+                     .hit = 2,
+                     .repeat = false,
+                     .victim_world_rank = 1});
+
+  mpi::JobLauncher launcher(mc.cluster, &injector,
+                            {.max_restarts = 3, .ranks_per_node = 1});
+  const auto result = launcher.run(world, [&](mpi::Comm& w) { checkpointed_app(w, config); });
+
+  EXPECT_EQ(injector.triggered_count(), 1u) << "failpoint never fired: " << c.failpoint;
+  EXPECT_TRUE(result.success) << result.failure;
+  EXPECT_EQ(result.restarts, 1);
+  EXPECT_GE(result.final_ranklist[1], world);
+  expect_postmortem(result, Strategy::kSelf, kGroup);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Points, SubStripeMatrix,
+    ::testing::Values(
+        SubStripeCase{"xor_encode_done", "ckpt.encode_done", CommitMode::kSync, 1},
+        SubStripeCase{"xor_sealed", "ckpt.sealed", CommitMode::kSync, 1},
+        SubStripeCase{"xor_mid_flush", "ckpt.mid_flush", CommitMode::kSync, 1},
+        SubStripeCase{"xor_async_encode_done", "ckpt.async_encode_done", CommitMode::kAsync, 1},
+        SubStripeCase{"xor_async_sealed", "ckpt.async_sealed", CommitMode::kAsync, 1},
+        SubStripeCase{"xor_async_mid_flush", "ckpt.async_mid_flush", CommitMode::kAsync, 1},
+        SubStripeCase{"rs4p2_encode_done", "ckpt.encode_done", CommitMode::kSync, 2},
+        SubStripeCase{"rs4p2_sealed", "ckpt.sealed", CommitMode::kSync, 2},
+        SubStripeCase{"rs4p2_mid_flush", "ckpt.mid_flush", CommitMode::kSync, 2},
+        SubStripeCase{"rs4p2_async_encode_done", "ckpt.async_encode_done", CommitMode::kAsync,
+                      2},
+        SubStripeCase{"rs4p2_async_sealed", "ckpt.async_sealed", CommitMode::kAsync, 2},
+        SubStripeCase{"rs4p2_async_mid_flush", "ckpt.async_mid_flush", CommitMode::kAsync, 2}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 INSTANTIATE_TEST_SUITE_P(
     MultiLevelAsync, AsyncFailureMatrix,

@@ -2,8 +2,8 @@
 // BIT-IDENTICAL across dispatch tiers (the AVX2 lane is an optimization,
 // never a semantic change), at every size and alignment a codec can throw
 // at it — sub-lane tails, exact lanes, odd offsets into oversized
-// allocations. Plus the DirtyTracker unit contract and the
-// encode_delta == encode equivalence the dirty-stripe commits rely on.
+// allocations. Plus the RunSet and DirtyTracker unit contracts and the
+// encode_delta == encode equivalence the dirty-block commits rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ckpt/dirty_tracker.hpp"
+#include "ckpt/protocol.hpp"
 #include "dirty_patterns.hpp"
 #include "encoding/gf256.hpp"
 #include "encoding/group_codec.hpp"
@@ -215,44 +216,143 @@ TEST(Kernels, ScalarTierAlwaysAvailable) {
 }  // namespace skt::enc
 
 // ----------------------------------------------------------------------
-// DirtyTracker: the shared annotation contract every protocol now builds
-// its staging and delta-encode decisions on.
+// RunSet and DirtyTracker: the block-run contract every protocol builds
+// its staging, flush and delta-encode decisions on.
 namespace skt::ckpt {
 namespace {
 
-TEST(DirtyTracker, UnannotatedReportsAllDirty) {
-  DirtyTracker t;
-  t.reset(/*data=*/1000, /*user=*/64, /*stripe=*/256, /*count=*/5);
-  EXPECT_FALSE(t.annotated());
-  const auto eff = t.effective();
-  EXPECT_EQ(eff.size(), 5u);
-  EXPECT_TRUE(std::all_of(eff.begin(), eff.end(), [](std::uint8_t f) { return f == 1; }));
-  EXPECT_EQ(t.dirty_stripes(), 5u);
-  EXPECT_DOUBLE_EQ(t.dirty_fraction(), 1.0);
+using enc::BlockRun;
+using enc::kBlockBytes;
+
+using Runs = std::vector<BlockRun>;
+
+TEST(RunSet, JoinsTouchingRunsAndMergesTheClosestPairOverCapacity) {
+  // 10 blocks per stripe, 2 stripes.
+  enc::RunSet set(10 * kBlockBytes, 2);
+  set.add({0, 2, 4});
+  set.add({0, 4, 5});  // touches: joins
+  EXPECT_EQ(set.runs(), (Runs{{0, 2, 5}}));
+  set.add({0, 9, 10});
+  set.add({1, 0, 1});
+  EXPECT_EQ(set.runs(), (Runs{{0, 2, 5}, {0, 9, 10}, {1, 0, 1}}));
+  // A third run in stripe 0: [0, 1) sits 1 block before [2, 5), which
+  // sits 4 blocks before [9, 10), so the closest pair merges across its
+  // 1-block gap.
+  set.add({0, 0, 1});
+  EXPECT_EQ(set.runs(), (Runs{{0, 0, 5}, {0, 9, 10}, {1, 0, 1}}));
+  set.add({0, 7, 8});  // gaps 2 and 1: [7, 8) joins [9, 10)
+  EXPECT_EQ(set.runs(), (Runs{{0, 0, 5}, {0, 7, 10}, {1, 0, 1}}));
+  set.add({0, 3, 8});  // overlaps both: one run
+  EXPECT_EQ(set.runs(), (Runs{{0, 0, 10}, {1, 0, 1}}));
+  set.add({1, 1, 1});  // empty: no-op
+  EXPECT_EQ(set.runs().size(), 2u);
+  EXPECT_THROW(set.add({2, 0, 1}), std::out_of_range);
+  EXPECT_THROW(set.add({0, 3, 11}), std::out_of_range);
+  set.clear();
+  EXPECT_TRUE(set.runs().empty());
+  set.add_all();
+  EXPECT_EQ(set.runs(), (Runs{{0, 0, 10}, {1, 0, 10}}));
 }
 
-TEST(DirtyTracker, MarkFlagsExactlyTheCoveredStripes) {
+TEST(RunSet, RejectsStripesBeyondTheExchangeBound) {
+  // The exchange stores block indices as uint16: a longer stripe is an
+  // error when the set is built, never a silent truncation.
+  EXPECT_NO_THROW(enc::RunSet(enc::kMaxStripeBlocks * kBlockBytes, 1));
+  EXPECT_THROW(enc::RunSet((enc::kMaxStripeBlocks + 1) * kBlockBytes, 1), std::length_error);
   DirtyTracker t;
-  t.reset(1000, 64, 256, 5);
-  t.mark(300, 10);  // inside stripe 1
+  EXPECT_THROW(t.reset(1, 1, (enc::kMaxStripeBlocks + 1) * kBlockBytes, 1), std::length_error);
+}
+
+// A 3-stripe image whose stripes are 10000 bytes: blocks 0 and 1 whole,
+// block 2 short (1808 bytes). Data [0, 25000), user tail [25000, 25064)
+// in stripe 2's block 1.
+constexpr std::size_t kStripe = 10000;
+constexpr std::size_t kShort = kStripe - 2 * kBlockBytes;
+
+DirtyTracker three_stripes() {
+  DirtyTracker t;
+  t.reset(/*data=*/25000, /*user=*/64, kStripe, /*count=*/3);
+  return t;
+}
+
+TEST(DirtyTracker, UnannotatedReportsOneWholeRunPerStripe) {
+  DirtyTracker t = three_stripes();
+  EXPECT_FALSE(t.annotated());
+  EXPECT_EQ(t.stripe_count(), 3u);
+  EXPECT_EQ(t.stripe_bytes(), kStripe);
+  const Runs runs = t.runs();
+  EXPECT_EQ(runs, (Runs{{0, 0, 3}, {1, 0, 3}, {2, 0, 3}}));
+  CommitStats stats;
+  t.account(runs, stats);
+  EXPECT_EQ(stats.dirty_bytes, 3 * kStripe);
+  EXPECT_DOUBLE_EQ(stats.dirty_fraction, 1.0);
+}
+
+TEST(DirtyTracker, UserTailOnlyDirtiesItsBlock) {
+  DirtyTracker t = three_stripes();
+  t.mark_user_tail();
+  // Tail marking is a protocol invariant, not an application opt-in: the
+  // tracker stays in all-dirty fallback mode.
+  EXPECT_FALSE(t.annotated());
+  EXPECT_EQ(t.runs().size(), 3u);
+  t.clear();
+  t.mark(0, 1);
+  t.mark_user_tail();
   EXPECT_TRUE(t.annotated());
-  const auto eff = t.effective();
-  EXPECT_EQ(eff, (std::vector<std::uint8_t>{0, 1, 0, 0, 0}));
-  t.mark(255, 2);  // straddles stripes 0 and 1
-  EXPECT_EQ(t.effective(), (std::vector<std::uint8_t>{1, 1, 0, 0, 0}));
-  EXPECT_EQ(t.dirty_stripes(), 2u);
-  EXPECT_EQ(t.dirty_bytes(), 512u);
-  EXPECT_DOUBLE_EQ(t.dirty_fraction(), 2.0 / 5.0);
+  // Tail [25000, 25064) = stripe 2, bytes [5000, 5064): block 1.
+  EXPECT_EQ(t.runs(), (Runs{{0, 0, 1}, {2, 1, 2}}));
+  CommitStats stats;
+  t.account(t.runs(), stats);
+  EXPECT_EQ(stats.dirty_bytes, 2 * kBlockBytes);
+  EXPECT_DOUBLE_EQ(stats.dirty_fraction, 2.0 / 3.0);
+}
+
+TEST(DirtyTracker, MarkStraddlingTwoStripesDirtiesABlockOfEach) {
+  DirtyTracker t = three_stripes();
+  t.mark(kStripe - 10, 20);  // the short block 2 of stripe 0, block 0 of stripe 1
+  EXPECT_EQ(t.runs(), (Runs{{0, 2, 3}, {1, 0, 1}}));
+  CommitStats stats;
+  t.account(t.runs(), stats);
+  EXPECT_EQ(stats.dirty_bytes, kShort + kBlockBytes);  // block-exact
+  EXPECT_DOUBLE_EQ(stats.dirty_fraction, 2.0 / 3.0);
+}
+
+TEST(DirtyTracker, ShortLastBlockCountsItsOwnSize) {
+  DirtyTracker t = three_stripes();
+  t.mark(kStripe + 2 * kBlockBytes + 8, 8);  // inside stripe 1's short block
+  EXPECT_EQ(t.runs(), (Runs{{1, 2, 3}}));
+  CommitStats stats;
+  t.account(t.runs(), stats);
+  EXPECT_EQ(stats.dirty_bytes, kShort);
+  EXPECT_DOUBLE_EQ(stats.dirty_fraction, 1.0 / 3.0);
+  // An unaligned 4 KiB mark inside one stripe covers exactly two blocks.
+  t.clear();
+  t.mark(100, kBlockBytes);
+  EXPECT_EQ(t.runs(), (Runs{{0, 0, 2}}));
+}
+
+TEST(DirtyTracker, MarkAllIsAnnotatedAndWhole) {
+  DirtyTracker t = three_stripes();
+  t.mark_all();
+  EXPECT_TRUE(t.annotated());
+  EXPECT_EQ(t.runs(), (Runs{{0, 0, 3}, {1, 0, 3}, {2, 0, 3}}));
+  CommitStats stats;
+  t.account(t.runs(), stats);
+  EXPECT_EQ(stats.dirty_bytes, 3 * kStripe);
+  EXPECT_DOUBLE_EQ(stats.dirty_fraction, 1.0);
+  // The empty set accounts as nothing dirty, for every protocol alike.
+  t.account({}, stats);
+  EXPECT_EQ(stats.dirty_bytes, 0u);
+  EXPECT_DOUBLE_EQ(stats.dirty_fraction, 0.0);
 }
 
 TEST(DirtyTracker, MarkBoundsAreLoud) {
-  DirtyTracker t;
-  t.reset(1000, 64, 256, 5);
-  EXPECT_THROW(t.mark(1000, 1), std::out_of_range);
-  EXPECT_THROW(t.mark(995, 10), std::out_of_range);
-  t.mark(999, 0);  // len == 0 is a no-op, not an annotation
+  DirtyTracker t = three_stripes();
+  EXPECT_THROW(t.mark(25000, 1), std::out_of_range);
+  EXPECT_THROW(t.mark(24995, 10), std::out_of_range);
+  t.mark(24999, 0);  // len == 0 is a no-op, not an annotation
   EXPECT_FALSE(t.annotated());
-  t.mark(999, 1);  // last valid byte
+  t.mark(24999, 1);  // last valid byte
   EXPECT_TRUE(t.annotated());
 }
 
@@ -268,29 +368,13 @@ TEST(DirtyTracker, ResetRejectsUncoveredImage) {
   EXPECT_NO_THROW(t.mark_user_tail());
 }
 
-TEST(DirtyTracker, UserTailMarksButPreservesAnnotationState) {
-  DirtyTracker t;
-  t.reset(1000, 64, 256, 5);
-  t.mark_user_tail();
-  // Tail marking is a protocol invariant, not an application opt-in: the
-  // tracker must stay in all-dirty fallback mode.
-  EXPECT_FALSE(t.annotated());
-  EXPECT_EQ(t.dirty_stripes(), 5u);
+TEST(DirtyTracker, ClearDropsRunsAndAnnotation) {
+  DirtyTracker t = three_stripes();
   t.mark(0, 1);
-  t.mark_user_tail();
-  EXPECT_TRUE(t.annotated());
-  // Tail [1000, 1064) lives in stripes 3 and 4.
-  EXPECT_EQ(t.effective(), (std::vector<std::uint8_t>{1, 0, 0, 1, 1}));
-}
-
-TEST(DirtyTracker, ClearDropsFlagsAndAnnotation) {
-  DirtyTracker t;
-  t.reset(1000, 64, 256, 5);
-  t.mark_all();
   EXPECT_TRUE(t.annotated());
   t.clear();
   EXPECT_FALSE(t.annotated());
-  EXPECT_DOUBLE_EQ(t.dirty_fraction(), 1.0);  // back to the safe fallback
+  EXPECT_EQ(t.runs().size(), 3u);  // back to the safe fallback
 }
 
 }  // namespace
@@ -298,7 +382,7 @@ TEST(DirtyTracker, ClearDropsFlagsAndAnnotation) {
 
 // ----------------------------------------------------------------------
 // encode_delta == encode: the bit-identity (tolerance for SUM) the
-// dirty-stripe commit path stakes checkpoint correctness on, for the
+// dirty-block commit path stakes checkpoint correctness on, for the
 // XOR/SUM group codec on both sides of the half-dirty switch (the RS(k, m)
 // sweep lives in test_encoding.cpp).
 namespace skt::enc {
@@ -308,7 +392,8 @@ using skt::testing::DirtyPattern;
 using skt::testing::DeltaInputs;
 
 /// Stripes that span two 64 KiB collective segments plus a ragged
-/// 1000-byte tail, so the sparse reduce streams several segments.
+/// 1000-byte tail, so the sparse reduce streams several segments and the
+/// last of a stripe's 33 blocks is short.
 std::size_t sweep_data_bytes(int n) {
   return static_cast<std::size_t>(n - 1) * (2 * mpi::kCollectiveChunkBytes + 1000) - 5;
 }
@@ -324,6 +409,7 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
       const std::size_t stripe = codec.layout().stripe_bytes();
       const auto stripes = static_cast<std::size_t>(n - 1);
       ASSERT_GT(stripe, 2 * mpi::kCollectiveChunkBytes);
+      ASSERT_NE(stripe % kBlockBytes, 0u);
       const DeltaInputs in =
           skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
       std::vector<std::byte> old_check(codec.checksum_bytes());
@@ -332,10 +418,11 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
       codec.encode(world, in.next, reference);
 
       std::vector<std::byte> in_place = old_check;
-      const bool aliased =
-          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.flags);
+      const std::vector<BlockRun> aliased =
+          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
       std::vector<std::byte> out(codec.checksum_bytes());
-      const bool distinct = codec.encode_delta(world, in.base, in.next, old_check, out, in.flags);
+      const std::vector<BlockRun> distinct =
+          codec.encode_delta(world, in.base, in.next, old_check, out, in.runs);
       for (const auto* got : {&in_place, &out}) {
         if (kind == CodecKind::kXor) {
           EXPECT_EQ(*got, reference) << to_string(pattern);
@@ -344,51 +431,60 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
         }
       }
 
-      // What every member can predict from the pattern: whether its own
-      // family has a dirty contributor, so its checksum moves.
-      bool mine_dirty = false;
+      // What every member can predict from the pattern: the runs of its
+      // own checksum that move — its family's union on the sparse path,
+      // everything after the ring.
+      std::vector<std::pair<int, std::size_t>> family;
       for (int p = 0; p < n; ++p) {
-        const int f = world.rank();
-        mine_dirty |= p != f && skt::testing::pair_dirty(pattern, n, stripes, p,
-                                                         codec.layout().stripe_index(p, f));
+        if (p != world.rank()) family.emplace_back(p, codec.layout().stripe_index(p, world.rank()));
       }
-      const bool sparse = skt::testing::takes_sparse_path(pattern, n, stripes);
-      EXPECT_EQ(aliased, !sparse || mine_dirty) << to_string(pattern);
+      const bool sparse = skt::testing::takes_sparse_path(pattern, n, stripe, stripes);
+      const std::vector<BlockRun> expect =
+          sparse ? skt::testing::family_union(pattern, n, stripe, stripes, family, 0)
+                 : std::vector<BlockRun>{{0, 0, stripe_blocks(stripe)}};
+      EXPECT_EQ(aliased, expect) << to_string(pattern);
       EXPECT_EQ(distinct, aliased) << to_string(pattern);
+      // Outside those runs the checksum kept its old bytes.
+      std::vector<std::byte> kept = old_check;
+      for (const BlockRun& run : aliased) {
+        const ByteRange r = run_bytes(run, stripe);
+        std::memcpy(kept.data() + r.begin, out.data() + r.begin, r.size());
+      }
+      EXPECT_EQ(kept, out) << to_string(pattern);
     });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
+    ASSERT_TRUE(result.completed) << to_string(pattern) << ": " << result.abort_reason;
   }
 }
 
-TEST_P(EncodeDeltaSweep, SparseWireBytesAreDirtyPairsTimesStripe) {
+TEST_P(EncodeDeltaSweep, SparseWireBytesAreTheExchangedDirtyBytes) {
   const auto [n, kind] = GetParam();
   const auto stripes = static_cast<std::size_t>(n - 1);
   const GroupCodec probe(kind, sweep_data_bytes(n), n);
+  const std::size_t stripe = probe.layout().stripe_bytes();
   // Two jobs that differ only in their last collective: the delta encode,
-  // or an allgather of the same flags (its first step). The difference in
+  // or the exchange of the same runs (its first step). The difference in
   // job-wide wire bytes is the sparse reduce's payload alone.
   const auto job_wire_bytes = [&](DirtyPattern pattern, bool delta) {
     MiniCluster mc(n, 0);
     const auto result = mc.run(n, [&](mpi::Comm& world) {
       const GroupCodec codec(kind, sweep_data_bytes(n), n);
-      const DeltaInputs in = skt::testing::make_delta_inputs(
-          pattern, n, world.rank(), codec.layout().stripe_bytes(), stripes);
+      const DeltaInputs in =
+          skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
       std::vector<std::byte> check(codec.checksum_bytes());
       codec.encode(world, in.base, check);
       if (delta) {
-        codec.encode_delta(world, in.base, in.next, check, check, in.flags);
+        (void)codec.encode_delta(world, in.base, in.next, check, check, in.runs);
       } else {
-        (void)world.allgather<std::uint8_t>(in.flags);
+        (void)exchange_runs(world, in.runs, stripe, stripes);
       }
     });
     EXPECT_TRUE(result.completed) << result.abort_reason;
     return result.wire_bytes;
   };
   for (const DirtyPattern pattern : skt::testing::kDirtyPatterns) {
-    if (!skt::testing::takes_sparse_path(pattern, n, stripes)) continue;
+    if (!skt::testing::takes_sparse_path(pattern, n, stripe, stripes)) continue;
     EXPECT_EQ(job_wire_bytes(pattern, true) - job_wire_bytes(pattern, false),
-              skt::testing::dirty_pair_count(pattern, n, stripes) *
-                  probe.layout().stripe_bytes())
+              skt::testing::group_dirty_bytes(pattern, n, stripe, stripes))
         << to_string(pattern);
   }
 }

@@ -1,9 +1,11 @@
 // Fault-free behaviour of every checkpoint strategy, memory accounting and
-// epoch bookkeeping, plus self-checkpoint's dirty-stripe commits: sparse
+// epoch bookkeeping, plus self-checkpoint's dirty-block commits: sparse
 // updates through Session::mark_dirty restore bit-exact after a node loss.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <mutex>
 
 #include "ckpt_harness.hpp"
 #include "ckpt/blcr_checkpoint.hpp"
@@ -82,10 +84,21 @@ INSTANTIATE_TEST_SUITE_P(Strategies, AllStrategies,
 // Every strategy fills the same CommitStats fields: the encoding ones
 // report the wire bytes of their encode (the full ring moves the group's
 // n(n-1) stripes; a delta with one dirty stripe per member moves n), BLCR,
-// which encodes nothing, reports none.
+// which encodes nothing, reports none. The dirty accounting is the
+// tracker's for everyone: for the same marks, the three encoding
+// strategies (one stripe geometry) report the same dirty_bytes and
+// dirty_fraction, and BLCR reports its own single-block stripes.
 TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
   constexpr int kN = 4;
   constexpr std::size_t kDataBytes = 6000;
+  struct Dirty {
+    std::size_t full_bytes = 0;
+    double full_fraction = 0.0;
+    std::size_t sparse_bytes = 0;
+    double sparse_fraction = 0.0;
+  };
+  std::map<Strategy, Dirty> dirty;
+  std::mutex dirty_mutex;
   for (const Strategy strategy :
        {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf, Strategy::kBlcr}) {
     MiniCluster mc(kN, 0);
@@ -112,6 +125,11 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
         session.mark_dirty(kDataBytes - 1, 1);
         sparse = session.commit();
       }
+      if (world.rank() == 1) {
+        const std::lock_guard<std::mutex> lock(dirty_mutex);
+        dirty[strategy] = {full.dirty_bytes, full.dirty_fraction, sparse.dirty_bytes,
+                           sparse.dirty_fraction};
+      }
       if (strategy == Strategy::kBlcr) {
         EXPECT_EQ(full.encode_wire_bytes, 0u);
         EXPECT_EQ(sparse.encode_wire_bytes, 0u);
@@ -124,7 +142,72 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
     });
     EXPECT_TRUE(result.completed) << to_string(strategy) << ": " << result.abort_reason;
   }
+  // Three stripes of 2008 bytes: a full commit covers all of them; the
+  // sparse one dirties stripe 2's first block (the last data byte and the
+  // user state share it), which is also its whole 2008 bytes.
+  const Dirty& self = dirty[Strategy::kSelf];
+  EXPECT_EQ(self.full_bytes, 3u * 2008u);
+  EXPECT_DOUBLE_EQ(self.full_fraction, 1.0);
+  EXPECT_EQ(self.sparse_bytes, 2008u);
+  EXPECT_DOUBLE_EQ(self.sparse_fraction, 1.0 / 3.0);
+  for (const Strategy s : {Strategy::kSingle, Strategy::kDouble}) {
+    EXPECT_EQ(dirty[s].full_bytes, self.full_bytes) << to_string(s);
+    EXPECT_DOUBLE_EQ(dirty[s].full_fraction, self.full_fraction) << to_string(s);
+    EXPECT_EQ(dirty[s].sparse_bytes, self.sparse_bytes) << to_string(s);
+    EXPECT_DOUBLE_EQ(dirty[s].sparse_fraction, self.sparse_fraction) << to_string(s);
+  }
+  // BLCR tracks [data | user] = 6008 bytes in two single-block stripes;
+  // the sparse commit dirties the second.
+  const Dirty& blcr = dirty[Strategy::kBlcr];
+  EXPECT_EQ(blcr.full_bytes, 2 * enc::kBlockBytes);
+  EXPECT_DOUBLE_EQ(blcr.full_fraction, 1.0);
+  EXPECT_EQ(blcr.sparse_bytes, enc::kBlockBytes);
+  EXPECT_DOUBLE_EQ(blcr.sparse_fraction, 0.5);
 }
+
+// A 4 KiB mark that is not block-aligned covers exactly two blocks, and a
+// commit stages, flushes and accounts exactly those: here the last 4 KiB
+// of data, whose second block also holds the user state.
+class UnalignedMark : public ::testing::TestWithParam<CommitMode> {};
+
+TEST_P(UnalignedMark, FlushesExactlyTwoBlocks) {
+  constexpr int kN = 4;
+  constexpr std::size_t kDataBytes = 96 << 10;
+  const CommitMode mode = GetParam();
+  MiniCluster mc(kN, 0);
+  const auto result = mc.run(kN, [&](mpi::Comm& world) {
+    Session session = SessionBuilder{}
+                          .strategy(Strategy::kSelf)
+                          .group_size(kN)
+                          .data_bytes(kDataBytes)
+                          .user_bytes(8)
+                          .key_prefix("two")
+                          .mode(mode)
+                          .build(world);
+    session.open();
+    session.mark_all_dirty();
+    const auto commit = [&] {
+      return mode == CommitMode::kAsync ? session.commit_async().wait() : session.commit();
+    };
+    (void)commit();
+    const DirtyTracker& tracker = *session.unsafe_protocol().dirty_tracker();
+    const std::size_t offset = kDataBytes - enc::kBlockBytes;
+    ASSERT_NE((offset % tracker.stripe_bytes()) % enc::kBlockBytes, 0u);
+    session.data()[offset] ^= std::byte{1};
+    session.mark_dirty(offset, enc::kBlockBytes);
+    const CommitStats stats = commit();
+    EXPECT_EQ(stats.checkpoint_bytes, 2 * enc::kBlockBytes);
+    EXPECT_EQ(stats.dirty_bytes, 2 * enc::kBlockBytes);
+    EXPECT_DOUBLE_EQ(stats.dirty_fraction, 1.0 / 3.0);
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, UnalignedMark,
+                         ::testing::Values(CommitMode::kSync, CommitMode::kAsync),
+                         [](const auto& info) {
+                           return info.param == CommitMode::kSync ? "sync" : "async";
+                         });
 
 // The in-place delta fold rests on C == D between commits, and the flush
 // refreshes C only where the checksum changed: after every sparse commit

@@ -191,8 +191,8 @@ TEST(StoreService, TenantKillAndRestoreLeavesOtherTenantBitIdentical) {
 }
 
 // Three jobs hammer commit_async through one width-1 turnstile: everyone
-// finishes (no cross-tenant deadlock), bytes balance, and the per-tenant
-// commit-slowdown spread stays within the fairness gate.
+// finishes (no cross-tenant deadlock), bytes balance, and no tenant waits
+// out more windows of the others than FIFO dispatch allows.
 TEST(StoreService, FairShareDispatchAcrossConcurrentAsyncTenants) {
   StoreService service({.max_concurrent_commits = 1});
   const std::array<const char*, 3> tenants = {"t0", "t1", "t2"};
@@ -230,7 +230,18 @@ TEST(StoreService, FairShareDispatchAcrossConcurrentAsyncTenants) {
     EXPECT_GT(stats.committed_bytes, 0u);
     EXPECT_EQ(stats.open_sessions, 0);
   }
-  EXPECT_GE(service.fairness_ratio(), 0.5);
+  // The turnstile's exact guarantee: while a tenant waits in the FIFO
+  // dispatch queue, each other tenant gets at most one window per slot
+  // before it. Unlike the wall-clock slowdown ratio (kept as a reported
+  // gauge), this holds however the OS schedules the threads.
+  const std::uint64_t bound = (tenants.size() - 1) * 1;  // window width 1
+  for (const char* name : tenants) {
+    EXPECT_LE(service.tenant_stats(name).max_bypass, bound) << name;
+  }
+  const double ratio = service.fairness_ratio();
+  RecordProperty("fairness_ratio", std::to_string(ratio));
+  EXPECT_GT(ratio, 0.0);
+  EXPECT_LE(ratio, 1.0);
   EXPECT_EQ(service.bytes_in_use(), 0u);
 }
 
