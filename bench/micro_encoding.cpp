@@ -4,12 +4,14 @@
 //
 // After the registered benchmarks, main() runs the old-vs-new encode
 // comparison — GroupCodec::encode (one ring reduce-scatter) against
-// encode_reference (N sequential binomial reduces) — across group sizes
-// {4, 8, 16}, prints PASS/FAIL shape checks, and drops the numbers into
-// BENCH_micro_encoding.json.
+// encode_reference (N sequential binomial reduces) — and the rebuild rows
+// (GroupCodec::rebuild of one lost member, checked bit-identical against
+// its pre-loss buffers) across group sizes {4, 8, 16}, prints PASS/FAIL
+// shape checks, and drops the numbers into BENCH_micro_encoding.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -229,6 +231,70 @@ EncodeMeasure measure_encode_best(int ranks, std::size_t data_bytes, int reps,
   return best;
 }
 
+// --- rebuild of one lost member --------------------------------------------
+
+struct RebuildMeasure {
+  double wall_s = 0.0;            ///< per-rebuild wall time, max across ranks
+  std::uint64_t wire_bytes = 0;   ///< per-rebuild payload bytes on the wire
+  std::uint64_t copied_bytes = 0; ///< per-rebuild mailbox copy bytes
+  bool identical = false;         ///< every member ends bit-identical to pre-loss
+};
+
+/// Encodes every member's buffer in one job, then rebuilds member
+/// ranks / 2 `reps` times in a second job, so the second job's byte
+/// counters hold the rebuilds alone (plus one barrier's tokens).
+RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps) {
+  sim::Cluster cluster(
+      {.num_nodes = ranks, .spare_nodes = 0, .nodes_per_rack = 4, .profile = {}});
+  std::vector<int> ranklist(static_cast<std::size_t>(ranks));
+  std::iota(ranklist.begin(), ranklist.end(), 0);
+  const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, ranks);
+  std::vector<std::vector<std::byte>> data(ranklist.size());
+  std::vector<std::vector<std::byte>> checksum(ranklist.size());
+  mpi::Runtime(cluster, ranklist).run([&](mpi::Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    data[r] = random_buffer(codec.padded_bytes(), 100 + r);
+    checksum[r].resize(codec.checksum_bytes());
+    codec.encode(world, data[r], checksum[r]);
+  });
+
+  const int victim = ranks / 2;
+  std::atomic<bool> identical{true};
+  const mpi::JobResult result = mpi::Runtime(cluster, ranklist).run([&](mpi::Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    std::vector<std::byte> mine = data[r];
+    std::vector<std::byte> sum = checksum[r];
+    if (world.rank() == victim) {
+      std::fill(mine.begin(), mine.end(), std::byte{0xAB});
+      std::fill(sum.begin(), sum.end(), std::byte{0xCD});
+    }
+    world.barrier();
+    util::WallTimer timer;
+    for (int i = 0; i < reps; ++i) codec.rebuild(world, victim, mine, sum);
+    world.record_time("rebuild", timer.seconds());
+    if (mine != data[r] || sum != checksum[r]) identical = false;
+  });
+  RebuildMeasure m;
+  const auto r = static_cast<std::uint64_t>(reps);
+  m.wall_s = result.times.at("rebuild") / reps;
+  m.wire_bytes = result.wire_bytes / r;
+  m.copied_bytes = result.copied_bytes / r;
+  m.identical = result.completed && identical.load();
+  return m;
+}
+
+/// Best-of-3 on wall time; the byte counters and the check are the same
+/// every run, and every run must pass the check.
+RebuildMeasure measure_rebuild_best(int ranks, std::size_t data_bytes, int reps) {
+  RebuildMeasure best = measure_rebuild(ranks, data_bytes, reps);
+  for (int i = 0; i < 2; ++i) {
+    const RebuildMeasure m = measure_rebuild(ranks, data_bytes, reps);
+    best.wall_s = std::min(best.wall_s, m.wall_s);
+    best.identical = best.identical && m.identical;
+  }
+  return best;
+}
+
 bool shape_check(const std::string& what, bool ok) {
   std::printf("[%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
   return ok;
@@ -273,6 +339,22 @@ bool run_encode_comparison() {
   }
   ok &= shape_check("group 16: encode throughput >= 2x the sequential-reduce baseline",
                     speedup_g16 >= 2.0);
+
+  std::printf("\n--- GroupCodec rebuild: survivors reduce one lost member's blocks ---\n");
+  std::printf("%6s %10s %14s %12s %12s\n", "group", "data", "wall/op", "wire", "copied");
+  for (const int g : {4, 8, 16}) {
+    const RebuildMeasure m = measure_rebuild_best(g, kDataBytes, kReps);
+    std::printf("%6d %9zuK %12.3fms %10.2fMB %10.2fMB\n", g, kDataBytes >> 10,
+                m.wall_s * 1e3, static_cast<double>(m.wire_bytes) / 1e6,
+                static_cast<double>(m.copied_bytes) / 1e6);
+    const std::string tag = "rebuild_g" + std::to_string(g);
+    report.field(tag + "_wall_s", m.wall_s);
+    report.field(tag + "_wire_bytes", static_cast<std::uint64_t>(m.wire_bytes));
+    report.field(tag + "_copied_bytes", static_cast<std::uint64_t>(m.copied_bytes));
+    ok &= shape_check("group " + std::to_string(g) +
+                          ": rebuilt member is bit-identical to its pre-loss buffers",
+                      m.identical);
+  }
 
   // Scalar-baseline vs block-processed accumulate, measured directly.
   // Both are DRAM-bound at this size, so best-of-5 rounds and a noise

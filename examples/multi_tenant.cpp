@@ -18,8 +18,10 @@
 //   * only the killed tenant restarts, and it recovers its own epoch
 //   * the bystander's stripes are bit-identical across the storm
 //   * an over-quota probe tenant is rejected LOUDLY before allocating
-//   * the fair-share dispatch keeps the per-tenant commit-slowdown
-//     spread above 0.5 (store.fairness_ratio)
+//   * fair-share dispatch: no tenant waits out more windows of the others
+//     than FIFO dispatch allows, (tenants - 1) * max_concurrent_commits
+//     (store.tenant.<name>.max_bypass against store.bypass_bound); the
+//     wall-clock commit-slowdown spread is reported (store.fairness_ratio)
 //
 // With --monitor <prefix> (or --telemetry <prefix>) the run writes
 // <prefix>_report.json — a RunReport whose metrics section carries the
@@ -322,12 +324,13 @@ int main(int argc, char** argv) {
   require(probe_segments == 0, "rejected probe still allocated segments");
 
   service.publish_gauges();
-  const double fairness = service.fairness_ratio();
-  require(fairness >= 0.5, "fair-share dispatch spread fell below 0.5");
+  const double fairness = service.fairness_ratio();  // reported, not gated
   for (const char* name : {"hpl-a", "jacobi-b", "accel-c"}) {
     const ckpt::TenantStats stats = service.tenant_stats(name);
     require(stats.commits > 0, "an active tenant recorded no commits");
     require(stats.open_sessions == 0, "a finished tenant still holds sessions");
+    require(stats.max_bypass <= service.bypass_bound(),
+            "a tenant waited out more windows than FIFO dispatch allows");
   }
   require(service.bytes_in_use() == 0, "leases were not released at teardown");
 
@@ -350,12 +353,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n=== multi-tenant checkpoint store ===\n");
-  util::Table table({"tenant", "commits", "windows", "committed", "gate wait", "busy",
-                     "restarts", "throughput"});
+  util::Table table({"tenant", "commits", "windows", "max bypass", "committed", "gate wait",
+                     "busy", "restarts", "throughput"});
   const auto row = [&](const char* name, int restarts) {
     const ckpt::TenantStats stats = service.tenant_stats(name);
     table.add_row({name, std::to_string(stats.commits), std::to_string(stats.windows),
-                   util::format_bytes(stats.committed_bytes),
+                   std::to_string(stats.max_bypass), util::format_bytes(stats.committed_bytes),
                    util::format_seconds(stats.gate_wait_s),
                    util::format_seconds(stats.busy_s), std::to_string(restarts),
                    util::format("{:.1f} MB/s", stats.throughput_Bps / 1e6)});
@@ -365,8 +368,10 @@ int main(int argc, char** argv) {
   row("accel-c", accel_result.restarts);
   row("bystander-d", 0);
   table.print();
-  std::printf("fairness ratio: %.2f   bystander stripes: %s   over-quota probe: %s\n",
-              fairness, bystander_after == bystander_before ? "bit-identical" : "CHANGED",
+  std::printf("bypass bound: %llu   fairness ratio: %.2f   bystander stripes: %s   "
+              "over-quota probe: %s\n",
+              static_cast<unsigned long long>(service.bypass_bound()), fairness,
+              bystander_after == bystander_before ? "bit-identical" : "CHANGED",
               probe_rejected.load() ? "rejected loudly" : "ADMITTED");
   std::printf("%s\n", ok ? "all multi-tenant invariants hold" : "INVARIANT VIOLATIONS");
   return ok ? 0 : 1;

@@ -149,7 +149,14 @@ mt=build/mt-lane/lane_report.json
 jq -e '(.metrics.gauges."store.capacity_bytes" > 0)
        and (.metrics.gauges."store.bytes_in_use" == 0)
        and (.metrics.gauges."store.tenants" == 5)
-       and (.metrics.gauges."store.fairness_ratio" >= 0.5)
+       and (.metrics.gauges."store.fairness_ratio" != null)
+       and (.metrics.gauges."store.bypass_bound" == 8)
+       and (.metrics.gauges."store.tenant.hpl-a.max_bypass"
+            <= .metrics.gauges."store.bypass_bound")
+       and (.metrics.gauges."store.tenant.jacobi-b.max_bypass"
+            <= .metrics.gauges."store.bypass_bound")
+       and (.metrics.gauges."store.tenant.accel-c.max_bypass"
+            <= .metrics.gauges."store.bypass_bound")
        and (.metrics.gauges."store.tenant.hpl-a.commits" > 0)
        and (.metrics.gauges."store.tenant.jacobi-b.commits" > 0)
        and (.metrics.gauges."store.tenant.accel-c.commits" > 0)
@@ -200,19 +207,23 @@ jq -e '(.metrics.gauges."vault.shards" == 4)
 echo
 echo "=== bench regression gate: micro_encoding vs committed baseline ==="
 # Two tiers of gate, matched to how reproducible each metric is. Wire and
-# mailbox-copy byte counts are exact functions of the algorithms — any
-# growth past 10% of the committed baseline is a real regression. Wall
-# -clock speedups wobble with machine load, so they only have to stay
-# above half the committed value; the bench's own internal bars (encode
-# >= 2x sequential, GF(256) SIMD >= 3x scalar, bit-identical outputs)
-# already run first and fail the script on their own.
+# mailbox-copy byte counts of the encode and rebuild rows are exact
+# functions of the algorithms — any growth past 10% of the committed
+# baseline is a real regression (a rebuild back on a fan-in that
+# copy-sends its stripes fails at once). Wall-clock speedups wobble with
+# machine load, so they only have to stay above half the committed value;
+# the bench's own internal bars (encode >= 2x sequential, GF(256) SIMD >=
+# 3x scalar, bit-identical outputs) already run first and fail the script
+# on their own.
 cmake --build build -j --target micro_encoding
 (cd build && ./bench/micro_encoding >/dev/null)
 baseline=bench/BENCH_micro_encoding.baseline.json
 current=build/out/BENCH_micro_encoding.json
 jval() { awk -F: -v k="\"$2\"" '$1 ~ k {gsub(/[ ,]/, "", $2); print $2; exit}' "$1"; }
 for k in encode_g4_new_wire_bytes encode_g8_new_wire_bytes encode_g16_new_wire_bytes \
-         encode_g4_new_copied_bytes encode_g8_new_copied_bytes encode_g16_new_copied_bytes; do
+         encode_g4_new_copied_bytes encode_g8_new_copied_bytes encode_g16_new_copied_bytes \
+         rebuild_g4_wire_bytes rebuild_g8_wire_bytes rebuild_g16_wire_bytes \
+         rebuild_g4_copied_bytes rebuild_g8_copied_bytes rebuild_g16_copied_bytes; do
   awk -v c="$(jval "$current" "$k")" -v b="$(jval "$baseline" "$k")" -v k="$k" 'BEGIN {
     ok = (c <= 1.10 * b)
     printf "[%s] %s: %s vs baseline %s (must stay within +10%%)\n", ok ? "PASS" : "FAIL", k, c, b

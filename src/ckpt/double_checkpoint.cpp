@@ -220,10 +220,14 @@ RestoreStats DoubleCheckpoint::restore(CommCtx ctx) {
   SKT_SPAN("ckpt.restore");
   ctx.group.failpoint("ckpt.restore");
 
-  const Header mine = load_header(header_);
-  const EpochSummary global =
-      summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
-  const std::vector<int> missing = missing_members(ctx.group, survivor_);
+  EpochSummary global;
+  std::vector<int> missing;
+  {
+    SKT_SPAN("ckpt.restore.agree");
+    const Header mine = load_header(header_);
+    global = summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
+    missing = missing_members(ctx.group, survivor_);
+  }
   if (static_cast<int>(missing.size()) > coder_->max_failures()) {
     throw Unrecoverable("double-checkpoint: " + std::to_string(missing.size()) +
                         " members lost in one group; the degree-" +
@@ -255,43 +259,50 @@ RestoreStats DoubleCheckpoint::restore(CommCtx ctx) {
   util::WallTimer timer;
 
   if (!missing.empty()) {
+    SKT_SPAN("ckpt.restore.rebuild");
     coder_->rebuild(ctx.group, missing, ckpt_[pair]->bytes(), check_[pair]->bytes());
   }
-  std::memcpy(app_.data(), ckpt_[pair]->bytes().data(), app_.size());
-  std::memcpy(user_.data(), ckpt_[pair]->bytes().data() + app_.size(), user_.size());
+  {
+    SKT_SPAN("ckpt.restore.reload");
+    std::memcpy(app_.data(), ckpt_[pair]->bytes().data(), app_.size());
+    std::memcpy(user_.data(), ckpt_[pair]->bytes().data() + app_.size(), user_.size());
 
-  // Re-establish the dirty-accumulation invariants: the staging image (if
-  // any) mirrors the restored pair exactly, the other pair's content is
-  // unknown (a rebuilt member's is zeros), and nothing is dirty relative
-  // to the snapshot.
-  if (!image_.empty()) {
-    std::memcpy(image_.data(), ckpt_[pair]->bytes().data(), image_.size());
-  }
-  pair_dirty_[pair].clear();
-  pair_dirty_[1 - pair].add_all();
-  tracker_.clear();
+    // Re-establish the dirty-accumulation invariants: the staging image (if
+    // any) mirrors the restored pair exactly, the other pair's content is
+    // unknown (a rebuilt member's is zeros), and nothing is dirty relative
+    // to the snapshot.
+    if (!image_.empty()) {
+      std::memcpy(image_.data(), ckpt_[pair]->bytes().data(), image_.size());
+    }
+    pair_dirty_[pair].clear();
+    pair_dirty_[1 - pair].add_all();
+    tracker_.clear();
 
-  // Re-sync the header. A rebuilt member only holds the restored pair; its
-  // other pair reads epoch 0 until the next commit overwrites it, which the
-  // newest-usable-pair rule tolerates.
-  Header h = load_header(header_);
-  h.magic = Header::kMagic;
-  h.data_bytes = params_.data_bytes;
-  h.user_bytes = params_.user_bytes;
-  h.group_size = static_cast<std::uint32_t>(ctx.group.size());
-  h.codec = static_cast<std::uint32_t>(params_.codec);
-  if (!survivor_) {
-    h.bc_epoch = pair == 0 ? target : 0;
-    h.d_epoch = pair == 1 ? target : 0;
+    // Re-sync the header. A rebuilt member only holds the restored pair; its
+    // other pair reads epoch 0 until the next commit overwrites it, which the
+    // newest-usable-pair rule tolerates.
+    Header h = load_header(header_);
+    h.magic = Header::kMagic;
+    h.data_bytes = params_.data_bytes;
+    h.user_bytes = params_.user_bytes;
+    h.group_size = static_cast<std::uint32_t>(ctx.group.size());
+    h.codec = static_cast<std::uint32_t>(params_.codec);
+    if (!survivor_) {
+      h.bc_epoch = pair == 0 ? target : 0;
+      h.d_epoch = pair == 1 ? target : 0;
+    }
+    store_header(header_, h);
+    survivor_ = true;
   }
-  store_header(header_, h);
-  survivor_ = true;
 
   stats.rebuild_s = timer.seconds();
   stats.rebuilt_member =
       std::find(missing.begin(), missing.end(), ctx.group.rank()) != missing.end();
   ctx.group.record_time("recover", stats.rebuild_s);
-  ctx.world.barrier();
+  {
+    SKT_SPAN("ckpt.restore.barrier");
+    ctx.world.barrier();
+  }
   return stats;
 }
 

@@ -262,10 +262,14 @@ RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
   SKT_SPAN("ckpt.restore");
   ctx.group.failpoint("ckpt.restore");
 
-  const Header mine = load_header(header_);
-  const EpochSummary global =
-      summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
-  const std::vector<int> missing = missing_members(ctx.group, survivor_);
+  EpochSummary global;
+  std::vector<int> missing;
+  {
+    SKT_SPAN("ckpt.restore.agree");
+    const Header mine = load_header(header_);
+    global = summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
+    missing = missing_members(ctx.group, survivor_);
+  }
   if (static_cast<int>(missing.size()) > coder_->max_failures()) {
     throw Unrecoverable("self-checkpoint: " + std::to_string(missing.size()) +
                         " members lost in one group; the degree-" +
@@ -298,63 +302,59 @@ RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
   stats.epoch = target;
   util::WallTimer timer;
 
-  if (!use_a_side) {
-    // CASE 1 (Fig. 4): roll back to (B, C). Survivors reload their working
-    // buffer from B; the lost member's B and C are rebuilt first.
-    if (survivor_) {
-      std::memcpy(work_->bytes().data(), ckpt_b_->bytes().data(), work_->size());
-      std::memcpy(check_d_->bytes().data(), check_c_->bytes().data(), check_c_->size());
-    }
-    if (!missing.empty()) {
-      coder_->rebuild(ctx.group, missing, work_->bytes(), check_d_->bytes());
-      if (!survivor_) {
-        std::memcpy(ckpt_b_->bytes().data(), work_->bytes().data(), work_->size());
-        std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
-      }
-    }
-  } else if (params_.async_staging) {
-    // CASE 2, staged: the newest consistent set is (S, D) — the staged
-    // copy, not the live working buffer the application kept mutating.
-    // Rebuild the lost member's S, complete the interrupted flush, then
-    // roll the working buffer back to the staged image.
-    if (!missing.empty()) {
-      coder_->rebuild(ctx.group, missing, stage_->bytes(), check_d_->bytes());
-    }
-    std::memcpy(ckpt_b_->bytes().data(), stage_->bytes().data(), stage_->size());
-    std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
-    std::memcpy(work_->bytes().data(), stage_->bytes().data(), stage_->size());
-  } else {
-    // CASE 2 (Fig. 4): the working side (work, D) is the newest consistent
-    // set. Rebuild the lost member, then complete the interrupted flush.
-    if (!missing.empty()) {
-      coder_->rebuild(ctx.group, missing, work_->bytes(), check_d_->bytes());
-    }
-    std::memcpy(ckpt_b_->bytes().data(), work_->bytes().data(), work_->size());
-    std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+  // CASE 1 (Fig. 4) rolls back to (B, C): survivors reload their working
+  // buffer and D from them, so the lost member's B and C are rebuilt into
+  // its working buffer and D like any other restore. CASE 2 keeps the
+  // working side (work, D) as the newest consistent set — or, staged, the
+  // staged copy S, not the live working buffer the application kept
+  // mutating.
+  const bool staged = use_a_side && params_.async_staging;
+  if (!use_a_side && survivor_) {
+    SKT_SPAN("ckpt.restore.reload");
+    std::memcpy(work_->bytes().data(), ckpt_b_->bytes().data(), work_->size());
+    std::memcpy(check_d_->bytes().data(), check_c_->bytes().data(), check_c_->size());
   }
+  if (!missing.empty()) {
+    SKT_SPAN("ckpt.restore.rebuild");
+    coder_->rebuild(ctx.group, missing, (staged ? stage_ : work_)->bytes(), check_d_->bytes());
+  }
+  {
+    SKT_SPAN("ckpt.restore.reload");
+    // Complete the interrupted flush (CASE 2) or hand the rebuilt member
+    // its B and C (CASE 1), then roll the working buffer back to S.
+    if (use_a_side || !survivor_) {
+      const sim::SegmentPtr& image = staged ? stage_ : work_;
+      std::memcpy(ckpt_b_->bytes().data(), image->bytes().data(), image->size());
+      std::memcpy(check_c_->bytes().data(), check_d_->bytes().data(), check_d_->size());
+    }
+    if (staged) std::memcpy(work_->bytes().data(), stage_->bytes().data(), stage_->size());
 
-  // Restore A2 from the checkpointed B2 area and re-sync the header.
-  std::memcpy(user_.data(), work_->bytes().data() + params_.data_bytes, params_.user_bytes);
-  if (params_.async_staging) {
-    // Re-seed S from the restored state: the (S, D) recovery-set rule
-    // requires S to match the encoded domain before the next commit.
-    std::memcpy(stage_->bytes().data(), work_->bytes().data(), work_->size());
+    // Restore A2 from the checkpointed B2 area and re-sync the header.
+    std::memcpy(user_.data(), work_->bytes().data() + params_.data_bytes, params_.user_bytes);
+    if (params_.async_staging) {
+      // Re-seed S from the restored state: the (S, D) recovery-set rule
+      // requires S to match the encoded domain before the next commit.
+      std::memcpy(stage_->bytes().data(), work_->bytes().data(), work_->size());
+    }
+    Header h = load_or_init(header_, params_.data_bytes, params_.user_bytes,
+                            static_cast<std::uint32_t>(ctx.group.size()), codec_field());
+    h.bc_epoch = target;
+    h.d_epoch = target;
+    store_header(header_, h);
+    survivor_ = true;
+    // work == B (== S) everywhere now, so nothing is dirty.
+    tracker_.clear();
+    staged_runs_.clear();
   }
-  Header h = load_or_init(header_, params_.data_bytes, params_.user_bytes,
-                          static_cast<std::uint32_t>(ctx.group.size()), codec_field());
-  h.bc_epoch = target;
-  h.d_epoch = target;
-  store_header(header_, h);
-  survivor_ = true;
-  // work == B (== S) everywhere now, so nothing is dirty.
-  tracker_.clear();
-  staged_runs_.clear();
 
   stats.rebuild_s = timer.seconds();
   stats.rebuilt_member =
       std::find(missing.begin(), missing.end(), ctx.group.rank()) != missing.end();
   ctx.group.record_time("recover", stats.rebuild_s);
-  ctx.world.barrier();
+  {
+    SKT_SPAN("ckpt.restore.barrier");
+    ctx.world.barrier();
+  }
   return stats;
 }
 

@@ -197,10 +197,14 @@ RestoreStats SingleCheckpoint::restore(CommCtx ctx) {
   SKT_SPAN("ckpt.restore");
   ctx.group.failpoint("ckpt.restore");
 
-  const Header mine = load_header(header_);
-  const EpochSummary global =
-      summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
-  const std::vector<int> missing = missing_members(ctx.group, survivor_);
+  EpochSummary global;
+  std::vector<int> missing;
+  {
+    SKT_SPAN("ckpt.restore.agree");
+    const Header mine = load_header(header_);
+    global = summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
+    missing = missing_members(ctx.group, survivor_);
+  }
   if (missing.size() > 1) {
     throw Unrecoverable("single-checkpoint: multiple members lost in one group");
   }
@@ -220,34 +224,41 @@ RestoreStats SingleCheckpoint::restore(CommCtx ctx) {
   util::WallTimer timer;
 
   if (!missing.empty()) {
+    SKT_SPAN("ckpt.restore.rebuild");
     codec_->rebuild(ctx.group, missing.front(), ckpt_b_->bytes(), check_c_->bytes());
   }
-  std::memcpy(app_.data(), ckpt_b_->bytes().data(), app_.size());
-  std::memcpy(user_.data(), ckpt_b_->bytes().data() + app_.size(), user_.size());
+  {
+    SKT_SPAN("ckpt.restore.reload");
+    std::memcpy(app_.data(), ckpt_b_->bytes().data(), app_.size());
+    std::memcpy(user_.data(), ckpt_b_->bytes().data() + app_.size(), user_.size());
 
-  // Re-establish the dirty-mirror invariants: the working view (and the
-  // staging image, if any) now equals B exactly.
-  tracker_.clear();
-  if (!image_.empty()) {
-    std::memcpy(image_.data(), ckpt_b_->bytes().data(), image_.size());
-    staged_.clear();
+    // Re-establish the dirty-mirror invariants: the working view (and the
+    // staging image, if any) now equals B exactly.
+    tracker_.clear();
+    if (!image_.empty()) {
+      std::memcpy(image_.data(), ckpt_b_->bytes().data(), image_.size());
+      staged_.clear();
+    }
+
+    Header h = load_header(header_);
+    h.bc_epoch = stats.epoch;
+    h.d_epoch = stats.epoch;
+    h.data_bytes = params_.data_bytes;
+    h.user_bytes = params_.user_bytes;
+    h.group_size = static_cast<std::uint32_t>(ctx.group.size());
+    h.codec = static_cast<std::uint32_t>(params_.codec);
+    h.magic = Header::kMagic;
+    store_header(header_, h);
+    survivor_ = true;
   }
-
-  Header h = load_header(header_);
-  h.bc_epoch = stats.epoch;
-  h.d_epoch = stats.epoch;
-  h.data_bytes = params_.data_bytes;
-  h.user_bytes = params_.user_bytes;
-  h.group_size = static_cast<std::uint32_t>(ctx.group.size());
-  h.codec = static_cast<std::uint32_t>(params_.codec);
-  h.magic = Header::kMagic;
-  store_header(header_, h);
-  survivor_ = true;
 
   stats.rebuild_s = timer.seconds();
   stats.rebuilt_member = !missing.empty() && missing.front() == ctx.group.rank();
   ctx.group.record_time("recover", stats.rebuild_s);
-  ctx.world.barrier();
+  {
+    SKT_SPAN("ckpt.restore.barrier");
+    ctx.world.barrier();
+  }
   return stats;
 }
 

@@ -351,6 +351,16 @@ std::size_t StoreService::tenant_bytes(const std::string& name) const {
   return t == nullptr ? 0 : t->reserved_bytes;
 }
 
+std::uint64_t StoreService::bypass_bound() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bypass_bound_locked();
+}
+
+std::uint64_t StoreService::bypass_bound_locked() const {
+  if (tenants_.empty()) return 0;
+  return (tenants_.size() - 1) * static_cast<std::uint64_t>(config_.max_concurrent_commits);
+}
+
 int StoreService::tenant_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int>(tenants_.size());
@@ -440,6 +450,7 @@ void StoreService::publish_tenant_gauges_locked(const std::string& name,
   metrics.gauge(prefix + "committed_bytes").set(static_cast<double>(t.committed_bytes));
   metrics.gauge(prefix + "throughput_Bps")
       .set(tenant_throughput(t.commits, t.committed_bytes, t.busy_s, t.gate_wait_s));
+  metrics.gauge(prefix + "max_bypass").set(static_cast<double>(std::max(t.max_bypass, t.bypass)));
 }
 
 void StoreService::publish_service_gauges_locked() const {
@@ -448,6 +459,7 @@ void StoreService::publish_service_gauges_locked() const {
   metrics.gauge("store.bytes_in_use").set(static_cast<double>(reserved_total_));
   metrics.gauge("store.tenants").set(static_cast<double>(tenants_.size()));
   metrics.gauge("store.fairness_ratio").set(fairness_ratio_locked());
+  metrics.gauge("store.bypass_bound").set(static_cast<double>(bypass_bound_locked()));
 }
 
 }  // namespace skt::ckpt

@@ -175,6 +175,11 @@ class StoreService {
   /// property the turnstile guarantees is TenantStats::max_bypass.
   [[nodiscard]] double fairness_ratio() const;
 
+  /// What FIFO dispatch guarantees every TenantStats::max_bypass stays
+  /// within: (tenants - 1) * max_concurrent_commits. Published as
+  /// store.bypass_bound, beside each tenant's store.tenant.<name>.max_bypass.
+  [[nodiscard]] std::uint64_t bypass_bound() const;
+
   /// Re-publish every store.* gauge into telemetry::metrics() (also done
   /// incrementally on admit/release/end_commit).
   void publish_gauges() const;
@@ -217,6 +222,7 @@ class StoreService {
   /// Deactivate `t` when its activation is spent. Lock held.
   void maybe_close_window_locked(Tenant& t);
   [[nodiscard]] double fairness_ratio_locked() const;
+  [[nodiscard]] std::uint64_t bypass_bound_locked() const;
   void publish_tenant_gauges_locked(const std::string& name, const Tenant& t) const;
   void publish_service_gauges_locked() const;
 

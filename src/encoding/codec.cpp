@@ -32,15 +32,6 @@ void accumulate(CodecKind kind, std::span<std::byte> acc, std::span<const std::b
   }
 }
 
-void retract(CodecKind kind, std::span<std::byte> acc, std::span<const std::byte> in) {
-  check_pair(acc, in);
-  if (kind == CodecKind::kXor) {
-    kernels::xor_acc(acc, in);
-  } else {
-    kernels::sum_sub(as_doubles(acc), as_doubles(in));
-  }
-}
-
 void fill_identity(std::span<std::byte> buf) {
   std::memset(buf.data(), 0, buf.size());
 }

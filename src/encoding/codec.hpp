@@ -29,10 +29,6 @@ inline constexpr std::size_t kLane = 8;
 /// acc := acc (+) in, element-wise. Sizes must match and be lane-aligned.
 void accumulate(CodecKind kind, std::span<std::byte> acc, std::span<const std::byte> in);
 
-/// acc := acc (-) in. For XOR this equals accumulate (self-inverse); for
-/// SUM it subtracts. Used when rebuilding a lost stripe from a checksum.
-void retract(CodecKind kind, std::span<std::byte> acc, std::span<const std::byte> in);
-
 /// Fill with the identity element of the code (zero for both kinds).
 void fill_identity(std::span<std::byte> buf);
 

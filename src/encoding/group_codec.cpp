@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "encoding/kernels.hpp"
+#include "encoding/lost_blocks.hpp"
 #include "util/aligned.hpp"
 
 namespace skt::enc {
@@ -181,56 +182,36 @@ void GroupCodec::rebuild(mpi::Comm& group, int failed, std::span<std::byte> data
                          std::span<std::byte> checksum) const {
   check_args(group, data.size(), checksum.size());
   const int n = layout_.group_size();
-  const int me = group.rank();
   if (failed < 0 || failed >= n) throw std::invalid_argument("GroupCodec::rebuild: bad member");
 
-  // Everything the failed member needs — its n-1 data stripes and its own
-  // checksum stripe — is a sum rooted at `failed`, so the whole rebuild is
-  // ONE pipelined reduce over n stripe blocks instead of n sequential
-  // stripe reduces. Block f (f != failed) combines to the failed member's
-  // stripe for family f: checksum_f (-) sum of surviving stripes. Block
-  // `failed` recomputes its checksum from the survivors' family-`failed`
-  // stripes.
+  // The failed member's stripe for family f != failed is checksum_f (-)
+  // the other survivors' family-f stripes; its own checksum is the sum of
+  // the survivors' family-`failed` stripes. Every survivor contributes to
+  // every block. XOR is self-inverse; SUM contributes negated stripes, so
+  // the reduce yields checksum - sum(survivors) directly.
   const std::size_t stripe = layout_.stripe_bytes();
-  util::AlignedBytes contrib(stripe * static_cast<std::size_t>(n), std::byte{0});
+  std::vector<LostBlock> blocks;
   for (int f = 0; f < n; ++f) {
-    const std::span<std::byte> slot(contrib.data() + static_cast<std::size_t>(f) * stripe,
-                                    stripe);
+    LostBlock lost{.member = failed, .at = {}, .bytes = stripe, .terms = {}};
     if (f == failed) {
-      if (me != failed) {
-        const std::span<const std::byte> mine =
-            layout_.stripe(std::span<const std::byte>(data), me, failed);
-        std::memcpy(slot.data(), mine.data(), stripe);
-      }
-      continue;
-    }
-    if (me == failed) continue;  // identity contribution
-    if (me == f) {
-      std::memcpy(slot.data(), checksum.data(), stripe);  // family f's checksum holder
+      lost.at.redundancy = true;
     } else {
-      const std::span<const std::byte> mine =
-          layout_.stripe(std::span<const std::byte>(data), me, f);
-      if (kind_ == CodecKind::kXor) {
-        std::memcpy(slot.data(), mine.data(), stripe);  // XOR is self-inverse
+      lost.at.offset = layout_.stripe_index(failed, f) * stripe;
+    }
+    for (int step = 1; step < n; ++step) {
+      const int p = (failed + step) % n;
+      if (p == f) {
+        lost.terms.push_back({.member = p, .at = {.redundancy = true, .offset = 0}});
       } else {
-        // SUM: contribute the negated stripe so the reduce yields
-        // checksum - sum(survivors) directly.
-        retract(kind_, slot, mine);
+        lost.terms.push_back({.member = p,
+                              .at = {.redundancy = false,
+                                     .offset = layout_.stripe_index(p, f) * stripe},
+                              .negate = f != failed && kind_ == CodecKind::kSum});
       }
     }
+    blocks.push_back(std::move(lost));
   }
-
-  util::AlignedBytes rebuilt(me == failed ? contrib.size() : 0);
-  reduce_bytes(group, kind_, failed, contrib, rebuilt);
-  if (me == failed) {
-    for (int f = 0; f < n; ++f) {
-      const std::span<const std::byte> slot(
-          rebuilt.data() + static_cast<std::size_t>(f) * stripe, stripe);
-      const std::span<std::byte> dst =
-          f == failed ? checksum : layout_.stripe(data, me, f);
-      std::memcpy(dst.data(), slot.data(), stripe);
-    }
-  }
+  rebuild_lost_blocks(group, kind_, blocks, data, checksum);
 }
 
 bool GroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,

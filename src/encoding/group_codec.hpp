@@ -9,9 +9,11 @@
 // single-node hotspot the paper calls out.
 //
 // rebuild() reconstructs a failed member's entire padded buffer plus its
-// checksum stripe from the survivors, with the failed (replacement) member
-// contributing identity elements so the same reduce schedule works for
-// everyone.
+// checksum stripe among the survivors (lost_blocks.hpp): each of its n
+// blocks is split into one part per survivor, each part reduces among the
+// survivors onto its owner, and the owner streams the finished segments
+// straight into the replacement's buffers, which receive every byte once
+// and combine nothing.
 #pragma once
 
 #include <cstddef>
@@ -88,6 +90,16 @@ class GroupCodec {
   /// Survivors pass their (intact) data and checksum as inputs; the failed
   /// member passes buffers whose contents are ignored on entry and hold the
   /// rebuilt data + checksum on return.
+  ///
+  /// Block f != failed of the lost member is checksum_f (-) the other
+  /// survivors' family-f stripes; its checksum is the sum of the
+  /// survivors' family-`failed` stripes. Each block is split on 64 KiB
+  /// segment boundaries into one part per survivor; a part reduces among
+  /// the survivors, each reading its share straight from `data` or
+  /// `checksum`, onto the part's owner, which forwards every finished
+  /// segment into the failed member's buffers (rebuild_lost_blocks). No
+  /// member allocates a stripe-sized temporary, and the wire carries
+  /// (n-1) n stripes, each block once per survivor.
   void rebuild(mpi::Comm& group, int failed, std::span<std::byte> data,
                std::span<std::byte> checksum) const;
 

@@ -6,27 +6,17 @@
 
 #include "encoding/gf256.hpp"
 #include "encoding/kernels.hpp"
+#include "encoding/lost_blocks.hpp"
 #include "util/aligned.hpp"
 
 namespace skt::enc {
 namespace {
-
-constexpr mpi::Tag kTagRebuiltStripe = 9002;
 
 std::span<std::uint8_t> as_u8(std::span<std::byte> s) {
   return {reinterpret_cast<std::uint8_t*>(s.data()), s.size()};
 }
 std::span<const std::uint8_t> as_u8(std::span<const std::byte> s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
-void xor_reduce(mpi::Comm& group, int root, std::span<const std::byte> in,
-                std::span<std::byte> out) {
-  const std::span<const std::uint64_t> in64{
-      reinterpret_cast<const std::uint64_t*>(in.data()), in.size() / sizeof(std::uint64_t)};
-  const std::span<std::uint64_t> out64{reinterpret_cast<std::uint64_t*>(out.data()),
-                                       out.size() / sizeof(std::uint64_t)};
-  group.reduce<std::uint64_t>(root, in64, out64, mpi::BXor{});
 }
 
 /// In-place Gauss-Jordan inverse of an n x n GF(2^8) matrix. Singular
@@ -129,21 +119,6 @@ void RSGroupCodec::check_args(const mpi::Comm& group, std::size_t data_size,
   if (data_size != padded_bytes() || parity_size != parity_bytes()) {
     throw std::invalid_argument("RSGroupCodec: bad buffer sizes");
   }
-}
-
-void RSGroupCodec::reduce_family(mpi::Comm& group, int f, int row,
-                                 std::span<const std::byte> data,
-                                 const std::vector<int>& skip, int root,
-                                 std::span<std::byte> out) const {
-  const int me = group.rank();
-  util::AlignedBytes scratch(stripe_bytes_, std::byte{0});
-  if (contributes(me, f) && std::find(skip.begin(), skip.end(), me) == skip.end()) {
-    const std::span<const std::byte> mine =
-        data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_);
-    gf256::mul_acc(as_u8(std::span<std::byte>(scratch)), as_u8(mine),
-                   coefficient(row, me, f));
-  }
-  xor_reduce(group, root, scratch, out);
 }
 
 void RSGroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
@@ -284,95 +259,91 @@ void RSGroupCodec::rebuild(mpi::Comm& group, std::span<const int> failed,
       throw std::invalid_argument("RSGroupCodec: bad member index");
     }
   }
-
-  const int me = group.rank();
   const auto is_lost = [&](int p) {
     return std::find(lost.begin(), lost.end(), p) != lost.end();
   };
-  // Syndrome reduces use the parity owners' stored stripes as additional
-  // contributions: P_j xor sum(surviving c_j*D) = sum(lost c_j*D).
-  const auto reduce_syndrome = [&](int f, int row, int root, std::span<std::byte> out) {
-    const int owner = parity_owner(row, f);
-    util::AlignedBytes scratch(stripe_bytes_, std::byte{0});
-    if (contributes(me, f) && !is_lost(me)) {
-      const std::span<const std::byte> mine =
-          data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_);
-      gf256::mul_acc(as_u8(std::span<std::byte>(scratch)), as_u8(mine),
-                     coefficient(row, me, f));
-    } else if (me == owner) {
-      std::memcpy(scratch.data(),
-                  parity.data() + static_cast<std::size_t>(row) * stripe_bytes_, stripe_bytes_);
-    }
-    xor_reduce(group, root, scratch, out);
-  };
 
+  std::vector<LostBlock> blocks;
   for (int f = 0; f < group_size_; ++f) {
     // Partition this family's losses: contributors to re-solve vs parity
-    // rows to re-reduce. A member is one or the other, never both, so
+    // rows to recompute. A member is one or the other, never both, so
     // lost contributors + lost rows <= m and enough surviving rows exist.
     std::vector<int> lost_data;
+    std::vector<int> alive_data;
     std::vector<int> lost_rows;
     std::vector<int> live_rows;
-    for (int m : lost) {
-      if (contributes(m, f)) lost_data.push_back(m);
+    for (int p = 0; p < group_size_; ++p) {
+      if (contributes(p, f)) (is_lost(p) ? lost_data : alive_data).push_back(p);
     }
     for (int row = 0; row < parity_count_; ++row) {
       (is_lost(parity_owner(row, f)) ? lost_rows : live_rows).push_back(row);
     }
 
-    // Phase A: reconstruct lost data stripes of this family by solving an
-    // L x L Cauchy subsystem against L surviving parity rows at the first
-    // lost contributor, which then ships the other rebuilt stripes out.
+    // Lost contributor x_b solves an L x L Cauchy subsystem against the
+    // first L surviving rows r_a: with syndromes S_a = P_{r_a} ^
+    // sum_p c_{r_a}(p) * D_p over the surviving contributors p, D_{x_b} =
+    // sum_a inv[b][a] * S_a.
     const std::size_t L = lost_data.size();
+    std::vector<std::uint8_t> inv;
     if (L > 0) {
-      const int x = lost_data.front();
-      std::vector<std::vector<std::byte>> syndromes(L);
+      std::vector<std::uint8_t> system(L * L);
       for (std::size_t a = 0; a < L; ++a) {
-        if (me == x) syndromes[a].resize(stripe_bytes_);
-        reduce_syndrome(f, live_rows[a], x, syndromes[a]);
-      }
-      if (me == x) {
-        // A[a][b] = c_{row_a}(x_b); D = A^-1 * S.
-        std::vector<std::uint8_t> system(L * L);
-        for (std::size_t a = 0; a < L; ++a) {
-          for (std::size_t b = 0; b < L; ++b) {
-            system[a * L + b] = coefficient(live_rows[a], lost_data[b], f);
-          }
-        }
-        const std::vector<std::uint8_t> inv = gf_invert(std::move(system), L);
-        std::vector<std::byte> rebuilt(stripe_bytes_);
         for (std::size_t b = 0; b < L; ++b) {
-          std::memset(rebuilt.data(), 0, stripe_bytes_);
-          for (std::size_t a = 0; a < L; ++a) {
-            gf256::mul_acc(as_u8(std::span<std::byte>(rebuilt)),
-                           as_u8(std::span<const std::byte>(syndromes[a])), inv[b * L + a]);
-          }
-          const int member = lost_data[b];
-          if (member == x) {
-            std::memcpy(data.data() + stripe_index(x, f) * stripe_bytes_, rebuilt.data(),
-                        stripe_bytes_);
-          } else {
-            group.send<std::byte>(member, kTagRebuiltStripe, rebuilt);
-          }
+          system[a * L + b] = coefficient(live_rows[a], lost_data[b], f);
         }
-      } else if (is_lost(me) && contributes(me, f)) {
-        const std::span<std::byte> slot =
-            data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_);
-        group.recv<std::byte>(x, kTagRebuiltStripe, slot);
       }
+      inv = gf_invert(std::move(system), L);
     }
-
-    // Phase B: recompute any lost parity stripes from the (now complete)
-    // data contributors.
+    // An item sum_b lam[b] * D_{x_b} ^ sum_p mu[p] * D_p folds the inverse
+    // into one weight per survivor: u[a] = sum_b lam[b] * inv[b][a] on
+    // parity slot r_a, and mu[p] ^ sum_a u[a] * c_{r_a}(p) on stripe D_p.
+    // The code is MDS, so every weight is nonzero: k terms per block.
+    const auto add_block = [&](int member, BlockAt at, const std::vector<std::uint8_t>& lam,
+                               std::vector<std::uint8_t> mu) {
+      LostBlock block{.member = member, .at = at, .bytes = stripe_bytes_, .terms = {}};
+      for (std::size_t a = 0; a < L; ++a) {
+        std::uint8_t u = 0;
+        for (std::size_t b = 0; b < L; ++b) u ^= gf256::mul(lam[b], inv[b * L + a]);
+        for (std::size_t i = 0; i < alive_data.size(); ++i) {
+          mu[i] ^= gf256::mul(u, coefficient(live_rows[a], alive_data[i], f));
+        }
+        const int row = live_rows[a];
+        block.terms.push_back(
+            {.member = parity_owner(row, f),
+             .at = {.redundancy = true, .offset = static_cast<std::size_t>(row) * stripe_bytes_},
+             .coeff = u});
+      }
+      for (std::size_t i = 0; i < alive_data.size(); ++i) {
+        const int p = alive_data[i];
+        block.terms.push_back(
+            {.member = p,
+             .at = {.redundancy = false, .offset = stripe_index(p, f) * stripe_bytes_},
+             .coeff = mu[i]});
+      }
+      blocks.push_back(std::move(block));
+    };
+    for (std::size_t b = 0; b < L; ++b) {
+      std::vector<std::uint8_t> lam(L, 0);
+      lam[b] = 1;
+      add_block(lost_data[b],
+                {.redundancy = false, .offset = stripe_index(lost_data[b], f) * stripe_bytes_},
+                lam, std::vector<std::uint8_t>(alive_data.size(), 0));
+    }
+    // A lost parity row is sum_p c_row(p) * D_p over every contributor,
+    // the lost ones included.
     for (const int row : lost_rows) {
-      const int owner = parity_owner(row, f);
-      reduce_family(group, f, row, data, {}, owner,
-                    me == owner
-                        ? parity.subspan(static_cast<std::size_t>(row) * stripe_bytes_,
-                                         stripe_bytes_)
-                        : std::span<std::byte>{});
+      std::vector<std::uint8_t> lam(L);
+      for (std::size_t b = 0; b < L; ++b) lam[b] = coefficient(row, lost_data[b], f);
+      std::vector<std::uint8_t> mu(alive_data.size());
+      for (std::size_t i = 0; i < alive_data.size(); ++i) {
+        mu[i] = coefficient(row, alive_data[i], f);
+      }
+      add_block(parity_owner(row, f),
+                {.redundancy = true, .offset = static_cast<std::size_t>(row) * stripe_bytes_},
+                lam, std::move(mu));
     }
   }
+  rebuild_lost_blocks(group, CodecKind::kXor, blocks, data, parity);
 }
 
 bool RSGroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,

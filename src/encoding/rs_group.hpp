@@ -76,6 +76,13 @@ class RSGroupCodec {
   /// Collective: reconstruct up to m failed members' data + parity.
   /// Survivors pass intact buffers; failed members' buffer contents are
   /// rebuilt in place. Throws std::invalid_argument for > m failures.
+  ///
+  /// Each family's L lost data stripes solve an L x L Cauchy subsystem
+  /// against L surviving parity rows; the inverse is folded into one
+  /// GF(2^8) coefficient per survivor, so every lost data stripe and lost
+  /// parity row is a weighted sum of exactly k surviving stripes and
+  /// parity slots (the code is MDS). All of them rebuild in one survivor
+  /// reduce (rebuild_lost_blocks), each block crossing the wire k times.
   void rebuild(mpi::Comm& group, std::span<const int> failed, std::span<std::byte> data,
                std::span<std::byte> parity) const;
 
@@ -102,11 +109,6 @@ class RSGroupCodec {
  private:
   void check_args(const mpi::Comm& group, std::size_t data_size,
                   std::size_t parity_size) const;
-  /// Reduce helper: each member contributes coeff * its stripe of family f
-  /// (identity when it is not a contributor); result lands on `root`.
-  void reduce_family(mpi::Comm& group, int f, int row, std::span<const std::byte> data,
-                     const std::vector<int>& skip, int root,
-                     std::span<std::byte> out) const;
 
   std::size_t data_bytes_;
   int group_size_;

@@ -175,6 +175,48 @@ TEST_F(TelemetryTest, SpansSurviveKilledNodeAndTraceShowsRecovery) {
   EXPECT_NE(json.find("thread_name"), std::string::npos);
 }
 
+// A restore splits into child spans: epoch agreement, the rebuild (on the
+// group that lost a member), the reloads and the closing world barrier.
+// Each child must name ckpt.restore as its parent and start and end
+// inside one ckpt.restore span of its own rank, for every in-memory
+// strategy.
+TEST_F(TelemetryTest, RestoreChildSpansNestInsideTheRestore) {
+  for (const ckpt::Strategy strategy :
+       {ckpt::Strategy::kSelf, ckpt::Strategy::kSingle, ckpt::Strategy::kDouble}) {
+    Tracer::instance().clear();
+    MiniCluster mc(4, 2);
+    CkptAppConfig config;
+    config.strategy = strategy;
+    config.group_size = 4;
+    config.iterations = 4;
+    sim::FailureInjector injector;
+    injector.add_rule({.point = "app.work", .world_rank = 2, .hit = 3, .repeat = false});
+    mpi::JobLauncher launcher(mc.cluster, &injector, {.max_restarts = 3, .ranks_per_node = 1});
+    const auto result = launcher.run(4, [&](mpi::Comm& w) { checkpointed_app(w, config); });
+    ASSERT_TRUE(result.success) << result.failure;
+    ASSERT_EQ(injector.triggered_count(), 1u);
+
+    const std::vector<SpanRecord> records = Tracer::instance().collect();
+    std::map<std::string, std::set<int>> child_ranks;
+    for (const SpanRecord& child : records) {
+      const std::string name = child.name;
+      if (name.rfind("ckpt.restore.", 0) != 0) continue;
+      EXPECT_STREQ(child.parent, "ckpt.restore") << name;
+      const bool nested = std::any_of(records.begin(), records.end(), [&](const SpanRecord& p) {
+        return std::strcmp(p.name, "ckpt.restore") == 0 && p.rank == child.rank &&
+               p.t0_us <= child.t0_us && child.t0_us + child.dur_us <= p.t0_us + p.dur_us;
+      });
+      EXPECT_TRUE(nested) << name << " on rank " << child.rank << " escapes its ckpt.restore";
+      child_ranks[name].insert(child.rank);
+    }
+    const std::set<int> all{0, 1, 2, 3};
+    EXPECT_EQ(child_ranks["ckpt.restore.agree"], all) << ckpt::to_string(strategy);
+    EXPECT_EQ(child_ranks["ckpt.restore.rebuild"], all) << ckpt::to_string(strategy);
+    EXPECT_EQ(child_ranks["ckpt.restore.reload"], all) << ckpt::to_string(strategy);
+    EXPECT_EQ(child_ranks["ckpt.restore.barrier"], all) << ckpt::to_string(strategy);
+  }
+}
+
 // Chrome-trace export well-formedness, checked with a real JSON parser
 // rather than substring probes: the document parses, complete ("X") spans
 // on one row nest properly (no partial overlap — what chrome://tracing
