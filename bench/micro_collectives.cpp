@@ -142,7 +142,7 @@ void encode_job(benchmark::State& state, bool reference) {
     run_collective_job(ranks, [ranks, data_bytes, reference](mpi::Comm& world) {
       const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, ranks);
       std::vector<std::byte> data(codec.padded_bytes(), std::byte(world.rank() + 1));
-      std::vector<std::byte> checksum(codec.checksum_bytes());
+      std::vector<std::byte> checksum(codec.redundancy_bytes());
       for (int i = 0; i < 4; ++i) {
         if (reference) {
           codec.encode_reference(world, data, checksum);

@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -199,7 +200,7 @@ EncodeMeasure measure_encode(int ranks, std::size_t data_bytes, int reps, bool r
   const mpi::JobResult result = rt.run([&](mpi::Comm& world) {
     const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, world.size());
     std::vector<std::byte> data(codec.padded_bytes(), std::byte(world.rank() + 1));
-    std::vector<std::byte> checksum(codec.checksum_bytes());
+    std::vector<std::byte> checksum(codec.redundancy_bytes());
     world.barrier();
     util::WallTimer timer;
     for (int i = 0; i < reps; ++i) {
@@ -254,7 +255,7 @@ RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps) {
   mpi::Runtime(cluster, ranklist).run([&](mpi::Comm& world) {
     const auto r = static_cast<std::size_t>(world.rank());
     data[r] = random_buffer(codec.padded_bytes(), 100 + r);
-    checksum[r].resize(codec.checksum_bytes());
+    checksum[r].resize(codec.redundancy_bytes());
     codec.encode(world, data[r], checksum[r]);
   });
 
@@ -270,7 +271,7 @@ RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps) {
     }
     world.barrier();
     util::WallTimer timer;
-    for (int i = 0; i < reps; ++i) codec.rebuild(world, victim, mine, sum);
+    for (int i = 0; i < reps; ++i) codec.rebuild(world, std::array{victim}, mine, sum);
     world.record_time("rebuild", timer.seconds());
     if (mine != data[r] || sum != checksum[r]) identical = false;
   });

@@ -71,12 +71,14 @@ cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # the commit-exclusion mutex) ride the same lane, as do test_kernels and
 # test_collectives: in the sparse delta reduce several tree children fill
 # one mailbox at once, and the async worker's dup()'d communicator shares
-# the rank's mailbox.
+# the rank's mailbox. test_protocols and test_failure_matrix run the
+# group-coded commit frame on the async worker and kill nodes inside it;
+# test_store_service tears a service down under a queued admission.
 cmake --build build-tsan -j --target \
   test_telemetry test_util test_session test_monitor test_encoding test_scrubber \
-  test_kernels test_collectives
+  test_kernels test_collectives test_store_service test_protocols test_failure_matrix
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives)$' -j)
+  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix)$' -j)
 
 echo
 echo "=== monitor lane: ft_jacobi --monitor forensics + overhead gate ==="

@@ -8,7 +8,7 @@
 
 namespace skt::ckpt {
 
-BlcrCheckpoint::BlcrCheckpoint(Params params)
+BlcrCheckpoint::BlcrCheckpoint(FactoryParams params)
     : params_(std::move(params)), device_(params_.device) {
   if (params_.data_bytes == 0) throw std::invalid_argument("BlcrCheckpoint: data_bytes == 0");
   if (params_.user_bytes == 0) throw std::invalid_argument("BlcrCheckpoint: user_bytes == 0");

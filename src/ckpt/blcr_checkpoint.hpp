@@ -12,29 +12,20 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/factory.hpp"
 #include "ckpt/protocol.hpp"
 #include "storage/device.hpp"
-#include "storage/vault.hpp"
 
 namespace skt::ckpt {
 
 class BlcrCheckpoint final : public CheckpointProtocol {
  public:
-  struct Params {
-    std::string key_prefix = "skt";
-    std::size_t data_bytes = 0;
-    std::size_t user_bytes = 64;
-    /// Required. Any Vault implementation (SnapshotVault or ShardedVault).
-    storage::Vault* vault = nullptr;
-    /// Fallback device model for vaults without one of their own,
-    /// e.g. hdd_profile(ranks_per_node).
-    storage::DeviceProfile device;
-    /// Heap staging buffer for stage()/commit_staged(); the vault keeps a
-    /// complete previous image either way, so recovery is unchanged.
-    bool async_staging = false;
-  };
-
-  explicit BlcrCheckpoint(Params params);
+  /// Uses key_prefix, data_bytes, user_bytes, vault (required: any Vault
+  /// implementation), device (the fallback model for vaults without one of
+  /// their own, e.g. hdd_profile(ranks_per_node)) and async_staging (a
+  /// heap staging buffer; the vault keeps a complete previous image
+  /// either way, so recovery is unchanged).
+  explicit BlcrCheckpoint(FactoryParams params);
 
   bool open(CommCtx ctx) override;
   [[nodiscard]] std::span<std::byte> data() override;
@@ -59,7 +50,7 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   void require_open() const;
   CommitStats commit_impl(CommCtx ctx, bool async);
 
-  Params params_;
+  FactoryParams params_;
   storage::Device device_;
   std::vector<std::byte> app_;
   std::vector<std::byte> user_;

@@ -3,9 +3,8 @@
 #include <stdexcept>
 
 #include "ckpt/blcr_checkpoint.hpp"
-#include "ckpt/double_checkpoint.hpp"
+#include "ckpt/paired_checkpoint.hpp"
 #include "ckpt/self_checkpoint.hpp"
-#include "ckpt/single_checkpoint.hpp"
 
 namespace skt::ckpt {
 
@@ -13,23 +12,12 @@ std::unique_ptr<CheckpointProtocol> make_protocol(Strategy strategy,
                                                   const FactoryParams& params) {
   switch (strategy) {
     case Strategy::kSelf:
-      return std::make_unique<SelfCheckpoint>(
-          SelfCheckpoint::Params{params.key_prefix, params.data_bytes, params.user_bytes,
-                                 params.codec, params.parity_degree, params.async_staging,
-                                 params.owner});
+      return std::make_unique<SelfCheckpoint>(params);
     case Strategy::kSingle:
-      return std::make_unique<SingleCheckpoint>(
-          SingleCheckpoint::Params{params.key_prefix, params.data_bytes, params.user_bytes,
-                                   params.codec, params.async_staging, params.owner});
     case Strategy::kDouble:
-      return std::make_unique<DoubleCheckpoint>(
-          DoubleCheckpoint::Params{params.key_prefix, params.data_bytes, params.user_bytes,
-                                   params.codec, params.parity_degree,
-                                   params.async_staging, params.owner});
+      return std::make_unique<PairedCheckpoint>(params, strategy);
     case Strategy::kBlcr:
-      return std::make_unique<BlcrCheckpoint>(
-          BlcrCheckpoint::Params{params.key_prefix, params.data_bytes, params.user_bytes,
-                                 params.vault, params.device, params.async_staging});
+      return std::make_unique<BlcrCheckpoint>(params);
     case Strategy::kNone:
       break;
   }

@@ -17,22 +17,27 @@
 
 namespace skt::ckpt {
 
+/// The one parameter set of every strategy (and, with its level-2 knobs,
+/// of MultiLevelCheckpoint::Params). A strategy ignores what it does not use.
 struct FactoryParams {
   std::string key_prefix = "skt";
   std::size_t data_bytes = 0;
   std::size_t user_bytes = 64;
   enc::CodecKind codec = enc::CodecKind::kXor;
-  /// Group-coded strategies (self, double): 1 = single erasure (paper
-  /// default); m >= 2 = RS(k, m) wide-stripe groups surviving m
-  /// concurrent losses per group.
+  /// Self and double: 1 = single erasure (paper default); m >= 2 = RS(k, m)
+  /// wide-stripe groups surviving m concurrent losses per group. Single
+  /// stays single-parity.
   int parity_degree = 1;
-  /// BLCR only:
+  /// BLCR's disk and the multi-level disk level: any Vault implementation
+  /// (required there), and the device model charged for vaults without
+  /// one of their own (e.g. hdd_profile(), pfs_profile(ranks)).
   storage::Vault* vault = nullptr;
   storage::DeviceProfile device;
   /// Allocate the staging buffer for stage()/commit_staged(). Changes the
   /// persistent-store layout of self-checkpoint (its SHM staging segment),
   /// so a run cannot restart with a different setting than it committed
-  /// with — the header codec field records it.
+  /// with — the header codec field records it. The other strategies stage
+  /// into heap memory their recovery never reads.
   bool async_staging = false;
   /// PersistentStore owner tag for every segment the protocol creates —
   /// the tenant namespace under a StoreService ("ns/<tenant>/"). Empty for

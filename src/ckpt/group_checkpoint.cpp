@@ -1,0 +1,220 @@
+#include "ckpt/group_checkpoint.hpp"
+
+#include <algorithm>
+#include <stdexcept>
+
+#include "telemetry/trace.hpp"
+#include "util/clock.hpp"
+
+namespace skt::ckpt {
+
+GroupCheckpoint::GroupCheckpoint(FactoryParams params, const char* tag)
+    : params_(std::move(params)), tag_(tag) {
+  const std::string name = std::string(tag_) + "-checkpoint: ";
+  if (params_.data_bytes == 0) throw std::invalid_argument(name + "data_bytes == 0");
+  if (params_.user_bytes == 0) throw std::invalid_argument(name + "user_bytes == 0");
+  combined_bytes_ = params_.data_bytes + params_.user_bytes;
+  user_.assign(params_.user_bytes, std::byte{0});
+}
+
+std::string GroupCheckpoint::key(const std::string& part) const {
+  return params_.key_prefix + ".r" + std::to_string(world_rank_) + "." + tag_ + "." + part;
+}
+
+std::uint32_t GroupCheckpoint::codec_field() const {
+  return static_cast<std::uint32_t>(params_.codec) |
+         static_cast<std::uint32_t>(params_.parity_degree) << 8;
+}
+
+void GroupCheckpoint::require_open() const {
+  if (!header_) {
+    throw std::logic_error(std::string(tag_) + "-checkpoint: open() has not been called");
+  }
+}
+
+Header GroupCheckpoint::header_or_init() const {
+  return load_or_init(header_, params_.data_bytes, params_.user_bytes,
+                      static_cast<std::uint32_t>(group_size_), codec_field());
+}
+
+bool GroupCheckpoint::open(CommCtx ctx) {
+  world_rank_ = ctx.group.world_rank();
+  group_size_ = ctx.group.size();
+  coder_ = enc::make_coder(params_.parity_degree, params_.codec, combined_bytes_, group_size_);
+
+  sim::PersistentStore& store = ctx.group.store();
+  const std::string hdr_key = key("hdr");
+  survivor_ = false;
+  if (sim::SegmentPtr existing = store.attach(hdr_key); existing != nullptr) {
+    const Header h = load_header(existing);
+    if (h.valid()) {
+      // A survivor's segments must match these parameters byte for byte:
+      // a rebuild would otherwise combine checksums of one code with the
+      // arithmetic of another.
+      if (h.data_bytes != params_.data_bytes || h.user_bytes != params_.user_bytes ||
+          h.group_size != static_cast<std::uint32_t>(group_size_) ||
+          h.codec != codec_field()) {
+        throw std::logic_error(std::string(tag_) +
+                               "-checkpoint: existing checkpoint layout mismatch");
+      }
+      survivor_ = true;
+    }
+  }
+
+  tracker_.reset(params_.data_bytes, params_.user_bytes, coder_->stripe_bytes(),
+                 coder_->stripe_count());
+  create_segments(store);
+  header_ = store.create(hdr_key, sizeof(Header), params_.owner);
+
+  const Header mine = load_header(header_);
+  const EpochSummary global =
+      summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
+  if (!global.any_survivor) {
+    // Globally fresh start: every rank initializes an epoch-0 header.
+    // A blank node joining a job that has survivors must NOT write one —
+    // it would masquerade as an epoch-0 survivor if a second failure hits
+    // before its restore completes.
+    store_header(header_, header_or_init());
+    survivor_ = true;
+    return false;
+  }
+  // A committed checkpoint exists iff some survivor published at least
+  // one epoch.
+  return std::max(epoch_of(global.bc_max), epoch_of(global.d_max)) >= 1;
+}
+
+double GroupCheckpoint::stage() {
+  require_open();
+  if (!params_.async_staging) {
+    throw std::logic_error(std::string(tag_) + "-checkpoint: stage() without async_staging");
+  }
+  SKT_SPAN("ckpt.stage");
+  util::WallTimer timer;
+  stage_dirty();
+  return timer.seconds();
+}
+
+CommitStats GroupCheckpoint::commit(CommCtx ctx) {
+  require_open();
+  // With staging enabled even a synchronous commit snapshots through the
+  // staging buffer, so the recovery-set rule and the staging buffer's
+  // dirty mirror never depend on which pipeline the commit used.
+  if (params_.async_staging) stage();
+  return commit_frame(ctx, /*async=*/false);
+}
+
+CommitStats GroupCheckpoint::commit_staged(CommCtx ctx) {
+  require_open();
+  if (!params_.async_staging) {
+    throw std::logic_error(std::string(tag_) +
+                           "-checkpoint: commit_staged() without async_staging");
+  }
+  return commit_frame(ctx, /*async=*/true);
+}
+
+CommitStats GroupCheckpoint::commit_frame(CommCtx ctx, bool async) {
+  SKT_SPAN("ckpt.commit");
+  Commit c{.ctx = ctx, .async = async, .header = header_or_init()};
+  // Agree on the epoch globally: after a disk-level fallback restore (see
+  // MultiLevelCheckpoint) a replacement's header may lag the survivors'.
+  c.stats.epoch = ctx.world.allreduce_value<std::uint64_t>(
+                      std::max(epoch_of(c.header.bc_epoch), epoch_of(c.header.d_epoch)),
+                      mpi::Max{}) +
+                  1;
+
+  ctx.group.failpoint(async ? "ckpt.async_begin" : "ckpt.begin");
+  ctx.world.barrier();
+  telemetry::set_epoch(c.stats.epoch);
+
+  commit_steps(c);
+
+  store_header(header_, c.header);
+  ctx.group.failpoint(async ? "ckpt.async_flushed" : "ckpt.flushed");
+  ctx.world.barrier();
+
+  tracker_.account(c.dirty, c.stats);
+  // The flush copies exactly the dirty runs into the checkpoint copy.
+  c.stats.checkpoint_bytes = c.stats.dirty_bytes;
+  c.stats.checksum_bytes = coder_->redundancy_bytes();
+  // The async worker's pipeline time is recorded as "ckpt_worker" by the
+  // engine; only a synchronous commit charges the critical-path slot, and
+  // only with measured time (encode_virtual_s is modeled).
+  if (!async) ctx.group.record_time("checkpoint", c.stats.encode_s + c.stats.flush_s);
+  return c.stats;
+}
+
+std::vector<enc::BlockRun> GroupCheckpoint::encode(Commit& c, std::span<const std::byte> base,
+                                                   std::span<const std::byte> next,
+                                                   std::span<std::byte> redundancy) {
+  const double virtual_before = c.ctx.group.virtual_seconds();
+  c.wire_before = c.ctx.group.runtime().wire_bytes();
+  util::WallTimer timer;
+  std::vector<enc::BlockRun> changed;
+  {
+    SKT_SPAN("ckpt.encode");
+    changed = coder_->encode_delta(c.ctx.group, base, next, redundancy, redundancy, c.dirty);
+  }
+  c.stats.encode_s = timer.seconds();
+  c.stats.encode_virtual_s = c.ctx.group.virtual_seconds() - virtual_before;
+  c.ctx.group.failpoint(c.async ? "ckpt.async_encode_done" : "ckpt.encode_done");
+  return changed;
+}
+
+void GroupCheckpoint::encode_barrier(Commit& c) {
+  c.ctx.world.barrier();
+  // The encode's job-wide wire bytes, read only now: once this barrier
+  // releases, every member's encode sends are done, so no rank's count
+  // stops short of a slower member's last segments.
+  c.stats.encode_wire_bytes = c.ctx.group.runtime().wire_bytes() - c.wire_before;
+}
+
+bool GroupCheckpoint::restore_feasible(CommCtx ctx) {
+  return static_cast<int>(missing_members(ctx.group, survivor_).size()) <=
+         coder_->max_failures();
+}
+
+RestoreStats GroupCheckpoint::restore(CommCtx ctx) {
+  require_open();
+  SKT_SPAN("ckpt.restore");
+  ctx.group.failpoint("ckpt.restore");
+
+  EpochSummary global;
+  std::vector<int> missing;
+  {
+    SKT_SPAN("ckpt.restore.agree");
+    const Header mine = load_header(header_);
+    global = summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
+    missing = missing_members(ctx.group, survivor_);
+  }
+  if (static_cast<int>(missing.size()) > coder_->max_failures()) {
+    throw Unrecoverable(std::string(tag_) + "-checkpoint: " + std::to_string(missing.size()) +
+                        " members lost in one group; the degree-" +
+                        std::to_string(coder_->max_failures()) +
+                        " erasure code cannot recover");
+  }
+
+  RestoreStats stats;
+  util::WallTimer timer;
+  stats.epoch = restore_steps(ctx, global, missing);
+  stats.rebuild_s = timer.seconds();
+  stats.rebuilt_member =
+      std::find(missing.begin(), missing.end(), ctx.group.rank()) != missing.end();
+  ctx.group.record_time("recover", stats.rebuild_s);
+  {
+    SKT_SPAN("ckpt.restore.barrier");
+    ctx.world.barrier();
+  }
+  return stats;
+}
+
+std::uint64_t GroupCheckpoint::committed_epoch() const {
+  if (!header_) return 0;
+  const Header h = load_header(header_);
+  return h.valid() ? std::max(epoch_of(h.bc_epoch), epoch_of(h.d_epoch)) : 0;
+}
+
+int GroupCheckpoint::max_failures() const {
+  return coder_ ? coder_->max_failures() : params_.parity_degree;
+}
+
+}  // namespace skt::ckpt

@@ -1,0 +1,111 @@
+// The commit frame shared by the group-coded strategies: single (Fig. 2),
+// double (Fig. 3) and self (Fig. 5) checkpoints.
+//
+// All three run one skeleton. A commit agrees on its epoch with a world
+// max-reduce, passes the begin failpoint and a world barrier, runs the
+// strategy's own steps, then stores the header the steps left and passes
+// the flushed failpoint and a closing world barrier. Inside the steps, the
+// frame owns the encode bracket (the ckpt.encode span, wall and modeled
+// time, the encode_done failpoint) and the first world barrier after it,
+// where the encode's wire bytes are read. It also owns the dirty
+// accounting and one critical-path rule: a synchronous commit records
+// encode_s + flush_s as "checkpoint" time, measured wall time only.
+//
+// open() checks a surviving header's layout against the parameters, sums
+// up survivors and epochs world-wide, and writes a fresh header only on a
+// globally fresh start. restore() runs the epoch agreement, the group's
+// loss budget, the recover timer and the closing barrier around the
+// strategy's side choice, rebuild and reload.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "ckpt/epoch.hpp"
+#include "ckpt/factory.hpp"
+#include "ckpt/header.hpp"
+#include "ckpt/protocol.hpp"
+#include "encoding/erasure_coder.hpp"
+
+namespace skt::ckpt {
+
+class GroupCheckpoint : public CheckpointProtocol {
+ public:
+  bool open(CommCtx ctx) final;
+  [[nodiscard]] std::span<std::byte> user_state() final { return user_; }
+  CommitStats commit(CommCtx ctx) final;
+  [[nodiscard]] bool supports_async() const final { return params_.async_staging; }
+  double stage() final;
+  CommitStats commit_staged(CommCtx ctx) final;
+  [[nodiscard]] bool restore_feasible(CommCtx ctx) final;
+  RestoreStats restore(CommCtx ctx) final;
+  [[nodiscard]] std::uint64_t committed_epoch() const final;
+  [[nodiscard]] DirtyTracker* dirty_tracker() final { return &tracker_; }
+  [[nodiscard]] int max_failures() const final;
+
+ protected:
+  /// `tag` names the strategy in segment keys ("<prefix>.r<rank>.<tag>.").
+  GroupCheckpoint(FactoryParams params, const char* tag);
+
+  /// One commit in flight: what the frame agreed on and measures, and what
+  /// the strategy's steps hand back to it.
+  struct Commit {
+    CommCtx ctx;
+    bool async = false;
+    /// Stored by the frame once the steps return.
+    Header header;
+    CommitStats stats;
+    /// The runs this commit moves, set by the steps. The frame accounts
+    /// them: every strategy flushes exactly these runs.
+    std::vector<enc::BlockRun> dirty;
+    std::uint64_t wire_before = 0;
+  };
+
+  /// open(): create the strategy's segments, after the tracker's reset and
+  /// before the header's.
+  virtual void create_segments(sim::PersistentStore& store) = 0;
+  /// stage(): copy the runs dirtied since the last snapshot into the
+  /// staging buffer.
+  virtual void stage_dirty() = 0;
+  /// The commit's steps between the begin barrier and the publication.
+  virtual void commit_steps(Commit& c) = 0;
+  /// Choose the recovery source, rebuild `missing` and reload; returns the
+  /// restored epoch. Throws Unrecoverable when no consistent set exists.
+  virtual std::uint64_t restore_steps(CommCtx ctx, const EpochSummary& global,
+                                      std::span<const int> missing) = 0;
+  /// The header's codec field, compared on re-open: the code and its degree.
+  [[nodiscard]] virtual std::uint32_t codec_field() const;
+
+  [[nodiscard]] std::string key(const std::string& part) const;
+  void require_open() const;
+  /// This rank's header, or a fresh epoch-0 one with this layout.
+  [[nodiscard]] Header header_or_init() const;
+  /// The encode bracket over c.dirty. Returns the runs of `redundancy`
+  /// the encode changed.
+  std::vector<enc::BlockRun> encode(Commit& c, std::span<const std::byte> base,
+                                    std::span<const std::byte> next,
+                                    std::span<std::byte> redundancy);
+  /// The first world barrier after the encode.
+  void encode_barrier(Commit& c);
+
+  FactoryParams params_;
+  std::size_t combined_bytes_ = 0;  // data + user state
+  std::unique_ptr<enc::ErasureCoder> coder_;
+  std::vector<std::byte> user_;  // A2, ordinary (non-SHM) memory
+  /// Blocks dirtied since the last snapshot (stage() or sync commit).
+  DirtyTracker tracker_;
+  bool survivor_ = false;  // a valid header existed at open(), or restore() ran
+  sim::SegmentPtr header_;
+
+ private:
+  CommitStats commit_frame(CommCtx ctx, bool async);
+
+  const char* tag_;
+  int world_rank_ = -1;
+  int group_size_ = 0;
+};
+
+}  // namespace skt::ckpt

@@ -4,8 +4,9 @@
 //   bc_epoch — epoch of the committed (checkpoint B, checksum C) pair
 //   d_epoch  — epoch of the sealed working-side checksum D; d_epoch ==
 //              bc_epoch + 1 between "seal" and "flush complete".
-// The double-checkpoint strategy reuses the two counters as the epochs of
-// its two (checkpoint, checksum) pairs.
+// The paired strategies (single, double) reuse the two counters as the
+// epoch slots of their (checkpoint, checksum) pairs (slot()), and set
+// kWriting on a slot while its pair is being overwritten.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,16 @@ struct Header {
   std::uint32_t codec = 0;
 
   [[nodiscard]] bool valid() const { return magic == kMagic; }
+  /// Epoch slot of pair `pair` (0 or 1) for the paired strategies.
+  [[nodiscard]] std::uint64_t& slot(std::size_t pair) { return pair == 0 ? bc_epoch : d_epoch; }
 };
+
+/// High bit of an epoch slot: its pair is being written. It persists with
+/// the header until the pair publishes, and epoch_of() strips it, so a
+/// torn pair never looks complete and never lowers the agreed epoch.
+inline constexpr std::uint64_t kWriting = std::uint64_t{1} << 63;
+
+[[nodiscard]] constexpr std::uint64_t epoch_of(std::uint64_t slot) { return slot & ~kWriting; }
 
 static_assert(sizeof(Header) % 8 == 0);
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "ckpt/factory.hpp"
 #include "telemetry/trace.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
@@ -21,14 +20,8 @@ MultiLevelCheckpoint::MultiLevelCheckpoint(Params params)
   // Composition through the SPI: the level-1 protocol is built with the
   // same make_protocol entry point a Session uses, under a nested key
   // prefix so its store segments never collide with a sibling instance.
-  FactoryParams inner;
-  inner.key_prefix = params_.key_prefix + ".L1";
-  inner.data_bytes = params_.data_bytes;
-  inner.user_bytes = params_.user_bytes;
-  inner.codec = params_.codec;
-  inner.parity_degree = params_.parity_degree;
-  inner.async_staging = params_.async_staging;
-  inner.owner = params_.owner;
+  FactoryParams inner = params_;
+  inner.key_prefix += ".L1";
   inner_ = make_protocol(params_.level1, inner);
 }
 

@@ -16,40 +16,22 @@
 #include <memory>
 #include <string>
 
+#include "ckpt/factory.hpp"
 #include "ckpt/protocol.hpp"
-#include "encoding/codec.hpp"
 #include "storage/device.hpp"
-#include "storage/vault.hpp"
 
 namespace skt::ckpt {
 
 class MultiLevelCheckpoint final : public CheckpointProtocol {
  public:
-  struct Params {
-    std::string key_prefix = "skt";
-    std::size_t data_bytes = 0;
-    std::size_t user_bytes = 64;
-    enc::CodecKind codec = enc::CodecKind::kXor;
-    /// Forwarded to the level-1 protocol: 1 = single parity, m >= 2 =
-    /// RS(k, m) groups surviving m concurrent in-memory losses before the
-    /// disk fallback has to take over.
-    int parity_degree = 1;
+  /// The level-1 strategy's FactoryParams (vault and device required for
+  /// the disk level; async_staging makes the level-2 flush read the staged
+  /// image instead of the live working buffer) plus the level-2 cadence.
+  struct Params : FactoryParams {
     /// Level-1 strategy (must be an in-memory one).
     Strategy level1 = Strategy::kSelf;
     /// Flush to disk every `flush_every` level-1 commits (0 = never).
     int flush_every = 4;
-    /// Required. Any Vault implementation: a single SnapshotVault or a
-    /// ShardedVault spreading the flush across node-local shards.
-    storage::Vault* vault = nullptr;
-    /// Fallback device model for vaults without one of their own
-    /// (SnapshotVault), e.g. pfs_profile(ranks).
-    storage::DeviceProfile device;
-    /// Forwarded to the level-1 protocol; the level-2 flush then reads the
-    /// staged image instead of the live working buffer.
-    bool async_staging = false;
-    /// Owner tag forwarded to the level-1 protocol's segments (tenant
-    /// namespace; may be ""). Vault keys are namespaced via key_prefix.
-    std::string owner;
   };
 
   explicit MultiLevelCheckpoint(Params params);

@@ -70,17 +70,20 @@ struct CommitStats {
   double encode_virtual_s = 0.0;  ///< modeled network time of the encode
   double flush_s = 0.0;        ///< local overwrite of the old checkpoint
   double device_s = 0.0;       ///< virtual device time (disk strategies)
-  std::size_t checkpoint_bytes = 0;  ///< full-copy bytes written
-  std::size_t checksum_bytes = 0;    ///< checksum bytes written
+  /// Bytes written into the checkpoint copy: the flushed dirty runs for
+  /// the in-memory strategies (equal to dirty_bytes; the full image only
+  /// when everything is dirty), the whole image for BLCR.
+  std::size_t checkpoint_bytes = 0;
+  std::size_t checksum_bytes = 0;    ///< size of the checksum the commit re-encoded
   /// Payload bytes the encode collective put on the (simulated) wire,
   /// job-wide; 0 for strategies that encode nothing.
   std::uint64_t encode_wire_bytes = 0;
   /// Bytes of the dirty runs this commit had to move, block-exact (see
-  /// DirtyTracker::account). Equals the full image for un-annotated
-  /// applications.
+  /// DirtyTracker::account; every strategy has a tracker). Equals the
+  /// full image for un-annotated applications.
   std::size_t dirty_bytes = 0;
   /// Share of the tracked image's stripes that hold a dirty block; 1.0
-  /// for un-annotated applications and strategies without a tracker.
+  /// for un-annotated applications.
   double dirty_fraction = 1.0;
   [[nodiscard]] double total_s() const {
     return encode_s + encode_virtual_s + flush_s + device_s;

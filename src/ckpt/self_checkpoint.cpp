@@ -1,86 +1,25 @@
 #include "ckpt/self_checkpoint.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
-#include "ckpt/epoch.hpp"
 #include "telemetry/trace.hpp"
 #include "util/clock.hpp"
-#include "util/log.hpp"
 
 namespace skt::ckpt {
 
-SelfCheckpoint::SelfCheckpoint(Params params) : params_(std::move(params)) {
-  if (params_.data_bytes == 0) throw std::invalid_argument("SelfCheckpoint: data_bytes == 0");
-  if (params_.user_bytes == 0) throw std::invalid_argument("SelfCheckpoint: user_bytes == 0");
-  combined_bytes_ = params_.data_bytes + params_.user_bytes;
-  user_.assign(params_.user_bytes, std::byte{0});
-}
-
-std::string SelfCheckpoint::key(const char* part) const {
-  return params_.key_prefix + ".r" + std::to_string(world_rank_) + ".self." + part;
-}
-
 std::uint32_t SelfCheckpoint::codec_field() const {
-  return static_cast<std::uint32_t>(params_.codec) |
-         static_cast<std::uint32_t>(params_.parity_degree) << 8 |
-         (params_.async_staging ? 1u << 16 : 0u);
+  return GroupCheckpoint::codec_field() | (params_.async_staging ? 1u << 16 : 0u);
 }
 
-void SelfCheckpoint::require_open() const {
-  if (!work_) throw std::logic_error("SelfCheckpoint: open() has not been called");
-}
-
-bool SelfCheckpoint::open(CommCtx ctx) {
-  world_rank_ = ctx.group.world_rank();
-  coder_ = enc::make_coder(params_.parity_degree, params_.codec, combined_bytes_,
-                           ctx.group.size());
-
-  sim::PersistentStore& store = ctx.group.store();
-  const std::string hdr_key = key("hdr");
-  survivor_ = false;
-  if (sim::SegmentPtr existing = store.attach(hdr_key); existing != nullptr) {
-    const Header h = load_header(existing);
-    if (h.valid()) {
-      if (h.data_bytes != params_.data_bytes || h.user_bytes != params_.user_bytes ||
-          h.group_size != static_cast<std::uint32_t>(ctx.group.size()) ||
-          h.codec != codec_field()) {
-        throw std::logic_error("SelfCheckpoint: existing checkpoint layout mismatch");
-      }
-      survivor_ = true;
-    }
-  }
-
+void SelfCheckpoint::create_segments(sim::PersistentStore& store) {
   const std::size_t padded = coder_->padded_bytes();
   const std::size_t stripe = coder_->redundancy_bytes();
-  tracker_.reset(params_.data_bytes, params_.user_bytes, coder_->stripe_bytes(),
-                 coder_->stripe_count());
   staged_runs_ = tracker_.runs();  // un-annotated: every stripe whole
   work_ = store.create(key("work"), padded, params_.owner);
   ckpt_b_ = store.create(key("B"), padded, params_.owner);
   check_c_ = store.create(key("C"), stripe, params_.owner);
   check_d_ = store.create(key("D"), stripe, params_.owner);
   if (params_.async_staging) stage_ = store.create(key("S"), padded, params_.owner);
-  header_ = store.create(hdr_key, sizeof(Header), params_.owner);
-
-  const Header mine = load_header(header_);
-  const EpochSummary global =
-      summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
-  if (!global.any_survivor) {
-    // Globally fresh start: every rank initializes an epoch-0 header.
-    // A blank node joining a job that has survivors must NOT write one —
-    // it would masquerade as an epoch-0 survivor if a second failure hits
-    // before its restore completes.
-    store_header(header_, load_or_init(header_, params_.data_bytes, params_.user_bytes,
-                                       static_cast<std::uint32_t>(ctx.group.size()),
-                                       codec_field()));
-    survivor_ = true;
-    return false;
-  }
-  // A committed checkpoint exists iff some survivor sealed or flushed at
-  // least one epoch.
-  return global.bc_max >= 1 || global.d_max >= 1;
 }
 
 std::span<std::byte> SelfCheckpoint::data() {
@@ -88,15 +27,7 @@ std::span<std::byte> SelfCheckpoint::data() {
   return work_->bytes().subspan(0, params_.data_bytes);
 }
 
-std::span<std::byte> SelfCheckpoint::user_state() { return user_; }
-
-double SelfCheckpoint::stage() {
-  require_open();
-  if (!params_.async_staging) {
-    throw std::logic_error("SelfCheckpoint: stage() without async_staging");
-  }
-  SKT_SPAN("ckpt.stage");
-  util::WallTimer timer;
+void SelfCheckpoint::stage_dirty() {
   // Seal [A1|B2|pad] into S; the user-space A2 lands directly in S's B2
   // slot, so the staged domain is self-contained. S equals B (and work as
   // of the previous stage) on every clean block, so an annotated
@@ -110,7 +41,6 @@ double SelfCheckpoint::stage() {
   }
   std::memcpy(stage_->bytes().data() + params_.data_bytes, user_.data(), params_.user_bytes);
   tracker_.clear();
-  return timer.seconds();
 }
 
 std::span<const std::byte> SelfCheckpoint::staged() const {
@@ -118,36 +48,10 @@ std::span<const std::byte> SelfCheckpoint::staged() const {
   return std::span<const std::byte>(stage_->bytes()).subspan(0, combined_bytes_);
 }
 
-CommitStats SelfCheckpoint::commit(CommCtx ctx) {
-  require_open();
-  // With staging enabled even a synchronous commit encodes from S, so the
-  // CASE-2 recovery set is (S, D) no matter which pipeline was interrupted.
-  if (params_.async_staging) stage();
-  return commit_impl(ctx, /*async=*/false);
-}
-
-CommitStats SelfCheckpoint::commit_staged(CommCtx ctx) {
-  require_open();
-  if (!params_.async_staging) {
-    throw std::logic_error("SelfCheckpoint: commit_staged() without async_staging");
-  }
-  return commit_impl(ctx, /*async=*/true);
-}
-
-CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
-  SKT_SPAN("ckpt.commit");
+void SelfCheckpoint::commit_steps(Commit& c) {
   // The encoded domain: the staged copy S when staging, else work itself.
   const std::span<std::byte> source =
       params_.async_staging ? stage_->bytes() : work_->bytes();
-  Header h = load_or_init(header_, params_.data_bytes, params_.user_bytes,
-                          static_cast<std::uint32_t>(ctx.group.size()), codec_field());
-  // Agree on the epoch globally: after a disk-level fallback restore (see
-  // MultiLevelCheckpoint) a replacement's header may lag the survivors'.
-  const std::uint64_t next =
-      ctx.world.allreduce_value<std::uint64_t>(h.bc_epoch, mpi::Max{}) + 1;
-
-  ctx.group.failpoint(async ? "ckpt.async_begin" : "ckpt.begin");
-  ctx.world.barrier();
 
   if (!params_.async_staging) {
     // Step 2 (Fig. 5): copy the user-space A2 into the SHM-resident B2 so
@@ -155,14 +59,13 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
     // stage() already placed A2 into S.)
     std::memcpy(work_->bytes().data() + params_.data_bytes, user_.data(), params_.user_bytes);
     tracker_.mark_user_tail();
-    ctx.group.failpoint("ckpt.copy_a2");
+    c.ctx.group.failpoint("ckpt.copy_a2");
   }
 
   // The runs the source side differs from the committed B on: the staged
   // set captured by stage(), or the live tracker. Un-annotated
   // applications resolve to all-dirty (full encode + flush).
-  const std::vector<enc::BlockRun> dirty =
-      params_.async_staging ? staged_runs_ : tracker_.runs();
+  c.dirty = params_.async_staging ? staged_runs_ : tracker_.runs();
 
   // Step 3: encode the source side's checksum D. The delta form reuses the
   // sealed B as the base and folds the dirty runs' diffs into D in place:
@@ -170,54 +73,34 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
   // D already holds the old checksum, and C stays intact for a CASE-1
   // rollback if the encode is interrupted. Mostly-dirty commits take the
   // full ring encode instead.
-  CommitStats stats;
-  stats.epoch = next;
-  tracker_.account(dirty, stats);
-  telemetry::set_epoch(next);
-  ctx.group.failpoint(async ? "ckpt.async_encode_begin" : "ckpt.encode_begin");
-  const double encode_virtual_before = ctx.group.virtual_seconds();
-  const std::uint64_t wire_before = ctx.group.runtime().wire_bytes();
-  util::WallTimer encode_timer;
-  std::vector<enc::BlockRun> checksum_changed;
-  {
-    SKT_SPAN("ckpt.encode");
-    checksum_changed = coder_->encode_delta(ctx.group, ckpt_b_->bytes(), source,
-                                            check_d_->bytes(), check_d_->bytes(), dirty);
-  }
-  stats.encode_s = encode_timer.seconds();
-  stats.encode_virtual_s = ctx.group.virtual_seconds() - encode_virtual_before;
-  ctx.group.failpoint(async ? "ckpt.async_encode_done" : "ckpt.encode_done");
+  c.ctx.group.failpoint(c.async ? "ckpt.async_encode_begin" : "ckpt.encode_begin");
+  const std::vector<enc::BlockRun> checksum_changed =
+      encode(c, ckpt_b_->bytes(), source, check_d_->bytes());
 
   {
     // Seal: after this global barrier every rank knows D is complete
     // everywhere, so (source, D) becomes a valid recovery set.
     SKT_SPAN("ckpt.seal");
-    ctx.world.barrier();
-    // The encode's job-wide wire bytes, read only now: once this barrier
-    // releases, every member's encode sends are done, so no rank's count
-    // stops short of a slower member's last segments.
-    stats.encode_wire_bytes = ctx.group.runtime().wire_bytes() - wire_before;
-    h.d_epoch = next;
-    store_header(header_, h);
-    ctx.group.failpoint(async ? "ckpt.async_sealed" : "ckpt.sealed");
-    ctx.world.barrier();
+    encode_barrier(c);
+    c.header.d_epoch = c.stats.epoch;
+    store_header(header_, c.header);
+    c.ctx.group.failpoint(c.async ? "ckpt.async_sealed" : "ckpt.sealed");
+    c.ctx.world.barrier();
   }
 
   // Step 4: flush the source side over the old checkpoint. A failure here
   // is CASE 2 of Fig. 4 — recovery uses (source, D).
   util::WallTimer flush_timer;
-  std::size_t flushed = 0;
   {
     SKT_SPAN("ckpt.flush");
     // B equals the source on every clean block (the previous flush made
     // them identical and clean means untouched since), so only dirty runs
     // move.
-    for (const enc::BlockRun& run : dirty) {
+    for (const enc::BlockRun& run : c.dirty) {
       const enc::ByteRange r = enc::run_bytes(run, tracker_.stripe_bytes());
       std::memcpy(ckpt_b_->bytes().data() + r.begin, source.data() + r.begin, r.size());
-      flushed += r.size();
     }
-    ctx.group.failpoint(async ? "ckpt.async_mid_flush" : "ckpt.mid_flush");
+    c.ctx.group.failpoint(c.async ? "ckpt.async_mid_flush" : "ckpt.mid_flush");
     // D still equals C outside the runs the encode changed, so only those
     // move.
     for (const enc::BlockRun& run : checksum_changed) {
@@ -226,29 +109,13 @@ CommitStats SelfCheckpoint::commit_impl(CommCtx ctx, bool async) {
                   r.size());
     }
   }
-  stats.flush_s = flush_timer.seconds();
+  c.stats.flush_s = flush_timer.seconds();
   if (!params_.async_staging) tracker_.clear();
-  h.bc_epoch = next;
-  store_header(header_, h);
-  ctx.group.failpoint(async ? "ckpt.async_flushed" : "ckpt.flushed");
-  ctx.world.barrier();
-
-  stats.checkpoint_bytes = flushed;
-  stats.checksum_bytes = check_d_->size();
-  // The async worker's pipeline time is recorded as "ckpt_worker" by the
-  // engine; only a synchronous commit charges the critical-path slot here.
-  if (!async) ctx.group.record_time("checkpoint", stats.encode_s + stats.flush_s);
-  return stats;
+  c.header.bc_epoch = c.stats.epoch;
 }
 
-bool SelfCheckpoint::restore_feasible(CommCtx ctx) {
-  return static_cast<int>(missing_members(ctx.group, survivor_).size()) <=
-         coder_->max_failures();
-}
-
-void SelfCheckpoint::reseed_epoch(CommCtx ctx, std::uint64_t epoch) {
-  Header h = load_or_init(header_, params_.data_bytes, params_.user_bytes,
-                          static_cast<std::uint32_t>(ctx.group.size()), codec_field());
+void SelfCheckpoint::reseed_epoch(CommCtx /*ctx*/, std::uint64_t epoch) {
+  Header h = header_or_init();
   h.bc_epoch = epoch;
   h.d_epoch = epoch;
   store_header(header_, h);
@@ -257,26 +124,8 @@ void SelfCheckpoint::reseed_epoch(CommCtx ctx, std::uint64_t epoch) {
   survivor_ = true;
 }
 
-RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
-  require_open();
-  SKT_SPAN("ckpt.restore");
-  ctx.group.failpoint("ckpt.restore");
-
-  EpochSummary global;
-  std::vector<int> missing;
-  {
-    SKT_SPAN("ckpt.restore.agree");
-    const Header mine = load_header(header_);
-    global = summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
-    missing = missing_members(ctx.group, survivor_);
-  }
-  if (static_cast<int>(missing.size()) > coder_->max_failures()) {
-    throw Unrecoverable("self-checkpoint: " + std::to_string(missing.size()) +
-                        " members lost in one group; the degree-" +
-                        std::to_string(coder_->max_failures()) +
-                        " erasure code cannot recover");
-  }
-
+std::uint64_t SelfCheckpoint::restore_steps(CommCtx ctx, const EpochSummary& global,
+                                            std::span<const int> missing) {
   // Side selection. The commit's global barriers guarantee: if any rank
   // started flushing, every rank sealed D first — so a mixed bc range
   // implies a uniform d range one epoch ahead.
@@ -297,10 +146,6 @@ RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
   if (target == 0) {
     throw Unrecoverable("self-checkpoint: no committed checkpoint to restore");
   }
-
-  RestoreStats stats;
-  stats.epoch = target;
-  util::WallTimer timer;
 
   // CASE 1 (Fig. 4) rolls back to (B, C): survivors reload their working
   // buffer and D from them, so the lost member's B and C are rebuilt into
@@ -336,8 +181,7 @@ RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
       // requires S to match the encoded domain before the next commit.
       std::memcpy(stage_->bytes().data(), work_->bytes().data(), work_->size());
     }
-    Header h = load_or_init(header_, params_.data_bytes, params_.user_bytes,
-                            static_cast<std::uint32_t>(ctx.group.size()), codec_field());
+    Header h = header_or_init();
     h.bc_epoch = target;
     h.d_epoch = target;
     store_header(header_, h);
@@ -346,16 +190,7 @@ RestoreStats SelfCheckpoint::restore(CommCtx ctx) {
     tracker_.clear();
     staged_runs_.clear();
   }
-
-  stats.rebuild_s = timer.seconds();
-  stats.rebuilt_member =
-      std::find(missing.begin(), missing.end(), ctx.group.rank()) != missing.end();
-  ctx.group.record_time("recover", stats.rebuild_s);
-  {
-    SKT_SPAN("ckpt.restore.barrier");
-    ctx.world.barrier();
-  }
-  return stats;
+  return target;
 }
 
 std::size_t SelfCheckpoint::memory_bytes() const {
@@ -363,12 +198,6 @@ std::size_t SelfCheckpoint::memory_bytes() const {
   // work (A1+B2) + B + C + D + [S] + A2 + header
   return work_->size() + ckpt_b_->size() + check_c_->size() + check_d_->size() +
          (stage_ ? stage_->size() : 0) + user_.size() + sizeof(Header);
-}
-
-std::uint64_t SelfCheckpoint::committed_epoch() const {
-  if (!header_) return 0;
-  const Header h = load_header(header_);
-  return h.valid() ? std::max(h.bc_epoch, h.d_epoch) : 0;
 }
 
 std::vector<ScrubRegion> SelfCheckpoint::scrub_view() {
@@ -381,10 +210,6 @@ std::vector<ScrubRegion> SelfCheckpoint::scrub_view() {
   return {{"B", ckpt_b_->bytes(), {}},
           {"C", check_c_->bytes(), check_d_->bytes()},
           {"D", check_d_->bytes(), check_c_->bytes()}};
-}
-
-int SelfCheckpoint::max_failures() const {
-  return coder_ ? coder_->max_failures() : params_.parity_degree;
 }
 
 }  // namespace skt::ckpt

@@ -110,19 +110,8 @@ Session SessionBuilder::build(mpi::Comm& world) const {
 
   std::unique_ptr<CheckpointProtocol> protocol;
   if (level2_flush_every_ > 0) {
-    MultiLevelCheckpoint::Params ml;
-    ml.key_prefix = params.key_prefix;
-    ml.data_bytes = params.data_bytes;
-    ml.user_bytes = params.user_bytes;
-    ml.codec = params.codec;
-    ml.parity_degree = params.parity_degree;
-    ml.level1 = strategy_;
-    ml.flush_every = level2_flush_every_;
-    ml.vault = params.vault;
-    ml.device = params.device;
-    ml.async_staging = params.async_staging;
-    ml.owner = params.owner;
-    protocol = std::make_unique<MultiLevelCheckpoint>(ml);
+    protocol = std::make_unique<MultiLevelCheckpoint>(
+        MultiLevelCheckpoint::Params{params, strategy_, level2_flush_every_});
   } else {
     protocol = make_protocol(strategy_, params);
   }

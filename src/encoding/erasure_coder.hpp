@@ -1,16 +1,17 @@
 // Uniform erasure-coder interface over the single-parity (RAID-5-style,
 // Fig. 1) and RS(k, m) group codecs, so checkpoint protocols can be
-// parameterized by fault-tolerance degree.
+// parameterized by fault-tolerance degree. GroupCodec and RSGroupCodec
+// implement it directly; make_coder picks one by degree.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
+#include "encoding/block_runs.hpp"
 #include "encoding/codec.hpp"
-#include "encoding/group_codec.hpp"
-#include "encoding/rs_group.hpp"
+#include "mpi/comm.hpp"
 
 namespace skt::enc {
 
@@ -49,7 +50,9 @@ class ErasureCoder {
                                              std::span<const std::byte> old_redundancy,
                                              std::span<std::byte> redundancy,
                                              std::span<const BlockRun> dirty) const = 0;
-  /// Collective: reconstruct the listed members (size <= max_failures()).
+  /// Collective: reconstruct the listed members. More than max_failures()
+  /// of them throws std::invalid_argument: rebuilding from partial data
+  /// would return silently wrong bytes. An empty list is a no-op.
   virtual void rebuild(mpi::Comm& group, std::span<const int> missing,
                        std::span<std::byte> data, std::span<std::byte> redundancy) const = 0;
   /// Collective consistency check.
@@ -57,106 +60,9 @@ class ErasureCoder {
                                     std::span<const std::byte> redundancy) const = 0;
 };
 
-/// Single-erasure coder (XOR or SUM), the paper's default.
-class SingleParityCoder final : public ErasureCoder {
- public:
-  SingleParityCoder(CodecKind kind, std::size_t data_bytes, int group_size)
-      : codec_(kind, data_bytes, group_size) {}
-
-  [[nodiscard]] std::size_t padded_bytes() const override { return codec_.padded_bytes(); }
-  [[nodiscard]] std::size_t redundancy_bytes() const override {
-    return codec_.checksum_bytes();
-  }
-  [[nodiscard]] int max_failures() const override { return 1; }
-  [[nodiscard]] std::size_t stripe_bytes() const override {
-    return codec_.layout().stripe_bytes();
-  }
-
-  void encode(mpi::Comm& group, std::span<const std::byte> data,
-              std::span<std::byte> redundancy) const override {
-    codec_.encode(group, data, redundancy);
-  }
-  std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                                     std::span<const std::byte> next,
-                                     std::span<const std::byte> old_redundancy,
-                                     std::span<std::byte> redundancy,
-                                     std::span<const BlockRun> dirty) const override {
-    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
-  }
-  void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
-               std::span<std::byte> redundancy) const override {
-    if (missing.empty()) return;
-    if (missing.size() > 1) {
-      // Never fall back to rebuilding missing.front() alone: a single-
-      // parity group handed a multi-erasure set would return silently
-      // wrong bytes, which is strictly worse than aborting the restore.
-      throw std::invalid_argument(
-          "SingleParityCoder: " + std::to_string(missing.size()) +
-          " concurrent erasures exceed the single-parity budget (max 1); refusing to "
-          "rebuild from partial data");
-    }
-    codec_.rebuild(group, missing.front(), data, redundancy);
-  }
-  [[nodiscard]] bool verify(mpi::Comm& group, std::span<const std::byte> data,
-                            std::span<const std::byte> redundancy) const override {
-    return codec_.verify(group, data, redundancy);
-  }
-
- private:
-  GroupCodec codec_;
-};
-
-/// General RS(k, m) coder over GF(2^8): m = parity_count simultaneous
-/// erasures, k = group_size - m data stripes per member.
-class RSCoder final : public ErasureCoder {
- public:
-  RSCoder(std::size_t data_bytes, int group_size, int parity_count)
-      : codec_(data_bytes, group_size, parity_count) {}
-
-  [[nodiscard]] std::size_t padded_bytes() const override { return codec_.padded_bytes(); }
-  [[nodiscard]] std::size_t redundancy_bytes() const override {
-    return codec_.parity_bytes();
-  }
-  [[nodiscard]] int max_failures() const override { return codec_.parity_count(); }
-  [[nodiscard]] std::size_t stripe_bytes() const override { return codec_.stripe_bytes(); }
-
-  void encode(mpi::Comm& group, std::span<const std::byte> data,
-              std::span<std::byte> redundancy) const override {
-    codec_.encode(group, data, redundancy);
-  }
-  std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
-                                     std::span<const std::byte> next,
-                                     std::span<const std::byte> old_redundancy,
-                                     std::span<std::byte> redundancy,
-                                     std::span<const BlockRun> dirty) const override {
-    return codec_.encode_delta(group, base, next, old_redundancy, redundancy, dirty);
-  }
-  void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
-               std::span<std::byte> redundancy) const override {
-    codec_.rebuild(group, missing, data, redundancy);
-  }
-  [[nodiscard]] bool verify(mpi::Comm& group, std::span<const std::byte> data,
-                            std::span<const std::byte> redundancy) const override {
-    return codec_.verify(group, data, redundancy);
-  }
-
- private:
-  RSGroupCodec codec_;
-};
-
-/// parity_degree 1 -> SingleParityCoder (with `kind`); >= 2 -> RSCoder
+/// parity_degree 1 -> GroupCodec (with `kind`); >= 2 -> RSGroupCodec
 /// (always GF/XOR-based).
-[[nodiscard]] inline std::unique_ptr<ErasureCoder> make_coder(int parity_degree,
-                                                              CodecKind kind,
-                                                              std::size_t data_bytes,
-                                                              int group_size) {
-  if (parity_degree == 1) {
-    return std::make_unique<SingleParityCoder>(kind, data_bytes, group_size);
-  }
-  if (parity_degree >= 2) {
-    return std::make_unique<RSCoder>(data_bytes, group_size, parity_degree);
-  }
-  throw std::invalid_argument("make_coder: parity_degree must be >= 1");
-}
+[[nodiscard]] std::unique_ptr<ErasureCoder> make_coder(int parity_degree, CodecKind kind,
+                                                       std::size_t data_bytes, int group_size);
 
 }  // namespace skt::enc

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "encoding/kernels.hpp"
@@ -71,8 +72,8 @@ void GroupCodec::check_args(const mpi::Comm& group, std::size_t data_size,
   if (data_size != layout_.padded_bytes()) {
     throw std::invalid_argument("GroupCodec: data buffer must be padded_bytes()");
   }
-  if (checksum_size != checksum_bytes()) {
-    throw std::invalid_argument("GroupCodec: checksum buffer must be checksum_bytes()");
+  if (checksum_size != redundancy_bytes()) {
+    throw std::invalid_argument("GroupCodec: checksum buffer must be redundancy_bytes()");
   }
 }
 
@@ -178,9 +179,17 @@ void GroupCodec::encode_reference(mpi::Comm& group, std::span<const std::byte> d
   }
 }
 
-void GroupCodec::rebuild(mpi::Comm& group, int failed, std::span<std::byte> data,
-                         std::span<std::byte> checksum) const {
+void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
+                         std::span<std::byte> data, std::span<std::byte> checksum) const {
   check_args(group, data.size(), checksum.size());
+  if (missing.empty()) return;
+  if (missing.size() > 1) {
+    throw std::invalid_argument(
+        "GroupCodec: " + std::to_string(missing.size()) +
+        " concurrent erasures exceed the single-parity budget (max 1); refusing to "
+        "rebuild from partial data");
+  }
+  const int failed = missing.front();
   const int n = layout_.group_size();
   if (failed < 0 || failed >= n) throw std::invalid_argument("GroupCodec::rebuild: bad member");
 
@@ -217,7 +226,7 @@ void GroupCodec::rebuild(mpi::Comm& group, int failed, std::span<std::byte> data
 bool GroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,
                         std::span<const std::byte> checksum) const {
   check_args(group, data.size(), checksum.size());
-  util::AlignedBytes recomputed(checksum_bytes());
+  util::AlignedBytes recomputed(redundancy_bytes());
   encode(group, data, recomputed);
   const std::uint8_t ok =
       equals(kind_, std::span<const std::byte>(recomputed), checksum) ? 1 : 0;

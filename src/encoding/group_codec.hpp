@@ -23,12 +23,13 @@
 
 #include "encoding/block_runs.hpp"
 #include "encoding/codec.hpp"
+#include "encoding/erasure_coder.hpp"
 #include "encoding/stripes.hpp"
 #include "mpi/comm.hpp"
 
 namespace skt::enc {
 
-class GroupCodec {
+class GroupCodec final : public ErasureCoder {
  public:
   /// `data_bytes`: protected payload per member (all members must pass the
   /// same value); `group_size` must equal the communicator size at use.
@@ -36,15 +37,20 @@ class GroupCodec {
 
   [[nodiscard]] CodecKind kind() const { return kind_; }
   [[nodiscard]] const StripeLayout& layout() const { return layout_; }
-  [[nodiscard]] std::size_t padded_bytes() const { return layout_.padded_bytes(); }
-  [[nodiscard]] std::size_t checksum_bytes() const { return layout_.stripe_bytes(); }
+  [[nodiscard]] std::size_t padded_bytes() const override { return layout_.padded_bytes(); }
+  /// One checksum stripe per member.
+  [[nodiscard]] std::size_t redundancy_bytes() const override {
+    return layout_.stripe_bytes();
+  }
+  [[nodiscard]] int max_failures() const override { return 1; }
+  [[nodiscard]] std::size_t stripe_bytes() const override { return layout_.stripe_bytes(); }
 
   /// Collective over `group`. `data` is this member's padded buffer;
   /// `checksum` (stripe_bytes) receives the checksum of this member's
   /// family. Every member ends up holding one checksum stripe. Implemented
   /// as a single ring reduce-scatter over stripe blocks.
   void encode(mpi::Comm& group, std::span<const std::byte> data,
-              std::span<std::byte> checksum) const;
+              std::span<std::byte> checksum) const override;
 
   /// Collective delta re-encode (dirty-block commits). `base` is the
   /// buffer `old_checksum` was encoded from, `next` the current buffer,
@@ -77,7 +83,7 @@ class GroupCodec {
                                      std::span<const std::byte> next,
                                      std::span<const std::byte> old_checksum,
                                      std::span<std::byte> checksum,
-                                     std::span<const BlockRun> dirty) const;
+                                     std::span<const BlockRun> dirty) const override;
 
   /// The pre-reduce-scatter baseline: one binomial reduce per family,
   /// rooted round-robin. Same result as encode() (bit-identical for XOR,
@@ -86,10 +92,13 @@ class GroupCodec {
   void encode_reference(mpi::Comm& group, std::span<const std::byte> data,
                         std::span<std::byte> checksum) const;
 
-  /// Collective over `group`: reconstruct member `failed`.
+  /// Collective over `group`: reconstruct the one member in `missing`.
   /// Survivors pass their (intact) data and checksum as inputs; the failed
   /// member passes buffers whose contents are ignored on entry and hold the
-  /// rebuilt data + checksum on return.
+  /// rebuilt data + checksum on return. Two or more members throw
+  /// std::invalid_argument: never rebuild missing.front() alone, since a
+  /// single-parity group handed a multi-erasure set would return silently
+  /// wrong bytes, which is strictly worse than aborting the restore.
   ///
   /// Block f != failed of the lost member is checksum_f (-) the other
   /// survivors' family-f stripes; its checksum is the sum of the
@@ -100,13 +109,13 @@ class GroupCodec {
   /// segment into the failed member's buffers (rebuild_lost_blocks). No
   /// member allocates a stripe-sized temporary, and the wire carries
   /// (n-1) n stripes, each block once per survivor.
-  void rebuild(mpi::Comm& group, int failed, std::span<std::byte> data,
-               std::span<std::byte> checksum) const;
+  void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
+               std::span<std::byte> checksum) const override;
 
   /// Collective consistency check: re-encode into scratch space and compare
   /// with `checksum` on every member; returns the AND across the group.
   [[nodiscard]] bool verify(mpi::Comm& group, std::span<const std::byte> data,
-                            std::span<const std::byte> checksum) const;
+                            std::span<const std::byte> checksum) const override;
 
  private:
   void check_args(const mpi::Comm& group, std::size_t data_size, std::size_t checksum_size) const;

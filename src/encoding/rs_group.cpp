@@ -116,7 +116,7 @@ void RSGroupCodec::check_args(const mpi::Comm& group, std::size_t data_size,
   if (group.size() != group_size_) {
     throw std::invalid_argument("RSGroupCodec: communicator size != group size");
   }
-  if (data_size != padded_bytes() || parity_size != parity_bytes()) {
+  if (data_size != padded_bytes() || parity_size != redundancy_bytes()) {
     throw std::invalid_argument("RSGroupCodec: bad buffer sizes");
   }
 }
@@ -349,11 +349,11 @@ void RSGroupCodec::rebuild(mpi::Comm& group, std::span<const int> failed,
 bool RSGroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,
                           std::span<const std::byte> parity) const {
   check_args(group, data.size(), parity.size());
-  util::AlignedBytes recomputed(parity_bytes());
+  util::AlignedBytes recomputed(redundancy_bytes());
   // encode() writes only this member's slots; compare locally afterwards.
   encode(group, data, recomputed);
   const std::uint8_t ok =
-      std::memcmp(recomputed.data(), parity.data(), parity_bytes()) == 0 ? 1 : 0;
+      std::memcmp(recomputed.data(), parity.data(), redundancy_bytes()) == 0 ? 1 : 0;
   return group.allreduce_value<std::uint8_t>(ok, mpi::Min{}) == 1;
 }
 

@@ -23,36 +23,37 @@
 
 #include "encoding/block_runs.hpp"
 #include "encoding/codec.hpp"
+#include "encoding/erasure_coder.hpp"
 #include "encoding/reed_solomon.hpp"
 #include "mpi/comm.hpp"
 
 namespace skt::enc {
 
-class RSGroupCodec {
+class RSGroupCodec final : public ErasureCoder {
  public:
   /// `data_bytes` payload per member; `group_size` N >= parity_count + 2;
   /// `parity_count` m >= 1 simultaneous losses to tolerate.
   RSGroupCodec(std::size_t data_bytes, int group_size, int parity_count);
 
-  [[nodiscard]] int group_size() const { return group_size_; }
-  [[nodiscard]] int parity_count() const { return parity_count_; }
-  [[nodiscard]] std::size_t stripe_bytes() const { return stripe_bytes_; }
+  /// Any m = parity_count member losses are recoverable.
+  [[nodiscard]] int max_failures() const override { return parity_count_; }
+  [[nodiscard]] std::size_t stripe_bytes() const override { return stripe_bytes_; }
 
   /// Padded payload buffer size: k = N - m stripes.
-  [[nodiscard]] std::size_t padded_bytes() const {
+  [[nodiscard]] std::size_t padded_bytes() const override {
     return stripe_bytes_ * static_cast<std::size_t>(group_size_ - parity_count_);
   }
 
   /// Per-member parity buffer: slot j (of m) holds the row-j parity
   /// stripe of family (rank - j + N) % N.
-  [[nodiscard]] std::size_t parity_bytes() const {
+  [[nodiscard]] std::size_t redundancy_bytes() const override {
     return static_cast<std::size_t>(parity_count_) * stripe_bytes_;
   }
 
   /// Collective: compute all m parity stripes of every family — one ring
   /// reduce-scatter pass per generator row.
   void encode(mpi::Comm& group, std::span<const std::byte> data,
-              std::span<std::byte> parity) const;
+              std::span<std::byte> parity) const override;
 
   /// Collective delta re-encode: `dirty` lists the runs of this member's
   /// padded buffer (k stripes, indexed by stripe_index) that may differ
@@ -71,7 +72,7 @@ class RSGroupCodec {
                                      std::span<const std::byte> next,
                                      std::span<const std::byte> old_parity,
                                      std::span<std::byte> parity,
-                                     std::span<const BlockRun> dirty) const;
+                                     std::span<const BlockRun> dirty) const override;
 
   /// Collective: reconstruct up to m failed members' data + parity.
   /// Survivors pass intact buffers; failed members' buffer contents are
@@ -84,11 +85,11 @@ class RSGroupCodec {
   /// parity slots (the code is MDS). All of them rebuild in one survivor
   /// reduce (rebuild_lost_blocks), each block crossing the wire k times.
   void rebuild(mpi::Comm& group, std::span<const int> failed, std::span<std::byte> data,
-               std::span<std::byte> parity) const;
+               std::span<std::byte> parity) const override;
 
   /// Collective consistency check (re-encode and compare, AND-reduced).
   [[nodiscard]] bool verify(mpi::Comm& group, std::span<const std::byte> data,
-                            std::span<const std::byte> parity) const;
+                            std::span<const std::byte> parity) const override;
 
   // --- layout helpers (public for tests) --------------------------------
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -239,7 +240,7 @@ TEST_P(GroupCodecParam, EncodeThenRebuildEveryMember) {
     const auto result = mc.run(group_size, [&, victim](mpi::Comm& world) {
       const GroupCodec codec(kind, data_bytes, world.size());
       std::vector<std::byte> data(codec.padded_bytes(), std::byte{0});
-      std::vector<std::byte> checksum(codec.checksum_bytes());
+      std::vector<std::byte> checksum(codec.redundancy_bytes());
       // Distinct per-rank content; SUM codec needs doubles, so fill the
       // buffer with valid doubles.
       std::span<double> lanes{reinterpret_cast<double*>(data.data()),
@@ -257,7 +258,7 @@ TEST_P(GroupCodecParam, EncodeThenRebuildEveryMember) {
         std::fill(data.begin(), data.end(), std::byte{0xAB});
         std::fill(checksum.begin(), checksum.end(), std::byte{0xCD});
       }
-      codec.rebuild(world, victim, data, checksum);
+      codec.rebuild(world, std::array{victim}, data, checksum);
 
       const double tol = kind == CodecKind::kXor ? 0.0 : 1e-9;
       EXPECT_TRUE(equals(kind, data, golden_data, tol == 0.0 ? 1e-30 : tol));
@@ -307,7 +308,7 @@ TEST_P(GroupCodecMultiSegment, RebuildEveryVictimSendsEachBlockOncePerSurvivor) 
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       lanes[i] = util::element_value(17, r, i);
     }
-    golden.redundancy[r].resize(shape.checksum_bytes());
+    golden.redundancy[r].resize(shape.redundancy_bytes());
     shape.encode(world, golden.data[r], golden.redundancy[r]);
   });
   ASSERT_TRUE(encoded.completed) << encoded.abort_reason;
@@ -321,7 +322,7 @@ TEST_P(GroupCodecMultiSegment, RebuildEveryVictimSendsEachBlockOncePerSurvivor) 
         std::fill(data.begin(), data.end(), std::byte{0xAB});
         std::fill(checksum.begin(), checksum.end(), std::byte{0xCD});
       }
-      shape.rebuild(world, victim, data, checksum);
+      shape.rebuild(world, std::array{victim}, data, checksum);
       if (kind == CodecKind::kXor) {
         EXPECT_EQ(data, golden.data[r]) << "victim " << victim << " rank " << r;
         EXPECT_EQ(checksum, golden.redundancy[r]) << "victim " << victim << " rank " << r;
@@ -366,8 +367,8 @@ TEST_P(EncodeEquivalence, ScatterEncodeMatchesReferenceEncode) {
       for (std::size_t i = 0; i < lanes.size(); ++i) {
         lanes[i] = util::element_value(7 + trial, static_cast<std::uint64_t>(world.rank()), i);
       }
-      std::vector<std::byte> fast(codec.checksum_bytes());
-      std::vector<std::byte> reference(codec.checksum_bytes());
+      std::vector<std::byte> fast(codec.redundancy_bytes());
+      std::vector<std::byte> reference(codec.redundancy_bytes());
       codec.encode(world, data, fast);
       codec.encode_reference(world, data, reference);
       if (kind == CodecKind::kXor) {
@@ -390,7 +391,7 @@ TEST(GroupCodec, VerifyDetectsCorruption) {
   const auto result = mc.run(4, [](mpi::Comm& world) {
     const GroupCodec codec(CodecKind::kXor, 256, world.size());
     std::vector<std::byte> data(codec.padded_bytes(), std::byte(world.rank() + 1));
-    std::vector<std::byte> checksum(codec.checksum_bytes());
+    std::vector<std::byte> checksum(codec.redundancy_bytes());
     codec.encode(world, data, checksum);
     ASSERT_TRUE(codec.verify(world, data, checksum));
     if (world.rank() == 2) data[5] ^= std::byte{0x40};
@@ -402,7 +403,7 @@ TEST(GroupCodec, VerifyDetectsCorruption) {
 TEST(GroupCodec, ChecksumIsStripeFraction) {
   const GroupCodec codec(CodecKind::kXor, 1 << 20, 16);
   // Checksum ~= M / (N-1); padding adds at most one lane per stripe.
-  EXPECT_NEAR(static_cast<double>(codec.checksum_bytes()),
+  EXPECT_NEAR(static_cast<double>(codec.redundancy_bytes()),
               static_cast<double>(1 << 20) / 15.0, kLane + 1);
 }
 
@@ -428,7 +429,7 @@ TEST_P(RSGroupErasures, EveryLossPatternUpToMRebuildsExactly) {
     const auto result = mc.run(group_size, [&](mpi::Comm& world) {
       const RSGroupCodec codec(data_bytes, world.size(), parity);
       std::vector<std::byte> data(codec.padded_bytes(), std::byte{0});
-      std::vector<std::byte> parity_buf(codec.parity_bytes());
+      std::vector<std::byte> parity_buf(codec.redundancy_bytes());
       for (std::size_t i = 0; i < data.size(); ++i) {
         data[i] = static_cast<std::byte>(
             util::element_value(31, static_cast<std::uint64_t>(world.rank()), i) * 255.0);
@@ -473,7 +474,7 @@ TEST_P(RSGroupMultiSegment, EveryLossPatternRebuildsFromKSurvivorsPerBlock) {
   const auto encoded = mc.run(n, [&](mpi::Comm& world) {
     const auto r = static_cast<std::size_t>(world.rank());
     golden.data[r] = random_bytes(shape.padded_bytes(), 41 + r);
-    golden.redundancy[r].resize(shape.parity_bytes());
+    golden.redundancy[r].resize(shape.redundancy_bytes());
     shape.encode(world, golden.data[r], golden.redundancy[r]);
   });
   ASSERT_TRUE(encoded.completed) << encoded.abort_reason;
@@ -523,7 +524,7 @@ TEST(RSGroup, WideGroupRecoversThreeConcurrentLosses) {
     const auto result = mc.run(n, [&](mpi::Comm& world) {
       const RSGroupCodec codec(9000, world.size(), 3);
       std::vector<std::byte> data(codec.padded_bytes());
-      std::vector<std::byte> parity(codec.parity_bytes());
+      std::vector<std::byte> parity(codec.redundancy_bytes());
       for (std::size_t i = 0; i < data.size(); ++i) {
         data[i] = static_cast<std::byte>((i * 131 + static_cast<std::size_t>(world.rank()) * 7) & 0xFF);
       }
@@ -547,7 +548,7 @@ TEST(RSGroup, MoreThanMErasuresThrow) {
   const auto result = mc.run(5, [](mpi::Comm& world) {
     const RSGroupCodec codec(512, world.size(), 2);
     std::vector<std::byte> data(codec.padded_bytes());
-    std::vector<std::byte> parity(codec.parity_bytes());
+    std::vector<std::byte> parity(codec.redundancy_bytes());
     const std::vector<int> three{0, 1, 2};
     EXPECT_THROW(codec.rebuild(world, three, data, parity), std::invalid_argument);
   });
@@ -565,7 +566,7 @@ TEST(RSGroup, LayoutPartitionsFamilies) {
     const RSGroupCodec codec(1024, n, m);
     const int k = n - m;
     EXPECT_EQ(codec.padded_bytes(), codec.stripe_bytes() * static_cast<std::size_t>(k));
-    EXPECT_EQ(codec.parity_bytes(), codec.stripe_bytes() * static_cast<std::size_t>(m));
+    EXPECT_EQ(codec.redundancy_bytes(), codec.stripe_bytes() * static_cast<std::size_t>(m));
     for (int p = 0; p < n; ++p) {
       int stripes = 0;
       for (int f = 0; f < n; ++f) {
@@ -607,7 +608,7 @@ TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
     for (std::size_t i = 0; i < base.size(); ++i) {
       base[i] = static_cast<std::byte>((i + static_cast<std::size_t>(world.rank()) * 97) & 0xFF);
     }
-    std::vector<std::byte> old_parity(codec.parity_bytes());
+    std::vector<std::byte> old_parity(codec.redundancy_bytes());
     codec.encode(world, base, old_parity);
 
     std::vector<std::byte> next = base;
@@ -617,9 +618,9 @@ TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
       next[victim * codec.stripe_bytes() + 1] ^= std::byte{0x77};
       dirty.push_back({victim, 0, 1});
     }
-    std::vector<std::byte> delta_parity(codec.parity_bytes());
+    std::vector<std::byte> delta_parity(codec.redundancy_bytes());
     (void)codec.encode_delta(world, base, next, old_parity, delta_parity, dirty);
-    std::vector<std::byte> full_parity(codec.parity_bytes());
+    std::vector<std::byte> full_parity(codec.redundancy_bytes());
     codec.encode(world, next, full_parity);
     EXPECT_EQ(delta_parity, full_parity);
   });
@@ -645,15 +646,15 @@ TEST_P(RSEncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
       const std::size_t stripe = codec.stripe_bytes();
       const testing::DeltaInputs in =
           testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-      std::vector<std::byte> old_parity(codec.parity_bytes());
+      std::vector<std::byte> old_parity(codec.redundancy_bytes());
       codec.encode(world, in.base, old_parity);
-      std::vector<std::byte> reference(codec.parity_bytes());
+      std::vector<std::byte> reference(codec.redundancy_bytes());
       codec.encode(world, in.next, reference);
 
       std::vector<std::byte> in_place = old_parity;
       const std::vector<BlockRun> aliased =
           codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
-      std::vector<std::byte> out(codec.parity_bytes());
+      std::vector<std::byte> out(codec.redundancy_bytes());
       const std::vector<BlockRun> distinct =
           codec.encode_delta(world, in.base, in.next, old_parity, out, in.runs);
       EXPECT_EQ(in_place, reference) << testing::to_string(pattern);
@@ -696,7 +697,7 @@ TEST_P(RSEncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
         const RSGroupCodec codec(data_bytes, n, m);
         const testing::DeltaInputs in =
             testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-        std::vector<std::byte> parity(codec.parity_bytes());
+        std::vector<std::byte> parity(codec.redundancy_bytes());
         codec.encode(world, in.base, parity);
         if (delta) {
           (void)codec.encode_delta(world, in.base, in.next, parity, parity, in.runs);
@@ -724,9 +725,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RSEncodeDeltaSweep,
 
 // -------------------------------------------------------- erasure coder ---
 
-/// Satellite guarantee: the single-parity adapter must fail loudly when
-/// handed more erasures than the code supports — never quietly rebuild
-/// missing.front() from garbage survivors.
+/// The single-parity code must fail loudly when handed more erasures than
+/// it supports — never quietly rebuild missing.front() from garbage
+/// survivors.
 TEST(ErasureCoder, SingleParityRefusesMultiEraseLoudly) {
   MiniCluster mc(4, 0);
   const auto result = mc.run(4, [](mpi::Comm& world) {
@@ -758,7 +759,7 @@ TEST(GroupCodec, MismatchedCommSizeThrows) {
   const auto result = mc.run(3, [](mpi::Comm& world) {
     const GroupCodec codec(CodecKind::kXor, 128, 4);  // wrong group size
     std::vector<std::byte> data(codec.padded_bytes());
-    std::vector<std::byte> checksum(codec.checksum_bytes());
+    std::vector<std::byte> checksum(codec.redundancy_bytes());
     EXPECT_THROW(codec.encode(world, data, checksum), std::invalid_argument);
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;

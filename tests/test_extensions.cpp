@@ -3,6 +3,9 @@
 // group encoding is covered by the RS(k, m) tests in test_encoding.cpp.)
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+
 #include "ckpt/multilevel.hpp"
 #include "mpi/launcher.hpp"
 #include "storage/device.hpp"
@@ -129,6 +132,64 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   EXPECT_TRUE(used_disk);
   EXPECT_GE(restored_epoch, 2u);  // a flushed generation, not a fresh start
 }
+
+// Two groups of four, and group 0 loses two members: rank 1 mid-compute,
+// then rank 2 during the first restart's restore. Group 0 cannot rebuild
+// at level 1 while group 1 could, and every level-1 strategy must send
+// BOTH groups to the disk generation together: a group restoring at
+// level 1 beside one falling back would split the world collectives.
+class MultiLevelTwoGroups : public ::testing::TestWithParam<ckpt::Strategy> {};
+
+TEST_P(MultiLevelTwoGroups, GroupBeyondItsCodeSendsEveryGroupToDisk) {
+  constexpr int kWorld = 8;
+  const ckpt::Strategy level1 = GetParam();
+  MiniCluster mc(kWorld, 4);
+  storage::SnapshotVault vault;
+  sim::FailureInjector injector;
+  injector.add_rule({.point = "app.work", .world_rank = 1, .hit = 3, .repeat = false});
+  injector.add_rule({.point = "ckpt.restore", .world_rank = 2, .hit = 1, .repeat = false});
+
+  mpi::JobLauncher launcher(mc.cluster, &injector, {.max_restarts = 4});
+  std::atomic<int> disk_restores{0};
+  const auto result = launcher.run(kWorld, [&](mpi::Comm& world) {
+    mpi::Comm group = world.split(world.rank() / 4, world.rank());
+    auto params = ml_params(&vault);
+    params.level1 = level1;
+    ckpt::MultiLevelCheckpoint protocol(params);
+    ckpt::CommCtx ctx{world, group};
+    const bool restored = protocol.open(ctx);
+    auto* iter = reinterpret_cast<std::uint64_t*>(protocol.user_state().data());
+    if (restored) {
+      protocol.restore(ctx);
+      if (protocol.last_restore_used_disk()) disk_restores.fetch_add(1);
+      if (!skt::testing::matches_pattern(protocol.data(), 5, world.rank(), *iter, 0.0)) {
+        throw std::runtime_error("restored data mismatch at iteration " +
+                                 std::to_string(*iter));
+      }
+    } else {
+      *iter = 0;
+      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), 0);
+    }
+    while (*iter < 5) {
+      world.failpoint("app.work");
+      const std::uint64_t next = *iter + 1;
+      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), next);
+      *iter = next;
+      protocol.commit(ctx);
+    }
+  });
+  ASSERT_TRUE(result.success) << result.failure;
+  EXPECT_EQ(result.restarts, 2);
+  EXPECT_EQ(disk_restores.load(), kWorld);  // the last restore, on every rank
+}
+
+INSTANTIATE_TEST_SUITE_P(Level1, MultiLevelTwoGroups,
+                         ::testing::Values(ckpt::Strategy::kSelf, ckpt::Strategy::kSingle,
+                                           ckpt::Strategy::kDouble),
+                         [](const auto& info) {
+                           const std::string name(ckpt::to_string(info.param));
+                           return name.substr(0, name.find('-'));
+                         });
 
 TEST(MultiLevel, RejectsBadConfigs) {
   storage::SnapshotVault vault;

@@ -412,15 +412,15 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
       ASSERT_NE(stripe % kBlockBytes, 0u);
       const DeltaInputs in =
           skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-      std::vector<std::byte> old_check(codec.checksum_bytes());
+      std::vector<std::byte> old_check(codec.redundancy_bytes());
       codec.encode(world, in.base, old_check);
-      std::vector<std::byte> reference(codec.checksum_bytes());
+      std::vector<std::byte> reference(codec.redundancy_bytes());
       codec.encode(world, in.next, reference);
 
       std::vector<std::byte> in_place = old_check;
       const std::vector<BlockRun> aliased =
           codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
-      std::vector<std::byte> out(codec.checksum_bytes());
+      std::vector<std::byte> out(codec.redundancy_bytes());
       const std::vector<BlockRun> distinct =
           codec.encode_delta(world, in.base, in.next, old_check, out, in.runs);
       for (const auto* got : {&in_place, &out}) {
@@ -470,7 +470,7 @@ TEST_P(EncodeDeltaSweep, SparseWireBytesAreTheExchangedDirtyBytes) {
       const GroupCodec codec(kind, sweep_data_bytes(n), n);
       const DeltaInputs in =
           skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-      std::vector<std::byte> check(codec.checksum_bytes());
+      std::vector<std::byte> check(codec.redundancy_bytes());
       codec.encode(world, in.base, check);
       if (delta) {
         (void)codec.encode_delta(world, in.base, in.next, check, check, in.runs);

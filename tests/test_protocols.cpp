@@ -3,17 +3,18 @@
 // updates through Session::mark_dirty restore bit-exact after a node loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <string>
 
 #include "ckpt_harness.hpp"
 #include "ckpt/blcr_checkpoint.hpp"
-#include "ckpt/double_checkpoint.hpp"
 #include "ckpt/factory.hpp"
 #include "ckpt/session.hpp"
 #include "ckpt/self_checkpoint.hpp"
-#include "ckpt/single_checkpoint.hpp"
+#include "encoding/group_codec.hpp"
 #include "mpi/launcher.hpp"
 #include "storage/device.hpp"
 #include "storage/snapshot_vault.hpp"
@@ -163,6 +164,39 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
   EXPECT_DOUBLE_EQ(blcr.full_fraction, 1.0);
   EXPECT_EQ(blcr.sparse_bytes, enc::kBlockBytes);
   EXPECT_DOUBLE_EQ(blcr.sparse_fraction, 0.5);
+
+  // One critical-path rule for the encoding strategies: a synchronous
+  // commit charges its measured encode + flush as "checkpoint" time. With
+  // the network model on, the encode also accrues modeled time, which
+  // stays out of it; nothing charges a device.
+  for (const Strategy strategy : {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf}) {
+    MiniCluster mc(kN, 0);
+    mpi::Runtime runtime(mc.cluster, {0, 1, 2, 3}, nullptr, {.model_network = true});
+    double measured = 0.0;
+    double modeled = 0.0;
+    std::mutex mutex;
+    const auto result = runtime.run([&](mpi::Comm& world) {
+      Session session = SessionBuilder{}
+                            .strategy(strategy)
+                            .group_size(kN)
+                            .data_bytes(kDataBytes)
+                            .user_bytes(8)
+                            .key_prefix("critical")
+                            .build(world);
+      session.open();
+      for (int i = 0; i < 3; ++i) {
+        const CommitStats stats = session.commit();
+        EXPECT_EQ(stats.device_s, 0.0) << to_string(strategy);
+        const std::lock_guard<std::mutex> lock(mutex);
+        measured = std::max(measured, stats.encode_s + stats.flush_s);
+        modeled = std::max(modeled, stats.encode_virtual_s);
+      }
+    });
+    ASSERT_TRUE(result.completed) << to_string(strategy) << ": " << result.abort_reason;
+    EXPECT_GT(modeled, 0.0) << to_string(strategy);
+    ASSERT_EQ(result.times.count("checkpoint"), 1u) << to_string(strategy);
+    EXPECT_EQ(result.times.at("checkpoint"), measured) << to_string(strategy);
+  }
 }
 
 // A 4 KiB mark that is not block-aligned covers exactly two blocks, and a
@@ -246,7 +280,7 @@ TEST(SelfCheckpoint, ChecksumTwinsStayEqualAcrossSparseCommits) {
       ASSERT_EQ(c.size(), d.size());
       EXPECT_EQ(std::memcmp(c.data(), d.data(), c.size()), 0)
           << "rank " << world.rank() << " commit " << i;
-      std::vector<std::byte> full(codec.checksum_bytes());
+      std::vector<std::byte> full(codec.redundancy_bytes());
       codec.encode(world, b, full);
       EXPECT_EQ(std::memcmp(full.data(), d.data(), full.size()), 0)
           << "rank " << world.rank() << " commit " << i;
@@ -441,14 +475,15 @@ TEST(SelfCheckpoint, RejectsUnopenedUse) {
 TEST(DoubleCheckpoint, AlternatesPairs) {
   MiniCluster mc(2, 0);
   const auto result = mc.run(2, [](mpi::Comm& world) {
-    DoubleCheckpoint proto({.key_prefix = "alt", .data_bytes = 256, .user_bytes = 8,
-                            .codec = enc::CodecKind::kXor});
+    const auto proto = make_protocol(Strategy::kDouble, {.key_prefix = "alt", .data_bytes = 256,
+                                                         .user_bytes = 8,
+                                                         .codec = enc::CodecKind::kXor});
     CommCtx ctx{world, world};
-    proto.open(ctx);
-    proto.data()[0] = std::byte{1};
-    proto.commit(ctx);  // epoch 1 -> pair 1
-    proto.data()[0] = std::byte{2};
-    proto.commit(ctx);  // epoch 2 -> pair 0
+    proto->open(ctx);
+    proto->data()[0] = std::byte{1};
+    proto->commit(ctx);  // epoch 1 -> pair 1
+    proto->data()[0] = std::byte{2};
+    proto->commit(ctx);  // epoch 2 -> pair 0
     const std::string base = "alt.r" + std::to_string(world.world_rank()) + ".double.";
     const auto pair0 = world.store().attach(base + "B0");
     const auto pair1 = world.store().attach(base + "B1");
@@ -456,7 +491,7 @@ TEST(DoubleCheckpoint, AlternatesPairs) {
     ASSERT_NE(pair1, nullptr);
     EXPECT_EQ(pair1->bytes()[0], std::byte{1});  // epoch 1
     EXPECT_EQ(pair0->bytes()[0], std::byte{2});  // epoch 2
-    EXPECT_EQ(proto.committed_epoch(), 2u);
+    EXPECT_EQ(proto->committed_epoch(), 2u);
   });
   EXPECT_TRUE(result.completed) << result.abort_reason;
 }
@@ -465,13 +500,14 @@ TEST(DoubleCheckpoint, FootprintHasTwoFullCopies) {
   MiniCluster mc(4, 0);
   const auto result = mc.run(4, [](mpi::Comm& world) {
     const std::size_t m = 3000;
-    DoubleCheckpoint proto({.key_prefix = "f2", .data_bytes = m, .user_bytes = 8,
-                            .codec = enc::CodecKind::kXor});
+    const auto proto = make_protocol(Strategy::kDouble, {.key_prefix = "f2", .data_bytes = m,
+                                                         .user_bytes = 8,
+                                                         .codec = enc::CodecKind::kXor});
     CommCtx ctx{world, world};
-    proto.open(ctx);
+    proto->open(ctx);
     // M (app) + 2M (pairs) + 2M/(N-1) (checksums)
     const double expect = static_cast<double>(m) * (3.0 + 2.0 / 3.0);
-    EXPECT_NEAR(static_cast<double>(proto.memory_bytes()), expect, 300.0);
+    EXPECT_NEAR(static_cast<double>(proto->memory_bytes()), expect, 300.0);
   });
   EXPECT_TRUE(result.completed) << result.abort_reason;
 }
@@ -508,6 +544,43 @@ TEST(BlcrCheckpoint, KeepsTwoGenerations) {
   });
   EXPECT_TRUE(result.completed) << result.abort_reason;
 }
+
+// A survivor re-opening its store must find the layout it committed with.
+// XOR and SUM segments have equal sizes, so only the header's codec field
+// tells them apart; a rebuild under the other code would combine XOR
+// checksums with SUM arithmetic. Re-opening with the same parameters
+// still restores.
+class ReopenLayout : public ::testing::TestWithParam<Strategy> {};
+
+TEST_P(ReopenLayout, RefusesAnotherCodecAndRestoresWithTheSame) {
+  const Strategy strategy = GetParam();
+  MiniCluster mc(4, 0);
+  const auto result = mc.run(4, [&](mpi::Comm& world) {
+    FactoryParams params{.key_prefix = "layout", .data_bytes = 2048, .user_bytes = 8};
+    CommCtx ctx{world, world};
+    {
+      const auto proto = make_protocol(strategy, params);
+      EXPECT_FALSE(proto->open(ctx));
+      skt::testing::fill_pattern(proto->data(), 7, world.rank(), 1);
+      proto->commit(ctx);
+    }
+    params.codec = enc::CodecKind::kSum;
+    EXPECT_THROW(make_protocol(strategy, params)->open(ctx), std::logic_error);
+    params.codec = enc::CodecKind::kXor;
+    const auto again = make_protocol(strategy, params);
+    ASSERT_TRUE(again->open(ctx));
+    EXPECT_EQ(again->restore(ctx).epoch, 1u);
+    EXPECT_TRUE(skt::testing::matches_pattern(again->data(), 7, world.rank(), 1, 0.0));
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+INSTANTIATE_TEST_SUITE_P(Coded, ReopenLayout,
+                         ::testing::Values(Strategy::kSingle, Strategy::kDouble, Strategy::kSelf),
+                         [](const auto& info) {
+                           const std::string name(to_string(info.param));
+                           return name.substr(0, name.find('-'));
+                         });
 
 TEST(Factory, BuildsEveryStrategyAndRejectsNone) {
   storage::SnapshotVault vault;

@@ -258,9 +258,12 @@ TEST(StoreService, DestructorFailsQueuedAdmissionsAndDrainsWaiters) {
 
   std::atomic<bool> timed_out{false};
   std::atomic<bool> wrong_error{false};
-  std::thread queued([&] {
+  // The waiter gets the raw pointer, taken before it starts: reading the
+  // unique_ptr itself would race with the reset() below.
+  StoreService* raw = service.get();
+  std::thread queued([&timed_out, &wrong_error, raw] {
     try {
-      (void)service->admit("b", 1 << 20, 1);  // queues behind a's lease
+      (void)raw->admit("b", 1 << 20, 1);  // queues behind a's lease
       wrong_error = true;
     } catch (const AdmissionTimeout&) {
       timed_out = true;
