@@ -46,7 +46,7 @@ inline StrategyProbe probe_strategy(ckpt::Strategy strategy, int ranks, int grou
       *iter += 1;
       const ckpt::CommitStats stats = session.commit();
       if (world.rank() == 0) {
-        probe.commit_s = stats.total_s() + stats.device_s;
+        probe.commit_s = stats.total_s();
         probe.memory_bytes = session.memory_bytes();
       }
     }

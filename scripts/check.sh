@@ -51,12 +51,14 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # test_protocols and test_failure_matrix carry the checkpoint protocols'
 # dirty-block commits, restores and moving-window sparse updates: the
 # block-run copies between the work, staging and checkpoint segments.
+# test_skt_hpl runs the panel LU's packed pivot-exchange and row-interchange
+# buffers inside the self-checkpoint's segments.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
-  test_hpl_core test_hpl_dist test_protocols test_failure_matrix
+  test_hpl_core test_hpl_dist test_skt_hpl test_protocols test_failure_matrix
 (cd build-asan && ctest --output-on-failure \
-  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_protocols|test_failure_matrix)$' -j)
+  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_skt_hpl|test_protocols|test_failure_matrix)$' -j)
 
 echo
 echo "=== sanitizers: tsan on telemetry + async-commit suites ==="
@@ -74,11 +76,15 @@ cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # the rank's mailbox. test_protocols and test_failure_matrix run the
 # group-coded commit frame on the async worker and kill nodes inside it;
 # test_store_service tears a service down under a queued admission.
+# test_hpl_dist and test_skt_hpl run the panel LU, whose pivot exchange and
+# row interchanges post several sends before their receives across rank
+# threads (and, in SKT-HPL, beside the async commit worker).
 cmake --build build-tsan -j --target \
   test_telemetry test_util test_session test_monitor test_encoding test_scrubber \
-  test_kernels test_collectives test_store_service test_protocols test_failure_matrix
+  test_kernels test_collectives test_store_service test_protocols test_failure_matrix \
+  test_hpl_dist test_skt_hpl
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix)$' -j)
+  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix|test_hpl_dist|test_skt_hpl)$' -j)
 
 echo
 echo "=== monitor lane: ft_jacobi --monitor forensics + overhead gate ==="

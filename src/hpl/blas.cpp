@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
 
 #include "encoding/kernels.hpp"
 #include "util/aligned.hpp"
@@ -223,10 +222,6 @@ void trsv_upper(std::int64_t m, const double* u, std::int64_t ldu, double* y) {
     for (std::int64_t j = i + 1; j < m; ++j) acc -= ui[j] * y[j];
     y[i] = acc / ui[i];
   }
-}
-
-void swap_rows(std::int64_t n, double* a, double* b) {
-  for (std::int64_t j = 0; j < n; ++j) std::swap(a[j], b[j]);
 }
 
 }  // namespace skt::hpl::blas

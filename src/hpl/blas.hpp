@@ -31,7 +31,4 @@ void trsm_lower_unit(std::int64_t m, std::int64_t n, const double* l, std::int64
 /// y is a length-m vector (diagonal-block solve in back substitution).
 void trsv_upper(std::int64_t m, const double* u, std::int64_t ldu, double* y);
 
-/// Swap two length-n rows.
-void swap_rows(std::int64_t n, double* a, double* b);
-
 }  // namespace skt::hpl::blas

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "hpl/dist_matrix.hpp"
@@ -36,10 +37,14 @@ using PanelHook = std::function<bool(std::int64_t next_panel)>;
 enum class PanelBcast { kBinomial, kRing };
 
 /// Eliminate columns [start_panel*nb, N) of the N x (N+1) augmented
-/// matrix. All ranks of the grid must call collectively. Pivoting swaps
-/// full trailing rows (including b); columns left of the current panel are
-/// not swapped — the stored L is permuted, which back substitution never
-/// reads. Throws std::runtime_error on a zero pivot.
+/// matrix. All ranks of the grid must call collectively. Pivoting moves
+/// whole rows — the stored L, the trailing columns and b — as HPL does.
+/// Per column, one pivot exchange down the panel's process column carries
+/// the max-loc candidate and row j (HPL_pdmxswp); per panel, the pivot list
+/// rides in the panel-strip row broadcast and the composed interchanges
+/// move with one message per process-row pair (HPL_pdlaswp). Throws
+/// std::runtime_error ("zero pivot at column j") on every rank of the
+/// panel's process column alike.
 ///
 /// When `pivot_values` is non-null it is extended with U(j,j) for every
 /// eliminated column j, replicated on all ranks (ABFT's unscaled-L
@@ -48,6 +53,18 @@ enum class PanelBcast { kBinomial, kRing };
 void lu_factorize(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_t start_panel,
                   const PanelHook& hook = {}, std::vector<double>* pivot_values = nullptr,
                   PanelBcast panel_bcast = PanelBcast::kBinomial);
+
+/// Apply one panel's row interchanges — rows j0 + jj and piv[jj] swapped
+/// for jj = 0, 1, ... in order — to every local column outside
+/// [skip_lc0, skip_lc1) (lu_factorize skips the panel, already swapped as it
+/// was factored). The swaps are composed into one permutation first; each
+/// process row then sends every other process row that gets some of its
+/// rows one message holding them, and moves its own rows locally.
+/// Bit-identical to the sequential swaps. Collective over the process
+/// column's `col` communicator; all members pass the same j0 and piv.
+void apply_row_interchanges(mpi::Comm& col, DistMatrix& a, std::int64_t j0,
+                            std::span<const std::int64_t> piv, std::int64_t skip_lc0,
+                            std::int64_t skip_lc1);
 
 /// Solve U x = y (y = transformed b in column N). Returns the full
 /// solution vector replicated on every rank. `world` is the grid's parent

@@ -109,15 +109,6 @@ class Comm {
     return value;
   }
 
-  /// Combined exchange; safe against head-of-line deadlock because sends
-  /// never block in this runtime.
-  template <typename T>
-  void sendrecv(int dst, Tag send_tag, std::span<const T> out, int src, Tag recv_tag,
-                std::span<T> in) {
-    send<T>(dst, send_tag, out);
-    recv<T>(src, recv_tag, in);
-  }
-
   // --- collectives --------------------------------------------------------
   // All members must call each collective in the same order; rounds are
   // stamped with a per-communicator sequence number.

@@ -159,14 +159,6 @@ TEST(Blas, TrsvUpperSolves) {
   }
 }
 
-TEST(Blas, SwapRows) {
-  double r1[] = {1, 2, 3};
-  double r2[] = {4, 5, 6};
-  blas::swap_rows(3, r1, r2);
-  EXPECT_EQ(r1[0], 4);
-  EXPECT_EQ(r2[2], 3);
-}
-
 // ----------------------------------------------------------- block-cyclic
 
 class BlockCyclicProps

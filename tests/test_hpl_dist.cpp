@@ -2,7 +2,11 @@
 // serial reference factorization for a sweep of (N, nb, P, Q) shapes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -270,6 +274,191 @@ TEST(Lu, PivotValuesGiveDeterminantMagnitude) {
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }
+
+/// apply_row_interchanges against the sequential swaps j0+jj <-> piv[jj]
+/// on the gathered matrix, over every global column outside [c0, c1).
+/// Q = 2 puts the skipped range on one process column only, so the other
+/// column moves whole rows. n = 45 with nb = 8 leaves a ragged last row
+/// block of 5 rows.
+class RowInterchanges : public ::testing::TestWithParam<int> {};
+
+TEST_P(RowInterchanges, MatchSequentialSwaps) {
+  const int P = GetParam();
+  const int Q = 2;
+  const std::int64_t n = 45, ncols = n + 1, nb = 8;
+  const auto value = [](std::int64_t gi, std::int64_t gj) {
+    return static_cast<double>(gi * 1000 + gj) + 0.25;
+  };
+  struct Case {
+    std::string name;
+    std::int64_t j0;
+    std::vector<std::int64_t> piv;
+  };
+  std::vector<Case> cases = {
+      {"identity", 16, {16, 17, 18, 19, 20, 21, 22, 23}},
+      {"repeated target in the ragged block", 16, {44, 44, 44, 44, 44, 44, 44, 44}},
+      {"chained", 16, {17, 18, 19, 20, 21, 22, 23, 24}},
+      {"inside the panel's row block", 16, {23, 22, 21, 20, 20, 21, 22, 23}},
+      {"below the panel's row block", 16, {24, 27, 30, 33, 36, 39, 42, 44}},
+      {"ragged last panel", 40, {44, 41, 44, 43, 44}},
+      {"first panel", 0, {9, 9, 2, 40, 4, 5, 33, 7}}};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Case c{"random " + std::to_string(seed), 8 * static_cast<std::int64_t>(seed), {}};
+    for (std::uint64_t jj = 0; jj < 8; ++jj) {
+      const std::int64_t lo = c.j0 + static_cast<std::int64_t>(jj);
+      const std::uint64_t draw = util::splitmix64(seed * 64 + jj);
+      c.piv.push_back(lo + static_cast<std::int64_t>(draw % static_cast<std::uint64_t>(n - lo)));
+    }
+    cases.push_back(c);
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::int64_t c0 = c.j0;
+    const std::int64_t c1 = c.j0 + static_cast<std::int64_t>(c.piv.size());
+    std::vector<double> ref(static_cast<std::size_t>(n * ncols));
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t j = 0; j < ncols; ++j) {
+        ref[static_cast<std::size_t>(i * ncols + j)] = value(i, j);
+      }
+    }
+    for (std::size_t jj = 0; jj < c.piv.size(); ++jj) {
+      const std::int64_t r0 = c.j0 + static_cast<std::int64_t>(jj);
+      for (std::int64_t j = 0; j < ncols; ++j) {
+        if (j >= c0 && j < c1) continue;
+        std::swap(ref[static_cast<std::size_t>(r0 * ncols + j)],
+                  ref[static_cast<std::size_t>(c.piv[jj] * ncols + j)]);
+      }
+    }
+    MiniCluster mc(P * Q, 0);
+    const auto result = mc.run(P * Q, [&](mpi::Comm& world) {
+      mpi::Grid grid(world, P, Q);
+      std::vector<double> storage(
+          static_cast<std::size_t>(DistMatrix::max_local_elements(n, ncols, nb, P, Q)));
+      DistMatrix a(grid, n, ncols, nb, storage);
+      for (std::int64_t li = 0; li < a.lrows(); ++li) {
+        for (std::int64_t lj = 0; lj < a.lcols(); ++lj) {
+          a.at(li, lj) = value(a.rows().global(a.prow(), li), a.cols().global(a.pcol(), lj));
+        }
+      }
+      apply_row_interchanges(grid.col(), a, c.j0, c.piv,
+                             a.cols().local_lower_bound(a.pcol(), c0),
+                             a.cols().local_lower_bound(a.pcol(), c1));
+      for (std::int64_t li = 0; li < a.lrows(); ++li) {
+        const std::int64_t gi = a.rows().global(a.prow(), li);
+        for (std::int64_t lj = 0; lj < a.lcols(); ++lj) {
+          const std::int64_t gj = a.cols().global(a.pcol(), lj);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a.at(li, lj)),
+                    std::bit_cast<std::uint64_t>(ref[static_cast<std::size_t>(gi * ncols + gj)]))
+              << "row " << gi << " col " << gj;
+        }
+      }
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ProcessRows, RowInterchanges, ::testing::Values(1, 2, 3, 4));
+
+/// Messages of a job that only factorizes, less those of the same job
+/// without the factorization (grid set-up).
+std::uint64_t factorization_messages(std::int64_t n, std::int64_t nb, int P, int Q) {
+  std::uint64_t messages[2] = {0, 0};
+  for (const bool factor : {false, true}) {
+    MiniCluster mc(P * Q, 0);
+    const auto result = mc.run(P * Q, [&](mpi::Comm& world) {
+      mpi::Grid grid(world, P, Q);
+      std::vector<double> storage(
+          static_cast<std::size_t>(DistMatrix::max_local_elements(n, n + 1, nb, P, Q)));
+      DistMatrix a(grid, n, n + 1, nb, storage);
+      generate(a, 41);
+      if (factor) lu_factorize(grid, a, n, 0);
+    });
+    EXPECT_TRUE(result.completed) << result.abort_reason;
+    messages[factor ? 1 : 0] = result.wire_messages;
+  }
+  return messages[1] - messages[0];
+}
+
+TEST(Lu, MessageCountIsOneExchangePerColumnPlusPerPanelConstant) {
+  // Per column, one pivot exchange down the panel's process column:
+  // recursive doubling over p2 = bit_floor(P) ranks plus a fold in and out
+  // for the P - p2 others (P = 2: two messages). Per panel, at most: the
+  // strip broadcast with the pivot list along each process row (Q - 1
+  // each); in each process column, one interchange message each way
+  // between the panel's process row and every other one (every moved row
+  // comes from or lands in the panel's row block); and the U12 broadcast
+  // down each process column. Per-column row swaps exceed the bound.
+  for (const auto& [P, Q] : {std::pair{2, 2}, std::pair{3, 2}}) {
+    const std::int64_t n = 64, nb = 8, nblk = n / nb;
+    const int p2 = static_cast<int>(std::bit_floor(static_cast<unsigned>(P)));
+    const std::int64_t per_column = p2 * std::countr_zero(static_cast<unsigned>(p2)) + 2 * (P - p2);
+    const std::int64_t per_panel = P * (Q - 1) + Q * 2 * (P - 1) + Q * (P - 1);
+    const std::uint64_t bound = static_cast<std::uint64_t>(n * per_column + nblk * per_panel);
+    EXPECT_LE(factorization_messages(n, nb, P, Q), bound) << P << "x" << Q;
+  }
+}
+
+/// A column that is zero in every row stays zero through the elimination,
+/// so its pivot search finds nothing. Every rank of the panel's process
+/// column must throw the same error, and the job must abort, not hang.
+class ZeroPivot : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ZeroPivot, EveryPanelColumnRankAbortsAtTheColumn) {
+  const auto [P, Q] = GetParam();
+  const std::int64_t n = 48, nb = 8, jz = 21;
+  const int panel_col = BlockCyclicDim(n + 1, nb, Q).owner(jz);
+  const std::string expected = "lu_factorize: zero pivot at column " + std::to_string(jz);
+  std::mutex mu;
+  std::condition_variable cv;
+  int thrown = 0;
+  std::vector<std::string> outcome(static_cast<std::size_t>(P * Q), "returned");
+  MiniCluster mc(P * Q, 0);
+  const auto result = mc.run(P * Q, [&](mpi::Comm& world) {
+    mpi::Grid grid(world, P, Q);
+    std::vector<double> storage(
+        static_cast<std::size_t>(DistMatrix::max_local_elements(n, n + 1, nb, P, Q)));
+    DistMatrix a(grid, n, n + 1, nb, storage);
+    generate(a, 13);
+    for (std::int64_t lj = 0; lj < a.lcols(); ++lj) {
+      if (a.cols().global(a.pcol(), lj) != jz) continue;
+      for (std::int64_t li = 0; li < a.lrows(); ++li) a.at(li, lj) = 0.0;
+    }
+    std::string& mine = outcome[static_cast<std::size_t>(world.rank())];
+    try {
+      lu_factorize(grid, a, n, 0);
+    } catch (const mpi::JobAborted&) {
+      const std::lock_guard<std::mutex> lock(mu);
+      mine = "aborted";
+      throw;
+    } catch (const std::runtime_error& e) {
+      // Hold the abort until every rank of the panel column has thrown, so
+      // none of them is unwound by another's abort first. A rank that went
+      // on instead never arrives and the wait times out.
+      std::unique_lock<std::mutex> lock(mu);
+      mine = e.what();
+      ++thrown;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(20), [&] { return thrown == P; });
+      throw;
+    }
+  });
+  EXPECT_FALSE(result.completed);
+  EXPECT_NE(result.abort_reason.find(expected), std::string::npos) << result.abort_reason;
+  EXPECT_EQ(thrown, P);
+  for (int r = 0; r < P * Q; ++r) {
+    const bool in_panel_col = r % Q == panel_col;
+    EXPECT_EQ(outcome[static_cast<std::size_t>(r)], in_panel_col ? expected : "aborted")
+        << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, ZeroPivot,
+                         ::testing::Values(std::pair{2, 2}, std::pair{3, 2}),
+                         [](const auto& info) {
+                           return std::to_string(info.param.first) + "x" +
+                                  std::to_string(info.param.second);
+                         });
 
 TEST(Lu, MaxProblemSizeFitsBudget) {
   const std::size_t budget = 4u << 20;  // 4 MiB per rank
