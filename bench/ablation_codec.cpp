@@ -106,7 +106,7 @@ int main() {
                  util::format_bytes(sum1.redundancy), util::format_seconds(sum1.encode_s),
                  "1", sum1.recovered ? "yes" : "NO"});
   table.add_row({"GF(256), dual parity",
-                 util::format("{:.1%}", ckpt::available_fraction_rs(kGroup, 2)),
+                 util::format("{:.1%}", ckpt::available_fraction(ckpt::Strategy::kSelf, kGroup, 2)),
                  util::format_bytes(dual.redundancy), util::format_seconds(dual.encode_s),
                  "2", dual.recovered ? "yes" : "NO"});
   table.print();
@@ -123,7 +123,7 @@ int main() {
       dual.encode_s > xor1.encode_s);
   ok &= bench::shape_check(
       "dual parity still leaves more memory than double-checkpoint",
-      ckpt::available_fraction_rs(kGroup, 2) >
+      ckpt::available_fraction(ckpt::Strategy::kSelf, kGroup, 2) >
           ckpt::available_fraction(ckpt::Strategy::kDouble, kGroup));
   return ok ? 0 : 1;
 }

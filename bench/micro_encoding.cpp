@@ -1,27 +1,29 @@
 // Microbenchmarks (google-benchmark) for the encoding substrate: XOR and
-// SUM lane accumulation, GF(2^8) multiply-accumulate, Reed-Solomon encode
-// and reconstruct, and the checkpoint flush memcpy.
+// SUM lane accumulation, GF(2^8) multiply-accumulate, and the checkpoint
+// flush memcpy.
 //
 // After the registered benchmarks, main() runs the old-vs-new encode
 // comparison — GroupCodec::encode (one ring reduce-scatter) against
 // encode_reference (N sequential binomial reduces) — and the rebuild rows
 // (GroupCodec::rebuild of one lost member, checked bit-identical against
-// its pre-loss buffers) across group sizes {4, 8, 16}, prints PASS/FAIL
-// shape checks, and drops the numbers into BENCH_micro_encoding.json.
+// its pre-loss buffers) across group sizes {4, 8, 16}, then one RS(6, 2)
+// row at group size 8 (its encode and a two-member rebuild), prints
+// PASS/FAIL shape checks, and drops the numbers into
+// BENCH_micro_encoding.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "encoding/codec.hpp"
 #include "encoding/gf256.hpp"
 #include "encoding/group_codec.hpp"
 #include "encoding/kernels.hpp"
-#include "encoding/reed_solomon.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
 #include "sim/cluster.hpp"
@@ -112,64 +114,6 @@ void BM_Gf256MulAcc(benchmark::State& state) {
 }
 BENCHMARK(BM_Gf256MulAcc)->Arg(4 << 10)->Arg(256 << 10);
 
-void BM_ReedSolomonEncode(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  const std::size_t shard = 64 << 10;
-  const enc::ReedSolomon rs(k, m);
-  std::vector<std::vector<std::uint8_t>> data(static_cast<std::size_t>(k));
-  std::vector<std::vector<std::uint8_t>> parity(static_cast<std::size_t>(m));
-  std::vector<std::span<const std::uint8_t>> dv;
-  std::vector<std::span<std::uint8_t>> pv;
-  for (auto& d : data) {
-    d.assign(shard, 0x5c);
-    dv.emplace_back(d);
-  }
-  for (auto& p : parity) {
-    p.assign(shard, 0);
-    pv.emplace_back(p);
-  }
-  for (auto _ : state) {
-    rs.encode(dv, pv);
-    benchmark::DoNotOptimize(parity[0].data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(shard) * k);
-}
-BENCHMARK(BM_ReedSolomonEncode)->Args({4, 2})->Args({8, 2})->Args({15, 3});
-
-void BM_ReedSolomonReconstruct(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  const std::size_t shard = 64 << 10;
-  const enc::ReedSolomon rs(k, m);
-  std::vector<std::vector<std::uint8_t>> shards(static_cast<std::size_t>(k + m));
-  std::vector<std::span<const std::uint8_t>> dv;
-  std::vector<std::span<std::uint8_t>> pv;
-  for (int i = 0; i < k; ++i) {
-    shards[static_cast<std::size_t>(i)].assign(shard, static_cast<std::uint8_t>(i + 1));
-    dv.emplace_back(shards[static_cast<std::size_t>(i)]);
-  }
-  for (int j = 0; j < m; ++j) {
-    shards[static_cast<std::size_t>(k + j)].assign(shard, 0);
-    pv.emplace_back(shards[static_cast<std::size_t>(k + j)]);
-  }
-  rs.encode(dv, pv);
-  const auto golden = shards;
-  std::vector<bool> present(static_cast<std::size_t>(k + m), true);
-  present[0] = false;
-  present[1] = false;
-  for (auto _ : state) {
-    auto work = golden;
-    std::vector<std::span<std::uint8_t>> views;
-    for (auto& s : work) views.emplace_back(s);
-    benchmark::DoNotOptimize(rs.reconstruct(views, present));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(shard) * 2);
-}
-BENCHMARK(BM_ReedSolomonReconstruct)->Args({8, 2})->Args({15, 3});
-
 void BM_CheckpointFlushMemcpy(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   const auto src = random_buffer(size, 5);
@@ -191,14 +135,15 @@ struct EncodeMeasure {
   std::uint64_t copied_bytes = 0; ///< per-encode mailbox copy bytes
 };
 
-EncodeMeasure measure_encode(int ranks, std::size_t data_bytes, int reps, bool reference) {
+EncodeMeasure measure_encode(int ranks, std::size_t data_bytes, int reps, bool reference,
+                             int parity = 1) {
   sim::Cluster cluster(
       {.num_nodes = ranks, .spare_nodes = 0, .nodes_per_rack = 4, .profile = {}});
   std::vector<int> ranklist(static_cast<std::size_t>(ranks));
   std::iota(ranklist.begin(), ranklist.end(), 0);
   mpi::Runtime rt(cluster, ranklist);
   const mpi::JobResult result = rt.run([&](mpi::Comm& world) {
-    const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, world.size());
+    const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, world.size(), parity);
     std::vector<std::byte> data(codec.padded_bytes(), std::byte(world.rank() + 1));
     std::vector<std::byte> checksum(codec.redundancy_bytes());
     world.barrier();
@@ -223,16 +168,16 @@ EncodeMeasure measure_encode(int ranks, std::size_t data_bytes, int reps, bool r
 /// Best-of-3 on wall time (threaded wall clocks are noisy on a shared
 /// host); the byte counters are deterministic and identical across runs.
 EncodeMeasure measure_encode_best(int ranks, std::size_t data_bytes, int reps,
-                                  bool reference) {
-  EncodeMeasure best = measure_encode(ranks, data_bytes, reps, reference);
+                                  bool reference, int parity = 1) {
+  EncodeMeasure best = measure_encode(ranks, data_bytes, reps, reference, parity);
   for (int i = 0; i < 2; ++i) {
-    const EncodeMeasure m = measure_encode(ranks, data_bytes, reps, reference);
+    const EncodeMeasure m = measure_encode(ranks, data_bytes, reps, reference, parity);
     if (m.wall_s < best.wall_s) best.wall_s = m.wall_s;
   }
   return best;
 }
 
-// --- rebuild of one lost member --------------------------------------------
+// --- rebuild of lost members -------------------------------------------------
 
 struct RebuildMeasure {
   double wall_s = 0.0;            ///< per-rebuild wall time, max across ranks
@@ -241,15 +186,16 @@ struct RebuildMeasure {
   bool identical = false;         ///< every member ends bit-identical to pre-loss
 };
 
-/// Encodes every member's buffer in one job, then rebuilds member
-/// ranks / 2 `reps` times in a second job, so the second job's byte
-/// counters hold the rebuilds alone (plus one barrier's tokens).
-RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps) {
+/// Encodes every member's buffer in one job, then rebuilds members
+/// ranks / 2 onward, one per parity row, `reps` times in a second job, so
+/// the second job's byte counters hold the rebuilds alone (plus one
+/// barrier's tokens).
+RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps, int parity = 1) {
   sim::Cluster cluster(
       {.num_nodes = ranks, .spare_nodes = 0, .nodes_per_rack = 4, .profile = {}});
   std::vector<int> ranklist(static_cast<std::size_t>(ranks));
   std::iota(ranklist.begin(), ranklist.end(), 0);
-  const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, ranks);
+  const enc::GroupCodec codec(enc::CodecKind::kXor, data_bytes, ranks, parity);
   std::vector<std::vector<std::byte>> data(ranklist.size());
   std::vector<std::vector<std::byte>> checksum(ranklist.size());
   mpi::Runtime(cluster, ranklist).run([&](mpi::Comm& world) {
@@ -259,19 +205,20 @@ RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps) {
     codec.encode(world, data[r], checksum[r]);
   });
 
-  const int victim = ranks / 2;
+  std::vector<int> victims(static_cast<std::size_t>(parity));
+  std::iota(victims.begin(), victims.end(), ranks / 2);
   std::atomic<bool> identical{true};
   const mpi::JobResult result = mpi::Runtime(cluster, ranklist).run([&](mpi::Comm& world) {
     const auto r = static_cast<std::size_t>(world.rank());
     std::vector<std::byte> mine = data[r];
     std::vector<std::byte> sum = checksum[r];
-    if (world.rank() == victim) {
+    if (std::find(victims.begin(), victims.end(), world.rank()) != victims.end()) {
       std::fill(mine.begin(), mine.end(), std::byte{0xAB});
       std::fill(sum.begin(), sum.end(), std::byte{0xCD});
     }
     world.barrier();
     util::WallTimer timer;
-    for (int i = 0; i < reps; ++i) codec.rebuild(world, std::array{victim}, mine, sum);
+    for (int i = 0; i < reps; ++i) codec.rebuild(world, victims, mine, sum);
     world.record_time("rebuild", timer.seconds());
     if (mine != data[r] || sum != checksum[r]) identical = false;
   });
@@ -286,10 +233,11 @@ RebuildMeasure measure_rebuild(int ranks, std::size_t data_bytes, int reps) {
 
 /// Best-of-3 on wall time; the byte counters and the check are the same
 /// every run, and every run must pass the check.
-RebuildMeasure measure_rebuild_best(int ranks, std::size_t data_bytes, int reps) {
-  RebuildMeasure best = measure_rebuild(ranks, data_bytes, reps);
+RebuildMeasure measure_rebuild_best(int ranks, std::size_t data_bytes, int reps,
+                                    int parity = 1) {
+  RebuildMeasure best = measure_rebuild(ranks, data_bytes, reps, parity);
   for (int i = 0; i < 2; ++i) {
-    const RebuildMeasure m = measure_rebuild(ranks, data_bytes, reps);
+    const RebuildMeasure m = measure_rebuild(ranks, data_bytes, reps, parity);
     best.wall_s = std::min(best.wall_s, m.wall_s);
     best.identical = best.identical && m.identical;
   }
@@ -355,6 +303,30 @@ bool run_encode_comparison() {
     ok &= shape_check("group " + std::to_string(g) +
                           ": rebuilt member is bit-identical to its pre-loss buffers",
                       m.identical);
+  }
+
+  // RS(6, 2) at group size 8: two ring passes (the second GF-weighted),
+  // and a rebuild of two adjacent members, which share families.
+  {
+    constexpr int kGroup = 8;
+    constexpr int kParity = 2;
+    const EncodeMeasure e = measure_encode_best(kGroup, kDataBytes, kReps, false, kParity);
+    const RebuildMeasure r = measure_rebuild_best(kGroup, kDataBytes, kReps, kParity);
+    std::printf("\n--- RS(%d, %d) at group %d: encode and a %d-member rebuild ---\n",
+                kGroup - kParity, kParity, kGroup, kParity);
+    std::printf("%8s %12s %12s %12s\n", "", "wall/op", "wire", "copied");
+    for (const auto& [name, wall, wire, copied] :
+         {std::tuple{"encode", e.wall_s, e.wire_bytes, e.copied_bytes},
+          std::tuple{"rebuild", r.wall_s, r.wire_bytes, r.copied_bytes}}) {
+      std::printf("%8s %10.3fms %10.2fMB %10.2fMB\n", name, wall * 1e3,
+                  static_cast<double>(wire) / 1e6, static_cast<double>(copied) / 1e6);
+      const std::string tag = std::string(name) + "_g8_m2";
+      report.field(tag + "_wall_s", wall);
+      report.field(tag + "_wire_bytes", static_cast<std::uint64_t>(wire));
+      report.field(tag + "_copied_bytes", static_cast<std::uint64_t>(copied));
+    }
+    ok &= shape_check("RS(6, 2): both rebuilt members are bit-identical to their pre-loss buffers",
+                      r.identical);
   }
 
   // Scalar-baseline vs block-processed accumulate, measured directly.

@@ -215,8 +215,9 @@ jq -e '(.metrics.gauges."vault.shards" == 4)
 echo
 echo "=== bench regression gate: micro_encoding vs committed baseline ==="
 # Two tiers of gate, matched to how reproducible each metric is. Wire and
-# mailbox-copy byte counts of the encode and rebuild rows are exact
-# functions of the algorithms — any growth past 10% of the committed
+# mailbox-copy byte counts of the encode and rebuild rows (single parity
+# at groups 4, 8 and 16, and RS(6, 2) at group 8) are exact functions of
+# the algorithms — any growth past 10% of the committed
 # baseline is a real regression (a rebuild back on a fan-in that
 # copy-sends its stripes fails at once). Wall-clock speedups wobble with
 # machine load, so they only have to stay above half the committed value;
@@ -231,7 +232,9 @@ jval() { awk -F: -v k="\"$2\"" '$1 ~ k {gsub(/[ ,]/, "", $2); print $2; exit}' "
 for k in encode_g4_new_wire_bytes encode_g8_new_wire_bytes encode_g16_new_wire_bytes \
          encode_g4_new_copied_bytes encode_g8_new_copied_bytes encode_g16_new_copied_bytes \
          rebuild_g4_wire_bytes rebuild_g8_wire_bytes rebuild_g16_wire_bytes \
-         rebuild_g4_copied_bytes rebuild_g8_copied_bytes rebuild_g16_copied_bytes; do
+         rebuild_g4_copied_bytes rebuild_g8_copied_bytes rebuild_g16_copied_bytes \
+         encode_g8_m2_wire_bytes encode_g8_m2_copied_bytes \
+         rebuild_g8_m2_wire_bytes rebuild_g8_m2_copied_bytes; do
   awk -v c="$(jval "$current" "$k")" -v b="$(jval "$baseline" "$k")" -v k="$k" 'BEGIN {
     ok = (c <= 1.10 * b)
     printf "[%s] %s: %s vs baseline %s (must stay within +10%%)\n", ok ? "PASS" : "FAIL", k, c, b

@@ -40,7 +40,7 @@ Header GroupCheckpoint::header_or_init() const {
 bool GroupCheckpoint::open(CommCtx ctx) {
   world_rank_ = ctx.group.world_rank();
   group_size_ = ctx.group.size();
-  coder_ = enc::make_coder(params_.parity_degree, params_.codec, combined_bytes_, group_size_);
+  coder_.emplace(params_.codec, combined_bytes_, group_size_, params_.parity_degree);
 
   sim::PersistentStore& store = ctx.group.store();
   const std::string hdr_key = key("hdr");

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,7 +28,7 @@
 #include "ckpt/factory.hpp"
 #include "ckpt/header.hpp"
 #include "ckpt/protocol.hpp"
-#include "encoding/erasure_coder.hpp"
+#include "encoding/group_codec.hpp"
 
 namespace skt::ckpt {
 
@@ -93,7 +93,7 @@ class GroupCheckpoint : public CheckpointProtocol {
 
   FactoryParams params_;
   std::size_t combined_bytes_ = 0;  // data + user state
-  std::unique_ptr<enc::ErasureCoder> coder_;
+  std::optional<enc::GroupCodec> coder_;
   std::vector<std::byte> user_;  // A2, ordinary (non-SHM) memory
   /// Blocks dirtied since the last snapshot (stage() or sync commit).
   DirtyTracker tracker_;

@@ -15,15 +15,15 @@
 //     scheme generalized to groups) always overwrites the older pair, so
 //     one complete pair always exists; the price is a second full copy,
 //     leaving less than 1/3 of memory for the application (Eq. 3). Its
-//     code may be RS(k, m) (FactoryParams::parity_degree); single stays
-//     single-parity.
+//     group code may carry m parity rows (FactoryParams::parity_degree);
+//     single stays single-parity.
 //
 // Dirty-block commits: the target pair's content is `pairs` commits old,
 // so each pair carries its own accumulated dirty set (`pair_dirty_`):
 // every snapshot's dirty runs fold into every pair, and a pair's set is
 // cleared only when that pair commits. A clean block of the target pair
 // therefore already equals the content to commit, so the flush copies
-// only dirty runs and the encode goes through ErasureCoder::encode_delta —
+// only dirty runs and the encode goes through GroupCodec::encode_delta —
 // the old content of the dirty runs (the delta base) is saved into a
 // transient scratch just before the flush overwrites them. With async
 // staging, the padded aligned `image_` mirror is refreshed dirty-runs-only

@@ -18,18 +18,24 @@ std::string_view to_string(Strategy strategy) {
 
 namespace {
 
-void check_group(Strategy strategy, int group_size) {
+void check_group(Strategy strategy, int group_size, int parity_degree = 1) {
   if ((strategy == Strategy::kSingle || strategy == Strategy::kDouble ||
        strategy == Strategy::kSelf) && group_size < 2) {
     throw std::invalid_argument("in-memory strategies need group_size >= 2");
+  }
+  if (parity_degree < 1) throw std::invalid_argument("parity_degree must be >= 1");
+  if ((strategy == Strategy::kDouble || strategy == Strategy::kSelf) && parity_degree > 1 &&
+      group_size < parity_degree + 2) {
+    throw std::invalid_argument("RS(k, m) parity needs group_size >= parity_degree + 2");
   }
 }
 
 }  // namespace
 
-double available_fraction(Strategy strategy, int group_size) {
-  check_group(strategy, group_size);
+double available_fraction(Strategy strategy, int group_size, int parity_degree) {
+  check_group(strategy, group_size, parity_degree);
   const double n = group_size;
+  const double m = parity_degree;
   switch (strategy) {
     case Strategy::kNone:
     case Strategy::kBlcr:
@@ -37,23 +43,11 @@ double available_fraction(Strategy strategy, int group_size) {
     case Strategy::kSingle:
       return (n - 1.0) / (2.0 * n - 1.0);  // Eq. 4
     case Strategy::kDouble:
-      return (n - 1.0) / (3.0 * n - 1.0);  // Eq. 3
+      return (n - m) / (3.0 * n - m);  // Eq. 3 at m = 1
     case Strategy::kSelf:
-      return (n - 1.0) / (2.0 * n);  // Eq. 2
+      return (n - m) / (2.0 * n);  // Eq. 2 at m = 1
   }
   return 0.0;
-}
-
-double available_fraction_rs(int group_size, int parity_count) {
-  if (parity_count < 1) {
-    throw std::invalid_argument("RS self-checkpoint needs parity_count >= 1");
-  }
-  if (group_size < parity_count + 2) {
-    throw std::invalid_argument("RS self-checkpoint needs group_size >= parity_count + 2");
-  }
-  const double n = group_size;
-  const double m = parity_count;
-  return (n - m) / (2.0 * n);
 }
 
 std::size_t estimate_session_bytes(Strategy strategy, std::size_t data_bytes,
@@ -69,16 +63,10 @@ std::size_t estimate_session_bytes(Strategy strategy, std::size_t data_bytes,
       total = m;  // work buffer only; images live in the vault
       break;
     case Strategy::kSingle:
-    case Strategy::kDouble: {
-      const double u = available_fraction(strategy, std::max(2, group_size));
-      total = m / u;
-      break;
-    }
+    case Strategy::kDouble:
     case Strategy::kSelf: {
-      const int n = std::max(group_size, parity_degree + 2);
-      const double u = parity_degree > 1 ? available_fraction_rs(n, parity_degree)
-                                         : available_fraction(strategy, std::max(2, n));
-      total = m / u;
+      const int n = std::max(group_size, parity_degree > 1 ? parity_degree + 2 : 2);
+      total = m / available_fraction(strategy, n, parity_degree);
       break;
     }
   }

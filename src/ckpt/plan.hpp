@@ -9,6 +9,14 @@
 //   double  : M + 2M + 2M/(N-1)          -> U = (N-1)/(3N-1)   (Eq. 3)
 //   self    : M + M + 2M/(N-1) = 2MN/(N-1) -> U = (N-1)/(2N)   (Eq. 2)
 //   blcr    : M (checkpoints live on disk)
+//
+// With RS(k, m) parity (m = parity degree, k = N - m data stripes) every
+// checksum stripe M/(N-1) becomes m parity stripes of M/(N-m):
+//
+//   double  : M + 2M + 2mM/(N-m)         -> U = (N-m)/(3N-m)
+//   self    : M + M + 2mM/(N-m)          -> U = (N-m)/(2N)
+//
+// Single is always single-parity (Fig. 2), so it stays Eq. 4.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +34,12 @@ enum class Strategy {
 
 [[nodiscard]] std::string_view to_string(Strategy strategy);
 
-/// Fraction of per-process memory left for the application (Eqs. 2-4).
-/// group_size must be >= 2 for the in-memory strategies.
-[[nodiscard]] double available_fraction(Strategy strategy, int group_size);
-
-/// Self-checkpoint with RS(k, m) wide-stripe parity: each member splits
-/// its data into k = N - m stripes and stores m parity stripes per side,
-///   total = M + M + 2*(mM/(N-m)) = 2MN/(N-m)  ->  U = (N-m)/2N,
-/// generalizing Eq. 2 (m = 1); m = 2 gives U = (N-2)/2N. Requires
-/// group_size >= parity_count + 2.
-[[nodiscard]] double available_fraction_rs(int group_size, int parity_count);
+/// Fraction of per-process memory left for the application (Eqs. 2-4,
+/// generalized to `parity_degree` m as above). group_size must be >= 2
+/// for the in-memory strategies, and >= m + 2 for double and self when
+/// m >= 2.
+[[nodiscard]] double available_fraction(Strategy strategy, int group_size,
+                                        int parity_degree = 1);
 
 struct MemoryPlan {
   Strategy strategy = Strategy::kNone;

@@ -36,8 +36,9 @@ namespace skt::ckpt {
 
 class SelfCheckpoint final : public GroupCheckpoint {
  public:
-  /// parity_degree 1 is the paper's single-erasure encoding; m >= 2 is
-  /// RS(k, m), tolerating m simultaneous node losses per group (needs
+  /// parity_degree m is the degree of the group code (enc::GroupCodec):
+  /// 1 is the paper's single-erasure checksum over `codec`; m >= 2 adds
+  /// parity rows, tolerating m simultaneous node losses per group (needs
   /// group size >= m + 2; GF(2^8)-based regardless of `codec`).
   explicit SelfCheckpoint(FactoryParams params) : GroupCheckpoint(std::move(params), "self") {}
 

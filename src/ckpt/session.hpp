@@ -79,9 +79,10 @@ class SessionBuilder {
   SessionBuilder& data_bytes(std::size_t n) { params_.data_bytes = n; return *this; }
   SessionBuilder& user_bytes(std::size_t n) { params_.user_bytes = n; return *this; }
   SessionBuilder& codec(enc::CodecKind c) { params_.codec = c; return *this; }
-  /// Group-coded strategies: 1 = single erasure (default); m >= 2 keeps
-  /// RS(k, m) wide-stripe parity so each group survives m concurrent
-  /// losses. Requires group size >= m + 2.
+  /// Degree m of the group code (enc::GroupCodec) under self and double:
+  /// 1 = the single-erasure checksum (default); m >= 2 keeps m parity
+  /// rows, RS(k, m), so each group survives m concurrent losses. Requires
+  /// group size >= m + 2. Single always keeps one checksum.
   SessionBuilder& parity_degree(int d) { params_.parity_degree = d; return *this; }
   SessionBuilder& key_prefix(std::string p) { params_.key_prefix = std::move(p); return *this; }
   /// Durable store; required for Strategy::kBlcr and level2_flush_every.

@@ -1,13 +1,13 @@
 // Block runs: the unit in which commits track, exchange, encode, stage and
 // flush what changed.
 //
-// A padded buffer is split into stripes (stripes.hpp, rs_group.hpp), and
+// A padded buffer is split into stripes (group_codec.hpp), and
 // every stripe into kBlockBytes blocks counted from the stripe's start, so
 // the last block of a stripe is short when the stripe is not a whole
 // number of blocks. A dirty set is a list of runs: contiguous block ranges
 // (stripe, first, end) that never cross a stripe.
 //
-// Byte o of a family's checksum (of every parity row, for RS) combines
+// Byte o of every parity row of a family combines
 // only byte o of each member's stripe for that family, so a dirty byte
 // range of a stripe changes only the same range of its checksum. That is
 // what lets encode_delta move a run's bytes instead of its whole stripe.

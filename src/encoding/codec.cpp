@@ -32,10 +32,6 @@ void accumulate(CodecKind kind, std::span<std::byte> acc, std::span<const std::b
   }
 }
 
-void fill_identity(std::span<std::byte> buf) {
-  std::memset(buf.data(), 0, buf.size());
-}
-
 bool equals(CodecKind kind, std::span<const std::byte> a, std::span<const std::byte> b,
             double tolerance) {
   check_pair(a, b);

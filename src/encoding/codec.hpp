@@ -29,9 +29,6 @@ inline constexpr std::size_t kLane = 8;
 /// acc := acc (+) in, element-wise. Sizes must match and be lane-aligned.
 void accumulate(CodecKind kind, std::span<std::byte> acc, std::span<const std::byte> in);
 
-/// Fill with the identity element of the code (zero for both kinds).
-void fill_identity(std::span<std::byte> buf);
-
 /// Exact equality for XOR; tolerance-based for SUM (|a-b| <= tol * |a|+1).
 [[nodiscard]] bool equals(CodecKind kind, std::span<const std::byte> a,
                           std::span<const std::byte> b, double tolerance = 1e-9);

@@ -1,36 +1,18 @@
 #include "encoding/group_codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "encoding/gf256.hpp"
 #include "encoding/kernels.hpp"
 #include "encoding/lost_blocks.hpp"
 #include "util/aligned.hpp"
 
 namespace skt::enc {
 namespace {
-
-/// Typed dispatch of a byte-span reduce onto the communicator. Buffers are
-/// lane-padded by StripeLayout, so the uint64/double reinterpretation is
-/// size-exact.
-void reduce_bytes(mpi::Comm& group, CodecKind kind, int root, std::span<const std::byte> in,
-                  std::span<std::byte> out) {
-  if (kind == CodecKind::kXor) {
-    const std::span<const std::uint64_t> in64{reinterpret_cast<const std::uint64_t*>(in.data()),
-                                              in.size() / sizeof(std::uint64_t)};
-    const std::span<std::uint64_t> out64{reinterpret_cast<std::uint64_t*>(out.data()),
-                                         out.size() / sizeof(std::uint64_t)};
-    group.reduce<std::uint64_t>(root, in64, out64, mpi::BXor{});
-  } else {
-    const std::span<const double> ind{reinterpret_cast<const double*>(in.data()),
-                                      in.size() / sizeof(double)};
-    const std::span<double> outd{reinterpret_cast<double*>(out.data()),
-                                 out.size() / sizeof(double)};
-    group.reduce<double>(root, ind, outd, mpi::Sum{});
-  }
-}
 
 template <typename T>
 std::span<const T> as_lanes(std::span<const std::byte> b) {
@@ -42,82 +24,178 @@ std::span<T> as_lanes(std::span<std::byte> b) {
   return {reinterpret_cast<T*>(b.data()), b.size() / sizeof(T)};
 }
 
-/// One reduce-scatter encodes every family: block f of this member's
-/// contribution is its stripe for family f (empty — no contribution — for
-/// its own family), and the scatter lands family f's finished checksum
-/// exactly on member f.
-template <typename T, typename Op>
-void encode_scatter(mpi::Comm& group, const StripeLayout& layout,
-                    std::span<const std::byte> data, std::span<std::byte> checksum, Op op) {
-  const int n = layout.group_size();
-  const int me = group.rank();
-  std::vector<std::span<const T>> blocks(static_cast<std::size_t>(n));
-  for (int f = 0; f < n; ++f) {
-    if (f != me) blocks[static_cast<std::size_t>(f)] = as_lanes<T>(layout.stripe(data, me, f));
+/// Runs `fn(lane, op)` with the code's lane type and combine: uint64 XOR
+/// (which is also GF(2^8) addition) or double SUM. Buffers are lane-padded
+/// by the stripe layout, so the reinterpretation is size-exact.
+template <typename Fn>
+void with_lanes(CodecKind kind, Fn&& fn) {
+  if (kind == CodecKind::kXor) {
+    fn(std::uint64_t{}, mpi::BXor{});
+  } else {
+    fn(double{}, mpi::Sum{});
   }
-  group.reduce_scatter_blocks<T, Op>(
-      blocks, {reinterpret_cast<T*>(checksum.data()), checksum.size() / sizeof(T)}, op);
 }
 
 }  // namespace
 
-GroupCodec::GroupCodec(CodecKind kind, std::size_t data_bytes, int group_size)
-    : kind_(kind), layout_(data_bytes, group_size) {}
+GroupCodec::GroupCodec(CodecKind kind, std::size_t data_bytes, int group_size, int parity_count)
+    : kind_(parity_count > 1 ? CodecKind::kXor : kind),
+      group_size_(group_size),
+      parity_count_(parity_count) {
+  if (parity_count < 1) throw std::invalid_argument("GroupCodec: parity_count must be >= 1");
+  if (group_size < 2) throw std::invalid_argument("GroupCodec: group size must be >= 2");
+  if (parity_count > 1 && (group_size < parity_count + 2 || group_size > 256)) {
+    throw std::invalid_argument("GroupCodec: RS(k, m >= 2) needs m + 2 <= group size <= 256");
+  }
+  const std::size_t k = stripe_count();
+  const std::size_t raw = (data_bytes + k - 1) / k;
+  stripe_bytes_ = std::max(kLane, (raw + kLane - 1) / kLane * kLane);
+
+  // Cauchy matrix 1 / (x_j + y_i) with x_j = k + j and y_i = i (distinct,
+  // as i < k), column i scaled by x_0 + y_i so that row 0 is all ones:
+  // c_j(i) = (x_0 + y_i) / (x_j + y_i). Addition in GF(2^8) is XOR.
+  generator_.assign(static_cast<std::size_t>(parity_count) * k, 1);
+  for (std::size_t j = 1; j < static_cast<std::size_t>(parity_count); ++j) {
+    for (std::size_t i = 0; i < k; ++i) {
+      generator_[j * k + i] = gf256::div(static_cast<std::uint8_t>(k ^ i),
+                                         static_cast<std::uint8_t>((k + j) ^ i));
+    }
+  }
+}
+
+bool GroupCodec::contributes(int p, int f) const {
+  if (p < 0 || p >= group_size_ || f < 0 || f >= group_size_) {
+    throw std::out_of_range("GroupCodec: bad member or family index");
+  }
+  return (p - f + group_size_) % group_size_ >= parity_count_;
+}
+
+std::size_t GroupCodec::stripe_index(int p, int f) const {
+  if (!contributes(p, f)) {
+    throw std::invalid_argument("GroupCodec: member holds parity for this family");
+  }
+  // Member p skips the m families whose parity rows it owns:
+  // (p - j) mod N for j < m.
+  int idx = f;
+  for (int j = 0; j < parity_count_; ++j) {
+    if ((p - j + group_size_) % group_size_ < f) --idx;
+  }
+  return static_cast<std::size_t>(idx);
+}
+
+int GroupCodec::contributor_index(int p, int f) const {
+  if (!contributes(p, f)) throw std::invalid_argument("GroupCodec: not a contributor");
+  int idx = p;
+  for (int j = 0; j < parity_count_; ++j) {
+    if (parity_owner(j, f) < p) --idx;
+  }
+  return idx;
+}
+
+std::uint8_t GroupCodec::coefficient(int row, int p, int f) const {
+  if (row < 0 || row >= parity_count_) throw std::out_of_range("GroupCodec: bad parity row");
+  return generator_[static_cast<std::size_t>(row) * stripe_count() +
+                    static_cast<std::size_t>(contributor_index(p, f))];
+}
 
 void GroupCodec::check_args(const mpi::Comm& group, std::size_t data_size,
-                            std::size_t checksum_size) const {
-  if (group.size() != layout_.group_size()) {
+                            std::size_t redundancy_size) const {
+  if (group.size() != group_size_) {
     throw std::invalid_argument("GroupCodec: communicator size != group size");
   }
-  if (data_size != layout_.padded_bytes()) {
+  if (data_size != padded_bytes()) {
     throw std::invalid_argument("GroupCodec: data buffer must be padded_bytes()");
   }
-  if (checksum_size != redundancy_bytes()) {
-    throw std::invalid_argument("GroupCodec: checksum buffer must be redundancy_bytes()");
+  if (redundancy_size != redundancy_bytes()) {
+    throw std::invalid_argument("GroupCodec: redundancy buffer must be redundancy_bytes()");
   }
 }
 
 void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
-                        std::span<std::byte> checksum) const {
-  check_args(group, data.size(), checksum.size());
-  if (kind_ == CodecKind::kXor) {
-    encode_scatter<std::uint64_t>(group, layout_, data, checksum, mpi::BXor{});
-  } else {
-    encode_scatter<double>(group, layout_, data, checksum, mpi::Sum{});
+                        std::span<std::byte> redundancy) const {
+  check_args(group, data.size(), redundancy.size());
+  const int n = group_size_;
+  const int me = group.rank();
+  // Row j's reduce-scatter lands block b on member b, and family f's row j
+  // lives on member (f + j) mod n, so block (f + j) mod n carries this
+  // member's weighted stripe for family f. A weight-1 stripe goes as it
+  // is, any other weight as a scaled copy, and a family whose parity this
+  // member holds gets zeros, except the block landing on this member
+  // itself, which stays empty (no contribution). At m = 1 every weight is
+  // 1 and the only such family is the member's own, so nothing is copied.
+  util::AlignedBytes scratch(parity_count_ > 1 ? static_cast<std::size_t>(n) * stripe_bytes_
+                                               : 0);
+  std::vector<std::span<const std::byte>> blocks(static_cast<std::size_t>(n));
+  for (int row = 0; row < parity_count_; ++row) {
+    for (int f = 0; f < n; ++f) {
+      const int b = parity_owner(row, f);
+      if (b == me) continue;
+      const bool mine = contributes(me, f);
+      const std::span<const std::byte> stripe =
+          mine ? data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_)
+               : std::span<const std::byte>{};
+      const std::uint8_t c = mine ? coefficient(row, me, f) : 0;
+      if (c == 1) {
+        blocks[static_cast<std::size_t>(b)] = stripe;
+        continue;
+      }
+      const std::span<std::byte> out(scratch.data() + static_cast<std::size_t>(b) * stripe_bytes_,
+                                     stripe_bytes_);
+      std::memset(out.data(), 0, out.size());
+      if (mine) {
+        kernels::gf256_mul_acc({reinterpret_cast<std::uint8_t*>(out.data()), out.size()},
+                               {reinterpret_cast<const std::uint8_t*>(stripe.data()),
+                                stripe.size()},
+                               c);
+      }
+      blocks[static_cast<std::size_t>(b)] = out;
+    }
+    const std::span<std::byte> out =
+        redundancy.subspan(static_cast<std::size_t>(row) * stripe_bytes_, stripe_bytes_);
+    with_lanes(kind_, [&]<typename T, typename Op>(T, Op op) {
+      std::vector<std::span<const T>> lanes(blocks.size());
+      for (std::size_t i = 0; i < blocks.size(); ++i) lanes[i] = as_lanes<T>(blocks[i]);
+      group.reduce_scatter_blocks<T, Op>(lanes, as_lanes<T>(out), op);
+    });
   }
 }
 
 std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
                                                std::span<const std::byte> base,
                                                std::span<const std::byte> next,
-                                               std::span<const std::byte> old_checksum,
-                                               std::span<std::byte> checksum,
+                                               std::span<const std::byte> old_redundancy,
+                                               std::span<std::byte> redundancy,
                                                std::span<const BlockRun> dirty) const {
-  check_args(group, next.size(), checksum.size());
-  if (base.size() != next.size() || old_checksum.size() != checksum.size()) {
+  check_args(group, next.size(), redundancy.size());
+  if (base.size() != next.size() || old_redundancy.size() != redundancy.size()) {
     throw std::invalid_argument("GroupCodec::encode_delta: base/old buffer size mismatch");
   }
-  const int n = layout_.group_size();
-  const auto stripes = static_cast<std::size_t>(n - 1);
-  const std::size_t stripe = layout_.stripe_bytes();
+  const int n = group_size_;
+  const std::size_t stripes = stripe_count();
+  const std::size_t stripe = stripe_bytes_;
 
   // Every member sees every member's runs, so all of them derive the same
   // path and the same reductions: one per piece of each dirty family's
-  // union, rooted at its checksum owner, over the contributors dirty on
-  // that piece. Sources are listed from the owner onward (relative rank
-  // order), so the interior nodes of different families' trees fall on
-  // different members.
+  // union and parity row, rooted at the row's owner, over the contributors
+  // dirty on that piece. Sources are listed from the owner onward
+  // (relative rank order), so the interior nodes of different families'
+  // trees fall on different members.
   const std::vector<StripeRuns> exchanged = exchange_runs(group, dirty, stripe, stripes);
 
   // At least half of the group's bytes dirty: the ring spreads the same
   // bytes evenly over all links and combines in one pass.
   if (2 * dirty_bytes(exchanged, stripe) >= static_cast<std::size_t>(n) * stripes * stripe) {
-    encode(group, next, checksum);
-    return {{0, 0, stripe_blocks(stripe)}};
+    encode(group, next, redundancy);
+    std::vector<BlockRun> all;
+    for (int row = 0; row < parity_count_; ++row) {
+      all.push_back({static_cast<std::size_t>(row), 0, stripe_blocks(stripe)});
+    }
+    return all;
   }
 
   struct Piece {
     int family;
+    int row;
     ByteRange range;  ///< within the family's stripes
   };
   std::vector<mpi::Comm::SparseReduction> reductions;
@@ -125,111 +203,196 @@ std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
   std::vector<BlockRun> changed;
   const int me = group.rank();
   for (int f = 0; f < n; ++f) {
-    std::vector<std::pair<int, std::size_t>> contributors;
-    for (int step = 1; step < n; ++step) {
-      const int p = (f + step) % n;
-      contributors.emplace_back(p, layout_.stripe_index(p, f));
+    for (int row = 0; row < parity_count_; ++row) {
+      const int root = parity_owner(row, f);
+      std::vector<std::pair<int, std::size_t>> contributors;
+      for (int step = 1; step < n; ++step) {
+        const int p = (root + step) % n;
+        if (contributes(p, f)) contributors.emplace_back(p, stripe_index(p, f));
+      }
+      const std::vector<FamilyPiece> family = family_pieces(exchanged, stripes, contributors);
+      for (const FamilyPiece& piece : family) {
+        const ByteRange range = block_bytes(piece.first, piece.end, stripe);
+        reductions.push_back({.root = root, .sources = piece.sources, .bytes = range.size()});
+        pieces.push_back({f, row, range});
+      }
+      if (root == me) append_changed(changed, static_cast<std::size_t>(row), family);
     }
-    const std::vector<FamilyPiece> family = family_pieces(exchanged, stripes, contributors);
-    for (const FamilyPiece& piece : family) {
-      const ByteRange range = block_bytes(piece.first, piece.end, stripe);
-      reductions.push_back({.root = f, .sources = piece.sources, .bytes = range.size()});
-      pieces.push_back({f, range});
-    }
-    if (f == me) append_changed(changed, 0, family);
   }
 
-  if (checksum.data() != old_checksum.data()) {
-    std::memcpy(checksum.data(), old_checksum.data(), checksum.size());
+  if (redundancy.data() != old_redundancy.data()) {
+    std::memcpy(redundancy.data(), old_redundancy.data(), redundancy.size());
   }
   const auto fill = [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
-    const std::size_t at =
-        layout_.stripe_index(me, pieces[i].family) * stripe + pieces[i].range.begin + off;
+    const Piece& p = pieces[i];
+    const std::size_t at = stripe_index(me, p.family) * stripe + p.range.begin + off;
     const std::span<const std::byte> b = base.subspan(at, out.size());
     const std::span<const std::byte> x = next.subspan(at, out.size());
-    if (kind_ == CodecKind::kXor) {
-      kernels::xor_delta(out, b, x);
-    } else {
+    const std::uint8_t c = coefficient(p.row, me, p.family);
+    if (kind_ == CodecKind::kSum) {
       std::memcpy(out.data(), x.data(), out.size());
       kernels::sum_sub(as_lanes<double>(out), as_lanes<double>(b));
+    } else if (c == 1) {
+      kernels::xor_delta(out, b, x);
+    } else {
+      // c * (old ^ new) = c * old ^ c * new, accumulated straight into the
+      // zeroed outgoing segment.
+      const std::span<std::uint8_t> out8{reinterpret_cast<std::uint8_t*>(out.data()),
+                                         out.size()};
+      kernels::gf256_mul_acc(out8, {reinterpret_cast<const std::uint8_t*>(b.data()), b.size()},
+                             c);
+      kernels::gf256_mul_acc(out8, {reinterpret_cast<const std::uint8_t*>(x.data()), x.size()},
+                             c);
     }
   };
   const auto fold = [&](std::size_t i, std::size_t off, std::span<const std::byte> in) {
-    accumulate(kind_, checksum.subspan(pieces[i].range.begin + off, in.size()), in);
+    const Piece& p = pieces[i];
+    const std::size_t at = static_cast<std::size_t>(p.row) * stripe + p.range.begin + off;
+    accumulate(kind_, redundancy.subspan(at, in.size()), in);
   };
-  if (kind_ == CodecKind::kXor) {
-    group.reduce_sparse<std::uint64_t>(reductions, mpi::BXor{}, fill, fold);
-  } else {
-    group.reduce_sparse<double>(reductions, mpi::Sum{}, fill, fold);
-  }
+  with_lanes(kind_, [&]<typename T, typename Op>(T, Op op) {
+    group.reduce_sparse<T>(reductions, op, fill, fold);
+  });
+  std::sort(changed.begin(), changed.end(), [](const BlockRun& a, const BlockRun& b) {
+    return a.stripe != b.stripe ? a.stripe < b.stripe : a.first < b.first;
+  });
   return changed;
 }
 
 void GroupCodec::encode_reference(mpi::Comm& group, std::span<const std::byte> data,
                                   std::span<std::byte> checksum) const {
   check_args(group, data.size(), checksum.size());
-  const int n = layout_.group_size();
+  if (parity_count_ != 1) {
+    throw std::logic_error("GroupCodec::encode_reference: single-parity codes only");
+  }
   const int me = group.rank();
-  const std::vector<std::byte> identity(layout_.stripe_bytes(), std::byte{0});
-  for (int f = 0; f < n; ++f) {
+  const std::vector<std::byte> identity(stripe_bytes_, std::byte{0});
+  for (int f = 0; f < group_size_; ++f) {
     const std::span<const std::byte> contribution =
-        me == f ? std::span<const std::byte>(identity) : layout_.stripe(data, me, f);
-    reduce_bytes(group, kind_, f, contribution,
-                 me == f ? checksum : std::span<std::byte>{});
+        me == f ? std::span<const std::byte>(identity)
+                : data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_);
+    const std::span<std::byte> out = me == f ? checksum : std::span<std::byte>{};
+    with_lanes(kind_, [&]<typename T, typename Op>(T, Op op) {
+      group.reduce<T>(f, as_lanes<T>(contribution), as_lanes<T>(out), op);
+    });
   }
 }
 
 void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
-                         std::span<std::byte> data, std::span<std::byte> checksum) const {
-  check_args(group, data.size(), checksum.size());
+                         std::span<std::byte> data, std::span<std::byte> redundancy) const {
+  check_args(group, data.size(), redundancy.size());
   if (missing.empty()) return;
-  if (missing.size() > 1) {
+  std::vector<int> lost(missing.begin(), missing.end());
+  std::sort(lost.begin(), lost.end());
+  lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
+  if (static_cast<int>(lost.size()) > parity_count_) {
     throw std::invalid_argument(
-        "GroupCodec: " + std::to_string(missing.size()) +
-        " concurrent erasures exceed the single-parity budget (max 1); refusing to "
-        "rebuild from partial data");
+        "GroupCodec: " + std::to_string(lost.size()) +
+        " concurrent erasures exceed the code's budget (max " + std::to_string(parity_count_) +
+        "); refusing to rebuild from partial data");
   }
-  const int failed = missing.front();
-  const int n = layout_.group_size();
-  if (failed < 0 || failed >= n) throw std::invalid_argument("GroupCodec::rebuild: bad member");
+  const int n = group_size_;
+  for (const int m : lost) {
+    if (m < 0 || m >= n) throw std::invalid_argument("GroupCodec::rebuild: bad member");
+  }
+  const auto is_lost = [&](int p) { return std::binary_search(lost.begin(), lost.end(), p); };
 
-  // The failed member's stripe for family f != failed is checksum_f (-)
-  // the other survivors' family-f stripes; its own checksum is the sum of
-  // the survivors' family-`failed` stripes. Every survivor contributes to
-  // every block. XOR is self-inverse; SUM contributes negated stripes, so
-  // the reduce yields checksum - sum(survivors) directly.
-  const std::size_t stripe = layout_.stripe_bytes();
   std::vector<LostBlock> blocks;
   for (int f = 0; f < n; ++f) {
-    LostBlock lost{.member = failed, .at = {}, .bytes = stripe, .terms = {}};
-    if (f == failed) {
-      lost.at.redundancy = true;
-    } else {
-      lost.at.offset = layout_.stripe_index(failed, f) * stripe;
+    // Partition this family's losses: contributors to re-solve vs parity
+    // rows to recompute. A member is one or the other, never both, so
+    // lost contributors + lost rows <= m and enough surviving rows exist.
+    std::vector<int> lost_data;
+    std::vector<int> alive_data;
+    std::vector<int> lost_rows;
+    std::vector<int> live_rows;
+    for (int p = 0; p < n; ++p) {
+      if (contributes(p, f)) (is_lost(p) ? lost_data : alive_data).push_back(p);
     }
-    for (int step = 1; step < n; ++step) {
-      const int p = (failed + step) % n;
-      if (p == f) {
-        lost.terms.push_back({.member = p, .at = {.redundancy = true, .offset = 0}});
-      } else {
-        lost.terms.push_back({.member = p,
-                              .at = {.redundancy = false,
-                                     .offset = layout_.stripe_index(p, f) * stripe},
-                              .negate = f != failed && kind_ == CodecKind::kSum});
+    for (int row = 0; row < parity_count_; ++row) {
+      (is_lost(parity_owner(row, f)) ? lost_rows : live_rows).push_back(row);
+    }
+
+    // The lost contributors x_b against the first L surviving rows r_a:
+    // with syndromes S_a = P_{r_a} ^ sum_p c_{r_a}(p) * D_p over the
+    // surviving contributors p, D_{x_b} = sum_a inv[b][a] * S_a, where inv
+    // inverts G[a][b] = c_{r_a}(x_b). A block sum_b lam[b] * D_{x_b} ^
+    // sum_p mu[p] * D_p is then u[a] = (G^T)^-1 lam on parity slot r_a and
+    // mu[p] ^ sum_a u[a] * c_{r_a}(p) on stripe D_p. The code is MDS, so
+    // every weight is nonzero: k terms per block. Over SUM (m = 1, all
+    // weights 1) a stripe solved through its checksum takes the other
+    // stripes negated.
+    const std::size_t L = lost_data.size();
+    // `u` holds lam on entry and is solved into u in place.
+    const auto add_block = [&](int member, BlockAt at, std::vector<std::uint8_t> u,
+                               std::vector<std::uint8_t> mu) {
+      if (L > 0) {
+        std::vector<std::uint8_t> system(L * L);
+        for (std::size_t b = 0; b < L; ++b) {
+          for (std::size_t a = 0; a < L; ++a) {
+            system[b * L + a] = coefficient(live_rows[a], lost_data[b], f);
+          }
+        }
+        if (!gf256::solve(system, u, static_cast<int>(L))) {
+          throw std::logic_error("GroupCodec: singular rebuild system");
+        }
       }
+      LostBlock block{.member = member, .at = at, .bytes = stripe_bytes_, .terms = {}};
+      for (std::size_t a = 0; a < L; ++a) {
+        for (std::size_t i = 0; i < alive_data.size(); ++i) {
+          mu[i] ^= gf256::mul(u[a], coefficient(live_rows[a], alive_data[i], f));
+        }
+        const int row = live_rows[a];
+        block.terms.push_back(
+            {.member = parity_owner(row, f),
+             .at = {.redundancy = true, .offset = static_cast<std::size_t>(row) * stripe_bytes_},
+             .coeff = u[a]});
+      }
+      for (std::size_t i = 0; i < alive_data.size(); ++i) {
+        const int p = alive_data[i];
+        block.terms.push_back(
+            {.member = p,
+             .at = {.redundancy = false, .offset = stripe_index(p, f) * stripe_bytes_},
+             .coeff = mu[i],
+             .negate = kind_ == CodecKind::kSum && L > 0});
+      }
+      // Survivors in relative rank order from the lost member.
+      const auto distance = [&](const Term& t) { return (t.member - member + n) % n; };
+      std::sort(block.terms.begin(), block.terms.end(),
+                [&](const Term& a, const Term& b) { return distance(a) < distance(b); });
+      blocks.push_back(std::move(block));
+    };
+    for (std::size_t b = 0; b < L; ++b) {
+      std::vector<std::uint8_t> lam(L, 0);
+      lam[b] = 1;
+      add_block(lost_data[b],
+                {.redundancy = false, .offset = stripe_index(lost_data[b], f) * stripe_bytes_},
+                std::move(lam), std::vector<std::uint8_t>(alive_data.size(), 0));
     }
-    blocks.push_back(std::move(lost));
+    // A lost parity row is sum_p c_row(p) * D_p over every contributor,
+    // the lost ones included.
+    for (const int row : lost_rows) {
+      std::vector<std::uint8_t> lam(L);
+      for (std::size_t b = 0; b < L; ++b) lam[b] = coefficient(row, lost_data[b], f);
+      std::vector<std::uint8_t> mu(alive_data.size());
+      for (std::size_t i = 0; i < alive_data.size(); ++i) {
+        mu[i] = coefficient(row, alive_data[i], f);
+      }
+      add_block(parity_owner(row, f),
+                {.redundancy = true, .offset = static_cast<std::size_t>(row) * stripe_bytes_},
+                std::move(lam), std::move(mu));
+    }
   }
-  rebuild_lost_blocks(group, kind_, blocks, data, checksum);
+  rebuild_lost_blocks(group, kind_, blocks, data, redundancy);
 }
 
 bool GroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,
-                        std::span<const std::byte> checksum) const {
-  check_args(group, data.size(), checksum.size());
+                        std::span<const std::byte> redundancy) const {
+  check_args(group, data.size(), redundancy.size());
   util::AlignedBytes recomputed(redundancy_bytes());
   encode(group, data, recomputed);
   const std::uint8_t ok =
-      equals(kind_, std::span<const std::byte>(recomputed), checksum) ? 1 : 0;
+      equals(kind_, std::span<const std::byte>(recomputed), redundancy) ? 1 : 0;
   return group.allreduce_value<std::uint8_t>(ok, mpi::Min{}) == 1;
 }
 

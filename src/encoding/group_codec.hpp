@@ -1,19 +1,32 @@
-// Distributed group encoding over a communicator (Sections 2.1-2.2).
+// Distributed group encoding over a communicator (Sections 2.1-2.2): the
+// paper's single-erasure checksum (Fig. 1) and its Reed-Solomon
+// generalisation RS(k, m), as one code whose m = 1 case is the checksum.
 //
-// encode() computes, for every family f, the checksum of the other
-// members' stripes — the paper's round-robin checksum distribution, which
-// is exactly a reduce-scatter: one ring collective encodes all N checksum
-// families at once, each member emitting its stripes block-wise and
-// receiving its own family's finished checksum. The rotating ownership is
-// what spreads encoding traffic across the group and avoids the
-// single-node hotspot the paper calls out.
+// Layout: a group of N members forms N families. Family f keeps m parity
+// stripes, one per generator row, and row j's stripe lives on member
+// (f + j) mod N. A member therefore owns parity for exactly the m families
+// {(me - j) mod N : j < m} and contributes one data stripe to each of the
+// other k = N - m families, so its payload splits into k stripes and its
+// redundancy buffer holds m. At m = 1 this is Fig. 1: N - 1 stripes and
+// one checksum of M/(N-1) per member, with encoding roots that rotate
+// over the group, so there is no hotspot.
 //
-// rebuild() reconstructs a failed member's entire padded buffer plus its
-// checksum stripe among the survivors (lost_blocks.hpp): each of its n
-// blocks is split into one part per survivor, each part reduces among the
-// survivors onto its owner, and the owner streams the finished segments
-// straight into the replacement's buffers, which receive every byte once
-// and combine nothing.
+// Coefficients: row j weights contributor i (its index within the
+// family) by an m x k Cauchy matrix over GF(2^8) whose columns are scaled
+// so that row 0 is all ones. Every square submatrix of a Cauchy matrix is
+// invertible and column scaling keeps it so, hence any m member losses
+// are recoverable (the code is MDS). Row 0 is the XOR checksum, and with
+// CodecKind::kSum (m = 1 only) the same all-ones row is numeric addition
+// over doubles. m >= 2 always runs on GF(2^8), whatever the kind.
+//
+// encode() is one ring reduce-scatter per parity row: family f's row j
+// lands on its owner, weight-1 contributors send their stripes as they
+// are and the others a GF(2^8)-scaled copy. rebuild() describes every
+// block the lost members need back as a weighted sum of survivors' blocks
+// and moves them all in one survivor reduce (lost_blocks.hpp): each block
+// is split into one part per survivor, reduced among the survivors onto
+// its owner, and streamed from there straight into the replacement's
+// buffers, which receive every byte once and combine nothing.
 #pragma once
 
 #include <cstddef>
@@ -23,105 +36,133 @@
 
 #include "encoding/block_runs.hpp"
 #include "encoding/codec.hpp"
-#include "encoding/erasure_coder.hpp"
-#include "encoding/stripes.hpp"
 #include "mpi/comm.hpp"
 
 namespace skt::enc {
 
-class GroupCodec final : public ErasureCoder {
+class GroupCodec {
  public:
   /// `data_bytes`: protected payload per member (all members must pass the
-  /// same value); `group_size` must equal the communicator size at use.
-  GroupCodec(CodecKind kind, std::size_t data_bytes, int group_size);
+  /// same value); `group_size` N must equal the communicator size at use;
+  /// `parity_count` m >= 1 is the number of simultaneous member losses to
+  /// tolerate. Needs N >= 2, and m + 2 <= N <= 256 when m >= 2.
+  GroupCodec(CodecKind kind, std::size_t data_bytes, int group_size, int parity_count = 1);
 
-  [[nodiscard]] CodecKind kind() const { return kind_; }
-  [[nodiscard]] const StripeLayout& layout() const { return layout_; }
-  [[nodiscard]] std::size_t padded_bytes() const override { return layout_.padded_bytes(); }
-  /// One checksum stripe per member.
-  [[nodiscard]] std::size_t redundancy_bytes() const override {
-    return layout_.stripe_bytes();
+  /// Simultaneous member losses the code repairs.
+  [[nodiscard]] int max_failures() const { return parity_count_; }
+
+  /// Stripe geometry: the padded buffer is stripe_count() = k stripes of
+  /// stripe_bytes() each (lane-padded; the pad beyond data_bytes is
+  /// encoded as zeros), and each stripe is split into kBlockBytes blocks
+  /// (block_runs.hpp), the unit of dirty tracking and the delta encode.
+  [[nodiscard]] std::size_t stripe_bytes() const { return stripe_bytes_; }
+  [[nodiscard]] std::size_t stripe_count() const {
+    return static_cast<std::size_t>(group_size_ - parity_count_);
   }
-  [[nodiscard]] int max_failures() const override { return 1; }
-  [[nodiscard]] std::size_t stripe_bytes() const override { return layout_.stripe_bytes(); }
+  [[nodiscard]] std::size_t padded_bytes() const { return stripe_count() * stripe_bytes_; }
+  /// Per-member redundancy buffer: slot j holds the row-j parity stripe of
+  /// family (rank - j) mod N. At m = 1, one checksum stripe.
+  [[nodiscard]] std::size_t redundancy_bytes() const {
+    return static_cast<std::size_t>(parity_count_) * stripe_bytes_;
+  }
 
   /// Collective over `group`. `data` is this member's padded buffer;
-  /// `checksum` (stripe_bytes) receives the checksum of this member's
-  /// family. Every member ends up holding one checksum stripe. Implemented
-  /// as a single ring reduce-scatter over stripe blocks.
+  /// `redundancy` receives the parity rows this member owns. Every member
+  /// ends up holding m parity stripes.
   void encode(mpi::Comm& group, std::span<const std::byte> data,
-              std::span<std::byte> checksum) const override;
+              std::span<std::byte> redundancy) const;
 
   /// Collective delta re-encode (dirty-block commits). `base` is the
-  /// buffer `old_checksum` was encoded from, `next` the current buffer,
+  /// buffer `old_redundancy` was encoded from, `next` the current buffer,
   /// and `dirty` the runs of THIS member's padded buffer (block_runs.hpp)
   /// that may differ between the two. `base` and `next` are read only
   /// inside the runs as the exchange packs them: a RunSet's runs are read
   /// as given, while a stripe with more than kRunsPerStripe runs is also
-  /// read across the gap the packing merges. Produces the same `checksum`
-  /// as encode(next) — bit-identical for XOR, tolerance-equal for SUM.
+  /// read across the gap the packing merges. Produces the same
+  /// `redundancy` as encode(next): bit-identical for XOR and GF(2^8),
+  /// tolerance-equal for SUM.
   ///
   /// The members exchange their runs in a fixed 8-byte record per stripe
   /// (exchange_runs), so every member sees every member's runs. Each
   /// dirty family's union of runs is cut into pieces at its contributors'
   /// run endpoints. When less than half of the group's bytes are dirty,
-  /// each piece reduces its contributors' diffs (new ^ old, or new - old)
-  /// onto the family's checksum owner along a binomial tree of those
-  /// contributors (Comm::reduce_sparse), and the owner folds the result
-  /// into the old checksum at the piece's offset: each dirty byte crosses
-  /// the wire once, clean bytes send nothing, and no member receives more
-  /// than log2(contributors + 1) copies of a piece. Otherwise the full
-  /// ring reduce-scatter encode runs. `old_checksum` may alias `checksum`
-  /// (the fold is then in place).
+  /// each piece of each parity row reduces its contributors' weighted
+  /// diffs (new ^ old, new - old, or c * (new ^ old)) onto the row's owner
+  /// along a binomial tree of those contributors (Comm::reduce_sparse),
+  /// and the owner folds the result into the old parity at the piece's
+  /// offset: each dirty byte crosses the wire once per parity row, clean
+  /// bytes send nothing, and no member receives more than
+  /// log2(contributors + 1) copies of a piece. Otherwise the full ring
+  /// encode runs. `old_redundancy` may alias `redundancy` (the fold is then
+  /// in place).
   ///
-  /// Returns the runs of `checksum` (stripe 0) that may differ from
-  /// `old_checksum`: the union of this member's family, the whole
-  /// checksum after a full re-encode, and nothing when no dirty run was
-  /// folded into it — so a protocol keeping a twin copy refreshes only
-  /// those.
+  /// Returns the runs of `redundancy` (stripe j = parity slot j) that may
+  /// differ from `old_redundancy`, in (slot, block) order: the union of
+  /// each slot's family, every slot whole after a full re-encode, and
+  /// nothing when no dirty run was folded in, so a protocol keeping a twin
+  /// copy refreshes only those.
   std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                                      std::span<const std::byte> next,
-                                     std::span<const std::byte> old_checksum,
-                                     std::span<std::byte> checksum,
-                                     std::span<const BlockRun> dirty) const override;
+                                     std::span<const std::byte> old_redundancy,
+                                     std::span<std::byte> redundancy,
+                                     std::span<const BlockRun> dirty) const;
 
-  /// The pre-reduce-scatter baseline: one binomial reduce per family,
+  /// The pre-reduce-scatter baseline of the single-parity code (m = 1
+  /// only; std::logic_error otherwise): one binomial reduce per family,
   /// rooted round-robin. Same result as encode() (bit-identical for XOR,
   /// tolerance-equal for SUM, whose combine order differs). Kept for the
   /// old-vs-new property tests and the bandwidth benches.
   void encode_reference(mpi::Comm& group, std::span<const std::byte> data,
                         std::span<std::byte> checksum) const;
 
-  /// Collective over `group`: reconstruct the one member in `missing`.
-  /// Survivors pass their (intact) data and checksum as inputs; the failed
-  /// member passes buffers whose contents are ignored on entry and hold the
-  /// rebuilt data + checksum on return. Two or more members throw
-  /// std::invalid_argument: never rebuild missing.front() alone, since a
-  /// single-parity group handed a multi-erasure set would return silently
-  /// wrong bytes, which is strictly worse than aborting the restore.
+  /// Collective over `group`: reconstruct the members in `missing`.
+  /// Survivors pass their (intact) data and redundancy as inputs; a failed
+  /// member passes buffers whose contents are ignored on entry and hold its
+  /// rebuilt data and redundancy on return. More than max_failures()
+  /// members throw std::invalid_argument: rebuilding from partial data
+  /// would return silently wrong bytes, which is strictly worse than
+  /// aborting the restore. An empty list is a no-op.
   ///
-  /// Block f != failed of the lost member is checksum_f (-) the other
-  /// survivors' family-f stripes; its checksum is the sum of the
-  /// survivors' family-`failed` stripes. Each block is split on 64 KiB
-  /// segment boundaries into one part per survivor; a part reduces among
-  /// the survivors, each reading its share straight from `data` or
-  /// `checksum`, onto the part's owner, which forwards every finished
-  /// segment into the failed member's buffers (rebuild_lost_blocks). No
-  /// member allocates a stripe-sized temporary, and the wire carries
-  /// (n-1) n stripes, each block once per survivor.
+  /// In each family, the L lost contributors solve an L x L subsystem of
+  /// the generator against L surviving parity rows; its inverse is folded
+  /// into one coefficient per survivor, so every lost data stripe and lost
+  /// parity row is a weighted sum of exactly k surviving stripes and
+  /// parity slots. At m = 1 every weight is 1: a lost stripe is its
+  /// family's checksum minus the other members' stripes, a lost checksum
+  /// the sum of its family's stripes. No member allocates a stripe-sized
+  /// temporary, and each lost block crosses the wire k times.
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
-               std::span<std::byte> checksum) const override;
+               std::span<std::byte> redundancy) const;
 
   /// Collective consistency check: re-encode into scratch space and compare
-  /// with `checksum` on every member; returns the AND across the group.
+  /// with `redundancy` on every member; returns the AND across the group.
   [[nodiscard]] bool verify(mpi::Comm& group, std::span<const std::byte> data,
-                            std::span<const std::byte> checksum) const override;
+                            std::span<const std::byte> redundancy) const;
+
+  // --- layout (public for tests) -----------------------------------------
+
+  /// True when member p contributes a data stripe to family f (p owns none
+  /// of family f's parity rows).
+  [[nodiscard]] bool contributes(int p, int f) const;
+  /// Index of member p's stripe for family f within its padded buffer.
+  [[nodiscard]] std::size_t stripe_index(int p, int f) const;
+  /// Contributor order of member p within family f: its generator column.
+  [[nodiscard]] int contributor_index(int p, int f) const;
+  /// GF(2^8) weight of contributor p in family f's parity row `row`
+  /// (0 <= row < m); 1 throughout row 0.
+  [[nodiscard]] std::uint8_t coefficient(int row, int p, int f) const;
+  /// Member holding family f's row-`row` parity stripe.
+  [[nodiscard]] int parity_owner(int row, int f) const { return (f + row) % group_size_; }
 
  private:
-  void check_args(const mpi::Comm& group, std::size_t data_size, std::size_t checksum_size) const;
+  void check_args(const mpi::Comm& group, std::size_t data_size,
+                  std::size_t redundancy_size) const;
 
-  CodecKind kind_;
-  StripeLayout layout_;
+  CodecKind kind_;  ///< the lanes: XOR (and GF(2^8)) or SUM
+  int group_size_;
+  int parity_count_;
+  std::size_t stripe_bytes_ = 0;
+  std::vector<std::uint8_t> generator_;  ///< m x k, row major
 };
 
 }  // namespace skt::enc

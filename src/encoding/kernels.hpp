@@ -3,7 +3,7 @@
 // Every hot byte loop in the encoding substrate funnels through here:
 // XOR accumulate (the codec's "+"), SUM accumulate/subtract over double
 // lanes, XOR delta (diff staging), and the GF(2^8) multiply-accumulate
-// behind the Reed-Solomon codes. Two tiers exist:
+// behind the group code's weighted parity rows. Two tiers exist:
 //
 //   kScalar — memcpy-chunked uint64 loops and the log/exp-table GF loop.
 //             Alignment-agnostic, UBSan-clean, always available.

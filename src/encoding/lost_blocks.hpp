@@ -1,12 +1,12 @@
-// Survivor-side rebuild: the one reconstruction path of both group codecs.
+// Survivor-side rebuild: the reconstruction path of the group code.
 //
-// Every block a lost member needs back — a data stripe, a checksum, a
-// parity slot — is a weighted sum of blocks its survivors still hold: for
-// the single-parity code the family's checksum minus the other members'
-// stripes (or the sum of the stripes, for the lost member's own checksum);
-// for RS(k, m) a row of the Cauchy inverse folded into one GF(2^8)
-// coefficient per surviving stripe and parity slot. A codec describes
-// those sums as LostBlocks and rebuild_lost_blocks() moves them.
+// Every block a lost member needs back — a data stripe or a parity slot —
+// is a weighted sum of blocks its survivors still hold: a row of the
+// inverse of the lost members' generator subsystem folded into one GF(2^8)
+// coefficient per surviving stripe and parity slot. At m = 1 every weight
+// is 1: the family's checksum minus the other members' stripes, or the
+// sum of the stripes for the lost member's own checksum. GroupCodec
+// describes those sums as LostBlocks and rebuild_lost_blocks() moves them.
 //
 // Each block is split into one part per contributing survivor, on 64 KiB
 // segment boundaries. A part reduces among the block's contributors,
@@ -58,7 +58,7 @@ struct LostBlock {
 /// Collective over `group`: rebuild every block in `blocks` (identical on
 /// every member). Survivors read their terms from `data` / `redundancy`;
 /// each lost member receives its blocks into the same buffers. `lanes`
-/// picks the combine: XOR over uint64 lanes (XOR and RS) or SUM over
+/// picks the combine: XOR over uint64 lanes (XOR and GF(2^8)) or SUM over
 /// doubles.
 void rebuild_lost_blocks(mpi::Comm& group, CodecKind lanes, std::span<const LostBlock> blocks,
                          std::span<std::byte> data, std::span<std::byte> redundancy);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <ostream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -9,12 +12,8 @@
 
 #include "dirty_patterns.hpp"
 #include "encoding/codec.hpp"
-#include "encoding/erasure_coder.hpp"
 #include "encoding/gf256.hpp"
 #include "encoding/group_codec.hpp"
-#include "encoding/reed_solomon.hpp"
-#include "encoding/rs_group.hpp"
-#include "encoding/stripes.hpp"
 #include "testing.hpp"
 #include "util/rng.hpp"
 
@@ -81,37 +80,6 @@ TEST(Codec, EqualsXorExactSumTolerant) {
                       std::as_bytes(std::span<const double>(yv))));
 }
 
-// -------------------------------------------------------------- stripes ---
-
-TEST(Stripes, LayoutSizes) {
-  const StripeLayout layout(1000, 5);  // 4 stripes of ceil(1000/4)=250 -> 256 padded? 250->256
-  EXPECT_EQ(layout.stripe_bytes() % kLane, 0u);
-  EXPECT_GE(layout.stripe_bytes() * 4, 1000u);
-  EXPECT_EQ(layout.padded_bytes(), layout.stripe_bytes() * 4);
-}
-
-TEST(Stripes, StripeIndexSkipsOwnFamily) {
-  const StripeLayout layout(64, 4);
-  EXPECT_EQ(layout.stripe_index(2, 0), 0u);
-  EXPECT_EQ(layout.stripe_index(2, 1), 1u);
-  EXPECT_EQ(layout.stripe_index(2, 3), 2u);
-  EXPECT_THROW((void)layout.stripe_index(2, 2), std::invalid_argument);
-  EXPECT_THROW((void)layout.stripe_index(2, 9), std::out_of_range);
-}
-
-TEST(Stripes, ViewsPartitionTheBuffer) {
-  const StripeLayout layout(64, 3);
-  std::vector<std::byte> buf(layout.padded_bytes());
-  const auto s0 = layout.stripe(std::span<std::byte>(buf), 1, 0);
-  const auto s2 = layout.stripe(std::span<std::byte>(buf), 1, 2);
-  EXPECT_EQ(s0.data(), buf.data());
-  EXPECT_EQ(s2.data(), buf.data() + layout.stripe_bytes());
-  EXPECT_THROW((void)layout.stripe(std::span<std::byte>(buf).subspan(1), 1, 0),
-               std::invalid_argument);
-}
-
-TEST(Stripes, RejectsTinyGroups) { EXPECT_THROW(StripeLayout(64, 1), std::invalid_argument); }
-
 // ---------------------------------------------------------------- gf256 ---
 
 TEST(Gf256, FieldAxiomsSpotChecks) {
@@ -158,413 +126,51 @@ TEST(Gf256, SolveDetectsSingular) {
   EXPECT_FALSE(gf256::solve(m, rhs, 2));
 }
 
-// --------------------------------------------------------- reed-solomon ---
 
-class ReedSolomonErasures : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// ------------------------------------------------------------ generator ---
 
-TEST_P(ReedSolomonErasures, AnyErasurePatternUpToMRecovers) {
-  const auto [k, m] = GetParam();
-  const std::size_t shard_size = 96;
-  const ReedSolomon rs(k, m);
-
-  std::vector<std::vector<std::uint8_t>> shards(static_cast<std::size_t>(k + m));
-  std::vector<std::span<const std::uint8_t>> data_views;
-  std::vector<std::span<std::uint8_t>> parity_views;
-  util::Xoshiro256 rng(static_cast<std::uint64_t>(k * 100 + m));
-  for (int i = 0; i < k; ++i) {
-    auto& shard = shards[static_cast<std::size_t>(i)];
-    shard.resize(shard_size);
-    for (auto& b : shard) b = static_cast<std::uint8_t>(rng.next());
-    data_views.emplace_back(shard);
-  }
-  for (int j = 0; j < m; ++j) {
-    shards[static_cast<std::size_t>(k + j)].resize(shard_size);
-    parity_views.emplace_back(shards[static_cast<std::size_t>(k + j)]);
-  }
-  rs.encode(data_views, parity_views);
-  const auto golden = shards;
-
-  // Exhaustively erase every subset of size 1..m (k+m is small here).
-  const int total = k + m;
-  for (int mask = 1; mask < (1 << total); ++mask) {
-    if (__builtin_popcount(static_cast<unsigned>(mask)) > m) continue;
-    auto work = golden;
-    std::vector<bool> present(static_cast<std::size_t>(total), true);
-    std::vector<std::span<std::uint8_t>> views;
-    for (int i = 0; i < total; ++i) {
-      if (mask & (1 << i)) {
-        std::fill(work[static_cast<std::size_t>(i)].begin(),
-                  work[static_cast<std::size_t>(i)].end(), std::uint8_t{0xEE});
-        present[static_cast<std::size_t>(i)] = false;
+/// Row 0 of the generator is all ones (the XOR checksum), and every square
+/// submatrix of the m x k matrix is invertible, which is what makes any m
+/// losses recoverable. Family 0's parity rows live on members 0..m-1, so
+/// its contributors m..N-1 are columns 0..k-1.
+TEST(GroupCodec, GeneratorRowZeroIsOnesAndEverySquareSubmatrixIsInvertible) {
+  std::size_t submatrices = 0;
+  for (int m = 1; m <= 4; ++m) {
+    for (int k = m == 1 ? 1 : 2; k <= 16; ++k) {
+      const GroupCodec codec(CodecKind::kXor, 64, k + m, m);
+      const auto c = [&](int row, int col) { return codec.coefficient(row, m + col, 0); };
+      for (int col = 0; col < k; ++col) EXPECT_EQ(c(0, col), 1) << "k " << k << " m " << m;
+      for (unsigned rows = 1; rows < (1u << m); ++rows) {
+        const int s = __builtin_popcount(rows);
+        for (unsigned cols = 1; cols < (1u << k); ++cols) {
+          if (__builtin_popcount(cols) != s) continue;
+          std::vector<std::uint8_t> matrix;
+          for (int row = 0; row < m; ++row) {
+            if ((rows & (1u << row)) == 0) continue;
+            for (int col = 0; col < k; ++col) {
+              if ((cols & (1u << col)) != 0) matrix.push_back(c(row, col));
+            }
+          }
+          std::vector<std::uint8_t> rhs(static_cast<std::size_t>(s), 0);
+          EXPECT_TRUE(gf256::solve(matrix, rhs, s))
+              << "k " << k << " m " << m << " rows " << rows << " cols " << cols;
+          ++submatrices;
+        }
       }
-      views.emplace_back(work[static_cast<std::size_t>(i)]);
-    }
-    ASSERT_TRUE(rs.reconstruct(views, present)) << "mask " << mask;
-    for (int i = 0; i < total; ++i) {
-      ASSERT_EQ(work[static_cast<std::size_t>(i)], golden[static_cast<std::size_t>(i)])
-          << "shard " << i << " mask " << mask;
     }
   }
+  EXPECT_GT(submatrices, 10000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, ReedSolomonErasures,
-                         ::testing::Values(std::make_tuple(2, 1), std::make_tuple(3, 2),
-                                           std::make_tuple(4, 2), std::make_tuple(5, 3),
-                                           std::make_tuple(7, 3)));
+// --------------------------------------------------------------- layout ---
 
-TEST(ReedSolomon, TooManyErasuresRejected) {
-  const ReedSolomon rs(3, 2);
-  std::vector<std::vector<std::uint8_t>> shards(5, std::vector<std::uint8_t>(8));
-  std::vector<std::span<std::uint8_t>> views(shards.begin(), shards.end());
-  const std::vector<bool> present{false, false, false, true, true};
-  EXPECT_FALSE(rs.reconstruct(views, present));
-}
-
-TEST(ReedSolomon, RejectsBadShapes) {
-  EXPECT_THROW(ReedSolomon(0, 1), std::invalid_argument);
-  EXPECT_THROW(ReedSolomon(1, 0), std::invalid_argument);
-  EXPECT_THROW(ReedSolomon(200, 100), std::invalid_argument);
-}
-
-// ---------------------------------------------------------- group codec ---
-
-class GroupCodecParam
-    : public ::testing::TestWithParam<std::tuple<CodecKind, int /*group size*/>> {};
-
-TEST_P(GroupCodecParam, EncodeThenRebuildEveryMember) {
-  const auto [kind, group_size] = GetParam();
-  const std::size_t data_bytes = 1000;  // deliberately not stripe-aligned
-  MiniCluster mc(group_size, 0);
-
-  for (int victim = 0; victim < group_size; ++victim) {
-    const auto result = mc.run(group_size, [&, victim](mpi::Comm& world) {
-      const GroupCodec codec(kind, data_bytes, world.size());
-      std::vector<std::byte> data(codec.padded_bytes(), std::byte{0});
-      std::vector<std::byte> checksum(codec.redundancy_bytes());
-      // Distinct per-rank content; SUM codec needs doubles, so fill the
-      // buffer with valid doubles.
-      std::span<double> lanes{reinterpret_cast<double*>(data.data()),
-                              data.size() / sizeof(double)};
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        lanes[i] = util::element_value(99, static_cast<std::uint64_t>(world.rank()), i);
-      }
-      const std::vector<std::byte> golden_data = data;
-
-      codec.encode(world, data, checksum);
-      const std::vector<std::byte> golden_checksum = checksum;
-      EXPECT_TRUE(codec.verify(world, data, checksum));
-
-      if (world.rank() == victim) {
-        std::fill(data.begin(), data.end(), std::byte{0xAB});
-        std::fill(checksum.begin(), checksum.end(), std::byte{0xCD});
-      }
-      codec.rebuild(world, std::array{victim}, data, checksum);
-
-      const double tol = kind == CodecKind::kXor ? 0.0 : 1e-9;
-      EXPECT_TRUE(equals(kind, data, golden_data, tol == 0.0 ? 1e-30 : tol));
-      if (kind == CodecKind::kXor) {
-        EXPECT_EQ(data, golden_data);
-        EXPECT_EQ(checksum, golden_checksum);
-      }
-      EXPECT_TRUE(codec.verify(world, data, checksum));
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndSizes, GroupCodecParam,
-    ::testing::Combine(::testing::Values(CodecKind::kXor, CodecKind::kSum),
-                       ::testing::Values(2, 3, 4, 8)));
-
-/// Multi-segment stripes: three 64 KiB segments and a 72-byte tail, so a
-/// lost block splits into survivor parts that span several segments, and
-/// the last part of each block ends mid-segment.
-constexpr std::size_t kMultiSegmentStripe = 3 * (std::size_t{64} << 10) + 72;
-
-/// Each rank's encoded buffers from one job, so later jobs can run a
-/// rebuild alone and read its bytes off their JobResult.
-struct Encoded {
-  std::vector<std::vector<std::byte>> data;
-  std::vector<std::vector<std::byte>> redundancy;
-};
-
-class GroupCodecMultiSegment
-    : public ::testing::TestWithParam<std::tuple<CodecKind, int /*group size*/>> {};
-
-TEST_P(GroupCodecMultiSegment, RebuildEveryVictimSendsEachBlockOncePerSurvivor) {
-  const auto [kind, n] = GetParam();
-  const std::size_t data_bytes = static_cast<std::size_t>(n - 1) * kMultiSegmentStripe;
-  const GroupCodec shape(kind, data_bytes, n);
-  ASSERT_EQ(shape.layout().stripe_bytes(), kMultiSegmentStripe);
-  MiniCluster mc(n, 0);
-  Encoded golden{std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n)),
-                 std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n))};
-  const auto encoded = mc.run(n, [&](mpi::Comm& world) {
-    const auto r = static_cast<std::size_t>(world.rank());
-    golden.data[r].assign(shape.padded_bytes(), std::byte{0});
-    std::span<double> lanes{reinterpret_cast<double*>(golden.data[r].data()),
-                            golden.data[r].size() / sizeof(double)};
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      lanes[i] = util::element_value(17, r, i);
-    }
-    golden.redundancy[r].resize(shape.redundancy_bytes());
-    shape.encode(world, golden.data[r], golden.redundancy[r]);
-  });
-  ASSERT_TRUE(encoded.completed) << encoded.abort_reason;
-
-  for (int victim = 0; victim < n; ++victim) {
-    const auto result = mc.run(n, [&](mpi::Comm& world) {
-      const auto r = static_cast<std::size_t>(world.rank());
-      std::vector<std::byte> data = golden.data[r];
-      std::vector<std::byte> checksum = golden.redundancy[r];
-      if (world.rank() == victim) {
-        std::fill(data.begin(), data.end(), std::byte{0xAB});
-        std::fill(checksum.begin(), checksum.end(), std::byte{0xCD});
-      }
-      shape.rebuild(world, std::array{victim}, data, checksum);
-      if (kind == CodecKind::kXor) {
-        EXPECT_EQ(data, golden.data[r]) << "victim " << victim << " rank " << r;
-        EXPECT_EQ(checksum, golden.redundancy[r]) << "victim " << victim << " rank " << r;
-      } else {
-        EXPECT_TRUE(equals(kind, data, golden.data[r], 1e-9)) << "victim " << victim;
-        EXPECT_TRUE(equals(kind, checksum, golden.redundancy[r], 1e-9)) << "victim " << victim;
-      }
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-    // Each of the victim's n blocks (n-1 stripes and its checksum) crosses
-    // the wire once per survivor: n-2 partials among them and one
-    // forward. That is the fan-in rebuild's (n-1) n stripes exactly. Every
-    // segment is written in place and moved, so the mailbox copies
-    // nothing; the fan-in copy-sent all (n-1) n stripes.
-    const auto stripes = static_cast<std::size_t>((n - 1) * n);
-    EXPECT_EQ(result.wire_bytes, stripes * kMultiSegmentStripe) << "victim " << victim;
-    EXPECT_EQ(result.copied_bytes, 0u) << "victim " << victim;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndSizes, GroupCodecMultiSegment,
-    ::testing::Combine(::testing::Values(CodecKind::kXor, CodecKind::kSum),
-                       ::testing::Values(2, 3, 4, 8)));
-
-// Property: the reduce-scatter encode agrees with the N-sequential-reduce
-// baseline on random payloads across group sizes. XOR must be bit-identical;
-// SUM combines in a different order, so it is tolerance-equal.
-class EncodeEquivalence
-    : public ::testing::TestWithParam<std::tuple<CodecKind, int /*group size*/>> {};
-
-TEST_P(EncodeEquivalence, ScatterEncodeMatchesReferenceEncode) {
-  const auto [kind, group_size] = GetParam();
-  const std::size_t data_bytes = 4096 + 72;  // not stripe-aligned
-  MiniCluster mc(group_size, 0);
-  for (std::uint64_t trial = 0; trial < 3; ++trial) {
-    const auto result = mc.run(group_size, [&, trial](mpi::Comm& world) {
-      const GroupCodec codec(kind, data_bytes, world.size());
-      std::vector<std::byte> data(codec.padded_bytes(), std::byte{0});
-      std::span<double> lanes{reinterpret_cast<double*>(data.data()),
-                              data.size() / sizeof(double)};
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        lanes[i] = util::element_value(7 + trial, static_cast<std::uint64_t>(world.rank()), i);
-      }
-      std::vector<std::byte> fast(codec.redundancy_bytes());
-      std::vector<std::byte> reference(codec.redundancy_bytes());
-      codec.encode(world, data, fast);
-      codec.encode_reference(world, data, reference);
-      if (kind == CodecKind::kXor) {
-        EXPECT_EQ(fast, reference);
-      } else {
-        EXPECT_TRUE(equals(kind, fast, reference, 1e-9));
-      }
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndSizes, EncodeEquivalence,
-    ::testing::Combine(::testing::Values(CodecKind::kXor, CodecKind::kSum),
-                       ::testing::Values(2, 3, 4, 5, 8, 16)));
-
-TEST(GroupCodec, VerifyDetectsCorruption) {
-  MiniCluster mc(4, 0);
-  const auto result = mc.run(4, [](mpi::Comm& world) {
-    const GroupCodec codec(CodecKind::kXor, 256, world.size());
-    std::vector<std::byte> data(codec.padded_bytes(), std::byte(world.rank() + 1));
-    std::vector<std::byte> checksum(codec.redundancy_bytes());
-    codec.encode(world, data, checksum);
-    ASSERT_TRUE(codec.verify(world, data, checksum));
-    if (world.rank() == 2) data[5] ^= std::byte{0x40};
-    EXPECT_FALSE(codec.verify(world, data, checksum));
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(GroupCodec, ChecksumIsStripeFraction) {
-  const GroupCodec codec(CodecKind::kXor, 1 << 20, 16);
-  // Checksum ~= M / (N-1); padding adds at most one lane per stripe.
-  EXPECT_NEAR(static_cast<double>(codec.redundancy_bytes()),
-              static_cast<double>(1 << 20) / 15.0, kLane + 1);
-}
-
-// ------------------------------------------------------- RS(k, m) group ---
-
-/// Every subset of <= m members, erased simultaneously, must rebuild to
-/// the exact pre-loss bytes (data AND parity) from the k survivors.
-class RSGroupErasures
-    : public ::testing::TestWithParam<std::tuple<int /*group size*/, int /*parity m*/>> {};
-
-TEST_P(RSGroupErasures, EveryLossPatternUpToMRebuildsExactly) {
-  const auto [group_size, parity] = GetParam();
-  const std::size_t data_bytes = 700;  // deliberately not stripe-aligned
-  MiniCluster mc(group_size, 0);
-
-  // Enumerate loss masks of size 1..m over the group.
-  for (int mask = 1; mask < (1 << group_size); ++mask) {
-    if (__builtin_popcount(static_cast<unsigned>(mask)) > parity) continue;
-    std::vector<int> lost;
-    for (int p = 0; p < group_size; ++p) {
-      if (mask & (1 << p)) lost.push_back(p);
-    }
-    const auto result = mc.run(group_size, [&](mpi::Comm& world) {
-      const RSGroupCodec codec(data_bytes, world.size(), parity);
-      std::vector<std::byte> data(codec.padded_bytes(), std::byte{0});
-      std::vector<std::byte> parity_buf(codec.redundancy_bytes());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = static_cast<std::byte>(
-            util::element_value(31, static_cast<std::uint64_t>(world.rank()), i) * 255.0);
-      }
-      const std::vector<std::byte> golden_data = data;
-      codec.encode(world, data, parity_buf);
-      const std::vector<std::byte> golden_parity = parity_buf;
-      EXPECT_TRUE(codec.verify(world, data, parity_buf));
-
-      const bool me_lost = (mask & (1 << world.rank())) != 0;
-      if (me_lost) {
-        std::fill(data.begin(), data.end(), std::byte{0xAB});
-        std::fill(parity_buf.begin(), parity_buf.end(), std::byte{0xCD});
-      }
-      codec.rebuild(world, lost, data, parity_buf);
-      EXPECT_EQ(data, golden_data) << "mask " << mask << " rank " << world.rank();
-      EXPECT_EQ(parity_buf, golden_parity) << "mask " << mask << " rank " << world.rank();
-      EXPECT_TRUE(codec.verify(world, data, parity_buf));
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason << " mask " << mask;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, RSGroupErasures,
-                         ::testing::Values(std::make_tuple(4, 2), std::make_tuple(5, 2),
-                                           std::make_tuple(6, 2), std::make_tuple(5, 3),
-                                           std::make_tuple(6, 3), std::make_tuple(6, 4),
-                                           std::make_tuple(4, 1)));
-
-class RSGroupMultiSegment
-    : public ::testing::TestWithParam<std::tuple<int /*group size*/, int /*parity m*/>> {};
-
-TEST_P(RSGroupMultiSegment, EveryLossPatternRebuildsFromKSurvivorsPerBlock) {
-  const auto [n, m] = GetParam();
-  const int k = n - m;
-  const RSGroupCodec shape(static_cast<std::size_t>(k) * kMultiSegmentStripe, n, m);
-  const std::size_t stripe = shape.stripe_bytes();  // rounded up to 64 bytes
-  ASSERT_GT(stripe, 3 * (std::size_t{64} << 10));
-  MiniCluster mc(n, 0);
-  Encoded golden{std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n)),
-                 std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n))};
-  const auto encoded = mc.run(n, [&](mpi::Comm& world) {
-    const auto r = static_cast<std::size_t>(world.rank());
-    golden.data[r] = random_bytes(shape.padded_bytes(), 41 + r);
-    golden.redundancy[r].resize(shape.redundancy_bytes());
-    shape.encode(world, golden.data[r], golden.redundancy[r]);
-  });
-  ASSERT_TRUE(encoded.completed) << encoded.abort_reason;
-
-  for (int mask = 1; mask < (1 << n); ++mask) {
-    const int losses = __builtin_popcount(static_cast<unsigned>(mask));
-    if (losses > m) continue;
-    std::vector<int> lost;
-    for (int p = 0; p < n; ++p) {
-      if (mask & (1 << p)) lost.push_back(p);
-    }
-    const auto result = mc.run(n, [&](mpi::Comm& world) {
-      const auto r = static_cast<std::size_t>(world.rank());
-      std::vector<std::byte> data = golden.data[r];
-      std::vector<std::byte> parity = golden.redundancy[r];
-      if (mask & (1 << world.rank())) {
-        std::fill(data.begin(), data.end(), std::byte{0xAB});
-        std::fill(parity.begin(), parity.end(), std::byte{0xCD});
-      }
-      shape.rebuild(world, lost, data, parity);
-      EXPECT_EQ(data, golden.data[r]) << "mask " << mask << " rank " << r;
-      EXPECT_EQ(parity, golden.redundancy[r]) << "mask " << mask << " rank " << r;
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason << " mask " << mask;
-    // A lost member needs n blocks back (k data stripes, m parity slots).
-    // The code is MDS, so each is a combination of exactly k survivors'
-    // blocks and crosses the wire k times; the per-(family, row) reduces
-    // it replaces ran over all n members. Nothing is copied.
-    const auto blocks = static_cast<std::size_t>(losses * n * k);
-    EXPECT_EQ(result.wire_bytes, blocks * stripe) << "mask " << mask;
-    EXPECT_EQ(result.copied_bytes, 0u) << "mask " << mask;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, RSGroupMultiSegment,
-                         ::testing::Values(std::make_tuple(4, 2), std::make_tuple(6, 3)));
-
-TEST(RSGroup, WideGroupRecoversThreeConcurrentLosses) {
-  // RS(8, 3): the issue's wide-stripe shape. Exhaustive masks would be
-  // slow at N=11, so spot-check worst-case patterns: adjacent members
-  // (shared families), spread members, and parity-heavy picks.
-  const int n = 11;
-  MiniCluster mc(n, 0);
-  const std::vector<std::vector<int>> patterns{
-      {0, 1, 2}, {0, 5, 10}, {3, 4, 5}, {8, 9, 10}, {0, 1, 10}, {2, 6, 7}};
-  for (const auto& lost : patterns) {
-    const auto result = mc.run(n, [&](mpi::Comm& world) {
-      const RSGroupCodec codec(9000, world.size(), 3);
-      std::vector<std::byte> data(codec.padded_bytes());
-      std::vector<std::byte> parity(codec.redundancy_bytes());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = static_cast<std::byte>((i * 131 + static_cast<std::size_t>(world.rank()) * 7) & 0xFF);
-      }
-      const auto golden_data = data;
-      codec.encode(world, data, parity);
-      const auto golden_parity = parity;
-      if (std::find(lost.begin(), lost.end(), world.rank()) != lost.end()) {
-        std::fill(data.begin(), data.end(), std::byte{0xEE});
-        std::fill(parity.begin(), parity.end(), std::byte{0xEE});
-      }
-      codec.rebuild(world, lost, data, parity);
-      EXPECT_EQ(data, golden_data);
-      EXPECT_EQ(parity, golden_parity);
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-  }
-}
-
-TEST(RSGroup, MoreThanMErasuresThrow) {
-  MiniCluster mc(5, 0);
-  const auto result = mc.run(5, [](mpi::Comm& world) {
-    const RSGroupCodec codec(512, world.size(), 2);
-    std::vector<std::byte> data(codec.padded_bytes());
-    std::vector<std::byte> parity(codec.redundancy_bytes());
-    const std::vector<int> three{0, 1, 2};
-    EXPECT_THROW(codec.rebuild(world, three, data, parity), std::invalid_argument);
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(RSGroup, RejectsBadShapes) {
-  EXPECT_THROW(RSGroupCodec(64, 3, 2), std::invalid_argument);  // N < m + 2
-  EXPECT_THROW(RSGroupCodec(64, 4, 0), std::invalid_argument);
-  EXPECT_THROW(RSGroupCodec(64, 2, 1), std::invalid_argument);
-}
-
-TEST(RSGroup, LayoutPartitionsFamilies) {
-  for (const auto& [n, m] : {std::pair{7, 3}, std::pair{6, 2}}) {
-    const RSGroupCodec codec(1024, n, m);
+TEST(GroupCodec, LayoutPartitionsFamilies) {
+  for (const auto& [n, m] :
+       {std::pair{2, 1}, std::pair{4, 1}, std::pair{5, 1}, std::pair{6, 2}, std::pair{7, 3}}) {
+    const GroupCodec codec(CodecKind::kXor, 1000, n, m);
     const int k = n - m;
+    EXPECT_EQ(codec.stripe_bytes() % kLane, 0u);
+    EXPECT_GE(codec.stripe_bytes() * static_cast<std::size_t>(k), 1000u);
     EXPECT_EQ(codec.padded_bytes(), codec.stripe_bytes() * static_cast<std::size_t>(k));
     EXPECT_EQ(codec.redundancy_bytes(), codec.stripe_bytes() * static_cast<std::size_t>(m));
     for (int p = 0; p < n; ++p) {
@@ -594,20 +200,386 @@ TEST(RSGroup, LayoutPartitionsFamilies) {
       }
     }
   }
+  // Fig. 1 (m = 1): member p holds the checksum of family p and one stripe
+  // of every other family, in family order.
+  const GroupCodec fig1(CodecKind::kXor, 64, 4);
+  EXPECT_EQ(fig1.stripe_index(2, 0), 0u);
+  EXPECT_EQ(fig1.stripe_index(2, 1), 1u);
+  EXPECT_EQ(fig1.stripe_index(2, 3), 2u);
+  EXPECT_THROW((void)fig1.stripe_index(2, 2), std::invalid_argument);
+  EXPECT_THROW((void)fig1.stripe_index(2, 9), std::out_of_range);
 }
 
-/// Delta re-encode must agree with a from-scratch encode for arbitrary
-/// dirty patterns (here: every rank dirties a different stripe).
-TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
+TEST(GroupCodec, RejectsBadShapes) {
+  EXPECT_THROW(GroupCodec(CodecKind::kXor, 64, 1), std::invalid_argument);
+  EXPECT_THROW(GroupCodec(CodecKind::kXor, 64, 4, 0), std::invalid_argument);
+  EXPECT_THROW(GroupCodec(CodecKind::kXor, 64, 3, 2), std::invalid_argument);  // N < m + 2
+  EXPECT_THROW(GroupCodec(CodecKind::kXor, 1024, 6, 5), std::invalid_argument);
+  EXPECT_THROW(GroupCodec(CodecKind::kXor, 64, 257, 2), std::invalid_argument);  // > GF(2^8)
+  // The smallest single-parity group is a pair, each member's checksum the
+  // other's one stripe.
+  EXPECT_NO_THROW(GroupCodec(CodecKind::kXor, 64, 2));
+  for (int m = 1; m <= 3; ++m) {
+    EXPECT_EQ(GroupCodec(CodecKind::kXor, 1024, 6, m).max_failures(), m);
+  }
+}
+
+TEST(GroupCodec, ChecksumIsStripeFraction) {
+  const GroupCodec codec(CodecKind::kXor, 1 << 20, 16);
+  // Checksum ~= M / (N-1); padding adds at most one lane per stripe.
+  EXPECT_NEAR(static_cast<double>(codec.redundancy_bytes()),
+              static_cast<double>(1 << 20) / 15.0, kLane + 1);
+}
+
+// ------------------------------------------------------------ the codes ---
+
+/// One code under test: lane kind, group size N and parity degree m.
+struct Code {
+  CodecKind kind;
+  int n;
+  int m;
+};
+
+std::ostream& operator<<(std::ostream& os, const Code& code) {
+  return os << to_string(code.kind) << "_n" << code.n << "_m" << code.m;
+}
+
+std::string code_name(const ::testing::TestParamInfo<Code>& info) {
+  std::ostringstream os;
+  os << info.param;
+  return os.str();
+}
+
+/// The codes every codec suite below runs: the single-parity checksum over
+/// XOR and SUM, and RS(k, m) from the RAID-6 case up. A SUM code with
+/// m >= 2 runs on GF(2^8) like any other.
+const auto kCodes = ::testing::Values(
+    Code{CodecKind::kXor, 2, 1}, Code{CodecKind::kSum, 2, 1}, Code{CodecKind::kXor, 3, 1},
+    Code{CodecKind::kSum, 3, 1}, Code{CodecKind::kXor, 4, 1}, Code{CodecKind::kSum, 4, 1},
+    Code{CodecKind::kXor, 8, 1}, Code{CodecKind::kSum, 8, 1}, Code{CodecKind::kXor, 4, 2},
+    Code{CodecKind::kXor, 5, 2}, Code{CodecKind::kSum, 5, 2}, Code{CodecKind::kXor, 6, 2},
+    Code{CodecKind::kXor, 5, 3}, Code{CodecKind::kXor, 6, 3}, Code{CodecKind::kXor, 8, 3},
+    Code{CodecKind::kXor, 6, 4});
+
+/// SUM's single-parity code combines within rounding; XOR and every GF(2^8)
+/// code are exact.
+void expect_same(const Code& code, const std::vector<std::byte>& got,
+                 const std::vector<std::byte>& want, const std::string& what) {
+  if (code.kind == CodecKind::kXor || code.m > 1) {
+    EXPECT_EQ(got, want) << what;
+  } else {
+    EXPECT_TRUE(equals(CodecKind::kSum, got, want, 1e-9)) << what;
+  }
+}
+
+/// A buffer of valid doubles, distinct per rank: the SUM lanes need them,
+/// XOR and GF(2^8) take them as bytes.
+std::vector<std::byte> double_bytes(std::size_t size, std::uint64_t seed, int rank) {
+  std::vector<std::byte> out(size, std::byte{0});
+  for (std::size_t i = 0; i + sizeof(double) <= size; i += sizeof(double)) {
+    const double v = util::element_value(seed, static_cast<std::uint64_t>(rank), i);
+    std::memcpy(out.data() + i, &v, sizeof(double));
+  }
+  return out;
+}
+
+/// Every set of 1..m members of a group of n.
+std::vector<std::vector<int>> loss_patterns(int n, int m) {
+  std::vector<std::vector<int>> out;
+  for (unsigned mask = 1; mask < (1u << n); ++mask) {
+    if (__builtin_popcount(mask) > m) continue;
+    std::vector<int> lost;
+    for (int p = 0; p < n; ++p) {
+      if ((mask & (1u << p)) != 0) lost.push_back(p);
+    }
+    out.push_back(std::move(lost));
+  }
+  return out;
+}
+
+std::string describe(const std::vector<int>& lost) {
+  std::string out = "lost";
+  for (const int p : lost) out += " " + std::to_string(p);
+  return out;
+}
+
+/// Every set of up to m members, erased at once, rebuilds to the pre-loss
+/// bytes, data and redundancy alike.
+class GroupCodecErasures : public ::testing::TestWithParam<Code> {};
+
+TEST_P(GroupCodecErasures, EveryLossPatternUpToMRebuilds) {
+  const Code code = GetParam();
+  const std::size_t data_bytes = 1000;  // deliberately not stripe-aligned
+  MiniCluster mc(code.n, 0);
+  for (const std::vector<int>& lost : loss_patterns(code.n, code.m)) {
+    const auto result = mc.run(code.n, [&](mpi::Comm& world) {
+      const GroupCodec codec(code.kind, data_bytes, world.size(), code.m);
+      std::vector<std::byte> data = double_bytes(codec.padded_bytes(), 99, world.rank());
+      std::vector<std::byte> redundancy(codec.redundancy_bytes());
+      const std::vector<std::byte> golden_data = data;
+      codec.encode(world, data, redundancy);
+      const std::vector<std::byte> golden_redundancy = redundancy;
+      EXPECT_TRUE(codec.verify(world, data, redundancy));
+
+      if (std::find(lost.begin(), lost.end(), world.rank()) != lost.end()) {
+        std::fill(data.begin(), data.end(), std::byte{0xAB});
+        std::fill(redundancy.begin(), redundancy.end(), std::byte{0xCD});
+      }
+      codec.rebuild(world, lost, data, redundancy);
+      const std::string what = describe(lost) + " rank " + std::to_string(world.rank());
+      expect_same(code, data, golden_data, what);
+      expect_same(code, redundancy, golden_redundancy, what);
+      EXPECT_TRUE(codec.verify(world, data, redundancy)) << what;
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason << " " << describe(lost);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Codes, GroupCodecErasures, kCodes, code_name);
+
+/// Multi-segment stripes: three 64 KiB segments and a 72-byte tail, so a
+/// lost block splits into survivor parts that span several segments, and
+/// the last part of each block ends mid-segment.
+constexpr std::size_t kMultiSegmentStripe = 3 * (std::size_t{64} << 10) + 72;
+
+/// Each rank's encoded buffers from one job, so later jobs can run a
+/// rebuild alone and read its bytes off their JobResult.
+struct Encoded {
+  std::vector<std::vector<std::byte>> data;
+  std::vector<std::vector<std::byte>> redundancy;
+};
+
+class GroupCodecMultiSegment : public ::testing::TestWithParam<Code> {};
+
+TEST_P(GroupCodecMultiSegment, EveryLossPatternRebuildsFromKSurvivorsPerBlock) {
+  const Code code = GetParam();
+  const int n = code.n;
+  const int k = n - code.m;
+  const GroupCodec shape(code.kind, static_cast<std::size_t>(k) * kMultiSegmentStripe, n,
+                         code.m);
+  ASSERT_EQ(shape.stripe_bytes(), kMultiSegmentStripe);
+  MiniCluster mc(n, 0);
+  Encoded golden{std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n)),
+                 std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n))};
+  const auto encoded = mc.run(n, [&](mpi::Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    golden.data[r] = double_bytes(shape.padded_bytes(), 17, world.rank());
+    golden.redundancy[r].resize(shape.redundancy_bytes());
+    shape.encode(world, golden.data[r], golden.redundancy[r]);
+  });
+  ASSERT_TRUE(encoded.completed) << encoded.abort_reason;
+
+  for (const std::vector<int>& lost : loss_patterns(n, code.m)) {
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const auto r = static_cast<std::size_t>(world.rank());
+      std::vector<std::byte> data = golden.data[r];
+      std::vector<std::byte> redundancy = golden.redundancy[r];
+      if (std::find(lost.begin(), lost.end(), world.rank()) != lost.end()) {
+        std::fill(data.begin(), data.end(), std::byte{0xAB});
+        std::fill(redundancy.begin(), redundancy.end(), std::byte{0xCD});
+      }
+      shape.rebuild(world, lost, data, redundancy);
+      const std::string what = describe(lost) + " rank " + std::to_string(r);
+      expect_same(code, data, golden.data[r], what);
+      expect_same(code, redundancy, golden.redundancy[r], what);
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason << " " << describe(lost);
+    // A lost member needs n blocks back (k data stripes, m parity slots).
+    // The code is MDS, so each is a combination of exactly k survivors'
+    // blocks and crosses the wire once per survivor: k - 1 partials among
+    // them and one forward. At m = 1 that is the fan-in rebuild's (n-1) n
+    // stripes. Every segment is written in place and moved, so the mailbox
+    // copies nothing.
+    const std::size_t blocks = lost.size() * static_cast<std::size_t>(n * k);
+    EXPECT_EQ(result.wire_bytes, blocks * kMultiSegmentStripe) << describe(lost);
+    EXPECT_EQ(result.copied_bytes, 0u) << describe(lost);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Codes, GroupCodecMultiSegment, kCodes, code_name);
+
+/// encode_delta == encode: the bit-identity (tolerance for SUM) the
+/// dirty-block commits stake checkpoint correctness on, for every dirty
+/// pattern on both sides of the half-dirty switch, aliased and distinct
+/// outputs, and stripes of two 64 KiB segments plus a ragged 1000-byte
+/// tail, so the sparse reduce streams several segments and the last of a
+/// stripe's 33 blocks is short.
+class EncodeDeltaSweep : public ::testing::TestWithParam<Code> {};
+
+std::size_t sweep_data_bytes(const Code& code) {
+  return static_cast<std::size_t>(code.n - code.m) * (2 * mpi::kCollectiveChunkBytes + 1000) - 5;
+}
+
+TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
+  const Code code = GetParam();
+  const int n = code.n;
+  const auto stripes = static_cast<std::size_t>(n - code.m);
+  for (const testing::DirtyPattern pattern : testing::kDirtyPatterns) {
+    MiniCluster mc(n, 0);
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const GroupCodec codec(code.kind, sweep_data_bytes(code), n, code.m);
+      const std::size_t stripe = codec.stripe_bytes();
+      ASSERT_GT(stripe, 2 * mpi::kCollectiveChunkBytes);
+      ASSERT_NE(stripe % kBlockBytes, 0u);
+      const testing::DeltaInputs in =
+          testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
+      std::vector<std::byte> old_redundancy(codec.redundancy_bytes());
+      codec.encode(world, in.base, old_redundancy);
+      std::vector<std::byte> reference(codec.redundancy_bytes());
+      codec.encode(world, in.next, reference);
+
+      std::vector<std::byte> in_place = old_redundancy;
+      const std::vector<BlockRun> aliased =
+          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
+      std::vector<std::byte> out(codec.redundancy_bytes());
+      const std::vector<BlockRun> distinct =
+          codec.encode_delta(world, in.base, in.next, old_redundancy, out, in.runs);
+      expect_same(code, in_place, reference, testing::to_string(pattern));
+      expect_same(code, out, reference, testing::to_string(pattern));
+
+      // What every member can predict from the pattern: parity slot j
+      // holds row j of family (rank - j) mod n, so it moves over that
+      // family's union on the sparse path, whole after the ring.
+      std::vector<BlockRun> expect;
+      const bool sparse = testing::takes_sparse_path(pattern, n, stripe, stripes);
+      for (int row = 0; row < code.m; ++row) {
+        const auto slot = static_cast<std::size_t>(row);
+        if (!sparse) {
+          expect.push_back({slot, 0, stripe_blocks(stripe)});
+          continue;
+        }
+        const int f = (world.rank() - row + n) % n;
+        std::vector<std::pair<int, std::size_t>> family;
+        for (int p = 0; p < n; ++p) {
+          if (codec.contributes(p, f)) family.emplace_back(p, codec.stripe_index(p, f));
+        }
+        for (const BlockRun& run :
+             testing::family_union(pattern, n, stripe, stripes, family, slot)) {
+          expect.push_back(run);
+        }
+      }
+      EXPECT_EQ(aliased, expect) << testing::to_string(pattern);
+      EXPECT_EQ(distinct, aliased) << testing::to_string(pattern);
+      // Outside those runs the redundancy kept its old bytes.
+      std::vector<std::byte> kept = old_redundancy;
+      for (const BlockRun& run : aliased) {
+        const ByteRange r = run_bytes(run, stripe);
+        std::memcpy(kept.data() + r.begin, out.data() + r.begin, r.size());
+      }
+      EXPECT_EQ(kept, out) << testing::to_string(pattern);
+    });
+    ASSERT_TRUE(result.completed) << testing::to_string(pattern) << ": "
+                                  << result.abort_reason;
+  }
+}
+
+TEST_P(EncodeDeltaSweep, SparseWireBytesAreTheExchangedDirtyBytesPerParityRow) {
+  const Code code = GetParam();
+  const int n = code.n;
+  const auto stripes = static_cast<std::size_t>(n - code.m);
+  const std::size_t stripe = GroupCodec(code.kind, sweep_data_bytes(code), n, code.m).stripe_bytes();
+  // Two jobs that differ only in their last collective: the delta encode,
+  // or the exchange of the same runs (its first step). The difference in
+  // job-wide wire bytes is the sparse reduce's payload alone.
+  const auto job_wire_bytes = [&](testing::DirtyPattern pattern, bool delta) {
+    MiniCluster mc(n, 0);
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const GroupCodec codec(code.kind, sweep_data_bytes(code), n, code.m);
+      const testing::DeltaInputs in =
+          testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
+      std::vector<std::byte> redundancy(codec.redundancy_bytes());
+      codec.encode(world, in.base, redundancy);
+      if (delta) {
+        (void)codec.encode_delta(world, in.base, in.next, redundancy, redundancy, in.runs);
+      } else {
+        (void)exchange_runs(world, in.runs, stripe, stripes);
+      }
+    });
+    EXPECT_TRUE(result.completed) << result.abort_reason;
+    return result.wire_bytes;
+  };
+  for (const testing::DirtyPattern pattern : testing::kDirtyPatterns) {
+    if (!testing::takes_sparse_path(pattern, n, stripe, stripes)) continue;
+    EXPECT_EQ(job_wire_bytes(pattern, true) - job_wire_bytes(pattern, false),
+              testing::group_dirty_bytes(pattern, n, stripe, stripes) *
+                  static_cast<std::size_t>(code.m))
+        << testing::to_string(pattern);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Codes, EncodeDeltaSweep, kCodes, code_name);
+
+// Property: the reduce-scatter encode agrees with the N-sequential-reduce
+// baseline on random payloads across group sizes. XOR must be bit-identical;
+// SUM combines in a different order, so it is tolerance-equal.
+class EncodeEquivalence
+    : public ::testing::TestWithParam<std::tuple<CodecKind, int /*group size*/>> {};
+
+TEST_P(EncodeEquivalence, ScatterEncodeMatchesReferenceEncode) {
+  const auto [kind, group_size] = GetParam();
+  const std::size_t data_bytes = 4096 + 72;  // not stripe-aligned
+  MiniCluster mc(group_size, 0);
+  for (std::uint64_t trial = 0; trial < 3; ++trial) {
+    const auto result = mc.run(group_size, [&, trial](mpi::Comm& world) {
+      const GroupCodec codec(kind, data_bytes, world.size());
+      const std::vector<std::byte> data =
+          double_bytes(codec.padded_bytes(), 7 + trial, world.rank());
+      std::vector<std::byte> fast(codec.redundancy_bytes());
+      std::vector<std::byte> reference(codec.redundancy_bytes());
+      codec.encode(world, data, fast);
+      codec.encode_reference(world, data, reference);
+      if (kind == CodecKind::kXor) {
+        EXPECT_EQ(fast, reference);
+      } else {
+        EXPECT_TRUE(equals(kind, fast, reference, 1e-9));
+      }
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndSizes, EncodeEquivalence,
+    ::testing::Combine(::testing::Values(CodecKind::kXor, CodecKind::kSum),
+                       ::testing::Values(2, 3, 4, 5, 8, 16)));
+
+TEST(GroupCodec, WideGroupRecoversThreeConcurrentLosses) {
+  // RS(8, 3). Exhaustive masks would be slow at N = 11, so spot-check
+  // worst-case patterns: adjacent members (shared families), spread
+  // members, and parity-heavy picks.
+  const int n = 11;
+  MiniCluster mc(n, 0);
+  const std::vector<std::vector<int>> patterns{
+      {0, 1, 2}, {0, 5, 10}, {3, 4, 5}, {8, 9, 10}, {0, 1, 10}, {2, 6, 7}};
+  for (const auto& lost : patterns) {
+    const auto result = mc.run(n, [&](mpi::Comm& world) {
+      const GroupCodec codec(CodecKind::kXor, 9000, world.size(), 3);
+      std::vector<std::byte> data = double_bytes(codec.padded_bytes(), 5, world.rank());
+      std::vector<std::byte> parity(codec.redundancy_bytes());
+      const auto golden_data = data;
+      codec.encode(world, data, parity);
+      const auto golden_parity = parity;
+      if (std::find(lost.begin(), lost.end(), world.rank()) != lost.end()) {
+        std::fill(data.begin(), data.end(), std::byte{0xEE});
+        std::fill(parity.begin(), parity.end(), std::byte{0xEE});
+      }
+      codec.rebuild(world, lost, data, parity);
+      EXPECT_EQ(data, golden_data);
+      EXPECT_EQ(parity, golden_parity);
+    });
+    ASSERT_TRUE(result.completed) << result.abort_reason;
+  }
+}
+
+/// Stripes shorter than one block: the delta encode of single-byte writes
+/// on even ranks agrees with a full encode.
+TEST(GroupCodec, EncodeDeltaMatchesFullEncodeOnSubBlockStripes) {
   const int n = 6;
   MiniCluster mc(n, 0);
   const auto result = mc.run(n, [](mpi::Comm& world) {
-    const RSGroupCodec codec(3000, world.size(), 3);
-    const std::size_t stripes = codec.padded_bytes() / codec.stripe_bytes();
-    std::vector<std::byte> base(codec.padded_bytes());
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      base[i] = static_cast<std::byte>((i + static_cast<std::size_t>(world.rank()) * 97) & 0xFF);
-    }
+    const GroupCodec codec(CodecKind::kXor, 3000, world.size(), 3);
+    const std::size_t stripes = codec.stripe_count();
+    const std::vector<std::byte> base = double_bytes(codec.padded_bytes(), 3, world.rank());
     std::vector<std::byte> old_parity(codec.redundancy_bytes());
     codec.encode(world, base, old_parity);
 
@@ -627,140 +599,54 @@ TEST(RSGroup, EncodeDeltaMatchesFullEncode) {
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }
 
-/// The sparse delta's shapes for RS(k, m): every dirty pattern on both
-/// sides of the half-dirty switch, aliased and distinct outputs, stripes
-/// spanning several 64 KiB segments with a short last block. Each dirty
-/// run's GF-weighted bytes cross the wire once per parity row of its
-/// family.
-class RSEncodeDeltaSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(RSEncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
-  const auto [n, m] = GetParam();
-  const auto stripes = static_cast<std::size_t>(n - m);
-  // 2 x 64 KiB + 960: a ragged last segment and a short last block.
-  const std::size_t data_bytes = stripes * (2 * mpi::kCollectiveChunkBytes + 960) - 3;
-  for (const testing::DirtyPattern pattern : testing::kDirtyPatterns) {
-    MiniCluster mc(n, 0);
-    const auto result = mc.run(n, [&](mpi::Comm& world) {
-      const RSGroupCodec codec(data_bytes, n, m);
-      const std::size_t stripe = codec.stripe_bytes();
-      const testing::DeltaInputs in =
-          testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-      std::vector<std::byte> old_parity(codec.redundancy_bytes());
-      codec.encode(world, in.base, old_parity);
-      std::vector<std::byte> reference(codec.redundancy_bytes());
-      codec.encode(world, in.next, reference);
-
-      std::vector<std::byte> in_place = old_parity;
-      const std::vector<BlockRun> aliased =
-          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
-      std::vector<std::byte> out(codec.redundancy_bytes());
-      const std::vector<BlockRun> distinct =
-          codec.encode_delta(world, in.base, in.next, old_parity, out, in.runs);
-      EXPECT_EQ(in_place, reference) << testing::to_string(pattern);
-      EXPECT_EQ(out, reference) << testing::to_string(pattern);
-
-      // Parity slot j holds row j of family (rank - j) mod n, so it moves
-      // over that family's union on the sparse path, whole after the ring.
-      std::vector<BlockRun> expect;
-      const bool sparse = testing::takes_sparse_path(pattern, n, stripe, stripes);
-      for (int row = 0; row < m; ++row) {
-        const auto slot = static_cast<std::size_t>(row);
-        if (!sparse) {
-          expect.push_back({slot, 0, stripe_blocks(stripe)});
-          continue;
-        }
-        const int f = (world.rank() - row + n) % n;
-        std::vector<std::pair<int, std::size_t>> family;
-        for (int p = 0; p < n; ++p) {
-          if (codec.contributes(p, f)) family.emplace_back(p, codec.stripe_index(p, f));
-        }
-        for (const BlockRun& run :
-             testing::family_union(pattern, n, stripe, stripes, family, slot)) {
-          expect.push_back(run);
-        }
-      }
-      EXPECT_EQ(aliased, expect) << testing::to_string(pattern);
-      EXPECT_EQ(distinct, aliased) << testing::to_string(pattern);
-    });
-    ASSERT_TRUE(result.completed) << testing::to_string(pattern) << ": "
-                                  << result.abort_reason;
-
-    const RSGroupCodec probe(data_bytes, n, m);
-    const std::size_t stripe = probe.stripe_bytes();
-    if (!testing::takes_sparse_path(pattern, n, stripe, stripes)) continue;
-    // Wire bytes of the sparse reduce alone: the same job with the
-    // exchange of the runs in place of the delta encode is the baseline.
-    const auto job_wire_bytes = [&](bool delta) {
-      MiniCluster job(n, 0);
-      const auto r = job.run(n, [&](mpi::Comm& world) {
-        const RSGroupCodec codec(data_bytes, n, m);
-        const testing::DeltaInputs in =
-            testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-        std::vector<std::byte> parity(codec.redundancy_bytes());
-        codec.encode(world, in.base, parity);
-        if (delta) {
-          (void)codec.encode_delta(world, in.base, in.next, parity, parity, in.runs);
-        } else {
-          (void)exchange_runs(world, in.runs, stripe, stripes);
-        }
-      });
-      EXPECT_TRUE(r.completed) << r.abort_reason;
-      return r.wire_bytes;
-    };
-    EXPECT_EQ(job_wire_bytes(true) - job_wire_bytes(false),
-              testing::group_dirty_bytes(pattern, n, stripe, stripes) *
-                  static_cast<std::size_t>(m))
-        << testing::to_string(pattern);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, RSEncodeDeltaSweep,
-                         ::testing::Values(std::make_tuple(3, 1), std::make_tuple(4, 2),
-                                           std::make_tuple(5, 2), std::make_tuple(8, 3)),
-                         [](const auto& info) {
-                           return "n" + std::to_string(std::get<0>(info.param)) + "_m" +
-                                  std::to_string(std::get<1>(info.param));
-                         });
-
-// -------------------------------------------------------- erasure coder ---
-
-/// The single-parity code must fail loudly when handed more erasures than
-/// it supports — never quietly rebuild missing.front() from garbage
-/// survivors.
-TEST(ErasureCoder, SingleParityRefusesMultiEraseLoudly) {
+TEST(GroupCodec, VerifyDetectsCorruption) {
   MiniCluster mc(4, 0);
   const auto result = mc.run(4, [](mpi::Comm& world) {
-    const auto coder = make_coder(1, CodecKind::kXor, 512, world.size());
-    std::vector<std::byte> data(coder->padded_bytes());
-    std::vector<std::byte> redundancy(coder->redundancy_bytes());
-    const std::vector<int> two{0, 1};
-    try {
-      coder->rebuild(world, two, data, redundancy);
-      FAIL() << "rebuild with 2 erasures must throw";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("refusing"), std::string::npos);
+    const GroupCodec codec(CodecKind::kXor, 256, world.size());
+    std::vector<std::byte> data(codec.padded_bytes(), std::byte(world.rank() + 1));
+    std::vector<std::byte> checksum(codec.redundancy_bytes());
+    codec.encode(world, data, checksum);
+    ASSERT_TRUE(codec.verify(world, data, checksum));
+    if (world.rank() == 2) data[5] ^= std::byte{0x40};
+    EXPECT_FALSE(codec.verify(world, data, checksum));
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+/// A code must fail loudly when handed more erasures than its degree,
+/// never quietly rebuild from garbage survivors.
+TEST(GroupCodec, RefusesMoreErasuresThanItsDegreeLoudly) {
+  MiniCluster mc(5, 0);
+  const auto result = mc.run(5, [](mpi::Comm& world) {
+    for (int m = 1; m <= 2; ++m) {
+      const GroupCodec codec(CodecKind::kXor, 512, world.size(), m);
+      std::vector<std::byte> data(codec.padded_bytes());
+      std::vector<std::byte> redundancy(codec.redundancy_bytes());
+      std::vector<int> lost(static_cast<std::size_t>(m + 1));
+      std::iota(lost.begin(), lost.end(), 0);
+      try {
+        codec.rebuild(world, lost, data, redundancy);
+        ADD_FAILURE() << "rebuild of " << m + 1 << " erasures at degree " << m << " must throw";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("refusing"), std::string::npos);
+      }
     }
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }
 
-TEST(ErasureCoder, MakeCoderRoutesByParityDegree) {
-  EXPECT_EQ(make_coder(1, CodecKind::kXor, 1024, 6)->max_failures(), 1);
-  EXPECT_EQ(make_coder(2, CodecKind::kXor, 1024, 6)->max_failures(), 2);
-  EXPECT_EQ(make_coder(3, CodecKind::kXor, 1024, 6)->max_failures(), 3);
-  EXPECT_THROW(make_coder(0, CodecKind::kXor, 1024, 6), std::invalid_argument);
-  // Degree 5 needs a group of >= 7.
-  EXPECT_THROW(make_coder(5, CodecKind::kXor, 1024, 6), std::invalid_argument);
-}
+TEST(GroupCodec, ReferenceEncodeIsSingleParityOnlyAndCommSizeIsChecked) {
+  MiniCluster mc(4, 0);
+  const auto result = mc.run(4, [](mpi::Comm& world) {
+    const GroupCodec rs(CodecKind::kXor, 128, 4, 2);
+    std::vector<std::byte> data(rs.padded_bytes());
+    std::vector<std::byte> parity(rs.redundancy_bytes());
+    EXPECT_THROW(rs.encode_reference(world, data, parity), std::logic_error);
 
-TEST(GroupCodec, MismatchedCommSizeThrows) {
-  MiniCluster mc(3, 0);
-  const auto result = mc.run(3, [](mpi::Comm& world) {
-    const GroupCodec codec(CodecKind::kXor, 128, 4);  // wrong group size
-    std::vector<std::byte> data(codec.padded_bytes());
+    const GroupCodec codec(CodecKind::kXor, 128, 3);  // wrong group size
+    std::vector<std::byte> mine(codec.padded_bytes());
     std::vector<std::byte> checksum(codec.redundancy_bytes());
-    EXPECT_THROW(codec.encode(world, data, checksum), std::invalid_argument);
+    EXPECT_THROW(codec.encode(world, mine, checksum), std::invalid_argument);
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }

@@ -2,21 +2,17 @@
 // BIT-IDENTICAL across dispatch tiers (the AVX2 lane is an optimization,
 // never a semantic change), at every size and alignment a codec can throw
 // at it — sub-lane tails, exact lanes, odd offsets into oversized
-// allocations. Plus the RunSet and DirtyTracker unit contracts and the
-// encode_delta == encode equivalence the dirty-block commits rely on.
+// allocations. Plus the RunSet and DirtyTracker unit contracts (the
+// encode_delta == encode sweep over every code is in test_encoding.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "ckpt/dirty_tracker.hpp"
 #include "ckpt/protocol.hpp"
-#include "dirty_patterns.hpp"
 #include "encoding/gf256.hpp"
-#include "encoding/group_codec.hpp"
 #include "encoding/kernels.hpp"
 #include "testing.hpp"
 #include "util/rng.hpp"
@@ -24,7 +20,6 @@
 namespace skt::enc {
 namespace {
 
-using skt::testing::MiniCluster;
 using skt::testing::TierGuard;
 
 std::vector<std::byte> random_bytes(std::size_t size, std::uint64_t seed) {
@@ -379,124 +374,3 @@ TEST(DirtyTracker, ClearDropsRunsAndAnnotation) {
 
 }  // namespace
 }  // namespace skt::ckpt
-
-// ----------------------------------------------------------------------
-// encode_delta == encode: the bit-identity (tolerance for SUM) the
-// dirty-block commit path stakes checkpoint correctness on, for the
-// XOR/SUM group codec on both sides of the half-dirty switch (the RS(k, m)
-// sweep lives in test_encoding.cpp).
-namespace skt::enc {
-namespace {
-
-using skt::testing::DirtyPattern;
-using skt::testing::DeltaInputs;
-
-/// Stripes that span two 64 KiB collective segments plus a ragged
-/// 1000-byte tail, so the sparse reduce streams several segments and the
-/// last of a stripe's 33 blocks is short.
-std::size_t sweep_data_bytes(int n) {
-  return static_cast<std::size_t>(n - 1) * (2 * mpi::kCollectiveChunkBytes + 1000) - 5;
-}
-
-class EncodeDeltaSweep : public ::testing::TestWithParam<std::tuple<int, CodecKind>> {};
-
-TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
-  const auto [n, kind] = GetParam();
-  for (const DirtyPattern pattern : skt::testing::kDirtyPatterns) {
-    MiniCluster mc(n, 0);
-    const auto result = mc.run(n, [&](mpi::Comm& world) {
-      const GroupCodec codec(kind, sweep_data_bytes(n), n);
-      const std::size_t stripe = codec.layout().stripe_bytes();
-      const auto stripes = static_cast<std::size_t>(n - 1);
-      ASSERT_GT(stripe, 2 * mpi::kCollectiveChunkBytes);
-      ASSERT_NE(stripe % kBlockBytes, 0u);
-      const DeltaInputs in =
-          skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-      std::vector<std::byte> old_check(codec.redundancy_bytes());
-      codec.encode(world, in.base, old_check);
-      std::vector<std::byte> reference(codec.redundancy_bytes());
-      codec.encode(world, in.next, reference);
-
-      std::vector<std::byte> in_place = old_check;
-      const std::vector<BlockRun> aliased =
-          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
-      std::vector<std::byte> out(codec.redundancy_bytes());
-      const std::vector<BlockRun> distinct =
-          codec.encode_delta(world, in.base, in.next, old_check, out, in.runs);
-      for (const auto* got : {&in_place, &out}) {
-        if (kind == CodecKind::kXor) {
-          EXPECT_EQ(*got, reference) << to_string(pattern);
-        } else {
-          EXPECT_TRUE(equals(kind, *got, reference)) << to_string(pattern);
-        }
-      }
-
-      // What every member can predict from the pattern: the runs of its
-      // own checksum that move — its family's union on the sparse path,
-      // everything after the ring.
-      std::vector<std::pair<int, std::size_t>> family;
-      for (int p = 0; p < n; ++p) {
-        if (p != world.rank()) family.emplace_back(p, codec.layout().stripe_index(p, world.rank()));
-      }
-      const bool sparse = skt::testing::takes_sparse_path(pattern, n, stripe, stripes);
-      const std::vector<BlockRun> expect =
-          sparse ? skt::testing::family_union(pattern, n, stripe, stripes, family, 0)
-                 : std::vector<BlockRun>{{0, 0, stripe_blocks(stripe)}};
-      EXPECT_EQ(aliased, expect) << to_string(pattern);
-      EXPECT_EQ(distinct, aliased) << to_string(pattern);
-      // Outside those runs the checksum kept its old bytes.
-      std::vector<std::byte> kept = old_check;
-      for (const BlockRun& run : aliased) {
-        const ByteRange r = run_bytes(run, stripe);
-        std::memcpy(kept.data() + r.begin, out.data() + r.begin, r.size());
-      }
-      EXPECT_EQ(kept, out) << to_string(pattern);
-    });
-    ASSERT_TRUE(result.completed) << to_string(pattern) << ": " << result.abort_reason;
-  }
-}
-
-TEST_P(EncodeDeltaSweep, SparseWireBytesAreTheExchangedDirtyBytes) {
-  const auto [n, kind] = GetParam();
-  const auto stripes = static_cast<std::size_t>(n - 1);
-  const GroupCodec probe(kind, sweep_data_bytes(n), n);
-  const std::size_t stripe = probe.layout().stripe_bytes();
-  // Two jobs that differ only in their last collective: the delta encode,
-  // or the exchange of the same runs (its first step). The difference in
-  // job-wide wire bytes is the sparse reduce's payload alone.
-  const auto job_wire_bytes = [&](DirtyPattern pattern, bool delta) {
-    MiniCluster mc(n, 0);
-    const auto result = mc.run(n, [&](mpi::Comm& world) {
-      const GroupCodec codec(kind, sweep_data_bytes(n), n);
-      const DeltaInputs in =
-          skt::testing::make_delta_inputs(pattern, n, world.rank(), stripe, stripes);
-      std::vector<std::byte> check(codec.redundancy_bytes());
-      codec.encode(world, in.base, check);
-      if (delta) {
-        (void)codec.encode_delta(world, in.base, in.next, check, check, in.runs);
-      } else {
-        (void)exchange_runs(world, in.runs, stripe, stripes);
-      }
-    });
-    EXPECT_TRUE(result.completed) << result.abort_reason;
-    return result.wire_bytes;
-  };
-  for (const DirtyPattern pattern : skt::testing::kDirtyPatterns) {
-    if (!skt::testing::takes_sparse_path(pattern, n, stripe, stripes)) continue;
-    EXPECT_EQ(job_wire_bytes(pattern, true) - job_wire_bytes(pattern, false),
-              skt::testing::group_dirty_bytes(pattern, n, stripe, stripes))
-        << to_string(pattern);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupSizes, EncodeDeltaSweep,
-                         ::testing::Combine(::testing::Values(3, 4, 8),
-                                            ::testing::Values(CodecKind::kXor,
-                                                              CodecKind::kSum)),
-                         [](const auto& info) {
-                           return "g" + std::to_string(std::get<0>(info.param)) + "_" +
-                                  std::string(to_string(std::get<1>(info.param)));
-                         });
-
-}  // namespace
-}  // namespace skt::enc

@@ -2,6 +2,7 @@
 
 #include "ckpt/grouping.hpp"
 #include "ckpt/plan.hpp"
+#include "ckpt/session.hpp"
 #include "testing.hpp"
 
 namespace skt::ckpt {
@@ -58,19 +59,63 @@ TEST(Plan, Table1SelfTotalsIsTwoMNOverNMinus1) {
   EXPECT_NEAR(static_cast<double>(plan.total_bytes()), 2.0 * m * 8 / 7.0, 16.0);
 }
 
-TEST(Plan, DualParityFraction) {
-  // RS(k, 2): U = (N-2)/2N, two parity stripes per side instead of one.
-  EXPECT_DOUBLE_EQ(available_fraction_rs(4, 2), 0.25);
-  EXPECT_DOUBLE_EQ(available_fraction_rs(16, 2), 14.0 / 32.0);
-  // Costs a little memory versus single parity, buys a second failure.
+TEST(Plan, ParityDegreeFractions) {
+  // RS(k, m) self: U = (N-m)/2N, m parity stripes per side instead of one.
+  EXPECT_DOUBLE_EQ(available_fraction(Strategy::kSelf, 4, 2), 0.25);
+  EXPECT_DOUBLE_EQ(available_fraction(Strategy::kSelf, 16, 2), 14.0 / 32.0);
+  // RS(k, m) double: U = (N-m)/(3N-m), m parity stripes in each pair.
+  EXPECT_DOUBLE_EQ(available_fraction(Strategy::kDouble, 4, 2), 2.0 / 10.0);
+  EXPECT_DOUBLE_EQ(available_fraction(Strategy::kDouble, 16, 3), 13.0 / 45.0);
   for (int n : {4, 8, 16, 32}) {
-    EXPECT_LT(available_fraction_rs(n, 2), available_fraction(Strategy::kSelf, n)) << n;
-    // ...but still beats the double-checkpoint baseline from N >= 5.
+    // Single is always single-parity: Eq. 4 at any degree.
+    EXPECT_DOUBLE_EQ(available_fraction(Strategy::kSingle, n, 2),
+                     available_fraction(Strategy::kSingle, n));
+    // A second parity row costs a little memory, buys a second failure...
+    EXPECT_LT(available_fraction(Strategy::kSelf, n, 2), available_fraction(Strategy::kSelf, n))
+        << n;
+    EXPECT_LT(available_fraction(Strategy::kDouble, n, 2),
+              available_fraction(Strategy::kDouble, n))
+        << n;
+    // ...but self still beats the double-checkpoint baseline from N >= 5.
     if (n >= 5) {
-      EXPECT_GT(available_fraction_rs(n, 2), available_fraction(Strategy::kDouble, n));
+      EXPECT_GT(available_fraction(Strategy::kSelf, n, 2),
+                available_fraction(Strategy::kDouble, n));
     }
   }
-  EXPECT_THROW((void)available_fraction_rs(3, 2), std::invalid_argument);
+  EXPECT_THROW((void)available_fraction(Strategy::kSelf, 3, 2), std::invalid_argument);
+  EXPECT_THROW((void)available_fraction(Strategy::kDouble, 3, 2), std::invalid_argument);
+  EXPECT_THROW((void)available_fraction(Strategy::kSelf, 8, 0), std::invalid_argument);
+}
+
+/// The StoreService admits a session against estimate_session_bytes, so the
+/// estimate must cover what open() really allocates in the persistent
+/// store, on every rank, for every group-coded strategy and degree.
+TEST(Plan, SessionEstimateCoversTheStoreFootprint) {
+  constexpr std::size_t kData = 1 << 20;
+  constexpr std::size_t kUser = 64;
+  for (auto strategy : {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf}) {
+    for (int m : {1, 2}) {
+      for (int n : {4, 6, 8}) {
+        const std::size_t estimate =
+            estimate_session_bytes(strategy, kData, kUser, n, m, false, false);
+        skt::testing::MiniCluster mc(n, 0);
+        const auto result = mc.run(n, [&](mpi::Comm& world) {
+          Session session = SessionBuilder{}
+                                .strategy(strategy)
+                                .key_prefix("lease")
+                                .data_bytes(kData)
+                                .user_bytes(kUser)
+                                .group_size(n)
+                                .parity_degree(m)
+                                .build(world);
+          session.open();
+          EXPECT_GE(estimate, world.store().bytes_in_use())
+              << to_string(strategy) << " m " << m << " N " << n << " rank " << world.rank();
+        });
+        ASSERT_TRUE(result.completed) << result.abort_reason;
+      }
+    }
+  }
 }
 
 TEST(Plan, RejectsDegenerateGroups) {
