@@ -1,9 +1,10 @@
 // Microbenchmarks for the SimMPI collectives that dominate the checkpoint
-// protocol: group reduce (the encoder's workhorse), reduce-scatter, ring
-// allreduce, bcast, barrier, and the GroupCodec encode itself (both the
-// reduce-scatter path and the sequential-reduce reference). Each benchmark
-// iteration runs one job over rank threads performing `kOpsPerJob`
-// operations, so thread spawn cost is amortized out of the per-op figure.
+// protocol: group reduce (the reference encoder's workhorse),
+// reduce-scatter, ring allreduce, bcast, barrier, and the GroupCodec encode
+// itself (both the owners' fold of lent stripes and the sequential-reduce
+// reference). Each benchmark iteration runs one job over rank threads
+// performing `kOpsPerJob` operations, so thread spawn cost is amortized
+// out of the per-op figure.
 //
 // main() additionally times binomial vs ring allreduce across message
 // sizes and group sizes {4, 8, 16} and writes BENCH_micro_collectives.json.

@@ -3,8 +3,9 @@
 // flush memcpy.
 //
 // After the registered benchmarks, main() runs the old-vs-new encode
-// comparison — GroupCodec::encode (one ring reduce-scatter) against
-// encode_reference (N sequential binomial reduces) — and the rebuild rows
+// comparison — GroupCodec::encode (each owner folds its family's lent
+// stripes in place) against encode_reference (N sequential binomial
+// reduces) — and the rebuild rows
 // (GroupCodec::rebuild of one lost member, checked bit-identical against
 // its pre-loss buffers) across group sizes {4, 8, 16}, then one RS(6, 2)
 // row at group size 8 (its encode and a two-member rebuild), prints
@@ -250,7 +251,7 @@ bool shape_check(const std::string& what, bool ok) {
 }
 
 bool run_encode_comparison() {
-  std::printf("\n--- GroupCodec encode: reduce-scatter vs N sequential reduces ---\n");
+  std::printf("\n--- GroupCodec encode: owner fold of lent stripes vs N sequential reduces ---\n");
   std::printf("%6s %10s %14s %14s %9s %16s %16s\n", "group", "data", "old wall/op",
               "new wall/op", "speedup", "wire old->new", "copied old->new");
 
@@ -280,10 +281,10 @@ bool run_encode_comparison() {
     report.field(tag + "_old_copied_bytes", static_cast<std::uint64_t>(oldm.copied_bytes));
     report.field(tag + "_new_copied_bytes", static_cast<std::uint64_t>(newm.copied_bytes));
     ok &= shape_check("group " + std::to_string(g) +
-                          ": reduce-scatter encode puts no more bytes on the wire",
+                          ": lent encode puts no more bytes on the wire",
                       newm.wire_bytes <= oldm.wire_bytes);
     ok &= shape_check("group " + std::to_string(g) +
-                          ": zero-copy path cuts mailbox copy bytes",
+                          ": lent encode cuts mailbox copy bytes",
                       newm.copied_bytes < oldm.copied_bytes);
   }
   ok &= shape_check("group 16: encode throughput >= 2x the sequential-reduce baseline",
@@ -305,8 +306,9 @@ bool run_encode_comparison() {
                       m.identical);
   }
 
-  // RS(6, 2) at group size 8: two ring passes (the second GF-weighted),
-  // and a rebuild of two adjacent members, which share families.
+  // RS(6, 2) at group size 8: every stripe lent to two owners (row 1
+  // GF-weighted), and a rebuild of two adjacent members, which share
+  // families.
   {
     constexpr int kGroup = 8;
     constexpr int kParity = 2;

@@ -52,7 +52,10 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # dirty-block commits, restores and moving-window sparse updates: the
 # block-run copies between the work, staging and checkpoint segments.
 # test_skt_hpl runs the panel LU's packed pivot-exchange and row-interchange
-# buffers inside the self-checkpoint's segments.
+# buffers inside the self-checkpoint's segments. test_comm kills a lender
+# while a peer reads its lent bytes, and test_encoding kills every member
+# in turn inside the encode's owner fold: a lender that freed its buffers
+# before its borrowers let go would show as a use-after-free here.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
@@ -68,7 +71,7 @@ echo "=== sanitizers: tsan on telemetry + async-commit suites ==="
 # (encoding the staged copy) — exactly the interleavings TSan exists to
 # check. test_session's SessionAsyncStress is the dedicated workload.
 cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
-# test_encoding (the RS(k, m) ring collectives run one thread per member)
+# test_encoding (the RS(k, m) encode and rebuild run one thread per member)
 # and test_scrubber (cadence thread vs. rank thread vs. async worker over
 # the commit-exclusion mutex) ride the same lane, as do test_kernels and
 # test_collectives: in the sparse delta reduce several tree children fill
@@ -78,13 +81,15 @@ cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # test_store_service tears a service down under a queued admission.
 # test_hpl_dist and test_skt_hpl run the panel LU, whose pivot exchange and
 # row interchanges post several sends before their receives across rank
-# threads (and, in SKT-HPL, beside the async commit worker).
+# threads (and, in SKT-HPL, beside the async commit worker). test_mailbox
+# and test_comm carry the loans: a loan's phase is shared by the lender,
+# its borrower and the abort, and the lender sleeps on its own mailbox.
 cmake --build build-tsan -j --target \
   test_telemetry test_util test_session test_monitor test_encoding test_scrubber \
   test_kernels test_collectives test_store_service test_protocols test_failure_matrix \
-  test_hpl_dist test_skt_hpl
+  test_hpl_dist test_skt_hpl test_mailbox test_comm
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix|test_hpl_dist|test_skt_hpl)$' -j)
+  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix|test_hpl_dist|test_skt_hpl|test_mailbox|test_comm)$' -j)
 
 echo
 echo "=== monitor lane: ft_jacobi --monitor forensics + overhead gate ==="

@@ -146,8 +146,10 @@ CommitStats GroupCheckpoint::commit_frame(CommCtx ctx, bool async) {
 std::vector<enc::BlockRun> GroupCheckpoint::encode(Commit& c, std::span<const std::byte> base,
                                                    std::span<const std::byte> next,
                                                    std::span<std::byte> redundancy) {
-  const double virtual_before = c.ctx.group.virtual_seconds();
-  c.wire_before = c.ctx.group.runtime().wire_bytes();
+  // Counted on the encode's own handle: on an async worker the rank
+  // thread keeps communicating on its own handles meanwhile.
+  const double network_before = c.ctx.group.network_seconds();
+  const std::uint64_t sent_before = c.ctx.group.sent_bytes();
   util::WallTimer timer;
   std::vector<enc::BlockRun> changed;
   {
@@ -155,17 +157,17 @@ std::vector<enc::BlockRun> GroupCheckpoint::encode(Commit& c, std::span<const st
     changed = coder_->encode_delta(c.ctx.group, base, next, redundancy, redundancy, c.dirty);
   }
   c.stats.encode_s = timer.seconds();
-  c.stats.encode_virtual_s = c.ctx.group.virtual_seconds() - virtual_before;
+  c.stats.encode_virtual_s = c.ctx.group.network_seconds() - network_before;
+  c.encode_sent_bytes = c.ctx.group.sent_bytes() - sent_before;
   c.ctx.group.failpoint(c.async ? "ckpt.async_encode_done" : "ckpt.encode_done");
   return changed;
 }
 
 void GroupCheckpoint::encode_barrier(Commit& c) {
-  c.ctx.world.barrier();
-  // The encode's job-wide wire bytes, read only now: once this barrier
-  // releases, every member's encode sends are done, so no rank's count
-  // stops short of a slower member's last segments.
-  c.stats.encode_wire_bytes = c.ctx.group.runtime().wire_bytes() - c.wire_before;
+  // A world sum of every rank's encode bytes, which synchronizes like a
+  // barrier: no rank leaves it before every rank has entered it.
+  c.stats.encode_wire_bytes =
+      c.ctx.world.allreduce_value<std::uint64_t>(c.encode_sent_bytes, mpi::Sum{});
 }
 
 bool GroupCheckpoint::restore_feasible(CommCtx ctx) {

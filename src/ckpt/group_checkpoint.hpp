@@ -7,7 +7,7 @@
 // the flushed failpoint and a closing world barrier. Inside the steps, the
 // frame owns the encode bracket (the ckpt.encode span, wall and modeled
 // time, the encode_done failpoint) and the first world barrier after it,
-// where the encode's wire bytes are read. It also owns the dirty
+// a world sum of the encode's wire bytes. It also owns the dirty
 // accounting and one critical-path rule: a synchronous commit records
 // encode_s + flush_s as "checkpoint" time, measured wall time only.
 //
@@ -61,7 +61,8 @@ class GroupCheckpoint : public CheckpointProtocol {
     /// The runs this commit moves, set by the steps. The frame accounts
     /// them: every strategy flushes exactly these runs.
     std::vector<enc::BlockRun> dirty;
-    std::uint64_t wire_before = 0;
+    /// This rank's share of the encode's wire bytes.
+    std::uint64_t encode_sent_bytes = 0;
   };
 
   /// open(): create the strategy's segments, after the tracker's reset and
@@ -88,7 +89,8 @@ class GroupCheckpoint : public CheckpointProtocol {
   std::vector<enc::BlockRun> encode(Commit& c, std::span<const std::byte> base,
                                     std::span<const std::byte> next,
                                     std::span<std::byte> redundancy);
-  /// The first world barrier after the encode.
+  /// The first world barrier after the encode; it sums the encode's wire
+  /// bytes over the world into c.stats.
   void encode_barrier(Commit& c);
 
   FactoryParams params_;

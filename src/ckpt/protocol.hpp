@@ -67,7 +67,8 @@ struct CommCtx {
 struct CommitStats {
   std::uint64_t epoch = 0;     ///< epoch the commit produced
   double encode_s = 0.0;       ///< checksum calculation, wall time
-  double encode_virtual_s = 0.0;  ///< modeled network time of the encode
+  /// Modeled network time of this rank's encode messages alone.
+  double encode_virtual_s = 0.0;
   double flush_s = 0.0;        ///< local overwrite of the old checkpoint
   double device_s = 0.0;       ///< virtual device time (disk strategies)
   /// Bytes written into the checkpoint copy: the flushed dirty runs for
@@ -75,8 +76,9 @@ struct CommitStats {
   /// when everything is dirty), the whole image for BLCR.
   std::size_t checkpoint_bytes = 0;
   std::size_t checksum_bytes = 0;    ///< size of the checksum the commit re-encoded
-  /// Payload bytes the encode collective put on the (simulated) wire,
-  /// job-wide; 0 for strategies that encode nothing.
+  /// Payload bytes the encode put on the (simulated) wire, summed over
+  /// every rank of the world, so every rank reads the same value; 0 for
+  /// strategies that encode nothing.
   std::uint64_t encode_wire_bytes = 0;
   /// Bytes of the dirty runs this commit had to move, block-exact (see
   /// DirtyTracker::account; every strategy has a tracker). Equals the

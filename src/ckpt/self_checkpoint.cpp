@@ -72,7 +72,7 @@ void SelfCheckpoint::commit_steps(Commit& c) {
   // C == D between commits (every flush and restore leaves them equal), so
   // D already holds the old checksum, and C stays intact for a CASE-1
   // rollback if the encode is interrupted. Mostly-dirty commits take the
-  // full ring encode instead.
+  // full encode instead.
   c.ctx.group.failpoint(c.async ? "ckpt.async_encode_begin" : "ckpt.encode_begin");
   const std::vector<enc::BlockRun> checksum_changed =
       encode(c, ckpt_b_->bytes(), source, check_d_->bytes());

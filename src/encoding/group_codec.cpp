@@ -36,6 +36,35 @@ void with_lanes(CodecKind kind, Fn&& fn) {
   }
 }
 
+/// out = sum_i w[i] * in[i]: XOR with GF(2^8) weights, or the plain sum
+/// over double lanes for SUM (whose weights are all 1). The first two
+/// sources combine in one pass; every further one is one pass over `out`.
+void combine(CodecKind kind, std::span<std::byte> out,
+             std::span<const std::span<const std::byte>> in, std::span<const std::uint8_t> w) {
+  if (kind == CodecKind::kSum) {
+    std::memcpy(out.data(), in[0].data(), out.size());
+    for (std::size_t i = 1; i < in.size(); ++i) {
+      kernels::sum_acc(as_lanes<double>(out), as_lanes<double>(in[i]));
+    }
+    return;
+  }
+  std::size_t i = 0;
+  if (in.size() >= 2 && w[0] == 1 && w[1] == 1) {
+    kernels::xor_delta(out, in[0], in[1]);
+    i = 2;
+  } else if (w[0] == 1) {
+    std::memcpy(out.data(), in[0].data(), out.size());
+    i = 1;
+  } else {
+    std::memset(out.data(), 0, out.size());
+  }
+  const std::span<std::uint8_t> out8{reinterpret_cast<std::uint8_t*>(out.data()), out.size()};
+  for (; i < in.size(); ++i) {
+    kernels::gf256_mul_acc(
+        out8, {reinterpret_cast<const std::uint8_t*>(in[i].data()), in[i].size()}, w[i]);
+  }
+}
+
 }  // namespace
 
 GroupCodec::GroupCodec(CodecKind kind, std::size_t data_bytes, int group_size, int parity_count)
@@ -116,48 +145,54 @@ void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
   check_args(group, data.size(), redundancy.size());
   const int n = group_size_;
   const int me = group.rank();
-  // Row j's reduce-scatter lands block b on member b, and family f's row j
-  // lives on member (f + j) mod n, so block (f + j) mod n carries this
-  // member's weighted stripe for family f. A weight-1 stripe goes as it
-  // is, any other weight as a scaled copy, and a family whose parity this
-  // member holds gets zeros, except the block landing on this member
-  // itself, which stays empty (no contribution). At m = 1 every weight is
-  // 1 and the only such family is the member's own, so nothing is copied.
-  util::AlignedBytes scratch(parity_count_ > 1 ? static_cast<std::size_t>(n) * stripe_bytes_
-                                               : 0);
-  std::vector<std::span<const std::byte>> blocks(static_cast<std::size_t>(n));
+  const std::size_t stripe = stripe_bytes_;
+  // One tag for the whole encode: between any two members the loans of
+  // several rows go out and are borrowed in the same row order, and the
+  // mailbox is FIFO per source, tag and comm.
+  const mpi::Tag tag = group.reserve_tag();
+  // Lend every stripe to the owner of each parity row it feeds; lending
+  // never blocks, so every member's stripes are out before anyone folds.
+  std::vector<mpi::Comm::Loan> loans;
+  loans.reserve(stripe_count() * static_cast<std::size_t>(parity_count_));
   for (int row = 0; row < parity_count_; ++row) {
     for (int f = 0; f < n; ++f) {
-      const int b = parity_owner(row, f);
-      if (b == me) continue;
-      const bool mine = contributes(me, f);
-      const std::span<const std::byte> stripe =
-          mine ? data.subspan(stripe_index(me, f) * stripe_bytes_, stripe_bytes_)
-               : std::span<const std::byte>{};
-      const std::uint8_t c = mine ? coefficient(row, me, f) : 0;
-      if (c == 1) {
-        blocks[static_cast<std::size_t>(b)] = stripe;
-        continue;
-      }
-      const std::span<std::byte> out(scratch.data() + static_cast<std::size_t>(b) * stripe_bytes_,
-                                     stripe_bytes_);
-      std::memset(out.data(), 0, out.size());
-      if (mine) {
-        kernels::gf256_mul_acc({reinterpret_cast<std::uint8_t*>(out.data()), out.size()},
-                               {reinterpret_cast<const std::uint8_t*>(stripe.data()),
-                                stripe.size()},
-                               c);
-      }
-      blocks[static_cast<std::size_t>(b)] = out;
+      if (!contributes(me, f)) continue;
+      const std::span<const std::byte> mine = data.subspan(stripe_index(me, f) * stripe, stripe);
+      loans.push_back(group.lend(parity_owner(row, f), tag, mine));
     }
-    const std::span<std::byte> out =
-        redundancy.subspan(static_cast<std::size_t>(row) * stripe_bytes_, stripe_bytes_);
-    with_lanes(kind_, [&]<typename T, typename Op>(T, Op op) {
-      std::vector<std::span<const T>> lanes(blocks.size());
-      for (std::size_t i = 0; i < blocks.size(); ++i) lanes[i] = as_lanes<T>(blocks[i]);
-      group.reduce_scatter_blocks<T, Op>(lanes, as_lanes<T>(out), op);
-    });
   }
+  // Slot j holds row j of family (me - j) mod n: fold that family's k lent
+  // stripes straight into it, weighted, one segment at a time, so every
+  // source byte is read once and the parity segment stays in cache while
+  // the k sources are combined into it.
+  std::vector<mpi::Comm::Borrowed> views;
+  std::vector<std::uint8_t> weights;
+  std::vector<std::span<const std::byte>> in;
+  for (int row = 0; row < parity_count_; ++row) {
+    const int f = (me - row + n) % n;
+    views.clear();
+    weights.clear();
+    for (int p = 0; p < n; ++p) {
+      if (!contributes(p, f)) continue;
+      views.push_back(group.borrow(p, tag, stripe));
+      weights.push_back(coefficient(row, p, f));
+    }
+    // Holding the slot's views: a node death here leaves peers reading
+    // this member's lent stripes, which its unwinding must wait out.
+    group.failpoint("enc.fold");
+    const std::span<std::byte> slot =
+        redundancy.subspan(static_cast<std::size_t>(row) * stripe, stripe);
+    for (std::size_t off = 0; off < stripe; off += mpi::kCollectiveChunkBytes) {
+      const std::size_t len = std::min(mpi::kCollectiveChunkBytes, stripe - off);
+      in.clear();
+      for (const mpi::Comm::Borrowed& view : views) in.push_back(view.read(off, len));
+      combine(kind_, slot.subspan(off, len), in, weights);
+    }
+  }
+  // Release the views before waiting on this member's own loans: its
+  // borrowers may be waiting on theirs in turn.
+  views.clear();
+  for (mpi::Comm::Loan& loan : loans) loan.wait();
 }
 
 std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
@@ -182,8 +217,9 @@ std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
   // trees fall on different members.
   const std::vector<StripeRuns> exchanged = exchange_runs(group, dirty, stripe, stripes);
 
-  // At least half of the group's bytes dirty: the ring spreads the same
-  // bytes evenly over all links and combines in one pass.
+  // At least half of the group's bytes dirty: the full encode reads every
+  // stripe where it sits, in one pass per row, instead of forming and
+  // moving that many diffs.
   if (2 * dirty_bytes(exchanged, stripe) >= static_cast<std::size_t>(n) * stripes * stripe) {
     encode(group, next, redundancy);
     std::vector<BlockRun> all;

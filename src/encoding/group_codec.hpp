@@ -19,11 +19,15 @@
 // CodecKind::kSum (m = 1 only) the same all-ones row is numeric addition
 // over doubles. m >= 2 always runs on GF(2^8), whatever the kind.
 //
-// encode() is one ring reduce-scatter per parity row: family f's row j
-// lands on its owner, weight-1 contributors send their stripes as they
-// are and the others a GF(2^8)-scaled copy. rebuild() describes every
-// block the lost members need back as a weighted sum of survivors' blocks
-// and moves them all in one survivor reduce (lost_blocks.hpp): each block
+// encode() is owner-computes over lent stripes (Comm::lend): every member
+// lends each stripe to the owner of each parity row it feeds, and each
+// owner folds its slot's k lent stripes straight into the slot, segment by
+// segment, weighted by the generator, so every source byte is read once
+// where it sits and every parity byte is written once. This is the
+// paper's per-family reduce rooted at the family's owner, with the roots
+// rotating over the group, done in place. rebuild() describes every block
+// the lost members need back as a weighted sum of survivors' blocks and
+// moves them all in one survivor reduce (lost_blocks.hpp): each block
 // is split into one part per survivor, reduced among the survivors onto
 // its owner, and streamed from there straight into the replacement's
 // buffers, which receive every byte once and combine nothing.
@@ -68,7 +72,11 @@ class GroupCodec {
 
   /// Collective over `group`. `data` is this member's padded buffer;
   /// `redundancy` receives the parity rows this member owns. Every member
-  /// ends up holding m parity stripes.
+  /// ends up holding m parity stripes. The wire carries m * N * k stripes
+  /// (each lent once per row) and the mailbox copies nothing. `data` is
+  /// read by the owners in place, so it must not change until encode()
+  /// returns; each owner passes the failpoint "enc.fold" once per parity
+  /// slot, holding that slot's borrowed stripes.
   void encode(mpi::Comm& group, std::span<const std::byte> data,
               std::span<std::byte> redundancy) const;
 
@@ -92,9 +100,9 @@ class GroupCodec {
   /// and the owner folds the result into the old parity at the piece's
   /// offset: each dirty byte crosses the wire once per parity row, clean
   /// bytes send nothing, and no member receives more than
-  /// log2(contributors + 1) copies of a piece. Otherwise the full ring
-  /// encode runs. `old_redundancy` may alias `redundancy` (the fold is then
-  /// in place).
+  /// log2(contributors + 1) copies of a piece. Otherwise the full encode
+  /// runs. `old_redundancy` may alias `redundancy` (the fold is then in
+  /// place).
   ///
   /// Returns the runs of `redundancy` (stripe j = parity slot j) that may
   /// differ from `old_redundancy`, in (slot, block) order: the union of
@@ -107,11 +115,11 @@ class GroupCodec {
                                      std::span<std::byte> redundancy,
                                      std::span<const BlockRun> dirty) const;
 
-  /// The pre-reduce-scatter baseline of the single-parity code (m = 1
-  /// only; std::logic_error otherwise): one binomial reduce per family,
+  /// The paper's encode of the single-parity code (m = 1 only;
+  /// std::logic_error otherwise): one binomial MPI_Reduce per family,
   /// rooted round-robin. Same result as encode() (bit-identical for XOR,
-  /// tolerance-equal for SUM, whose combine order differs). Kept for the
-  /// old-vs-new property tests and the bandwidth benches.
+  /// tolerance-equal for SUM, whose combine order differs). Kept as the
+  /// reference of the property tests and the bandwidth benches.
   void encode_reference(mpi::Comm& group, std::span<const std::byte> data,
                         std::span<std::byte> checksum) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "telemetry/health.hpp"
@@ -27,9 +28,9 @@ void Comm::send_bytes(int dst, Tag tag, std::vector<std::byte>&& payload) {
   if (dst < 0 || dst >= size()) throw std::invalid_argument("send: bad destination rank");
   rt_->check_alive(world_rank());
   const int dst_world = translate(dst);
-  const double cost = rt_->message_cost(world_rank(), dst_world, payload.size());
-  if (cost > 0) charge_virtual(cost);
+  charge_network(rt_->message_cost(world_rank(), dst_world, payload.size()));
   rt_->count_message(payload.size());
+  sent_bytes_ += payload.size();
   Message msg;
   msg.src_world = world_rank();
   msg.tag = tag;
@@ -60,10 +61,104 @@ std::vector<std::byte> Comm::recv_any(int src, Tag tag) {
   const int src_world = translate(src);
   auto msg = rt_->mailbox(world_rank()).pop(src_world, tag, group_->id, rt_->aborted_flag());
   if (!msg.has_value()) throw JobAborted("receive interrupted by job abort");
+  if (msg->loan != nullptr) throw std::logic_error("recv: the matching message is a loan");
   rt_->check_alive(world_rank());
-  const double cost = rt_->message_cost(src_world, world_rank(), msg->payload.size());
-  if (cost > 0) charge_virtual(cost);
+  charge_network(rt_->message_cost(src_world, world_rank(), msg->payload.size()));
   return std::move(msg->payload);
+}
+
+Comm::Loan Comm::lend(int dst, Tag tag, std::span<const std::byte> bytes) {
+  if (dst < 0 || dst >= size()) throw std::invalid_argument("lend: bad destination rank");
+  rt_->check_alive(world_rank());
+  const int dst_world = translate(dst);
+  charge_network(rt_->message_cost(world_rank(), dst_world, bytes.size()));
+  rt_->count_message(bytes.size());
+  sent_bytes_ += bytes.size();
+  auto state = std::make_shared<LoanState>();
+  state->bytes = bytes;
+  Loan loan(*rt_, world_rank(), state);
+  Message msg;
+  msg.src_world = world_rank();
+  msg.tag = tag;
+  msg.comm_id = group_->id;
+  msg.loan = std::move(state);
+  rt_->mailbox(dst_world).push(std::move(msg));
+  return loan;
+}
+
+Comm::Borrowed Comm::borrow(int src, Tag tag, std::size_t size) {
+  if (src < 0 || src >= this->size()) throw std::invalid_argument("borrow: bad source rank");
+  rt_->check_alive(world_rank());
+  const int src_world = translate(src);
+  auto msg = rt_->mailbox(world_rank()).pop(src_world, tag, group_->id, rt_->aborted_flag());
+  if (!msg.has_value()) throw JobAborted("borrow interrupted by job abort");
+  if (msg->loan == nullptr) throw std::logic_error("borrow: the matching message is a send");
+  int lent = LoanState::kLent;
+  if (!msg->loan->phase.compare_exchange_strong(lent, LoanState::kBorrowed,
+                                                std::memory_order_acq_rel)) {
+    throw JobAborted("borrow: the lender revoked its loan while unwinding");
+  }
+  // From here the view's destructor releases the loan, on every path.
+  Borrowed view(*rt_, src_world, std::move(msg->loan));
+  if (view.size() != size) {
+    throw std::logic_error("borrow: loan size mismatch (expected " + std::to_string(size) +
+                           ", got " + std::to_string(view.size()) + ")");
+  }
+  rt_->check_alive(world_rank());
+  charge_network(rt_->message_cost(src_world, world_rank(), size));
+  return view;
+}
+
+bool Comm::Loan::settle() {
+  LoanState& s = *state_;
+  rt_->mailbox(lender_world_).await([&] {
+    int phase = s.phase.load(std::memory_order_acquire);
+    if (phase == LoanState::kReleased) return true;
+    if (!rt_->aborted_flag().load(std::memory_order_acquire)) return false;
+    // Aborted: a loan nobody has borrowed is revoked, so a late borrow
+    // throws instead of reading; a borrowed one is waited out, as its
+    // borrower stops at its next read.
+    phase = LoanState::kLent;
+    return s.phase.compare_exchange_strong(phase, LoanState::kRevoked,
+                                           std::memory_order_acq_rel) ||
+           phase == LoanState::kReleased;
+  });
+  const bool released = s.phase.load(std::memory_order_acquire) == LoanState::kReleased;
+  state_.reset();
+  return released;
+}
+
+void Comm::Loan::wait() {
+  if (state_ == nullptr) throw std::logic_error("Loan::wait: the loan was moved or settled");
+  if (!settle()) throw JobAborted("loan revoked by job abort");
+}
+
+Comm::Loan::~Loan() {
+  if (state_ == nullptr ||
+      state_->phase.load(std::memory_order_acquire) == LoanState::kReleased) {
+    return;
+  }
+  // The lender leaves with its bytes still lent — it is unwinding — and
+  // they may be freed right after this frame. Abort the job so every
+  // borrower stops at its next read, and settle before returning.
+  rt_->abort("rank " + std::to_string(lender_world_) + " unwound with bytes on loan");
+  settle();
+}
+
+std::span<const std::byte> Comm::Borrowed::read(std::size_t offset, std::size_t len) const {
+  if (rt_->aborted_flag().load(std::memory_order_acquire)) {
+    throw JobAborted("borrowed read interrupted by job abort");
+  }
+  if (offset > size() || len > size() - offset) {
+    throw std::out_of_range("Borrowed::read: range outside the loan");
+  }
+  return state_->bytes.subspan(offset, len);
+}
+
+Comm::Borrowed::~Borrowed() {
+  if (state_ == nullptr) return;
+  state_->phase.store(LoanState::kReleased, std::memory_order_release);
+  rt_->mailbox(lender_world_).interrupt();
 }
 
 void Comm::barrier() {

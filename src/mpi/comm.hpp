@@ -4,12 +4,14 @@
 // with tags, barrier / bcast / reduce / allreduce / gather / allgather /
 // scatter built as binomial-tree or dissemination algorithms over p2p, and
 // communicator splitting (HPL row/column communicators, encoding group
-// communicators). Every entry point checks node liveness, so a powered-off
-// node unwinds the whole job just like a production MPI.
+// communicators). Beyond MPI, a rank can lend a buffer to a peer, which
+// reads it in place (lend/borrow). Every entry point checks node liveness,
+// so a powered-off node unwinds the whole job just like a production MPI.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -108,6 +110,84 @@ class Comm {
     recv<T>(src, tag, std::span<T>(&value, 1));
     return value;
   }
+
+  // --- loans --------------------------------------------------------------
+  // Ranks are threads of one address space, so a large payload can be lent
+  // instead of copied: a loan is a rendezvous message that carries a view
+  // of the lender's bytes, and the borrower reads them where they sit. A
+  // lent byte counts once on the wire and is charged to both ends' modeled
+  // clocks, as a send/recv pair is; it is never counted as copied.
+
+  /// The lender's side of one loan. The lent bytes must stay alive and
+  /// unchanged until wait() returns. Destroying an unsettled loan (the
+  /// lender unwinding) aborts the job if it has not aborted already, so
+  /// every borrower stops, then revokes the loan if nobody borrowed it or
+  /// waits until the borrower's view is gone: the bytes are never freed
+  /// under a reader.
+  class Loan {
+   public:
+    Loan(Loan&& other) noexcept
+        : rt_(other.rt_), lender_world_(other.lender_world_), state_(std::move(other.state_)) {}
+    Loan(const Loan&) = delete;
+    Loan& operator=(const Loan&) = delete;
+    Loan& operator=(Loan&&) = delete;
+    ~Loan();
+
+    /// Block until the borrower has released its view. If the job aborts
+    /// first, revoke the loan when nobody has borrowed it, or else wait
+    /// for the view to go, and throw JobAborted.
+    void wait();
+
+   private:
+    friend class Comm;
+    Loan(Runtime& rt, int lender_world, std::shared_ptr<LoanState> state)
+        : rt_(&rt), lender_world_(lender_world), state_(std::move(state)) {}
+    /// Wait for the release or, once the job aborted, revoke an unborrowed
+    /// loan; true when the borrower released it.
+    bool settle();
+
+    Runtime* rt_;
+    int lender_world_;
+    std::shared_ptr<LoanState> state_;
+  };
+
+  /// The borrower's view of a loan; releases it when destroyed.
+  class Borrowed {
+   public:
+    Borrowed(Borrowed&& other) noexcept
+        : rt_(other.rt_), lender_world_(other.lender_world_), state_(std::move(other.state_)) {}
+    Borrowed(const Borrowed&) = delete;
+    Borrowed& operator=(const Borrowed&) = delete;
+    Borrowed& operator=(Borrowed&&) = delete;
+    ~Borrowed();
+
+    [[nodiscard]] std::size_t size() const { return state_->bytes.size(); }
+
+    /// Bytes [offset, offset + len) of the loan. Throws JobAborted once the
+    /// job has aborted, so a borrower that reads segment by segment stops
+    /// within one segment and an unwinding lender waits no longer.
+    [[nodiscard]] std::span<const std::byte> read(std::size_t offset, std::size_t len) const;
+
+   private:
+    friend class Comm;
+    Borrowed(Runtime& rt, int lender_world, std::shared_ptr<LoanState> state)
+        : rt_(&rt), lender_world_(lender_world), state_(std::move(state)) {}
+
+    Runtime* rt_;
+    int lender_world_;
+    std::shared_ptr<LoanState> state_;
+  };
+
+  /// Lend `bytes` to member `dst`. Never blocks, like a send; the loan
+  /// matches the borrow with the same (source, tag) in FIFO order among
+  /// sends and loans alike.
+  [[nodiscard]] Loan lend(int dst, Tag tag, std::span<const std::byte> bytes);
+
+  /// Borrow the next loan from member `src` with `tag`; blocks like a
+  /// receive. Its size must equal `size`. Throws JobAborted on an abort
+  /// or when the lender revoked the loan, and std::logic_error when the
+  /// matching message is a send.
+  [[nodiscard]] Borrowed borrow(int src, Tag tag, std::size_t size);
 
   // --- collectives --------------------------------------------------------
   // All members must call each collective in the same order; rounds are
@@ -213,48 +293,38 @@ class Comm {
     }
   }
 
-  /// Ring reduce-scatter over equal blocks. `blocks` holds size() spans of
-  /// out.size() elements each — blocks[r] is this member's contribution to
-  /// the result that lands on rank r — and `out` receives the fully combined
-  /// block for this rank. Bandwidth-optimal: every rank moves (n-1) blocks
-  /// once, in `chunk_bytes` segments, and partially-reduced mailbox buffers
-  /// are forwarded hop to hop by move. `op` must be commutative (all the
+  /// Ring reduce-scatter: `in` holds size() blocks of out.size() elements
+  /// in rank order — block r is this member's contribution to the result
+  /// that lands on rank r — and `out` receives the fully combined block for
+  /// this rank. Bandwidth-optimal: every rank moves (n-1) blocks once, in
+  /// `chunk_bytes` segments, and partially-reduced mailbox buffers are
+  /// forwarded hop to hop by move. `op` must be commutative (all the
   /// built-in ones are); SUM combines in ring order, so floating-point
   /// results are tolerance-equal, not bit-equal, to the binomial reduce.
-  ///
-  /// blocks[rank()] may be empty: this member then contributes nothing to
-  /// its own result, and the ring skips that combine (its last step). The
-  /// bytes on the wire do not change.
+  /// `out` may alias this member's own block of `in`.
   template <typename T, typename Op>
-  void reduce_scatter_blocks(std::span<const std::span<const T>> blocks, std::span<T> out,
-                             Op op, std::size_t chunk_bytes = kCollectiveChunkBytes) {
+  void reduce_scatter(std::span<const T> in, std::span<T> out, Op op,
+                      std::size_t chunk_bytes = kCollectiveChunkBytes) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int n = size();
-    if (static_cast<int>(blocks.size()) != n) {
-      throw std::invalid_argument("reduce_scatter: need one block per member");
-    }
     const std::size_t count = out.size();
-    const bool own_empty = blocks[static_cast<std::size_t>(rank_)].empty();
-    for (int r = 0; r < n; ++r) {
-      const std::size_t len = blocks[static_cast<std::size_t>(r)].size();
-      if (len != count && !(r == rank_ && len == 0)) {
-        throw std::invalid_argument("reduce_scatter: unequal block sizes");
-      }
+    if (in.size() != count * static_cast<std::size_t>(n)) {
+      throw std::invalid_argument("reduce_scatter: in must hold size() blocks of out.size()");
     }
     if (chunk_bytes == 0) throw std::invalid_argument("reduce_scatter: zero chunk size");
     static telemetry::Histogram& h_bytes =
         telemetry::metrics().histogram("mpi.coll.reduce_scatter_bytes", 1.0);
-    h_bytes.record(static_cast<double>(static_cast<std::size_t>(n) * count * sizeof(T)));
+    h_bytes.record(static_cast<double>(in.size() * sizeof(T)));
     const Tag seq = next_seq();
     if (n == 1) {
-      if (own_empty && count > 0) {
-        throw std::invalid_argument("reduce_scatter: a lone member must contribute its block");
-      }
-      if (out.data() != blocks[0].data() && count > 0) {
-        std::memcpy(out.data(), blocks[0].data(), count * sizeof(T));
+      if (out.data() != in.data() && count > 0) {
+        std::memcpy(out.data(), in.data(), count * sizeof(T));
       }
       return;
     }
+    const auto block = [&](int r, std::size_t off, std::size_t len) {
+      return in.subspan(static_cast<std::size_t>(r) * count + off, len);
+    };
     const int next = (rank_ + 1) % n;
     const int prev = (rank_ - 1 + n) % n;
     const std::size_t chunk_elems = std::max<std::size_t>(1, chunk_bytes / sizeof(T));
@@ -273,16 +343,13 @@ class Comm {
         const std::size_t off = c * chunk_elems;
         const std::size_t len = count == 0 ? 0 : std::min(chunk_elems, count - off);
         if (s == 0) {
-          send<T>(next, tag, blocks[static_cast<std::size_t>(send_block)].subspan(off, len));
+          send<T>(next, tag, block(send_block, off, len));
         } else {
           send_bytes(next, tag, std::move(acc[c]));
         }
         std::vector<std::byte> incoming = recv_take(prev, tag, len * sizeof(T));
-        if (!(recv_block == rank_ && own_empty)) {
-          combine_inplace<T, Op>(
-              std::span<T>(reinterpret_cast<T*>(incoming.data()), len),
-              blocks[static_cast<std::size_t>(recv_block)].subspan(off, len), op);
-        }
+        combine_inplace<T, Op>(std::span<T>(reinterpret_cast<T*>(incoming.data()), len),
+                               block(recv_block, off, len), op);
         acc[c] = std::move(incoming);
       }
     }
@@ -291,22 +358,6 @@ class Comm {
       const std::size_t len = count == 0 ? 0 : std::min(chunk_elems, count - off);
       if (len > 0) std::memcpy(out.data() + off, acc[c].data(), len * sizeof(T));
     }
-  }
-
-  /// Contiguous-input reduce-scatter: `in` holds size() blocks of
-  /// out.size() elements in rank order.
-  template <typename T, typename Op>
-  void reduce_scatter(std::span<const T> in, std::span<T> out, Op op,
-                      std::size_t chunk_bytes = kCollectiveChunkBytes) {
-    const std::size_t count = out.size();
-    if (in.size() != count * static_cast<std::size_t>(size())) {
-      throw std::invalid_argument("reduce_scatter: in must hold size() blocks of out.size()");
-    }
-    std::vector<std::span<const T>> blocks(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      blocks[static_cast<std::size_t>(r)] = in.subspan(static_cast<std::size_t>(r) * count, count);
-    }
-    reduce_scatter_blocks<T, Op>(blocks, out, op, chunk_bytes);
   }
 
   /// One reduction of a sparse reduce: each member in `sources` holds an
@@ -585,6 +636,23 @@ class Comm {
   void charge_virtual(double seconds) { rt_->charge_rank_virtual(world_rank(), seconds); }
   [[nodiscard]] double virtual_seconds() const { return rt_->rank_virtual(world_rank()); }
 
+  /// Payload bytes this handle has put on the wire (sends and loans), and
+  /// the modeled network seconds its messages have charged to the rank's
+  /// virtual clock (both ends of a message charge their own handle).
+  /// Counted per handle, from zero at creation: a collective's traffic
+  /// reads apart from what the rank's other handles (an async worker's
+  /// dup(), the application's) move meanwhile, which the job-wide
+  /// Runtime::wire_bytes() and the shared virtual_seconds() both include.
+  [[nodiscard]] std::uint64_t sent_bytes() const { return sent_bytes_; }
+  [[nodiscard]] double network_seconds() const { return network_s_; }
+
+  /// Reserve the next collective sequence number, as every collective
+  /// does, and return a tag that carries it: traffic stamped with it
+  /// matches no user tag, no other collective and nothing on a dup().
+  /// Members must reserve in the same order as their other collectives.
+  /// For collectives built outside this class from p2p calls and loans.
+  [[nodiscard]] Tag reserve_tag() { return collective_tag(next_seq(), 0); }
+
   void record_time(const std::string& name, double seconds) { rt_->record_time(name, seconds); }
 
  private:
@@ -603,11 +671,20 @@ class Comm {
   [[nodiscard]] int relative_rank(int root) const { return (rank_ - root + size()) % size(); }
   [[nodiscard]] int absolute_rank(int rel, int root) const { return (rel + root) % size(); }
 
+  /// Charge one message end's modeled cost to the rank and this handle.
+  void charge_network(double cost) {
+    if (cost <= 0) return;
+    charge_virtual(cost);
+    network_s_ += cost;
+  }
+
   Runtime* rt_;
   std::shared_ptr<const Group> group_;
   int rank_;
   Tag collective_seq_ = 0;
   int dup_count_ = 0;  ///< how many times dup() was called on this handle
+  std::uint64_t sent_bytes_ = 0;
+  double network_s_ = 0.0;
 };
 
 }  // namespace skt::mpi

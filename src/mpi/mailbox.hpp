@@ -1,6 +1,7 @@
 // Per-rank mailbox: an unordered message pool with (source, tag, comm)
 // matching and FIFO delivery within a match class, mirroring MPI ordering
-// guarantees. Receives block until a match arrives or the job aborts.
+// guarantees. Receives block until a match arrives or the job aborts; a
+// loan (message.hpp) is matched like any other message.
 #pragma once
 
 #include <atomic>
@@ -22,7 +23,18 @@ class Mailbox {
   std::optional<Message> pop(int src_world, Tag tag, std::uint64_t comm_id,
                              const std::atomic<bool>& aborted);
 
-  /// Wake all blocked receivers so they can observe an abort flag.
+  /// Block until `ready()` holds. It is evaluated under this mailbox's
+  /// lock on entry and again after every push() and interrupt(). A lender
+  /// waits for its loans here (Comm::Loan), so a borrower's release and a
+  /// job abort both wake it.
+  template <typename Pred>
+  void await(Pred ready) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, ready);
+  }
+
+  /// Wake every thread blocked in pop() or await() so it rechecks its
+  /// condition: an abort flag, or a loan's phase.
   void interrupt();
 
   /// Number of queued (unmatched) messages; used by tests.

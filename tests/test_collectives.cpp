@@ -123,57 +123,6 @@ TEST(Collectives, ReduceScatterMatchesLocalAllSizes) {
   }
 }
 
-TEST(Collectives, ReduceScatterBlocksAcceptsScatteredSpans) {
-  constexpr int kN = 5;
-  MiniCluster mc(kN, 0);
-  const auto result = mc.run(kN, [](Comm& world) {
-    // Blocks live in separate allocations (the codec's stripe layout).
-    std::vector<std::vector<std::uint64_t>> storage;
-    std::vector<std::span<const std::uint64_t>> blocks;
-    for (int b = 0; b < kN; ++b) {
-      storage.push_back(
-          payload_u64(world.rank(), kCount, 2000 + static_cast<std::uint64_t>(b)));
-      blocks.emplace_back(storage.back());
-    }
-    std::vector<std::uint64_t> out(kCount);
-    world.reduce_scatter_blocks<std::uint64_t>(blocks, out, BXor{}, kSmallChunk);
-    const auto want = expected_reduction<std::uint64_t>(
-        kN, kCount, 2000 + static_cast<std::uint64_t>(world.rank()), BXor{});
-    EXPECT_EQ(out, want);
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(Collectives, ReduceScatterBlocksEmptyOwnBlockContributesNothing) {
-  for (int n = 2; n <= 6; ++n) {
-    MiniCluster mc(n, 0);
-    const auto result = mc.run(n, [n](Comm& world) {
-      // Same inputs as the full reduce-scatter, minus each member's own
-      // block: the result must equal the reduction over the others only.
-      std::vector<std::vector<std::uint64_t>> storage;
-      std::vector<std::span<const std::uint64_t>> blocks(static_cast<std::size_t>(n));
-      for (int b = 0; b < n; ++b) {
-        storage.push_back(
-            payload_u64(world.rank(), kCount, 3000 + static_cast<std::uint64_t>(b)));
-        if (b != world.rank()) blocks[static_cast<std::size_t>(b)] = storage.back();
-      }
-      std::vector<std::uint64_t> out(kCount);
-      world.reduce_scatter_blocks<std::uint64_t>(blocks, out, BXor{}, kSmallChunk);
-      std::vector<std::uint64_t> want = expected_reduction<std::uint64_t>(
-          n, kCount, 3000 + static_cast<std::uint64_t>(world.rank()), BXor{});
-      const std::vector<std::uint64_t> own = payload_u64(
-          world.rank(), kCount, 3000 + static_cast<std::uint64_t>(world.rank()));
-      for (std::size_t i = 0; i < kCount; ++i) want[i] ^= own[i];
-      EXPECT_EQ(out, want) << "n=" << n << " rank=" << world.rank();
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-    // The wire carries the same (n-1) blocks per member as with an
-    // explicit identity block.
-    EXPECT_EQ(result.wire_bytes,
-              static_cast<std::size_t>(n * (n - 1)) * kCount * sizeof(std::uint64_t));
-  }
-}
-
 TEST(Collectives, RingAllreduceMatchesBinomialAllSizes) {
   for (int n = 1; n <= 17; ++n) {
     MiniCluster mc(n, 0);

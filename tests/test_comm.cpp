@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "mpi/grid.hpp"
@@ -201,6 +205,186 @@ TEST(Grid, RejectsBadShape) {
     EXPECT_THROW(Grid(world, 2, 2), std::invalid_argument);
   });
   EXPECT_TRUE(result.completed);
+}
+
+// --- loans -------------------------------------------------------------------
+
+// The borrower reads the lender's own bytes: nothing is copied, the loan
+// counts once on the wire, and a dup()'d handle keeps its own count.
+TEST(Loan, BorrowerReadsTheLendersBytesInPlace) {
+  MiniCluster mc(2, 0);
+  constexpr std::size_t kBytes = 3000;
+  std::atomic<const std::byte*> lent{nullptr};
+  const auto result = mc.run(2, [&](Comm& world) {
+    Comm quiet = world.dup();
+    if (world.rank() == 0) {
+      std::vector<std::byte> bytes(kBytes);
+      for (std::size_t i = 0; i < kBytes; ++i) bytes[i] = static_cast<std::byte>(i * 7);
+      lent = bytes.data();
+      Comm::Loan loan = world.lend(1, 4, bytes);
+      loan.wait();
+      EXPECT_EQ(world.sent_bytes(), kBytes);
+    } else {
+      const Comm::Borrowed view = world.borrow(0, 4, kBytes);
+      ASSERT_EQ(view.size(), kBytes);
+      const std::span<const std::byte> tail = view.read(1000, 2000);
+      EXPECT_EQ(tail.data(), lent.load() + 1000);
+      EXPECT_EQ(tail[5], static_cast<std::byte>(1005 * 7));
+      EXPECT_THROW((void)view.read(2000, 1001), std::out_of_range);
+      EXPECT_EQ(world.sent_bytes(), 0u);
+    }
+    EXPECT_EQ(quiet.sent_bytes(), 0u);
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+  EXPECT_EQ(result.wire_bytes, kBytes);
+  EXPECT_EQ(result.wire_messages, 1u);
+  EXPECT_EQ(result.copied_bytes, 0u);
+}
+
+// A loan costs both ends' modeled clocks what a send/recv pair of the same
+// size does, and the cost lands on the handle that moved it.
+TEST(Loan, ChargesBothEndsLikeASendRecvPair) {
+  sim::NodeProfile profile;
+  profile.nic_bandwidth_Bps = 1.0e6;
+  profile.nic_latency_s = 1.0e-3;
+  profile.ranks_per_port = 1;
+  const auto clocks = [&](bool lend) {
+    sim::Cluster cluster({.num_nodes = 2, .spare_nodes = 0, .nodes_per_rack = 4,
+                          .profile = profile});
+    Runtime rt(cluster, {0, 1}, nullptr, {.model_network = true});
+    std::vector<double> out(4);
+    const auto result = rt.run([&](Comm& world) {
+      std::vector<std::byte> bytes(1 << 16);
+      if (world.rank() == 0) {
+        if (lend) {
+          world.lend(1, 2, bytes).wait();
+        } else {
+          world.send_bytes(1, 2, bytes);
+        }
+      } else if (lend) {
+        (void)world.borrow(0, 2, bytes.size());
+      } else {
+        world.recv_bytes(0, 2, bytes);
+      }
+      out[static_cast<std::size_t>(world.rank())] = world.virtual_seconds();
+      out[static_cast<std::size_t>(world.rank()) + 2] = world.network_seconds();
+    });
+    EXPECT_TRUE(result.completed) << result.abort_reason;
+    return out;
+  };
+  const std::vector<double> lent = clocks(true);
+  const std::vector<double> sent = clocks(false);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_GT(lent[i], 0.0) << i;
+    EXPECT_DOUBLE_EQ(lent[i], sent[i]) << i;
+  }
+}
+
+// Loans and sends share the FIFO match class of their (source, tag), and
+// taking one for the other is a loud error, not a silent misread.
+TEST(Loan, MatchesInOrderWithSendsAndRefusesTheWrongKind) {
+  MiniCluster mc(2, 0);
+  const auto result = mc.run(2, [](Comm& world) {
+    const std::vector<std::byte> a(16, std::byte{1});
+    const std::vector<std::byte> b(16, std::byte{2});
+    if (world.rank() == 0) {
+      Comm::Loan first = world.lend(1, 9, a);
+      Comm::Loan second = world.lend(1, 9, b);
+      world.send_bytes(1, 9, a);
+      first.wait();
+      second.wait();
+    } else {
+      EXPECT_EQ(world.borrow(0, 9, 16).read(0, 1)[0], std::byte{1});
+      EXPECT_EQ(world.borrow(0, 9, 16).read(0, 1)[0], std::byte{2});
+      EXPECT_THROW((void)world.borrow(0, 9, 16), std::logic_error);
+    }
+  });
+  EXPECT_TRUE(result.completed) << result.abort_reason;
+}
+
+// A lender whose node dies while a peer holds its view must not free the
+// bytes under the reader: its unwinding waits until the view is gone. The
+// borrower keeps reading through a span it took before the abort — a
+// use-after-free for AddressSanitizer if the lender did not wait — then
+// stops at its next read, and the job aborts without hanging.
+TEST(Loan, LenderKilledWhileAPeerHoldsItsViewWaitsForTheView) {
+  MiniCluster mc(2, 0);
+  sim::FailureInjector injector;
+  injector.add_rule({.point = "lender.die", .world_rank = 0, .hit = 1, .repeat = false});
+  std::atomic<bool> holding{false};
+  std::atomic<bool> view_dropped{false};
+  std::atomic<bool> lender_waited{false};
+  const auto result = mc.run(
+      2,
+      [&](Comm& world) {
+        constexpr std::size_t kBytes = 1 << 16;
+        if (world.rank() == 0) {
+          try {
+            const auto bytes = std::make_unique<std::vector<std::byte>>(kBytes, std::byte{3});
+            Comm::Loan loan = world.lend(1, 1, *bytes);
+            while (!holding.load()) std::this_thread::yield();
+            world.failpoint("lender.die");
+          } catch (const JobAborted&) {
+            lender_waited = view_dropped.load();
+            throw;
+          }
+          FAIL() << "the failpoint must kill the lender";
+        }
+        const Comm::Borrowed view = world.borrow(0, 1, kBytes);
+        const std::span<const std::byte> bytes = view.read(0, kBytes);
+        holding = true;
+        while (!world.runtime().aborted_flag().load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        std::size_t sum = 0;
+        for (const std::byte b : bytes) sum += static_cast<std::size_t>(b);
+        EXPECT_EQ(sum, 3 * kBytes);
+        EXPECT_THROW((void)view.read(0, 1), JobAborted);
+        view_dropped = true;
+      },
+      &injector);
+  EXPECT_FALSE(result.completed);
+  EXPECT_FALSE(mc.cluster.node(0).alive());
+  EXPECT_TRUE(lender_waited.load());
+}
+
+// A lender that unwinds before anyone borrowed aborts the job and revokes
+// the loan: the late borrow throws instead of reading freed bytes.
+TEST(Loan, UnwindingLenderAbortsTheJobAndRevokesAnUnborrowedLoan) {
+  MiniCluster mc(2, 0);
+  std::atomic<bool> revoked{false};
+  const auto result = mc.run(2, [&](Comm& world) {
+    if (world.rank() == 0) {
+      const std::vector<std::byte> bytes(64, std::byte{5});
+      Comm::Loan loan = world.lend(1, 3, bytes);
+      throw std::runtime_error("lender failed before the borrow");
+    }
+    while (!world.runtime().aborted_flag().load()) std::this_thread::yield();
+    try {
+      (void)world.borrow(0, 3, 64);
+    } catch (const JobAborted&) {
+      revoked = true;
+    }
+  });
+  EXPECT_FALSE(result.completed);
+  EXPECT_NE(result.abort_reason.find("on loan"), std::string::npos) << result.abort_reason;
+  EXPECT_TRUE(revoked.load());
+}
+
+// A borrower that throws while holding a view releases it as it unwinds,
+// so the lender's wait returns; the job then aborts on the error.
+TEST(Loan, BorrowerThrowingWithAViewReleasesIt) {
+  MiniCluster mc(2, 0);
+  const auto result = mc.run(2, [](Comm& world) {
+    const std::vector<std::byte> bytes(64, std::byte{5});
+    if (world.rank() == 0) {
+      world.lend(1, 3, bytes).wait();
+      return;
+    }
+    const Comm::Borrowed view = world.borrow(0, 3, bytes.size());
+    throw std::runtime_error("fold failed");
+  });
+  EXPECT_FALSE(result.completed);
+  EXPECT_NE(result.abort_reason.find("fold failed"), std::string::npos) << result.abort_reason;
 }
 
 TEST(Runtime, NodeFailureAbortsBlockedReceivers) {

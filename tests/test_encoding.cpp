@@ -398,6 +398,92 @@ TEST_P(GroupCodecMultiSegment, EveryLossPatternRebuildsFromKSurvivorsPerBlock) {
 
 INSTANTIATE_TEST_SUITE_P(Codes, GroupCodecMultiSegment, kCodes, code_name);
 
+/// The full encode: every member lends each of its k stripes once to the
+/// owner of each parity row it feeds, and the owners fold them in place.
+class GroupCodecEncode : public ::testing::TestWithParam<Code> {};
+
+TEST_P(GroupCodecEncode, FullEncodeLendsEachStripeOncePerParityRowAndCopiesNothing) {
+  const Code code = GetParam();
+  const int n = code.n;
+  const int k = n - code.m;
+  const GroupCodec codec(code.kind, static_cast<std::size_t>(k) * kMultiSegmentStripe, n,
+                         code.m);
+  MiniCluster mc(n, 0);
+  Encoded out{std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n)),
+              std::vector<std::vector<std::byte>>(static_cast<std::size_t>(n))};
+  const auto result = mc.run(n, [&](mpi::Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    out.data[r] = double_bytes(codec.padded_bytes(), 23, world.rank());
+    out.redundancy[r].resize(codec.redundancy_bytes());
+    codec.encode(world, out.data[r], out.redundancy[r]);
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+  const std::size_t stripes = static_cast<std::size_t>(code.m * n * k);
+  EXPECT_EQ(result.wire_bytes, stripes * kMultiSegmentStripe);
+  EXPECT_EQ(result.wire_messages, stripes);
+  EXPECT_EQ(result.copied_bytes, 0u);
+
+  // Every parity slot against its definition, computed locally: slot j of
+  // member p is row j of family (p - j) mod n, sum_i c_j(i) * D_i.
+  const std::size_t stripe = codec.stripe_bytes();
+  for (int p = 0; p < n; ++p) {
+    for (int row = 0; row < code.m; ++row) {
+      const int f = (p - row + n) % n;
+      std::vector<std::byte> want(stripe, std::byte{0});
+      for (int q = 0; q < n; ++q) {
+        if (!codec.contributes(q, f)) continue;
+        const std::span<const std::byte> src(
+            out.data[static_cast<std::size_t>(q)].data() + codec.stripe_index(q, f) * stripe,
+            stripe);
+        if (code.m == 1) {
+          accumulate(code.kind, want, src);
+        } else {
+          gf256::mul_acc({reinterpret_cast<std::uint8_t*>(want.data()), stripe},
+                         {reinterpret_cast<const std::uint8_t*>(src.data()), stripe},
+                         codec.coefficient(row, q, f));
+        }
+      }
+      const std::vector<std::byte> got(
+          out.redundancy[static_cast<std::size_t>(p)].begin() +
+              static_cast<std::ptrdiff_t>(static_cast<std::size_t>(row) * stripe),
+          out.redundancy[static_cast<std::size_t>(p)].begin() +
+              static_cast<std::ptrdiff_t>(static_cast<std::size_t>(row + 1) * stripe));
+      expect_same(code, got, want, "member " + std::to_string(p) + " row " + std::to_string(row));
+    }
+  }
+}
+
+// A node death inside an owner's fold, on each member in turn: the victim
+// unwinds holding its slot's views while its peers may be reading its own
+// lent stripes, whose buffers its unwinding frees. The job aborts, nobody
+// hangs, and no buffer is freed under a reader (AddressSanitizer lanes).
+TEST_P(GroupCodecEncode, NodeDeathInsideAnOwnersFoldAbortsTheJobCleanly) {
+  const Code code = GetParam();
+  const int n = code.n;
+  const int k = n - code.m;
+  const GroupCodec codec(code.kind, static_cast<std::size_t>(k) * kMultiSegmentStripe, n,
+                         code.m);
+  for (int victim = 0; victim < n; ++victim) {
+    MiniCluster mc(n, 0);
+    sim::FailureInjector injector;
+    injector.add_rule(
+        {.point = "enc.fold", .world_rank = victim, .hit = 1, .repeat = false});
+    const auto result = mc.run(
+        n,
+        [&](mpi::Comm& world) {
+          const std::vector<std::byte> data =
+              double_bytes(codec.padded_bytes(), 31, world.rank());
+          std::vector<std::byte> redundancy(codec.redundancy_bytes());
+          codec.encode(world, data, redundancy);
+        },
+        &injector);
+    EXPECT_FALSE(result.completed) << "victim " << victim;
+    EXPECT_FALSE(mc.cluster.node(victim).alive()) << "victim " << victim;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Codes, GroupCodecEncode, kCodes, code_name);
+
 /// encode_delta == encode: the bit-identity (tolerance for SUM) the
 /// dirty-block commits stake checkpoint correctness on, for every dirty
 /// pattern on both sides of the half-dirty switch, aliased and distinct

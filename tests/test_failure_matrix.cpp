@@ -136,6 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
                           Case{Strategy::kSelf, "ckpt.begin", true},
                           Case{Strategy::kSelf, "ckpt.copy_a2", true},
                           Case{Strategy::kSelf, "ckpt.encode_begin", true},
+                          Case{Strategy::kSelf, "enc.fold", true},
                           Case{Strategy::kSelf, "ckpt.encode_done", true},
                           Case{Strategy::kSelf, "ckpt.sealed", true},
                           Case{Strategy::kSelf, "ckpt.mid_flush", true},
@@ -174,6 +175,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Case{Strategy::kDouble, "app.work", true},
                           Case{Strategy::kDouble, "ckpt.begin", true},
                           Case{Strategy::kDouble, "ckpt.mid_update", true},
+                          Case{Strategy::kDouble, "enc.fold", true},
                           Case{Strategy::kDouble, "ckpt.encode_done", true},
                           Case{Strategy::kDouble, "ckpt.flushed", true}),
         ::testing::Values(2, 4), ::testing::Values(enc::CodecKind::kXor)),
@@ -289,6 +291,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(AsyncCase{Strategy::kSelf, "ckpt.async_stage", true},
                           AsyncCase{Strategy::kSelf, "ckpt.async_begin", true},
                           AsyncCase{Strategy::kSelf, "ckpt.async_encode_begin", true},
+                          AsyncCase{Strategy::kSelf, "enc.fold", true},
                           AsyncCase{Strategy::kSelf, "ckpt.async_encode_done", true},
                           AsyncCase{Strategy::kSelf, "ckpt.async_sealed", true},
                           AsyncCase{Strategy::kSelf, "ckpt.async_mid_flush", true},

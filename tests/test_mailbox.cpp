@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "mpi/mailbox.hpp"
@@ -81,6 +82,27 @@ TEST(Mailbox, AbortedPopStillDrainsMatches) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->payload[0], std::byte{5});
   EXPECT_FALSE(box.pop(4, 2, 0, aborted).has_value());
+}
+
+// await() is how a lender sleeps until its loan is released: a condition
+// set by another thread is seen once that thread calls interrupt().
+TEST(Mailbox, AwaitWakesOnInterrupt) {
+  Mailbox box;
+  std::atomic<int> phase{LoanState::kBorrowed};
+  std::atomic<bool> woke{false};
+  std::thread lender([&] {
+    box.await([&] { return phase.load() == LoanState::kReleased; });
+    woke = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(woke.load());
+  box.push(make(1, 1, 0, 1));  // unrelated traffic rechecks, and waits on
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(woke.load());
+  phase = LoanState::kReleased;
+  box.interrupt();
+  lender.join();
+  EXPECT_TRUE(woke.load());
 }
 
 TEST(Mailbox, ManyProducersOneConsumer) {

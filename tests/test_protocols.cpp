@@ -136,8 +136,14 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
         EXPECT_EQ(sparse.encode_wire_bytes, 0u);
         return;
       }
+      // The full encode, on every rank alike: one 8-byte run record per
+      // stripe gathered to rank 0 and broadcast as the n * k table, then
+      // each of the n * k stripes lent once to its checksum owner.
       const std::uint64_t stripe = full.checksum_bytes;
-      EXPECT_GE(full.encode_wire_bytes, kN * (kN - 1) * stripe) << to_string(strategy);
+      const std::uint64_t k = kN - 1;
+      const std::uint64_t exchange = (kN - 1) * k * sizeof(enc::StripeRuns) +
+                                     (kN - 1) * kN * k * sizeof(enc::StripeRuns);
+      EXPECT_EQ(full.encode_wire_bytes, kN * k * stripe + exchange) << to_string(strategy);
       EXPECT_GE(sparse.encode_wire_bytes, kN * stripe) << to_string(strategy);
       EXPECT_LT(sparse.encode_wire_bytes, kN * (kN - 1) * stripe / 2) << to_string(strategy);
     });

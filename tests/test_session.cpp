@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "ckpt_harness.hpp"
+#include "encoding/block_runs.hpp"
 #include "storage/device.hpp"
 #include "testing.hpp"
 
@@ -155,6 +157,63 @@ TEST(Session, DestructorDrainsInFlightCommit) {
     EXPECT_TRUE(matches_pattern(reopened.data(), kSeed, world.rank(), 1, 0.0));
   });
   EXPECT_TRUE(result.completed) << result.abort_reason;
+}
+
+// An async commit's encode stats count the encode alone. The rank threads
+// keep the world busy during every commit (eight 1 MiB broadcasts), yet
+// every rank reports the exact bytes the encode moved, and the modeled
+// encode time equals that of a run without the extra traffic.
+TEST(Session, AsyncEncodeStatsCountTheEncodeAloneWhileTheAppCommunicates) {
+  constexpr int kN = 4;
+  constexpr std::size_t kData = 1 << 20;
+  constexpr int kEpochs = 3;
+  const auto run = [&](bool chatter) {
+    MiniCluster mc(kN, 0);
+    mpi::Runtime rt(mc.cluster, {0, 1, 2, 3}, nullptr, {.model_network = true});
+    std::vector<std::vector<CommitStats>> stats(kN);
+    const auto result = rt.run([&](mpi::Comm& world) {
+      Session session = SessionBuilder{}
+                            .strategy(Strategy::kSelf)
+                            .key_prefix("chatter")
+                            .data_bytes(kData)
+                            .user_bytes(16)
+                            .mode(CommitMode::kAsync)
+                            .build(world);
+      ASSERT_EQ(session.open(), OpenOutcome::kFresh);
+      std::vector<std::byte> noise(1 << 20);
+      for (int e = 1; e <= kEpochs; ++e) {
+        fill_pattern(session.data(), kSeed, world.rank(), static_cast<std::uint64_t>(e));
+        const CommitTicket ticket = session.commit_async();
+        if (chatter) {
+          for (int i = 0; i < 8; ++i) world.bcast_bytes(i % kN, noise);
+        }
+        stats[static_cast<std::size_t>(world.rank())].push_back(ticket.wait());
+      }
+    });
+    EXPECT_TRUE(result.completed) << result.abort_reason;
+    return stats;
+  };
+  const auto quiet = run(false);
+  const auto busy = run(true);
+  ASSERT_EQ(busy[0].size(), static_cast<std::size_t>(kEpochs));
+  // Un-annotated commits encode in full: the members exchange one 8-byte
+  // run record per stripe (a gather of k records to rank 0, then a
+  // binomial broadcast of the n * k table), and each of the n * k data
+  // stripes is lent once to its checksum owner.
+  const std::uint64_t k = kN - 1;
+  const std::uint64_t stripe = busy[0][0].checksum_bytes;
+  const std::uint64_t exchange = (kN - 1) * k * sizeof(enc::StripeRuns) +
+                                 (kN - 1) * kN * k * sizeof(enc::StripeRuns);
+  for (std::size_t r = 0; r < kN; ++r) {
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+      EXPECT_EQ(busy[r][e].encode_wire_bytes, kN * k * stripe + exchange)
+          << "rank " << r << " epoch " << e;
+      EXPECT_EQ(quiet[r][e].encode_wire_bytes, busy[r][e].encode_wire_bytes);
+      EXPECT_GT(busy[r][e].encode_virtual_s, 0.0);
+      EXPECT_DOUBLE_EQ(busy[r][e].encode_virtual_s, quiet[r][e].encode_virtual_s)
+          << "rank " << r << " epoch " << e;
+    }
+  }
 }
 
 TEST(Session, MisuseThrows) {
