@@ -6,8 +6,9 @@
 // comparison — GroupCodec::encode (each owner folds its family's lent
 // stripes in place) against encode_reference (N sequential binomial
 // reduces) — and the rebuild rows
-// (GroupCodec::rebuild of one lost member, checked bit-identical against
-// its pre-loss buffers) across group sizes {4, 8, 16}, then one RS(6, 2)
+// (GroupCodec::rebuild of one lost member, which folds the survivors'
+// lent blocks in place, checked bit-identical against its pre-loss
+// buffers) across group sizes {4, 8, 16}, then one RS(6, 2)
 // row at group size 8 (its encode and a two-member rebuild), prints
 // PASS/FAIL shape checks, and drops the numbers into
 // BENCH_micro_encoding.json.
@@ -290,7 +291,7 @@ bool run_encode_comparison() {
   ok &= shape_check("group 16: encode throughput >= 2x the sequential-reduce baseline",
                     speedup_g16 >= 2.0);
 
-  std::printf("\n--- GroupCodec rebuild: survivors reduce one lost member's blocks ---\n");
+  std::printf("\n--- GroupCodec rebuild: a lost member folds survivors' lent blocks ---\n");
   std::printf("%6s %10s %14s %12s %12s\n", "group", "data", "wall/op", "wire", "copied");
   for (const int g : {4, 8, 16}) {
     const RebuildMeasure m = measure_rebuild_best(g, kDataBytes, kReps);

@@ -54,14 +54,21 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # test_skt_hpl runs the panel LU's packed pivot-exchange and row-interchange
 # buffers inside the self-checkpoint's segments. test_comm kills a lender
 # while a peer reads its lent bytes, and test_encoding kills every member
-# in turn inside the encode's owner fold: a lender that freed its buffers
-# before its borrowers let go would show as a use-after-free here.
+# in turn inside the encode's owner fold and inside the lent rebuild
+# (GroupCodecMultiSegment.NodeDeathInsideTheLentRebuildAbortsTheJobCleanly):
+# a lender that freed its buffers before its borrowers let go would show
+# as a use-after-free here. test_failure_matrix's RebuildKillMatrix rows
+# kill a survivor with its terms on loan and the folding replacement
+# during a relaunch's restore, and test_fuzz_failures runs 100 seeded
+# kill schedules, every relaunch of which rebuilds over lent survivor
+# segments.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
-  test_hpl_core test_hpl_dist test_skt_hpl test_protocols test_failure_matrix
+  test_hpl_core test_hpl_dist test_skt_hpl test_protocols test_failure_matrix \
+  test_fuzz_failures
 (cd build-asan && ctest --output-on-failure \
-  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_skt_hpl|test_protocols|test_failure_matrix)$' -j)
+  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_skt_hpl|test_protocols|test_failure_matrix|test_fuzz_failures)$' -j)
 
 echo
 echo "=== sanitizers: tsan on telemetry + async-commit suites ==="
@@ -84,12 +91,15 @@ cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # threads (and, in SKT-HPL, beside the async commit worker). test_mailbox
 # and test_comm carry the loans: a loan's phase is shared by the lender,
 # its borrower and the abort, and the lender sleeps on its own mailbox.
+# Every rebuild lends too: the RebuildKillMatrix rows of
+# test_failure_matrix abort a restore with survivors' terms on loan, and
+# test_fuzz_failures' 100 seeded kill schedules rebuild on every relaunch.
 cmake --build build-tsan -j --target \
   test_telemetry test_util test_session test_monitor test_encoding test_scrubber \
   test_kernels test_collectives test_store_service test_protocols test_failure_matrix \
-  test_hpl_dist test_skt_hpl test_mailbox test_comm
+  test_hpl_dist test_skt_hpl test_mailbox test_comm test_fuzz_failures
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix|test_hpl_dist|test_skt_hpl|test_mailbox|test_comm)$' -j)
+  -R '^(test_telemetry|test_util|test_session|test_monitor|test_encoding|test_scrubber|test_kernels|test_collectives|test_store_service|test_protocols|test_failure_matrix|test_hpl_dist|test_skt_hpl|test_mailbox|test_comm|test_fuzz_failures)$' -j)
 
 echo
 echo "=== monitor lane: ft_jacobi --monitor forensics + overhead gate ==="

@@ -196,15 +196,23 @@ RestoreStats GroupCheckpoint::restore(CommCtx ctx) {
   }
 
   RestoreStats stats;
+  // Counted on the group handle, whose only messages in the restore steps
+  // are the rebuild's.
+  const double network_before = ctx.group.network_seconds();
+  const std::uint64_t sent_before = ctx.group.sent_bytes();
   util::WallTimer timer;
   stats.epoch = restore_steps(ctx, global, missing);
   stats.rebuild_s = timer.seconds();
+  stats.rebuild_virtual_s = ctx.group.network_seconds() - network_before;
+  const std::uint64_t sent = ctx.group.sent_bytes() - sent_before;
   stats.rebuilt_member =
       std::find(missing.begin(), missing.end(), ctx.group.rank()) != missing.end();
   ctx.group.record_time("recover", stats.rebuild_s);
   {
     SKT_SPAN("ckpt.restore.barrier");
-    ctx.world.barrier();
+    // A world sum of every rank's rebuild bytes, which synchronizes like a
+    // barrier: no rank leaves it before every rank has entered it.
+    stats.rebuild_wire_bytes = ctx.world.allreduce_value<std::uint64_t>(sent, mpi::Sum{});
   }
   return stats;
 }

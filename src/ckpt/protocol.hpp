@@ -96,6 +96,13 @@ struct RestoreStats {
   std::uint64_t epoch = 0;  ///< epoch restored to
   double rebuild_s = 0.0;   ///< decoding / device read time
   bool rebuilt_member = false;  ///< true on the rank that was reconstructed
+  /// Payload bytes the rebuild lent on the (simulated) wire, summed over
+  /// every rank of the world, so every rank reads the same value; 0 when
+  /// no member was rebuilt and for strategies that restore from disk.
+  std::uint64_t rebuild_wire_bytes = 0;
+  /// Modeled network time of this rank's rebuild messages alone; never
+  /// part of rebuild_s.
+  double rebuild_virtual_s = 0.0;
 };
 
 /// Publish a finished commit into the process-wide telemetry registry:

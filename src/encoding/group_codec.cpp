@@ -8,7 +8,6 @@
 
 #include "encoding/gf256.hpp"
 #include "encoding/kernels.hpp"
-#include "encoding/lost_blocks.hpp"
 #include "util/aligned.hpp"
 
 namespace skt::enc {
@@ -36,23 +35,32 @@ void with_lanes(CodecKind kind, Fn&& fn) {
   }
 }
 
-/// out = sum_i w[i] * in[i]: XOR with GF(2^8) weights, or the plain sum
-/// over double lanes for SUM (whose weights are all 1). The first two
-/// sources combine in one pass; every further one is one pass over `out`.
+/// One source of a fold: `coeff` times its bytes over GF(2^8) (1 is plain
+/// XOR), or, over SUM lanes, the bytes added or, with `negate`, subtracted.
+struct Weight {
+  std::uint8_t coeff = 1;
+  bool negate = false;
+};
+
+/// out = sum_i w[i] * in[i]: XOR with GF(2^8) weights, or the signed sum
+/// over double lanes for SUM, whose first source is never negated. The
+/// first two weight-1 XOR sources combine in one pass; every further
+/// source is one pass over `out`.
 void combine(CodecKind kind, std::span<std::byte> out,
-             std::span<const std::span<const std::byte>> in, std::span<const std::uint8_t> w) {
+             std::span<const std::span<const std::byte>> in, std::span<const Weight> w) {
   if (kind == CodecKind::kSum) {
+    const std::span<double> acc = as_lanes<double>(out);
     std::memcpy(out.data(), in[0].data(), out.size());
     for (std::size_t i = 1; i < in.size(); ++i) {
-      kernels::sum_acc(as_lanes<double>(out), as_lanes<double>(in[i]));
+      (w[i].negate ? kernels::sum_sub : kernels::sum_acc)(acc, as_lanes<double>(in[i]));
     }
     return;
   }
   std::size_t i = 0;
-  if (in.size() >= 2 && w[0] == 1 && w[1] == 1) {
+  if (in.size() >= 2 && w[0].coeff == 1 && w[1].coeff == 1) {
     kernels::xor_delta(out, in[0], in[1]);
     i = 2;
-  } else if (w[0] == 1) {
+  } else if (w[0].coeff == 1) {
     std::memcpy(out.data(), in[0].data(), out.size());
     i = 1;
   } else {
@@ -61,9 +69,46 @@ void combine(CodecKind kind, std::span<std::byte> out,
   const std::span<std::uint8_t> out8{reinterpret_cast<std::uint8_t*>(out.data()), out.size()};
   for (; i < in.size(); ++i) {
     kernels::gf256_mul_acc(
-        out8, {reinterpret_cast<const std::uint8_t*>(in[i].data()), in[i].size()}, w[i]);
+        out8, {reinterpret_cast<const std::uint8_t*>(in[i].data()), in[i].size()}, w[i].coeff);
   }
 }
+
+/// out = the weighted sum of the borrowed `views`, folded one 64 KiB
+/// segment at a time, so every source byte is read once where it sits and
+/// each segment of `out` stays in cache while its sources combine into it.
+/// Shared by the encode (a parity slot from its family's stripes) and the
+/// rebuild (a lost block from its survivors' terms).
+void fold(CodecKind kind, std::span<std::byte> out, std::span<const mpi::Comm::Borrowed> views,
+          std::span<const Weight> w) {
+  std::vector<std::span<const std::byte>> in(views.size());
+  for (std::size_t off = 0; off < out.size(); off += mpi::kCollectiveChunkBytes) {
+    const std::size_t len = std::min(mpi::kCollectiveChunkBytes, out.size() - off);
+    for (std::size_t i = 0; i < views.size(); ++i) in[i] = views[i].read(off, len);
+    combine(kind, out.subspan(off, len), in, w);
+  }
+}
+
+/// A block of one member's buffers: data stripe `index`, or, with
+/// `parity`, redundancy slot `index`.
+struct BlockAt {
+  bool parity = false;
+  std::size_t index = 0;
+};
+
+/// One survivor's share of a lost block.
+struct Term {
+  int member = 0;
+  BlockAt at;
+  Weight weight;
+};
+
+/// A block lost `member` gets back at `at`: the weighted sum of its k
+/// survivors' `terms`, at most one per survivor.
+struct LostBlock {
+  int member = 0;
+  BlockAt at;
+  std::vector<Term> terms;
+};
 
 }  // namespace
 
@@ -162,12 +207,9 @@ void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
     }
   }
   // Slot j holds row j of family (me - j) mod n: fold that family's k lent
-  // stripes straight into it, weighted, one segment at a time, so every
-  // source byte is read once and the parity segment stays in cache while
-  // the k sources are combined into it.
+  // stripes straight into it, weighted by the generator.
   std::vector<mpi::Comm::Borrowed> views;
-  std::vector<std::uint8_t> weights;
-  std::vector<std::span<const std::byte>> in;
+  std::vector<Weight> weights;
   for (int row = 0; row < parity_count_; ++row) {
     const int f = (me - row + n) % n;
     views.clear();
@@ -175,19 +217,13 @@ void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
     for (int p = 0; p < n; ++p) {
       if (!contributes(p, f)) continue;
       views.push_back(group.borrow(p, tag, stripe));
-      weights.push_back(coefficient(row, p, f));
+      weights.push_back({.coeff = coefficient(row, p, f)});
     }
     // Holding the slot's views: a node death here leaves peers reading
     // this member's lent stripes, which its unwinding must wait out.
     group.failpoint("enc.fold");
-    const std::span<std::byte> slot =
-        redundancy.subspan(static_cast<std::size_t>(row) * stripe, stripe);
-    for (std::size_t off = 0; off < stripe; off += mpi::kCollectiveChunkBytes) {
-      const std::size_t len = std::min(mpi::kCollectiveChunkBytes, stripe - off);
-      in.clear();
-      for (const mpi::Comm::Borrowed& view : views) in.push_back(view.read(off, len));
-      combine(kind_, slot.subspan(off, len), in, weights);
-    }
+    fold(kind_, redundancy.subspan(static_cast<std::size_t>(row) * stripe, stripe), views,
+         weights);
   }
   // Release the views before waiting on this member's own loans: its
   // borrowers may be waiting on theirs in turn.
@@ -357,7 +393,8 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
     // mu[p] ^ sum_a u[a] * c_{r_a}(p) on stripe D_p. The code is MDS, so
     // every weight is nonzero: k terms per block. Over SUM (m = 1, all
     // weights 1) a stripe solved through its checksum takes the other
-    // stripes negated.
+    // stripes negated; the checksum term comes first, so the fold starts
+    // from a copy of it.
     const std::size_t L = lost_data.size();
     // `u` holds lam on entry and is solved into u in place.
     const auto add_block = [&](int member, BlockAt at, std::vector<std::uint8_t> u,
@@ -373,36 +410,29 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
           throw std::logic_error("GroupCodec: singular rebuild system");
         }
       }
-      LostBlock block{.member = member, .at = at, .bytes = stripe_bytes_, .terms = {}};
+      LostBlock block{.member = member, .at = at, .terms = {}};
       for (std::size_t a = 0; a < L; ++a) {
         for (std::size_t i = 0; i < alive_data.size(); ++i) {
           mu[i] ^= gf256::mul(u[a], coefficient(live_rows[a], alive_data[i], f));
         }
         const int row = live_rows[a];
-        block.terms.push_back(
-            {.member = parity_owner(row, f),
-             .at = {.redundancy = true, .offset = static_cast<std::size_t>(row) * stripe_bytes_},
-             .coeff = u[a]});
+        block.terms.push_back({.member = parity_owner(row, f),
+                               .at = {.parity = true, .index = static_cast<std::size_t>(row)},
+                               .weight = {.coeff = u[a]}});
       }
       for (std::size_t i = 0; i < alive_data.size(); ++i) {
         const int p = alive_data[i];
         block.terms.push_back(
             {.member = p,
-             .at = {.redundancy = false, .offset = stripe_index(p, f) * stripe_bytes_},
-             .coeff = mu[i],
-             .negate = kind_ == CodecKind::kSum && L > 0});
+             .at = {.parity = false, .index = stripe_index(p, f)},
+             .weight = {.coeff = mu[i], .negate = kind_ == CodecKind::kSum && L > 0}});
       }
-      // Survivors in relative rank order from the lost member.
-      const auto distance = [&](const Term& t) { return (t.member - member + n) % n; };
-      std::sort(block.terms.begin(), block.terms.end(),
-                [&](const Term& a, const Term& b) { return distance(a) < distance(b); });
       blocks.push_back(std::move(block));
     };
     for (std::size_t b = 0; b < L; ++b) {
       std::vector<std::uint8_t> lam(L, 0);
       lam[b] = 1;
-      add_block(lost_data[b],
-                {.redundancy = false, .offset = stripe_index(lost_data[b], f) * stripe_bytes_},
+      add_block(lost_data[b], {.parity = false, .index = stripe_index(lost_data[b], f)},
                 std::move(lam), std::vector<std::uint8_t>(alive_data.size(), 0));
     }
     // A lost parity row is sum_p c_row(p) * D_p over every contributor,
@@ -414,12 +444,48 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
       for (std::size_t i = 0; i < alive_data.size(); ++i) {
         mu[i] = coefficient(row, alive_data[i], f);
       }
-      add_block(parity_owner(row, f),
-                {.redundancy = true, .offset = static_cast<std::size_t>(row) * stripe_bytes_},
+      add_block(parity_owner(row, f), {.parity = true, .index = static_cast<std::size_t>(row)},
                 std::move(lam), std::move(mu));
     }
   }
-  rebuild_lost_blocks(group, kind_, blocks, data, redundancy);
+
+  // The encode's shape, with the lost members as the owners: every
+  // survivor lends each of its terms to the lost member that needs it, and
+  // that member folds each block's k borrowed terms straight into its
+  // buffers. Between a survivor and a lost member the loans go out and are
+  // borrowed in block order, under one tag.
+  const int me = group.rank();
+  const std::size_t stripe = stripe_bytes_;
+  const auto bytes_at = [&](BlockAt at) {
+    return (at.parity ? redundancy : data).subspan(at.index * stripe, stripe);
+  };
+  const mpi::Tag tag = group.reserve_tag();
+  std::vector<mpi::Comm::Loan> loans;
+  for (const LostBlock& block : blocks) {
+    for (const Term& t : block.terms) {
+      if (t.member == me) loans.push_back(group.lend(block.member, tag, bytes_at(t.at)));
+    }
+  }
+  std::vector<mpi::Comm::Borrowed> views;
+  std::vector<Weight> weights;
+  for (const LostBlock& block : blocks) {
+    if (block.member != me) continue;
+    views.clear();
+    weights.clear();
+    for (const Term& t : block.terms) {
+      views.push_back(group.borrow(t.member, tag, stripe));
+      weights.push_back(t.weight);
+    }
+    // Holding the block's views: a death here must stop the survivors,
+    // whose lent bytes this member is reading.
+    group.failpoint("enc.rebuild");
+    fold(kind_, bytes_at(block.at), views, weights);
+  }
+  if (!is_lost(me)) {
+    // Lent, not yet settled: a death here unwinds with bytes on loan.
+    group.failpoint("enc.rebuild");
+    for (mpi::Comm::Loan& loan : loans) loan.wait();
+  }
 }
 
 bool GroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,

@@ -26,11 +26,11 @@
 // where it sits and every parity byte is written once. This is the
 // paper's per-family reduce rooted at the family's owner, with the roots
 // rotating over the group, done in place. rebuild() describes every block
-// the lost members need back as a weighted sum of survivors' blocks and
-// moves them all in one survivor reduce (lost_blocks.hpp): each block
-// is split into one part per survivor, reduced among the survivors onto
-// its owner, and streamed from there straight into the replacement's
-// buffers, which receive every byte once and combine nothing.
+// the lost members need back as a weighted sum of k survivors' blocks and
+// moves them the same way, with the lost members as the owners: every
+// survivor lends each term block to the lost member that needs it, which
+// folds the block's k terms straight into its own buffers through the
+// encode's fold.
 #pragma once
 
 #include <cstddef>
@@ -135,10 +135,19 @@ class GroupCodec {
   /// the generator against L surviving parity rows; its inverse is folded
   /// into one coefficient per survivor, so every lost data stripe and lost
   /// parity row is a weighted sum of exactly k surviving stripes and
-  /// parity slots. At m = 1 every weight is 1: a lost stripe is its
-  /// family's checksum minus the other members' stripes, a lost checksum
-  /// the sum of its family's stripes. No member allocates a stripe-sized
-  /// temporary, and each lost block crosses the wire k times.
+  /// parity slots, at most one per survivor. At m = 1 every weight is 1: a
+  /// lost stripe is its family's checksum minus the other members'
+  /// stripes, a lost checksum the sum of its family's stripes.
+  ///
+  /// Every survivor lends (Comm::lend) each of its terms once to the lost
+  /// member that needs it, and that member folds each block's k borrowed
+  /// terms straight into its buffers in 64 KiB segments, as the encode's
+  /// owners do: the wire carries lost * N * k stripes, each survivor byte
+  /// is read once where it sits, each rebuilt byte is written once, and
+  /// the mailbox copies nothing. Survivors' buffers must not change until
+  /// rebuild() returns. A lost member passes the failpoint "enc.rebuild"
+  /// once per block, holding that block's views; a survivor passes it
+  /// once, after lending and before its loans settle.
   void rebuild(mpi::Comm& group, std::span<const int> missing, std::span<std::byte> data,
                std::span<std::byte> redundancy) const;
 

@@ -79,10 +79,13 @@ void gf_mul_acc_scalar(std::uint8_t* out, const std::uint8_t* in, std::size_t n,
 }
 
 // --------------------------------------------------------- AVX2 tier ---
+// Each kernel starts on a 64-byte boundary, so code added or deleted
+// elsewhere in a binary does not move its loops across fetch blocks.
 #if SKT_KERNELS_HAVE_AVX2
 
-__attribute__((target("avx2"))) void xor_acc_avx2(std::byte* acc, const std::byte* in,
-                                                  std::size_t n) {
+__attribute__((target("avx2"), aligned(64))) void xor_acc_avx2(std::byte* acc,
+                                                               const std::byte* in,
+                                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 128 <= n; i += 128) {
     for (std::size_t j = 0; j < 128; j += 32) {
@@ -101,8 +104,10 @@ __attribute__((target("avx2"))) void xor_acc_avx2(std::byte* acc, const std::byt
   xor_acc_scalar(acc + i, in + i, n - i);
 }
 
-__attribute__((target("avx2"))) void xor_delta_avx2(std::byte* out, const std::byte* a,
-                                                    const std::byte* b, std::size_t n) {
+__attribute__((target("avx2"), aligned(64))) void xor_delta_avx2(std::byte* out,
+                                                                 const std::byte* a,
+                                                                 const std::byte* b,
+                                                                 std::size_t n) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
@@ -112,8 +117,9 @@ __attribute__((target("avx2"))) void xor_delta_avx2(std::byte* out, const std::b
   xor_delta_scalar(out + i, a + i, b + i, n - i);
 }
 
-__attribute__((target("avx2"))) void sum_acc_avx2(double* acc, const double* in,
-                                                  std::size_t n) {
+__attribute__((target("avx2"), aligned(64))) void sum_acc_avx2(double* acc,
+                                                               const double* in,
+                                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256d a0 = _mm256_loadu_pd(acc + i);
@@ -126,8 +132,9 @@ __attribute__((target("avx2"))) void sum_acc_avx2(double* acc, const double* in,
   for (; i < n; ++i) acc[i] += in[i];
 }
 
-__attribute__((target("avx2"))) void sum_sub_avx2(double* acc, const double* in,
-                                                  std::size_t n) {
+__attribute__((target("avx2"), aligned(64))) void sum_sub_avx2(double* acc,
+                                                               const double* in,
+                                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256d a0 = _mm256_loadu_pd(acc + i);
@@ -145,9 +152,10 @@ __attribute__((target("avx2"))) void sum_sub_avx2(double* acc, const double* in,
 /// c*b = lo[b & 15] ^ hi[b >> 4] because multiplication distributes over
 /// the nibble split b = (b & 15) ^ (b & 0xf0). One VPSHUFB pair multiplies
 /// 32 field elements.
-__attribute__((target("avx2"))) void gf_mul_acc_avx2(std::uint8_t* out,
-                                                     const std::uint8_t* in, std::size_t n,
-                                                     std::uint8_t coeff) {
+__attribute__((target("avx2"), aligned(64))) void gf_mul_acc_avx2(std::uint8_t* out,
+                                                                  const std::uint8_t* in,
+                                                                  std::size_t n,
+                                                                  std::uint8_t coeff) {
   alignas(16) std::uint8_t lo[16];
   alignas(16) std::uint8_t hi[16];
   for (int x = 0; x < 16; ++x) {

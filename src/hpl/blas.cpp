@@ -187,9 +187,12 @@ void gemm_minus_avx2(std::int64_t m, std::int64_t n, std::int64_t k, const doubl
 
 }  // namespace
 
-void gemm_minus(std::int64_t m, std::int64_t n, std::int64_t k, const double* a,
-                std::int64_t lda, const double* b, std::int64_t ldb, double* c,
-                std::int64_t ldc) {
+// Pinned to a 64-byte boundary, like the AVX2 encoding kernels, so code
+// added or deleted elsewhere in a binary does not move the hot entry
+// across fetch blocks and shift its timing.
+__attribute__((aligned(64))) void gemm_minus(std::int64_t m, std::int64_t n, std::int64_t k,
+                                             const double* a, std::int64_t lda, const double* b,
+                                             std::int64_t ldb, double* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
 #if SKT_BLAS_HAVE_AVX2
   if (enc::kernels::active_tier() == enc::kernels::Tier::kAvx2 && util::cpu_has_fma()) {

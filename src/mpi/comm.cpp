@@ -140,8 +140,11 @@ Comm::Loan::~Loan() {
   }
   // The lender leaves with its bytes still lent — it is unwinding — and
   // they may be freed right after this frame. Abort the job so every
-  // borrower stops at its next read, and settle before returning.
-  rt_->abort("rank " + std::to_string(lender_world_) + " unwound with bytes on loan");
+  // borrower stops at its next read, and settle before returning. The
+  // reason is provisional: the failure the lender is unwinding from
+  // names the abort once it reaches the runtime.
+  rt_->abort("rank " + std::to_string(lender_world_) + " unwound with bytes on loan",
+             /*provisional=*/true);
   settle();
 }
 

@@ -362,27 +362,21 @@ class Comm {
 
   /// One reduction of a sparse reduce: each member in `sources` holds an
   /// extent of `bytes`, and their combination lands on `root`, which
-  /// contributes none. A `relay` reduction runs its binomial tree over the
-  /// sources alone, rooted at sources[0], which forwards each finished
-  /// segment to `root`: the root then receives every byte exactly once,
-  /// from one member, and combines nothing.
+  /// contributes none.
   struct SparseReduction {
     int root = 0;
     std::vector<int> sources;
     std::size_t bytes = 0;
-    bool relay = false;
   };
 
   /// Sparse reduce. Every member must pass the same `reductions` (e.g.
   /// built from allgathered runs); members named in none of them move
   /// nothing. Reduction i runs a binomial tree over [root, sources...] in
-  /// the given order, rooted at position 0 — or, relayed, over
-  /// [sources...] rooted at sources[0], whose finished segments go on to
-  /// the root — so each source's extent crosses the wire exactly once —
-  /// as a partial result — and no member receives more than
-  /// log2(sources + 1) extents of it: the bytes of a direct send to the
-  /// root without its fan-in. Extents may differ, each a whole number of
-  /// elements.
+  /// the given order, rooted at position 0, so each source's extent
+  /// crosses the wire exactly once — as a partial result — and no member
+  /// receives more than log2(sources + 1) extents of it: the bytes of a
+  /// direct send to the root without its fan-in. Extents may differ, each
+  /// a whole number of elements.
   ///
   /// A source writes segment bytes [offset, offset + out.size()) of its
   /// extent for reduction i straight into a zeroed outgoing buffer via
@@ -410,9 +404,6 @@ class Comm {
       }
       std::vector<bool> seen(static_cast<std::size_t>(size()), false);
       if (r.root < 0 || r.root >= size()) throw std::invalid_argument("reduce_sparse: bad root");
-      if (r.relay && r.sources.empty()) {
-        throw std::invalid_argument("reduce_sparse: a relay needs a source");
-      }
       seen[static_cast<std::size_t>(r.root)] = true;
       for (const int s : r.sources) {
         if (s < 0 || s >= size() || seen[static_cast<std::size_t>(s)]) {
@@ -444,24 +435,16 @@ class Comm {
         const auto member_at = [&r](int p) {
           return p == 0 ? r.root : r.sources[static_cast<std::size_t>(p - 1)];
         };
-        if (pos == 0 && r.relay) {
-          const std::vector<std::byte> in = recv_take(member_at(1), tag, len);
-          fold(i, off, std::span<const std::byte>(in));
-          continue;
-        }
         std::vector<std::byte> acc;
         if (pos > 0) {
           acc.resize(len);
           fill(i, off, std::span<std::byte>(acc));
         }
-        // Tree position q counts from the tree's root: the root itself, or
-        // sources[0] when relayed. Children sit at q + 1, q + 2, q + 4, ...
-        // below q's lowest set bit; that bit names the parent.
-        const int base = r.relay ? 1 : 0;
-        const int q = pos - base;
-        const int last = static_cast<int>(r.sources.size()) - base;
-        for (int mask = 1; (q & mask) == 0 && q + mask <= last; mask <<= 1) {
-          const std::vector<std::byte> in = recv_take(member_at(q + mask + base), tag, len);
+        // Children sit at pos + 1, pos + 2, pos + 4, ... below pos's lowest
+        // set bit; that bit names the parent.
+        const int sources = static_cast<int>(r.sources.size());
+        for (int mask = 1; (pos & mask) == 0 && pos + mask <= sources; mask <<= 1) {
+          const std::vector<std::byte> in = recv_take(member_at(pos + mask), tag, len);
           if (pos == 0) {
             fold(i, off, std::span<const std::byte>(in));
           } else {
@@ -471,9 +454,7 @@ class Comm {
                                    op);
           }
         }
-        if (pos > 0) {
-          send_bytes(q == 0 ? r.root : member_at(q - (q & -q) + base), tag, std::move(acc));
-        }
+        if (pos > 0) send_bytes(member_at(pos - (pos & -pos)), tag, std::move(acc));
       }
     }
   }

@@ -102,15 +102,18 @@ bool Runtime::uses_node(int node_id) const {
   return false;
 }
 
-void Runtime::abort(const std::string& reason) {
-  bool expected = false;
-  if (aborted_.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-    {
-      std::lock_guard<std::mutex> lock(abort_mutex_);
+void Runtime::abort(const std::string& reason, bool provisional) {
+  bool named = false;
+  {
+    std::lock_guard<std::mutex> lock(abort_mutex_);
+    if (!aborted_.load(std::memory_order_relaxed) || (reason_provisional_ && !provisional)) {
       abort_reason_ = reason;
+      reason_provisional_ = provisional;
+      named = true;
     }
-    SKT_LOG_WARN("job aborted: {}", reason);
+    aborted_.store(true, std::memory_order_release);
   }
+  if (named) SKT_LOG_WARN("job aborted: {}", reason);
   for (auto& mb : mailboxes_) mb->interrupt();
 }
 

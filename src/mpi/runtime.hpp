@@ -75,8 +75,11 @@ class Runtime {
   /// Blocks until all ranks return or the job aborts. Can be called once.
   JobResult run(const std::function<void(Comm&)>& fn);
 
-  /// Abort the job (idempotent); wakes every blocked receive.
-  void abort(const std::string& reason);
+  /// Abort the job (idempotent); wakes every blocked receive. The first
+  /// reason is kept, except that a `provisional` one gives way to the next
+  /// reason that is not: a lender unwinding with bytes on loan must abort
+  /// before its own failure reaches run(), which then names that failure.
+  void abort(const std::string& reason, bool provisional = false);
 
   /// True when `node_id` hosts at least one of this job's ranks.
   [[nodiscard]] bool uses_node(int node_id) const;
@@ -145,6 +148,7 @@ class Runtime {
   std::atomic<bool> aborted_{false};
   std::mutex abort_mutex_;
   std::string abort_reason_;
+  bool reason_provisional_ = false;
 
   // Atomic because async checkpoint workers charge virtual time from their
   // own thread while the rank thread keeps communicating.

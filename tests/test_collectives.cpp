@@ -396,46 +396,6 @@ TEST(SparseReduce, UnequalExtentsStreamTheirOwnSegments) {
   EXPECT_EQ(result.wire_messages, messages);
 }
 
-TEST(SparseReduce, RelayedRootHearsOneStreamAndCombinesNothing) {
-  // Root 0 receives every reduction from sources[0] alone, which first
-  // reduces the other sources along a binomial tree of its own: one fold
-  // per segment at the root, and still each source's extent once on the
-  // wire. Extents of 1000 and 232 bytes end mid-segment, and a lone
-  // relayed source streams straight to the root.
-  for (const int n : {2, 3, 5, 8}) {
-    Reductions reductions;
-    for (int first = 1; first < n; ++first) {
-      Comm::SparseReduction r{.root = 0, .sources = {}, .bytes = 1000, .relay = true};
-      for (int step = 0; step < n - 1; ++step) {
-        r.sources.push_back(1 + (first - 1 + step) % (n - 1));
-      }
-      reductions.push_back(r);
-    }
-    reductions.push_back({.root = n - 1, .sources = {0}, .bytes = 232, .relay = true});
-    std::size_t bytes = 0;
-    std::size_t messages = 0;
-    for (const auto& r : reductions) {
-      bytes += r.sources.size() * r.bytes;
-      messages += r.sources.size() * segments_of(r.bytes);
-    }
-    MiniCluster mc(n, 0);
-    const auto result = mc.run(n, [&](Comm& world) {
-      std::vector<int> folds;
-      EXPECT_EQ(run_sparse(world, reductions, &folds), expected_roots(reductions, world.rank()))
-          << "n=" << n << " rank=" << world.rank();
-      for (std::size_t r = 0; r < reductions.size(); ++r) {
-        if (reductions[r].root != world.rank()) continue;
-        EXPECT_EQ(static_cast<std::size_t>(folds[r]), segments_of(reductions[r].bytes))
-            << "n=" << n << " reduction " << r;
-      }
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-    EXPECT_EQ(result.wire_bytes, bytes);
-    EXPECT_EQ(result.wire_messages, messages);
-    EXPECT_EQ(result.copied_bytes, 0u);
-  }
-}
-
 TEST(SparseReduce, RejectsBadRootsAndRepeatedSources) {
   MiniCluster mc(3, 0);
   const auto result = mc.run(3, [](Comm& world) {
@@ -449,8 +409,6 @@ TEST(SparseReduce, RejectsBadRootsAndRepeatedSources) {
     EXPECT_THROW(run({{.root = 0, .sources = {1, 1}, .bytes = 64}}), std::invalid_argument);
     // An extent must be a whole number of elements.
     EXPECT_THROW(run({{.root = 0, .sources = {1}, .bytes = 60}}), std::invalid_argument);
-    EXPECT_THROW(run({{.root = 0, .sources = {}, .bytes = 64, .relay = true}}),
-                 std::invalid_argument);
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }

@@ -348,7 +348,8 @@ TEST(Loan, LenderKilledWhileAPeerHoldsItsViewWaitsForTheView) {
 }
 
 // A lender that unwinds before anyone borrowed aborts the job and revokes
-// the loan: the late borrow throws instead of reading freed bytes.
+// the loan: the late borrow throws instead of reading freed bytes. The
+// job's abort reason is the lender's own failure, not the loan.
 TEST(Loan, UnwindingLenderAbortsTheJobAndRevokesAnUnborrowedLoan) {
   MiniCluster mc(2, 0);
   std::atomic<bool> revoked{false};
@@ -366,7 +367,8 @@ TEST(Loan, UnwindingLenderAbortsTheJobAndRevokesAnUnborrowedLoan) {
     }
   });
   EXPECT_FALSE(result.completed);
-  EXPECT_NE(result.abort_reason.find("on loan"), std::string::npos) << result.abort_reason;
+  EXPECT_NE(result.abort_reason.find("lender failed before the borrow"), std::string::npos)
+      << result.abort_reason;
   EXPECT_TRUE(revoked.load());
 }
 

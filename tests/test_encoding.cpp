@@ -338,8 +338,8 @@ TEST_P(GroupCodecErasures, EveryLossPatternUpToMRebuilds) {
 INSTANTIATE_TEST_SUITE_P(Codes, GroupCodecErasures, kCodes, code_name);
 
 /// Multi-segment stripes: three 64 KiB segments and a 72-byte tail, so a
-/// lost block splits into survivor parts that span several segments, and
-/// the last part of each block ends mid-segment.
+/// fold walks several segments of every lent block and its last segment
+/// ends mid-segment.
 constexpr std::size_t kMultiSegmentStripe = 3 * (std::size_t{64} << 10) + 72;
 
 /// Each rank's encoded buffers from one job, so later jobs can run a
@@ -386,13 +386,44 @@ TEST_P(GroupCodecMultiSegment, EveryLossPatternRebuildsFromKSurvivorsPerBlock) {
     ASSERT_TRUE(result.completed) << result.abort_reason << " " << describe(lost);
     // A lost member needs n blocks back (k data stripes, m parity slots).
     // The code is MDS, so each is a combination of exactly k survivors'
-    // blocks and crosses the wire once per survivor: k - 1 partials among
-    // them and one forward. At m = 1 that is the fan-in rebuild's (n-1) n
-    // stripes. Every segment is written in place and moved, so the mailbox
-    // copies nothing.
-    const std::size_t blocks = lost.size() * static_cast<std::size_t>(n * k);
-    EXPECT_EQ(result.wire_bytes, blocks * kMultiSegmentStripe) << describe(lost);
+    // blocks, each lent once to the lost member, which folds them in
+    // place: one message per term, and the mailbox copies nothing. At
+    // m = 1 that is the fan-in rebuild's (n-1) n stripes.
+    const std::size_t terms = lost.size() * static_cast<std::size_t>(n * k);
+    EXPECT_EQ(result.wire_bytes, terms * kMultiSegmentStripe) << describe(lost);
+    EXPECT_EQ(result.wire_messages, terms) << describe(lost);
     EXPECT_EQ(result.copied_bytes, 0u) << describe(lost);
+  }
+}
+
+// A node death inside the lent rebuild, on each member in turn: a lost
+// member dies holding a block's views, a survivor after lending its terms
+// and before they are settled, with the lost members reading them. The
+// job aborts, nobody hangs, and no lent buffer is freed under a reader
+// (AddressSanitizer lanes).
+TEST_P(GroupCodecMultiSegment, NodeDeathInsideTheLentRebuildAbortsTheJobCleanly) {
+  const Code code = GetParam();
+  const int n = code.n;
+  const int k = n - code.m;
+  const GroupCodec shape(code.kind, static_cast<std::size_t>(k) * kMultiSegmentStripe, n,
+                         code.m);
+  std::vector<int> lost(static_cast<std::size_t>(code.m));
+  std::iota(lost.begin(), lost.end(), 0);
+  for (int victim = 0; victim < n; ++victim) {
+    MiniCluster mc(n, 0);
+    sim::FailureInjector injector;
+    injector.add_rule(
+        {.point = "enc.rebuild", .world_rank = victim, .hit = 1, .repeat = false});
+    const auto result = mc.run(
+        n,
+        [&](mpi::Comm& world) {
+          std::vector<std::byte> data = double_bytes(shape.padded_bytes(), 37, world.rank());
+          std::vector<std::byte> redundancy(shape.redundancy_bytes());
+          shape.rebuild(world, lost, data, redundancy);
+        },
+        &injector);
+    EXPECT_FALSE(result.completed) << "victim " << victim;
+    EXPECT_FALSE(mc.cluster.node(victim).alive()) << "victim " << victim;
   }
 }
 

@@ -12,6 +12,7 @@
 // bit-correct data (see ckpt_harness.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -762,6 +763,95 @@ TEST(FailureMatrixExtra, TwoFailuresInOneGroupUnrecoverable) {
   const auto result = launcher.run(4, [&](mpi::Comm& w) { checkpointed_app(w, config); });
   EXPECT_FALSE(result.success);
 }
+
+// A second kill inside the lent rebuild (failpoint enc.rebuild) of the
+// first relaunch's restore. Rank 1 dies at its second commit; on the
+// relaunch its replacement folds its blocks from the survivors' lent
+// terms. The replacement passes the failpoint holding each block's views,
+// so a kill it triggers lands while the rebuild is provably unfinished:
+//  - killing survivor rank 2, which has lent or is lending its terms:
+//    under RS(4, 2) the next relaunch rebuilds both the unrestored
+//    replacement and rank 2 bit-exact; under XOR the group has lost two
+//    members, and the job ends with that diagnosis, without a hang or a
+//    restore;
+//  - killing the folding replacement itself: the survivors are intact,
+//    so the next relaunch rebuilds rank 1 again.
+// A survivor passes the failpoint once, after lending and before its
+// loans settle. Killed there under RS(4, 2), it dies with bytes on loan;
+// the replacement may or may not have folded every block by then, and
+// either way the next relaunch recovers.
+struct RebuildKillCase {
+  const char* name;
+  int parity;
+  int trigger;  ///< world rank whose first enc.rebuild visit fires the kill
+  int victim;   ///< world rank whose node dies
+  bool recoverable;
+};
+
+class RebuildKillMatrix : public ::testing::TestWithParam<RebuildKillCase> {};
+
+TEST_P(RebuildKillMatrix, KillInsideTheLentRebuild) {
+  const RebuildKillCase& c = GetParam();
+  constexpr int kGroup = 4;
+  constexpr int kWorld = 2 * kGroup;  // group 1 rebuilds nothing but agrees on epochs
+  skt::testing::MiniCluster mc(kWorld, 4);
+  CkptAppConfig config;
+  config.strategy = Strategy::kSelf;
+  config.group_size = kGroup;
+  config.parity_degree = c.parity;
+  config.iterations = 4;
+  config.data_bytes = 2048;
+
+  sim::FailureInjector injector;
+  injector.add_rule({.point = "ckpt.begin", .world_rank = 1, .hit = 2, .repeat = false});
+  injector.add_rule({.point = "enc.rebuild",
+                     .world_rank = c.trigger,
+                     .hit = 1,
+                     .repeat = false,
+                     .victim_world_rank = c.victim});
+
+  mpi::JobLauncher launcher(mc.cluster, &injector, {.max_restarts = 2});
+  const auto result = launcher.run(kWorld, [&](mpi::Comm& w) { checkpointed_app(w, config); });
+  EXPECT_EQ(injector.triggered_count(), 2u);
+  ASSERT_GE(result.postmortems.size(), 2u);
+  EXPECT_EQ(result.postmortems[1].lost_ranks, std::vector<int>{c.victim});
+  if (c.recoverable) {
+    EXPECT_TRUE(result.success) << result.failure;
+    EXPECT_EQ(result.restarts, 2);
+    ASSERT_EQ(result.postmortems.size(), 2u);
+    const telemetry::Postmortem& pm = result.postmortems[1];
+    EXPECT_TRUE(pm.recovered);
+    std::vector<int> rebuilt;
+    for (const telemetry::RebuildInfo& rb : pm.rebuilds) rebuilt.push_back(rb.rank);
+    std::sort(rebuilt.begin(), rebuilt.end());
+    std::vector<int> both{1};
+    if (c.victim != 1) both.push_back(c.victim);
+    if (c.trigger == 1) {
+      // The replacement never finished its restore: it is rebuilt again.
+      EXPECT_EQ(rebuilt, both);
+    } else {
+      EXPECT_TRUE(rebuilt == both || rebuilt == std::vector<int>{c.victim})
+          << "rebuilt " << ::testing::PrintToString(rebuilt);
+    }
+  } else {
+    EXPECT_FALSE(result.success);
+    bool diagnosed = false;
+    for (const telemetry::Postmortem& pm : result.postmortems) {
+      if (pm.reason.find("members lost in one group") != std::string::npos) diagnosed = true;
+      EXPECT_FALSE(pm.recovered) << "incident " << pm.incident;
+      EXPECT_TRUE(pm.rebuilds.empty()) << "incident " << pm.incident;
+    }
+    EXPECT_TRUE(diagnosed) << result.failure;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, RebuildKillMatrix,
+    ::testing::Values(RebuildKillCase{"rs4p2_survivor", 2, 1, 2, true},
+                      RebuildKillCase{"xor_survivor", 1, 1, 2, false},
+                      RebuildKillCase{"xor_replacement", 1, 1, 1, true},
+                      RebuildKillCase{"rs4p2_lender", 2, 2, 2, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ...but two failures in DIFFERENT groups are fine (each group rebuilds
 // its own member).

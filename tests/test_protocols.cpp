@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -202,6 +203,70 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
     EXPECT_GT(modeled, 0.0) << to_string(strategy);
     ASSERT_EQ(result.times.count("checkpoint"), 1u) << to_string(strategy);
     EXPECT_EQ(result.times.at("checkpoint"), measured) << to_string(strategy);
+  }
+}
+
+// Every strategy fills the same RestoreStats fields. After m members of
+// the group die together, each rebuilds its n blocks (k data stripes, m
+// parity slots) from one lent term per survivor and block: every rank
+// reports the world's lost * n * k stripes exactly, and its own modeled
+// network time apart from the measured rebuild_s. BLCR reads its image
+// from disk and reports neither; it and single (the paper's single-parity
+// layout at any degree) run at m = 1 only.
+TEST(RestoreStats, EveryStrategyReportsRebuildWireBytes) {
+  constexpr int kN = 4;
+  constexpr std::size_t kDataBytes = 6000;
+  for (const Strategy strategy :
+       {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf, Strategy::kBlcr}) {
+    for (const int m : {1, 2}) {
+      if ((strategy == Strategy::kBlcr || strategy == Strategy::kSingle) && m == 2) continue;
+      const std::string what = std::string(to_string(strategy)) + " m=" + std::to_string(m);
+      MiniCluster mc(kN, m);
+      storage::SnapshotVault vault;
+      sim::FailureInjector injector;
+      injector.add_rule({.point = "app.kill",
+                         .world_rank = 1,
+                         .hit = 1,
+                         .repeat = false,
+                         .victim_world_rank = 1,
+                         .extra_victims = m == 2 ? std::vector<int>{2} : std::vector<int>{}});
+      mpi::JobLauncher launcher(mc.cluster, &injector,
+                                {.max_restarts = 1, .runtime = {.model_network = true}});
+      std::atomic<int> restored{0};
+      const auto result = launcher.run(kN, [&](mpi::Comm& world) {
+        Session session = SessionBuilder{}
+                              .strategy(strategy)
+                              .group_size(kN)
+                              .parity_degree(m)
+                              .data_bytes(kDataBytes)
+                              .user_bytes(8)
+                              .key_prefix("rebuild")
+                              .vault(&vault)
+                              .device(storage::ssd_profile())
+                              .build(world);
+        if (session.open() == OpenOutcome::kFresh) {
+          session.commit();
+          world.failpoint("app.kill");
+          return;
+        }
+        const RestoreStats& stats = session.last_restore().value();
+        if (strategy == Strategy::kBlcr) {
+          EXPECT_EQ(stats.rebuild_wire_bytes, 0u) << what;
+          EXPECT_EQ(stats.rebuild_virtual_s, 0.0) << what;
+        } else {
+          const std::uint64_t k = kN - m;
+          const std::uint64_t stripe =
+              enc::GroupCodec(enc::CodecKind::kXor, kDataBytes + 8, kN, m).stripe_bytes();
+          EXPECT_EQ(stats.rebuild_wire_bytes, static_cast<std::uint64_t>(m) * kN * k * stripe)
+              << what << " rank " << world.rank();
+          EXPECT_GT(stats.rebuild_virtual_s, 0.0) << what << " rank " << world.rank();
+        }
+        ++restored;
+      });
+      EXPECT_TRUE(result.success) << what << ": " << result.failure;
+      EXPECT_EQ(result.restarts, 1) << what;
+      EXPECT_EQ(restored.load(), kN) << what;
+    }
   }
 }
 
