@@ -28,10 +28,13 @@ echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + codec + protocol + HPL sui
 # The SIMD tier must be droppable at configure time with zero behaviour
 # change: the kernels' scalar paths and the runtime dispatcher carry the
 # same contracts, so the full kernel/codec/protocol suites run against a
-# build where AVX2 code does not even exist. The delta encode's fill and
-# fold call the XOR/SUM kernels on sub-stripe slices of every length a
-# block run can have, so test_collectives (the sparse reduce) and
-# test_failure_matrix (sub-stripe commits killed mid-way) run here too.
+# build where AVX2 code does not even exist. The delta encode forms its
+# diffs and folds them with the XOR/SUM/GF(2^8) kernels on sub-stripe
+# slices of every length a block run can have, which test_encoding's delta
+# sweep and test_failure_matrix (sub-stripe commits killed mid-way,
+# inside the delta's fold among other steps) carry. test_collectives runs
+# here too: its chunked reduce and ring collectives combine ragged 96-byte
+# segments through the same XOR and SUM kernels.
 # The HPL suites run here as well: the trailing-update GEMM follows the
 # same tier, so they solve and verify on the scalar loop.
 cmake -B build-scalar -S . -DSKT_SIMD=OFF >/dev/null
@@ -59,9 +62,15 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # a lender that freed its buffers before its borrowers let go would show
 # as a use-after-free here. test_failure_matrix's RebuildKillMatrix rows
 # kill a survivor with its terms on loan and the folding replacement
-# during a relaunch's restore, and test_fuzz_failures runs 100 seeded
-# kill schedules, every relaunch of which rebuilds over lent survivor
-# segments.
+# during a relaunch's restore, and its four enc.fold SubStripeMatrix rows
+# (xor_delta_fold, xor_async_delta_fold, rs4p2_delta_fold,
+# rs4p2_async_delta_fold) kill an owner inside the delta encode's fold
+# while it holds a lender's diff view, so lenders unwind with their diff
+# scratch on loan while other owners may still be reading it: a lender
+# that freed its scratch before its loans settled would show as a
+# use-after-free.
+# test_fuzz_failures runs 100 seeded kill schedules, every relaunch of
+# which rebuilds over lent survivor segments.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
@@ -81,10 +90,15 @@ cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # test_encoding (the RS(k, m) encode and rebuild run one thread per member)
 # and test_scrubber (cadence thread vs. rank thread vs. async worker over
 # the commit-exclusion mutex) ride the same lane, as do test_kernels and
-# test_collectives: in the sparse delta reduce several tree children fill
-# one mailbox at once, and the async worker's dup()'d communicator shares
-# the rank's mailbox. test_protocols and test_failure_matrix run the
-# group-coded commit frame on the async worker and kill nodes inside it;
+# test_collectives, whose reduce and ring rounds have several ranks push
+# into one mailbox at once. test_encoding also runs two delta encodes at
+# once, on the rank thread and on a second thread over a dup()'d
+# communicator that shares the rank's mailbox, beside user traffic.
+# test_protocols and test_failure_matrix run the group-coded commit frame
+# on the async worker and kill nodes inside it, the four enc.fold
+# SubStripeMatrix rows (xor_delta_fold, xor_async_delta_fold,
+# rs4p2_delta_fold, rs4p2_async_delta_fold) inside the delta's fold while
+# an owner holds a lender's diff view;
 # test_store_service tears a service down under a queued admission.
 # test_hpl_dist and test_skt_hpl run the panel LU, whose pivot exchange and
 # row interchanges post several sends before their receives across rank

@@ -147,16 +147,16 @@ RestoreStats BlcrCheckpoint::restore(CommCtx ctx) {
   if (!image.has_value() || image->size() != app_.size() + user_.size()) {
     throw Unrecoverable("blcr: image for epoch " + std::to_string(target) + " missing/corrupt");
   }
-  const double read_s = params_.vault->read_seconds(image_key(target), image->size())
-                            .value_or(device_.read_seconds(image->size()));
-  ctx.group.charge_virtual(read_s);
+  stats.device_s = params_.vault->read_seconds(image_key(target), image->size())
+                       .value_or(device_.read_seconds(image->size()));
+  ctx.group.charge_virtual(stats.device_s);
   std::memcpy(app_.data(), image->data(), app_.size());
   std::memcpy(user_.data(), image->data() + app_.size(), user_.size());
   if (params_.async_staging) std::memcpy(stage_.data(), image->data(), stage_.size());
   tracker_.clear();
   epoch_ = target;
 
-  stats.rebuild_s = timer.seconds() + read_s;
+  stats.rebuild_s = timer.seconds();
   ctx.group.record_time("recover", stats.rebuild_s);
   ctx.world.barrier();
   return stats;

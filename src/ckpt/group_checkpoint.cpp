@@ -154,7 +154,7 @@ std::vector<enc::BlockRun> GroupCheckpoint::encode(Commit& c, std::span<const st
   std::vector<enc::BlockRun> changed;
   {
     SKT_SPAN("ckpt.encode");
-    changed = coder_->encode_delta(c.ctx.group, base, next, redundancy, redundancy, c.dirty);
+    changed = coder_->encode_delta(c.ctx.group, base, next, redundancy, c.dirty);
   }
   c.stats.encode_s = timer.seconds();
   c.stats.encode_virtual_s = c.ctx.group.network_seconds() - network_before;

@@ -172,9 +172,11 @@ RestoreStats MultiLevelCheckpoint::restore(CommCtx ctx) {
   std::memcpy(inner_->data().data(), image->data(), params_.data_bytes);
   std::memcpy(inner_->user_state().data(), image->data() + params_.data_bytes,
               params_.user_bytes);
-  const double read_s = params_.vault->read_seconds(image_key(target), image->size())
-                            .value_or(device_.read_seconds(image->size()));
-  ctx.group.charge_virtual(read_s);
+  RestoreStats stats;
+  stats.epoch = target;
+  stats.device_s = params_.vault->read_seconds(image_key(target), image->size())
+                       .value_or(device_.read_seconds(image->size()));
+  ctx.group.charge_virtual(stats.device_s);
 
   // Re-establish level-1 redundancy immediately: the restored data gets a
   // fresh in-memory checkpoint so the next failure is cheap again. Reseed
@@ -185,9 +187,7 @@ RestoreStats MultiLevelCheckpoint::restore(CommCtx ctx) {
   inner_->reseed_epoch(ctx, target - 1);
   inner_->commit(ctx);
 
-  RestoreStats stats;
-  stats.epoch = target;
-  stats.rebuild_s = timer.seconds() + read_s;
+  stats.rebuild_s = timer.seconds();
   used_disk_ = true;
   disk_epoch_.store(target, std::memory_order_release);
   ctx.group.record_time("recover", stats.rebuild_s);

@@ -94,7 +94,10 @@ struct CommitStats {
 
 struct RestoreStats {
   std::uint64_t epoch = 0;  ///< epoch restored to
-  double rebuild_s = 0.0;   ///< decoding / device read time
+  double rebuild_s = 0.0;   ///< decoding / image load, wall time
+  /// Virtual device time of reading the image (disk restores); never part
+  /// of rebuild_s, and 0 for the group-coded strategies.
+  double device_s = 0.0;
   bool rebuilt_member = false;  ///< true on the rank that was reconstructed
   /// Payload bytes the rebuild lent on the (simulated) wire, summed over
   /// every rank of the world, so every rank reads the same value; 0 when

@@ -101,51 +101,4 @@ std::size_t dirty_bytes(std::span<const StripeRuns> exchanged, std::size_t strip
   return bytes;
 }
 
-std::vector<FamilyPiece> family_pieces(
-    std::span<const StripeRuns> exchanged, std::size_t stripe_count,
-    std::span<const std::pair<int, std::size_t>> contributors) {
-  const auto record = [&](const std::pair<int, std::size_t>& c) -> const StripeRuns& {
-    return exchanged[static_cast<std::size_t>(c.first) * stripe_count + c.second];
-  };
-  std::vector<std::size_t> cuts;
-  for (const auto& c : contributors) {
-    const StripeRuns& r = record(c);
-    for (std::size_t i = 0; i < kRunsPerStripe; ++i) {
-      if (r.first[i] == r.end[i]) continue;
-      cuts.push_back(r.first[i]);
-      cuts.push_back(r.end[i]);
-    }
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-  std::vector<FamilyPiece> pieces;
-  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
-    FamilyPiece piece{.first = cuts[k], .end = cuts[k + 1], .sources = {}};
-    for (const auto& c : contributors) {
-      const StripeRuns& r = record(c);
-      for (std::size_t i = 0; i < kRunsPerStripe; ++i) {
-        if (r.first[i] <= piece.first && piece.end <= r.end[i]) {
-          piece.sources.push_back(c.first);
-          break;
-        }
-      }
-    }
-    if (!piece.sources.empty()) pieces.push_back(std::move(piece));
-  }
-  return pieces;
-}
-
-void append_changed(std::vector<BlockRun>& changed, std::size_t stripe,
-                    std::span<const FamilyPiece> pieces) {
-  for (const FamilyPiece& piece : pieces) {
-    if (!changed.empty() && changed.back().stripe == stripe &&
-        changed.back().end == piece.first) {
-      changed.back().end = piece.end;
-    } else {
-      changed.push_back({stripe, piece.first, piece.end});
-    }
-  }
-}
-
 }  // namespace skt::enc

@@ -10,7 +10,9 @@
 // Byte o of every parity row of a family combines
 // only byte o of each member's stripe for that family, so a dirty byte
 // range of a stripe changes only the same range of its checksum. That is
-// what lets encode_delta move a run's bytes instead of its whole stripe.
+// what lets encode_delta move a run's bytes instead of its whole stripe:
+// each member lends the diff of each of its exchanged runs, whole, to the
+// owner of every parity row the stripe feeds.
 //
 // The delta encode exchanges every member's runs in a fixed record of
 // kRunsPerStripe block ranges per stripe (StripeRuns, 8 bytes), so the
@@ -24,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace skt::mpi {
@@ -121,14 +122,6 @@ class RunSet {
   std::vector<StripeRuns> stripes_;
 };
 
-/// One piece of a family's dirty union: blocks [first, end) of the
-/// family's stripes, dirty on exactly the contributors in `sources`.
-struct FamilyPiece {
-  std::size_t first = 0;
-  std::size_t end = 0;
-  std::vector<int> sources;
-};
-
 /// Collective over `group`: pack this member's `runs` over its
 /// `stripe_count` stripes of `stripe_bytes` into the exchange format and
 /// allgather them. Returns group.size() * stripe_count records, member
@@ -139,23 +132,9 @@ struct FamilyPiece {
                                                     std::size_t stripe_count);
 
 /// Bytes the exchanged records mark dirty, over stripes of `stripe_bytes`:
-/// what a sparse delta moves once per parity row, since every piece is
-/// sent once by each of its sources.
+/// what a sparse delta moves once per parity row, since every run is lent
+/// once to each row's owner.
 [[nodiscard]] std::size_t dirty_bytes(std::span<const StripeRuns> exchanged,
                                       std::size_t stripe_bytes);
-
-/// Split one family's dirty union into pieces at every endpoint of its
-/// contributors' runs, so each piece is dirty on every one of its sources
-/// and on no other contributor. `contributors` lists (member, that
-/// member's stripe index for the family) in the order the sources of each
-/// piece should appear. Pieces come in ascending block order.
-[[nodiscard]] std::vector<FamilyPiece> family_pieces(
-    std::span<const StripeRuns> exchanged, std::size_t stripe_count,
-    std::span<const std::pair<int, std::size_t>> contributors);
-
-/// Merge adjacent pieces of one family into the runs of stripe `stripe`
-/// of a redundancy buffer they change.
-void append_changed(std::vector<BlockRun>& changed, std::size_t stripe,
-                    std::span<const FamilyPiece> pieces);
 
 }  // namespace skt::enc

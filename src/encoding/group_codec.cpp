@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "encoding/gf256.hpp"
@@ -42,29 +44,36 @@ struct Weight {
   bool negate = false;
 };
 
-/// out = sum_i w[i] * in[i]: XOR with GF(2^8) weights, or the signed sum
-/// over double lanes for SUM, whose first source is never negated. The
-/// first two weight-1 XOR sources combine in one pass; every further
-/// source is one pass over `out`.
+/// out = sum_i w[i] * in[i] or, `onto`, out += that sum: XOR with GF(2^8)
+/// weights, or the signed sum over double lanes for SUM, whose first
+/// source is never negated when it replaces `out`. Replacing, the first
+/// two weight-1 XOR sources combine in one pass; every further source is
+/// one pass over `out`.
 void combine(CodecKind kind, std::span<std::byte> out,
-             std::span<const std::span<const std::byte>> in, std::span<const Weight> w) {
+             std::span<const std::span<const std::byte>> in, std::span<const Weight> w,
+             bool onto) {
+  std::size_t i = 0;
   if (kind == CodecKind::kSum) {
     const std::span<double> acc = as_lanes<double>(out);
-    std::memcpy(out.data(), in[0].data(), out.size());
-    for (std::size_t i = 1; i < in.size(); ++i) {
+    if (!onto) {
+      std::memcpy(out.data(), in[0].data(), out.size());
+      i = 1;
+    }
+    for (; i < in.size(); ++i) {
       (w[i].negate ? kernels::sum_sub : kernels::sum_acc)(acc, as_lanes<double>(in[i]));
     }
     return;
   }
-  std::size_t i = 0;
-  if (in.size() >= 2 && w[0].coeff == 1 && w[1].coeff == 1) {
-    kernels::xor_delta(out, in[0], in[1]);
-    i = 2;
-  } else if (w[0].coeff == 1) {
-    std::memcpy(out.data(), in[0].data(), out.size());
-    i = 1;
-  } else {
-    std::memset(out.data(), 0, out.size());
+  if (!onto) {
+    if (in.size() >= 2 && w[0].coeff == 1 && w[1].coeff == 1) {
+      kernels::xor_delta(out, in[0], in[1]);
+      i = 2;
+    } else if (w[0].coeff == 1) {
+      std::memcpy(out.data(), in[0].data(), out.size());
+      i = 1;
+    } else {
+      std::memset(out.data(), 0, out.size());
+    }
   }
   const std::span<std::uint8_t> out8{reinterpret_cast<std::uint8_t*>(out.data()), out.size()};
   for (; i < in.size(); ++i) {
@@ -73,42 +82,72 @@ void combine(CodecKind kind, std::span<std::byte> out,
   }
 }
 
-/// out = the weighted sum of the borrowed `views`, folded one 64 KiB
-/// segment at a time, so every source byte is read once where it sits and
-/// each segment of `out` stays in cache while its sources combine into it.
-/// Shared by the encode (a parity slot from its family's stripes) and the
-/// rebuild (a lost block from its survivors' terms).
-void fold(CodecKind kind, std::span<std::byte> out, std::span<const mpi::Comm::Borrowed> views,
-          std::span<const Weight> w) {
-  std::vector<std::span<const std::byte>> in(views.size());
-  for (std::size_t off = 0; off < out.size(); off += mpi::kCollectiveChunkBytes) {
-    const std::size_t len = std::min(mpi::kCollectiveChunkBytes, out.size() - off);
-    for (std::size_t i = 0; i < views.size(); ++i) in[i] = views[i].read(off, len);
-    combine(kind, out.subspan(off, len), in, w);
-  }
-}
-
-/// A block of one member's buffers: data stripe `index`, or, with
-/// `parity`, redundancy slot `index`.
-struct BlockAt {
-  bool parity = false;
-  std::size_t index = 0;
-};
-
-/// One survivor's share of a lost block.
+/// One weighted input of a block: bytes that `member` lends, as large as
+/// the block's output. `bytes` is read on that member only.
 struct Term {
   int member = 0;
-  BlockAt at;
+  std::span<const std::byte> bytes;
   Weight weight;
 };
 
-/// A block lost `member` gets back at `at`: the weighted sum of its k
-/// survivors' `terms`, at most one per survivor.
-struct LostBlock {
-  int member = 0;
-  BlockAt at;
+/// One output of an operation: `writer` folds the weighted sum of `terms`
+/// into `out`, replacing the bytes there or, with `onto`, adding to them.
+/// `out` is written on the writer only.
+struct Block {
+  int writer = 0;
+  std::span<std::byte> out;
+  bool onto = false;
   std::vector<Term> terms;
 };
+
+/// Moves the bytes of `blocks`, which every member lists alike, by loans:
+/// every term is lent to its block's writer, and each writer borrows its
+/// blocks' terms and folds them into `out` one 64 KiB segment at a time,
+/// so every source byte is read once where it sits and each segment of
+/// `out` stays in cache while its sources combine into it. A writer passes
+/// `failpoint` once per block, holding that block's views. Returns this
+/// member's loans; the lent bytes must stay alive and unchanged until the
+/// caller has waited on them.
+[[nodiscard]] std::vector<mpi::Comm::Loan> lend_and_fold(mpi::Comm& group, CodecKind kind,
+                                                         std::span<const Block> blocks,
+                                                         std::string_view failpoint) {
+  const int me = group.rank();
+  // One tag for the whole operation: between any two members the loans go
+  // out and are borrowed in block order, and the mailbox is FIFO per
+  // source, tag and comm. Lending never blocks, so every member's terms
+  // are out before anyone folds.
+  const mpi::Tag tag = group.reserve_tag();
+  std::vector<mpi::Comm::Loan> loans;
+  for (const Block& block : blocks) {
+    for (const Term& t : block.terms) {
+      if (t.member == me) loans.push_back(group.lend(block.writer, tag, t.bytes));
+    }
+  }
+  std::vector<mpi::Comm::Borrowed> views;
+  std::vector<Weight> weights;
+  std::vector<std::span<const std::byte>> in;
+  for (const Block& block : blocks) {
+    if (block.writer != me) continue;
+    views.clear();
+    weights.clear();
+    for (const Term& t : block.terms) {
+      views.push_back(group.borrow(t.member, tag, block.out.size()));
+      weights.push_back(t.weight);
+    }
+    // Holding the block's views: a death here must stop the lenders,
+    // whose bytes this member is reading.
+    group.failpoint(failpoint);
+    in.resize(views.size());
+    for (std::size_t off = 0; off < block.out.size(); off += mpi::kCollectiveChunkBytes) {
+      const std::size_t len = std::min(mpi::kCollectiveChunkBytes, block.out.size() - off);
+      for (std::size_t i = 0; i < views.size(); ++i) in[i] = views[i].read(off, len);
+      combine(kind, block.out.subspan(off, len), in, weights, block.onto);
+    }
+  }
+  // The views go before the caller waits on this member's loans: their
+  // borrowers may be waiting on loans of their own in turn.
+  return loans;
+}
 
 }  // namespace
 
@@ -189,69 +228,47 @@ void GroupCodec::encode(mpi::Comm& group, std::span<const std::byte> data,
                         std::span<std::byte> redundancy) const {
   check_args(group, data.size(), redundancy.size());
   const int n = group_size_;
-  const int me = group.rank();
   const std::size_t stripe = stripe_bytes_;
-  // One tag for the whole encode: between any two members the loans of
-  // several rows go out and are borrowed in the same row order, and the
-  // mailbox is FIFO per source, tag and comm.
-  const mpi::Tag tag = group.reserve_tag();
-  // Lend every stripe to the owner of each parity row it feeds; lending
-  // never blocks, so every member's stripes are out before anyone folds.
-  std::vector<mpi::Comm::Loan> loans;
-  loans.reserve(stripe_count() * static_cast<std::size_t>(parity_count_));
+  // Slot j of member (f + j) mod n is row j of family f: its k stripes,
+  // weighted by the generator. Blocks go in row order, so every owner
+  // folds its slots in slot order.
+  std::vector<Block> blocks;
   for (int row = 0; row < parity_count_; ++row) {
     for (int f = 0; f < n; ++f) {
-      if (!contributes(me, f)) continue;
-      const std::span<const std::byte> mine = data.subspan(stripe_index(me, f) * stripe, stripe);
-      loans.push_back(group.lend(parity_owner(row, f), tag, mine));
+      Block block{.writer = parity_owner(row, f),
+                  .out = redundancy.subspan(static_cast<std::size_t>(row) * stripe, stripe)};
+      for (int p = 0; p < n; ++p) {
+        if (!contributes(p, f)) continue;
+        block.terms.push_back({.member = p,
+                               .bytes = data.subspan(stripe_index(p, f) * stripe, stripe),
+                               .weight = {.coeff = coefficient(row, p, f)}});
+      }
+      blocks.push_back(std::move(block));
     }
   }
-  // Slot j holds row j of family (me - j) mod n: fold that family's k lent
-  // stripes straight into it, weighted by the generator.
-  std::vector<mpi::Comm::Borrowed> views;
-  std::vector<Weight> weights;
-  for (int row = 0; row < parity_count_; ++row) {
-    const int f = (me - row + n) % n;
-    views.clear();
-    weights.clear();
-    for (int p = 0; p < n; ++p) {
-      if (!contributes(p, f)) continue;
-      views.push_back(group.borrow(p, tag, stripe));
-      weights.push_back({.coeff = coefficient(row, p, f)});
-    }
-    // Holding the slot's views: a node death here leaves peers reading
-    // this member's lent stripes, which its unwinding must wait out.
-    group.failpoint("enc.fold");
-    fold(kind_, redundancy.subspan(static_cast<std::size_t>(row) * stripe, stripe), views,
-         weights);
-  }
-  // Release the views before waiting on this member's own loans: its
-  // borrowers may be waiting on theirs in turn.
-  views.clear();
-  for (mpi::Comm::Loan& loan : loans) loan.wait();
+  for (mpi::Comm::Loan& loan : lend_and_fold(group, kind_, blocks, "enc.fold")) loan.wait();
 }
 
 std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
                                                std::span<const std::byte> base,
                                                std::span<const std::byte> next,
-                                               std::span<const std::byte> old_redundancy,
                                                std::span<std::byte> redundancy,
                                                std::span<const BlockRun> dirty) const {
   check_args(group, next.size(), redundancy.size());
-  if (base.size() != next.size() || old_redundancy.size() != redundancy.size()) {
-    throw std::invalid_argument("GroupCodec::encode_delta: base/old buffer size mismatch");
+  if (base.size() != next.size()) {
+    throw std::invalid_argument("GroupCodec::encode_delta: base buffer size mismatch");
   }
   const int n = group_size_;
+  const int me = group.rank();
   const std::size_t stripes = stripe_count();
   const std::size_t stripe = stripe_bytes_;
 
-  // Every member sees every member's runs, so all of them derive the same
-  // path and the same reductions: one per piece of each dirty family's
-  // union and parity row, rooted at the row's owner, over the contributors
-  // dirty on that piece. Sources are listed from the owner onward
-  // (relative rank order), so the interior nodes of different families'
-  // trees fall on different members.
+  // Every member sees every member's runs, so all of them take the same
+  // path and list the same blocks.
   const std::vector<StripeRuns> exchanged = exchange_runs(group, dirty, stripe, stripes);
+  const auto runs_of = [&](int p, std::size_t s) -> const StripeRuns& {
+    return exchanged[static_cast<std::size_t>(p) * stripes + s];
+  };
 
   // At least half of the group's bytes dirty: the full encode reads every
   // stripe where it sits, in one pass per row, instead of forming and
@@ -265,70 +282,74 @@ std::vector<BlockRun> GroupCodec::encode_delta(mpi::Comm& group,
     return all;
   }
 
-  struct Piece {
-    int family;
-    int row;
-    ByteRange range;  ///< within the family's stripes
-  };
-  std::vector<mpi::Comm::SparseReduction> reductions;
-  std::vector<Piece> pieces;
-  std::vector<BlockRun> changed;
-  const int me = group.rank();
-  for (int f = 0; f < n; ++f) {
-    for (int row = 0; row < parity_count_; ++row) {
-      const int root = parity_owner(row, f);
-      std::vector<std::pair<int, std::size_t>> contributors;
-      for (int step = 1; step < n; ++step) {
-        const int p = (root + step) % n;
-        if (contributes(p, f)) contributors.emplace_back(p, stripe_index(p, f));
+  // The diff of each of this member's runs, formed once and lent to every
+  // row's owner, in scratch that outlives the loans: new ^ old, or
+  // new - old over SUM lanes.
+  util::AlignedBuffer scratch(dirty_bytes(
+      std::span(exchanged).subspan(static_cast<std::size_t>(me) * stripes, stripes), stripe));
+  std::vector<std::span<const std::byte>> diffs(stripes * kRunsPerStripe);
+  std::size_t used = 0;
+  for (std::size_t s = 0; s < stripes; ++s) {
+    for (std::size_t i = 0; i < kRunsPerStripe; ++i) {
+      const ByteRange r = block_bytes(runs_of(me, s).first[i], runs_of(me, s).end[i], stripe);
+      if (r.size() == 0) continue;
+      const std::span<std::byte> diff{scratch.data() + used, r.size()};
+      const std::span<const std::byte> b = base.subspan(s * stripe + r.begin, r.size());
+      const std::span<const std::byte> x = next.subspan(s * stripe + r.begin, r.size());
+      if (kind_ == CodecKind::kSum) {
+        std::memcpy(diff.data(), x.data(), diff.size());
+        kernels::sum_sub(as_lanes<double>(diff), as_lanes<double>(b));
+      } else {
+        kernels::xor_delta(diff, b, x);
       }
-      const std::vector<FamilyPiece> family = family_pieces(exchanged, stripes, contributors);
-      for (const FamilyPiece& piece : family) {
-        const ByteRange range = block_bytes(piece.first, piece.end, stripe);
-        reductions.push_back({.root = root, .sources = piece.sources, .bytes = range.size()});
-        pieces.push_back({f, row, range});
-      }
-      if (root == me) append_changed(changed, static_cast<std::size_t>(row), family);
+      diffs[s * kRunsPerStripe + i] = diff;
+      used += r.size();
     }
   }
 
-  if (redundancy.data() != old_redundancy.data()) {
-    std::memcpy(redundancy.data(), old_redundancy.data(), redundancy.size());
-  }
-  const auto fill = [&](std::size_t i, std::size_t off, std::span<std::byte> out) {
-    const Piece& p = pieces[i];
-    const std::size_t at = stripe_index(me, p.family) * stripe + p.range.begin + off;
-    const std::span<const std::byte> b = base.subspan(at, out.size());
-    const std::span<const std::byte> x = next.subspan(at, out.size());
-    const std::uint8_t c = coefficient(p.row, me, p.family);
-    if (kind_ == CodecKind::kSum) {
-      std::memcpy(out.data(), x.data(), out.size());
-      kernels::sum_sub(as_lanes<double>(out), as_lanes<double>(b));
-    } else if (c == 1) {
-      kernels::xor_delta(out, b, x);
-    } else {
-      // c * (old ^ new) = c * old ^ c * new, accumulated straight into the
-      // zeroed outgoing segment.
-      const std::span<std::uint8_t> out8{reinterpret_cast<std::uint8_t*>(out.data()),
-                                         out.size()};
-      kernels::gf256_mul_acc(out8, {reinterpret_cast<const std::uint8_t*>(b.data()), b.size()},
-                             c);
-      kernels::gf256_mul_acc(out8, {reinterpret_cast<const std::uint8_t*>(x.data()), x.size()},
-                             c);
+  // One block per run and parity row: the row's owner folds the run's
+  // diff, weighted by the row's coefficient, onto the old parity at the
+  // run's offset, and its slot changes over the union of those runs.
+  std::vector<Block> blocks;
+  std::vector<BlockRun> changed;
+  for (int row = 0; row < parity_count_; ++row) {
+    const auto slot = static_cast<std::size_t>(row);
+    for (int f = 0; f < n; ++f) {
+      const int owner = parity_owner(row, f);
+      for (int p = 0; p < n; ++p) {
+        if (!contributes(p, f)) continue;
+        const std::size_t s = stripe_index(p, f);
+        const StripeRuns& runs = runs_of(p, s);
+        for (std::size_t i = 0; i < kRunsPerStripe; ++i) {
+          const ByteRange r = block_bytes(runs.first[i], runs.end[i], stripe);
+          if (r.size() == 0) continue;
+          blocks.push_back(
+              {.writer = owner,
+               .out = redundancy.subspan(slot * stripe + r.begin, r.size()),
+               .onto = true,
+               .terms = {{.member = p,
+                          .bytes = p == me ? diffs[s * kRunsPerStripe + i]
+                                           : std::span<const std::byte>{},
+                          .weight = {.coeff = coefficient(row, p, f)}}}});
+          if (owner == me) changed.push_back({slot, runs.first[i], runs.end[i]});
+        }
+      }
     }
-  };
-  const auto fold = [&](std::size_t i, std::size_t off, std::span<const std::byte> in) {
-    const Piece& p = pieces[i];
-    const std::size_t at = static_cast<std::size_t>(p.row) * stripe + p.range.begin + off;
-    accumulate(kind_, redundancy.subspan(at, in.size()), in);
-  };
-  with_lanes(kind_, [&]<typename T, typename Op>(T, Op op) {
-    group.reduce_sparse<T>(reductions, op, fill, fold);
-  });
+  }
+  for (mpi::Comm::Loan& loan : lend_and_fold(group, kind_, blocks, "enc.fold")) loan.wait();
+
   std::sort(changed.begin(), changed.end(), [](const BlockRun& a, const BlockRun& b) {
-    return a.stripe != b.stripe ? a.stripe < b.stripe : a.first < b.first;
+    return std::tie(a.stripe, a.first) < std::tie(b.stripe, b.first);
   });
-  return changed;
+  std::vector<BlockRun> merged;
+  for (const BlockRun& run : changed) {
+    if (!merged.empty() && merged.back().stripe == run.stripe && run.first <= merged.back().end) {
+      merged.back().end = std::max(merged.back().end, run.end);
+    } else {
+      merged.push_back(run);
+    }
+  }
+  return merged;
 }
 
 void GroupCodec::encode_reference(mpi::Comm& group, std::span<const std::byte> data,
@@ -369,7 +390,15 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
   }
   const auto is_lost = [&](int p) { return std::binary_search(lost.begin(), lost.end(), p); };
 
-  std::vector<LostBlock> blocks;
+  const int me = group.rank();
+  const std::size_t stripe = stripe_bytes_;
+  const auto slot = [&](int row) {
+    return redundancy.subspan(static_cast<std::size_t>(row) * stripe, stripe);
+  };
+  const auto stripe_of = [&](int p, int f) {
+    return data.subspan(stripe_index(p, f) * stripe, stripe);
+  };
+  std::vector<Block> blocks;
   for (int f = 0; f < n; ++f) {
     // Partition this family's losses: contributors to re-solve vs parity
     // rows to recompute. A member is one or the other, never both, so
@@ -397,7 +426,7 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
     // from a copy of it.
     const std::size_t L = lost_data.size();
     // `u` holds lam on entry and is solved into u in place.
-    const auto add_block = [&](int member, BlockAt at, std::vector<std::uint8_t> u,
+    const auto add_block = [&](int member, std::span<std::byte> out, std::vector<std::uint8_t> u,
                                std::vector<std::uint8_t> mu) {
       if (L > 0) {
         std::vector<std::uint8_t> system(L * L);
@@ -410,21 +439,20 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
           throw std::logic_error("GroupCodec: singular rebuild system");
         }
       }
-      LostBlock block{.member = member, .at = at, .terms = {}};
+      Block block{.writer = member, .out = out};
       for (std::size_t a = 0; a < L; ++a) {
         for (std::size_t i = 0; i < alive_data.size(); ++i) {
           mu[i] ^= gf256::mul(u[a], coefficient(live_rows[a], alive_data[i], f));
         }
         const int row = live_rows[a];
-        block.terms.push_back({.member = parity_owner(row, f),
-                               .at = {.parity = true, .index = static_cast<std::size_t>(row)},
-                               .weight = {.coeff = u[a]}});
+        block.terms.push_back(
+            {.member = parity_owner(row, f), .bytes = slot(row), .weight = {.coeff = u[a]}});
       }
       for (std::size_t i = 0; i < alive_data.size(); ++i) {
         const int p = alive_data[i];
         block.terms.push_back(
             {.member = p,
-             .at = {.parity = false, .index = stripe_index(p, f)},
+             .bytes = stripe_of(p, f),
              .weight = {.coeff = mu[i], .negate = kind_ == CodecKind::kSum && L > 0}});
       }
       blocks.push_back(std::move(block));
@@ -432,8 +460,8 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
     for (std::size_t b = 0; b < L; ++b) {
       std::vector<std::uint8_t> lam(L, 0);
       lam[b] = 1;
-      add_block(lost_data[b], {.parity = false, .index = stripe_index(lost_data[b], f)},
-                std::move(lam), std::vector<std::uint8_t>(alive_data.size(), 0));
+      add_block(lost_data[b], stripe_of(lost_data[b], f), std::move(lam),
+                std::vector<std::uint8_t>(alive_data.size(), 0));
     }
     // A lost parity row is sum_p c_row(p) * D_p over every contributor,
     // the lost ones included.
@@ -444,48 +472,16 @@ void GroupCodec::rebuild(mpi::Comm& group, std::span<const int> missing,
       for (std::size_t i = 0; i < alive_data.size(); ++i) {
         mu[i] = coefficient(row, alive_data[i], f);
       }
-      add_block(parity_owner(row, f), {.parity = true, .index = static_cast<std::size_t>(row)},
-                std::move(lam), std::move(mu));
+      add_block(parity_owner(row, f), slot(row), std::move(lam), std::move(mu));
     }
   }
 
-  // The encode's shape, with the lost members as the owners: every
-  // survivor lends each of its terms to the lost member that needs it, and
-  // that member folds each block's k borrowed terms straight into its
-  // buffers. Between a survivor and a lost member the loans go out and are
-  // borrowed in block order, under one tag.
-  const int me = group.rank();
-  const std::size_t stripe = stripe_bytes_;
-  const auto bytes_at = [&](BlockAt at) {
-    return (at.parity ? redundancy : data).subspan(at.index * stripe, stripe);
-  };
-  const mpi::Tag tag = group.reserve_tag();
-  std::vector<mpi::Comm::Loan> loans;
-  for (const LostBlock& block : blocks) {
-    for (const Term& t : block.terms) {
-      if (t.member == me) loans.push_back(group.lend(block.member, tag, bytes_at(t.at)));
-    }
-  }
-  std::vector<mpi::Comm::Borrowed> views;
-  std::vector<Weight> weights;
-  for (const LostBlock& block : blocks) {
-    if (block.member != me) continue;
-    views.clear();
-    weights.clear();
-    for (const Term& t : block.terms) {
-      views.push_back(group.borrow(t.member, tag, stripe));
-      weights.push_back(t.weight);
-    }
-    // Holding the block's views: a death here must stop the survivors,
-    // whose lent bytes this member is reading.
-    group.failpoint("enc.rebuild");
-    fold(kind_, bytes_at(block.at), views, weights);
-  }
-  if (!is_lost(me)) {
-    // Lent, not yet settled: a death here unwinds with bytes on loan.
-    group.failpoint("enc.rebuild");
-    for (mpi::Comm::Loan& loan : loans) loan.wait();
-  }
+  // The encode's shape, with the lost members as the writers: every
+  // survivor lends each of its terms to the lost member that needs it.
+  std::vector<mpi::Comm::Loan> loans = lend_and_fold(group, kind_, blocks, "enc.rebuild");
+  // Lent, not yet settled: a death here unwinds with bytes on loan.
+  if (!is_lost(me)) group.failpoint("enc.rebuild");
+  for (mpi::Comm::Loan& loan : loans) loan.wait();
 }
 
 bool GroupCodec::verify(mpi::Comm& group, std::span<const std::byte> data,

@@ -19,18 +19,15 @@
 // CodecKind::kSum (m = 1 only) the same all-ones row is numeric addition
 // over doubles. m >= 2 always runs on GF(2^8), whatever the kind.
 //
-// encode() is owner-computes over lent stripes (Comm::lend): every member
-// lends each stripe to the owner of each parity row it feeds, and each
-// owner folds its slot's k lent stripes straight into the slot, segment by
-// segment, weighted by the generator, so every source byte is read once
-// where it sits and every parity byte is written once. This is the
-// paper's per-family reduce rooted at the family's owner, with the roots
-// rotating over the group, done in place. rebuild() describes every block
-// the lost members need back as a weighted sum of k survivors' blocks and
-// moves them the same way, with the lost members as the owners: every
-// survivor lends each term block to the lost member that needs it, which
-// folds the block's k terms straight into its own buffers through the
-// encode's fold.
+// Every operation moves its bytes the same way, as the paper's per-family
+// reduce rooted at the family's owner, done in place: it lists its output
+// blocks, each a weighted sum of terms that members lend (Comm::lend) to
+// the block's writer, which folds them straight into its buffer, segment
+// by segment, so every source byte is read once where it sits and nothing
+// is copied. encode() writes every parity slot from its family's k lent
+// stripes; encode_delta() folds each dirty run's lent diff onto the old
+// parity; rebuild() writes every block the lost members need back from k
+// survivors' lent blocks.
 #pragma once
 
 #include <cstddef>
@@ -80,38 +77,35 @@ class GroupCodec {
   void encode(mpi::Comm& group, std::span<const std::byte> data,
               std::span<std::byte> redundancy) const;
 
-  /// Collective delta re-encode (dirty-block commits). `base` is the
-  /// buffer `old_redundancy` was encoded from, `next` the current buffer,
-  /// and `dirty` the runs of THIS member's padded buffer (block_runs.hpp)
-  /// that may differ between the two. `base` and `next` are read only
-  /// inside the runs as the exchange packs them: a RunSet's runs are read
-  /// as given, while a stripe with more than kRunsPerStripe runs is also
-  /// read across the gap the packing merges. Produces the same
-  /// `redundancy` as encode(next): bit-identical for XOR and GF(2^8),
-  /// tolerance-equal for SUM.
+  /// Collective delta re-encode (dirty-block commits), in place.
+  /// `redundancy` holds the parity encoded from `base`; `next` is the
+  /// current buffer, and `dirty` the runs of THIS member's padded buffer
+  /// (block_runs.hpp) that may differ between the two. `base` and `next`
+  /// are read only inside the runs as the exchange packs them: a RunSet's
+  /// runs are read as given, while a stripe with more than kRunsPerStripe
+  /// runs is also read across the gap the packing merges. Leaves
+  /// `redundancy` as encode(next) would: bit-identical for XOR and
+  /// GF(2^8), tolerance-equal for SUM.
   ///
   /// The members exchange their runs in a fixed 8-byte record per stripe
-  /// (exchange_runs), so every member sees every member's runs. Each
-  /// dirty family's union of runs is cut into pieces at its contributors'
-  /// run endpoints. When less than half of the group's bytes are dirty,
-  /// each piece of each parity row reduces its contributors' weighted
-  /// diffs (new ^ old, new - old, or c * (new ^ old)) onto the row's owner
-  /// along a binomial tree of those contributors (Comm::reduce_sparse),
-  /// and the owner folds the result into the old parity at the piece's
-  /// offset: each dirty byte crosses the wire once per parity row, clean
-  /// bytes send nothing, and no member receives more than
-  /// log2(contributors + 1) copies of a piece. Otherwise the full encode
-  /// runs. `old_redundancy` may alias `redundancy` (the fold is then in
-  /// place).
+  /// (exchange_runs), so every member sees every member's runs. When less
+  /// than half of the group's bytes are dirty, each member forms the diff
+  /// of each of its runs once (new ^ old, or new - old) and lends it to
+  /// the owner of each parity row its stripe feeds, which folds it onto
+  /// the old parity at the run's offset, weighted by the row's
+  /// coefficient: each run crosses the wire once per parity row as one
+  /// loan, clean bytes send nothing, and an owner borrows one diff per
+  /// dirty contributor of a range, up to k. Otherwise the full encode
+  /// runs. An owner passes the failpoint "enc.fold" once per run it folds,
+  /// holding that run's view.
   ///
   /// Returns the runs of `redundancy` (stripe j = parity slot j) that may
-  /// differ from `old_redundancy`, in (slot, block) order: the union of
-  /// each slot's family, every slot whole after a full re-encode, and
-  /// nothing when no dirty run was folded in, so a protocol keeping a twin
-  /// copy refreshes only those.
+  /// have changed, in (slot, block) order: the union of each slot's
+  /// family, every slot whole after a full re-encode, and nothing when no
+  /// dirty run was folded in, so a protocol keeping a twin copy refreshes
+  /// only those.
   std::vector<BlockRun> encode_delta(mpi::Comm& group, std::span<const std::byte> base,
                                      std::span<const std::byte> next,
-                                     std::span<const std::byte> old_redundancy,
                                      std::span<std::byte> redundancy,
                                      std::span<const BlockRun> dirty) const;
 

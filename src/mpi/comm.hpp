@@ -360,105 +360,6 @@ class Comm {
     }
   }
 
-  /// One reduction of a sparse reduce: each member in `sources` holds an
-  /// extent of `bytes`, and their combination lands on `root`, which
-  /// contributes none.
-  struct SparseReduction {
-    int root = 0;
-    std::vector<int> sources;
-    std::size_t bytes = 0;
-  };
-
-  /// Sparse reduce. Every member must pass the same `reductions` (e.g.
-  /// built from allgathered runs); members named in none of them move
-  /// nothing. Reduction i runs a binomial tree over [root, sources...] in
-  /// the given order, rooted at position 0, so each source's extent
-  /// crosses the wire exactly once — as a partial result — and no member
-  /// receives more than log2(sources + 1) extents of it: the bytes of a
-  /// direct send to the root without its fan-in. Extents may differ, each
-  /// a whole number of elements.
-  ///
-  /// A source writes segment bytes [offset, offset + out.size()) of its
-  /// extent for reduction i straight into a zeroed outgoing buffer via
-  /// `fill(i, offset, out)`, combines its children's segments into it with
-  /// `op`, and moves it into the mailbox. The root hands each arriving
-  /// partial segment to `fold(i, offset, in)` instead. Every member walks
-  /// the segments, and within a segment the reductions whose extent
-  /// reaches it, in the same order, so the tree pipelines segment by
-  /// segment and a member may be a source of some reductions and the root
-  /// of others.
-  template <typename T, typename Op, typename Fill, typename Fold>
-  void reduce_sparse(std::span<const SparseReduction> reductions, Op op, Fill&& fill,
-                     Fold&& fold, std::size_t chunk_bytes = kCollectiveChunkBytes) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (chunk_bytes < sizeof(T)) throw std::invalid_argument("reduce_sparse: chunk too small");
-    // This member's tree position in each reduction: 0 = root, j + 1 =
-    // sources[j], -1 = not involved.
-    std::vector<int> position(reductions.size(), -1);
-    std::size_t payload = 0;
-    std::size_t longest = 0;
-    for (std::size_t i = 0; i < reductions.size(); ++i) {
-      const SparseReduction& r = reductions[i];
-      if (r.bytes % sizeof(T) != 0) {
-        throw std::invalid_argument("reduce_sparse: extent is not a whole number of elements");
-      }
-      std::vector<bool> seen(static_cast<std::size_t>(size()), false);
-      if (r.root < 0 || r.root >= size()) throw std::invalid_argument("reduce_sparse: bad root");
-      seen[static_cast<std::size_t>(r.root)] = true;
-      for (const int s : r.sources) {
-        if (s < 0 || s >= size() || seen[static_cast<std::size_t>(s)]) {
-          throw std::invalid_argument("reduce_sparse: bad or repeated source");
-        }
-        seen[static_cast<std::size_t>(s)] = true;
-      }
-      payload += r.sources.size() * r.bytes;
-      longest = std::max(longest, r.bytes);
-      if (r.root == rank_) position[i] = 0;
-      const auto it = std::find(r.sources.begin(), r.sources.end(), rank_);
-      if (it != r.sources.end()) position[i] = static_cast<int>(it - r.sources.begin()) + 1;
-    }
-    static telemetry::Histogram& h_bytes =
-        telemetry::metrics().histogram("mpi.coll.reduce_sparse_bytes", 1.0);
-    h_bytes.record(static_cast<double>(payload));
-    // One tag for the whole collective: a member is at most one node of
-    // each tree, so between any two members the segments flow one way per
-    // (segment, reduction) step, and the mailbox is FIFO per source, tag
-    // and comm while both sides walk the steps in the same order.
-    const Tag tag = collective_tag(next_seq(), 0);
-    const std::size_t segment = chunk_bytes / sizeof(T) * sizeof(T);
-    for (std::size_t off = 0; off < longest; off += segment) {
-      for (std::size_t i = 0; i < reductions.size(); ++i) {
-        const int pos = position[i];
-        const SparseReduction& r = reductions[i];
-        if (pos < 0 || off >= r.bytes) continue;
-        const std::size_t len = std::min(segment, r.bytes - off);
-        const auto member_at = [&r](int p) {
-          return p == 0 ? r.root : r.sources[static_cast<std::size_t>(p - 1)];
-        };
-        std::vector<std::byte> acc;
-        if (pos > 0) {
-          acc.resize(len);
-          fill(i, off, std::span<std::byte>(acc));
-        }
-        // Children sit at pos + 1, pos + 2, pos + 4, ... below pos's lowest
-        // set bit; that bit names the parent.
-        const int sources = static_cast<int>(r.sources.size());
-        for (int mask = 1; (pos & mask) == 0 && pos + mask <= sources; mask <<= 1) {
-          const std::vector<std::byte> in = recv_take(member_at(pos + mask), tag, len);
-          if (pos == 0) {
-            fold(i, off, std::span<const std::byte>(in));
-          } else {
-            combine_inplace<T, Op>(std::span<T>(reinterpret_cast<T*>(acc.data()), len / sizeof(T)),
-                                   std::span<const T>(reinterpret_cast<const T*>(in.data()),
-                                                      len / sizeof(T)),
-                                   op);
-          }
-        }
-        if (pos > 0) send_bytes(member_at(pos - (pos & -pos)), tag, std::move(acc));
-      }
-    }
-  }
-
   /// Ring allreduce: reduce-scatter followed by a ring allgather. Each rank
   /// moves 2(n-1)/n of the payload regardless of n — the bandwidth-optimal
   /// schedule — at the price of 2(n-1) latency steps. Requires

@@ -45,7 +45,7 @@ struct CkptAppConfig {
   /// delta-encode paths. The window is the suffix of data() unless
   /// `hot_begin` places it. A suffix shares the last stripe with the user
   /// state, which every commit rewrites, so a suffix within that stripe
-  /// dirties one stripe per member — the sparse reduce, not the ring.
+  /// dirties one stripe per member — the sparse delta, not the full encode.
   /// The cold remainder keeps its iteration-0 pattern and is verified
   /// against it — a protocol that forgets to carry clean blocks (in S, B,
   /// or the parity delta) fails the data check. Every partially-dirty

@@ -23,14 +23,14 @@ enum class DirtyPattern {
   kOneStripe,        ///< member 1's stripe 0, whole
   kEveryLastStripe,  ///< every member's last stripe, whole
   kBelowHalf,        ///< the most whole stripes that still take the sparse path
-  kAtHalf,           ///< the fewest whole stripes that take the ring encode
+  kAtHalf,           ///< the fewest whole stripes that take the full encode
   kOneBlock,         ///< member 1's stripe 0, block 1
   kStraddleSegment,  ///< member 1's stripe 0, blocks 15-16: across the 64 KiB segment edge
   kShortLastBlock,   ///< every member's last stripe, its short last block
   kTwoRuns,          ///< two runs in member 2's stripe 0 and in member 0's last stripe
   kOverCapacity,     ///< three runs in member 1's stripe 0: the exchange merges two
   kFamilyOverlap,    ///< overlapping and disjoint runs in every member's stripe 0
-  kAll,              ///< every block of every member (ring)
+  kAll,              ///< every block of every member (full encode)
 };
 
 inline constexpr DirtyPattern kDirtyPatterns[] = {
@@ -138,6 +138,19 @@ inline std::size_t group_dirty_bytes(DirtyPattern pattern, int n, std::size_t st
         stripe_bytes);
   }
   return bytes;
+}
+
+/// Runs the whole group exchanges: what a sparse delta lends once per
+/// parity row.
+inline std::size_t group_dirty_runs(DirtyPattern pattern, int n, std::size_t stripe_bytes,
+                                    std::size_t stripes) {
+  const std::size_t blocks = enc::stripe_blocks(stripe_bytes);
+  std::size_t runs = 0;
+  for (int p = 0; p < n; ++p) {
+    runs += exchanged_runs(pattern_runs(pattern, n, stripes, blocks, p), stripe_bytes, stripes)
+                .size();
+  }
+  return runs;
 }
 
 /// The codecs' switch: less than half of the group's bytes dirty -> sparse.

@@ -1,17 +1,11 @@
 // Cross-checks for the bandwidth-optimal collectives: chunked binomial
-// reduce, ring reduce-scatter, ring allreduce, the sparse tree reduce, and
-// the zero-copy send path they are built on. Every result is compared
-// against a locally computed expectation from deterministic per-rank
-// payloads, across comm sizes 1..17 (non-powers-of-two included) and every
-// root.
+// reduce, ring reduce-scatter, ring allreduce, and the zero-copy send path
+// they are built on. Every result is compared against a locally computed
+// expectation from deterministic per-rank payloads, across comm sizes
+// 1..17 (non-powers-of-two included) and every root.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <cstring>
-#include <thread>
 #include <vector>
 
 #include "testing.hpp"
@@ -199,281 +193,6 @@ TEST(Collectives, NodeFailureUnwindsRanksBlockedMidCollective) {
       &injector);
   EXPECT_FALSE(result.completed);
   EXPECT_NE(result.abort_reason.find("mid.collective"), std::string::npos);
-}
-
-// --- sparse reduce -----------------------------------------------------------
-
-using Reductions = std::vector<Comm::SparseReduction>;
-
-/// Lane i of the extent member `rank` contributes to reduction `r`: a pure
-/// function, so a root can check what it folded without shared state.
-std::uint64_t block_lane(std::size_t r, int rank, std::size_t i) {
-  return util::splitmix64((r * 131 + static_cast<std::size_t>(rank)) * 1000003 + i);
-}
-
-/// What the root of each reduction must hold: the XOR of its sources'
-/// extents. Entry r is empty where `rank` is not reduction r's root.
-std::vector<std::vector<std::uint64_t>> expected_roots(const Reductions& reductions, int rank) {
-  std::vector<std::vector<std::uint64_t>> want(reductions.size());
-  for (std::size_t r = 0; r < reductions.size(); ++r) {
-    if (reductions[r].root != rank) continue;
-    want[r].assign(reductions[r].bytes / 8, 0);
-    for (const int s : reductions[r].sources) {
-      for (std::size_t i = 0; i < want[r].size(); ++i) want[r][i] ^= block_lane(r, s, i);
-    }
-  }
-  return want;
-}
-
-/// Runs reduce_sparse (XOR) on `comm`; returns what this member's roots
-/// folded, and counts its fold calls per reduction in `folds`.
-std::vector<std::vector<std::uint64_t>> run_sparse(Comm& comm, const Reductions& reductions,
-                                                   std::vector<int>* folds = nullptr) {
-  std::vector<std::vector<std::uint64_t>> got(reductions.size());
-  for (std::size_t r = 0; r < reductions.size(); ++r) {
-    if (reductions[r].root == comm.rank()) got[r].assign(reductions[r].bytes / 8, 0);
-  }
-  if (folds != nullptr) folds->assign(reductions.size(), 0);
-  comm.reduce_sparse<std::uint64_t>(
-      reductions, BXor{},
-      [&](std::size_t r, std::size_t off, std::span<std::byte> out) {
-        EXPECT_NE(reductions[r].root, comm.rank());
-        for (std::size_t b = 0; b < out.size(); ++b) EXPECT_EQ(out[b], std::byte{0});
-        for (std::size_t i = 0; i < out.size() / 8; ++i) {
-          const std::uint64_t v = block_lane(r, comm.rank(), off / 8 + i);
-          std::memcpy(out.data() + i * 8, &v, 8);
-        }
-      },
-      [&](std::size_t r, std::size_t off, std::span<const std::byte> in) {
-        EXPECT_EQ(reductions[r].root, comm.rank());
-        if (folds != nullptr) ++(*folds)[r];
-        for (std::size_t i = 0; i < in.size() / 8; ++i) {
-          std::uint64_t v;
-          std::memcpy(&v, in.data() + i * 8, 8);
-          got[r][off / 8 + i] ^= v;
-        }
-      },
-      kSmallChunk);
-  return got;
-}
-
-std::size_t segments_of(std::size_t bytes) { return (bytes + kSmallChunk - 1) / kSmallChunk; }
-
-TEST(SparseReduce, EmptyPatternMovesNothing) {
-  MiniCluster mc(4, 0);
-  const auto result = mc.run(4, [](Comm& world) {
-    world.reduce_sparse<std::uint64_t>(
-        std::span<const Comm::SparseReduction>{}, BXor{},
-        [](std::size_t, std::size_t, std::span<std::byte>) { ADD_FAILURE() << "fill"; },
-        [](std::size_t, std::size_t, std::span<const std::byte>) { ADD_FAILURE() << "fold"; });
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-  EXPECT_EQ(result.wire_messages, 0u);
-  EXPECT_EQ(result.wire_bytes, 0u);
-}
-
-TEST(SparseReduce, OneSourceStreamsARaggedBlockInSegments) {
-  // 125 lanes = 1000 bytes in 96-byte segments: ten full and a 40-byte tail.
-  constexpr std::size_t kLanes = 125;
-  const Reductions reductions{{.root = 0, .sources = {2}, .bytes = kLanes * 8}};
-  MiniCluster mc(4, 0);
-  const auto result = mc.run(4, [&](Comm& world) {
-    EXPECT_EQ(run_sparse(world, reductions), expected_roots(reductions, world.rank()))
-        << "rank " << world.rank();
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-  EXPECT_EQ(result.wire_bytes, kLanes * 8);
-  EXPECT_EQ(result.wire_messages, segments_of(kLanes * 8));
-  EXPECT_EQ(result.copied_bytes, 0u);  // segments are filled in place and moved
-}
-
-TEST(SparseReduce, AllSourcesCostTheirBlocksOnceWithLogarithmicFanIn) {
-  // Every member is the root of one reduction over all the others, and
-  // two more reductions share root 1 with ragged source sets, so trees
-  // of every size overlap and a member is source and root at once.
-  for (const int n : {2, 3, 5, 8}) {
-    constexpr std::size_t kLanes = 203;
-    Reductions reductions;
-    for (int root = 0; root < n; ++root) {
-      Comm::SparseReduction r{.root = root, .sources = {}, .bytes = kLanes * 8};
-      for (int step = 1; step < n; ++step) r.sources.push_back((root + step) % n);
-      reductions.push_back(r);
-    }
-    if (n > 2) {
-      reductions.push_back({.root = 1, .sources = {n - 1, 0}, .bytes = kLanes * 8});
-      reductions.push_back({.root = 1, .sources = {0}, .bytes = kLanes * 8});
-    }
-    std::size_t sources = 0;
-    for (const auto& r : reductions) sources += r.sources.size();
-    MiniCluster mc(n, 0);
-    const auto result = mc.run(n, [&](Comm& world) {
-      std::vector<int> folds;
-      EXPECT_EQ(run_sparse(world, reductions, &folds), expected_roots(reductions, world.rank()))
-          << "n=" << n << " rank=" << world.rank();
-      for (std::size_t r = 0; r < reductions.size(); ++r) {
-        if (reductions[r].root != world.rank()) continue;
-        // The root hears from one child per bit of the tree size.
-        const auto children = static_cast<std::size_t>(
-            std::bit_width(reductions[r].sources.size()));
-        EXPECT_EQ(static_cast<std::size_t>(folds[r]), children * segments_of(kLanes * 8))
-            << "n=" << n << " reduction " << r;
-      }
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-    EXPECT_EQ(result.wire_bytes, sources * kLanes * 8);
-    EXPECT_EQ(result.wire_messages, sources * segments_of(kLanes * 8));
-  }
-}
-
-TEST(SparseReduce, SumCombinesPartialsAlongTheTree) {
-  // Integer-valued doubles, so every combination order is exact.
-  constexpr int kN = 7;
-  constexpr std::size_t kLanes = 50;
-  const Reductions reductions{
-      {.root = 3, .sources = {4, 5, 6, 0, 1, 2}, .bytes = kLanes * sizeof(double)}};
-  MiniCluster mc(kN, 0);
-  const auto result = mc.run(kN, [&](Comm& world) {
-    std::vector<double> got(kLanes, 0.0);
-    world.reduce_sparse<double>(
-        reductions, Sum{},
-        [&](std::size_t, std::size_t off, std::span<std::byte> out) {
-          for (std::size_t i = 0; i < out.size() / 8; ++i) {
-            const double v = static_cast<double>((world.rank() + 1) * 100 + off / 8 + i);
-            std::memcpy(out.data() + i * 8, &v, 8);
-          }
-        },
-        [&](std::size_t, std::size_t off, std::span<const std::byte> in) {
-          for (std::size_t i = 0; i < in.size() / 8; ++i) {
-            double v;
-            std::memcpy(&v, in.data() + i * 8, 8);
-            got[off / 8 + i] += v;
-          }
-        },
-        kSmallChunk);
-    if (world.rank() != 3) return;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      double want = 0.0;
-      for (const int s : reductions[0].sources) want += static_cast<double>((s + 1) * 100 + i);
-      EXPECT_EQ(got[i], want) << "lane " << i;
-    }
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(SparseReduce, UnequalExtentsStreamTheirOwnSegments) {
-  // Extents of 1000, 96, 40, 232 and 0 bytes in 96-byte segments: ragged,
-  // exactly one segment, ending mid-way through the first segment, ending
-  // mid-way through the third, and empty. Every member walks the segments
-  // of the longest extent; each reduction stops at its own end, so the
-  // trees still pair up and each source sends exactly its extent.
-  constexpr int kN = 5;
-  const Reductions reductions{{.root = 0, .sources = {1, 2, 3, 4}, .bytes = 1000},
-                              {.root = 2, .sources = {3}, .bytes = 96},
-                              {.root = 4, .sources = {0, 1, 2}, .bytes = 40},
-                              {.root = 1, .sources = {4, 2}, .bytes = 232},
-                              {.root = 3, .sources = {1}, .bytes = 0}};
-  std::size_t bytes = 0;
-  std::size_t messages = 0;
-  for (const auto& r : reductions) {
-    bytes += r.sources.size() * r.bytes;
-    messages += r.sources.size() * segments_of(r.bytes);
-  }
-  MiniCluster mc(kN, 0);
-  const auto result = mc.run(kN, [&](Comm& world) {
-    std::vector<int> folds;
-    EXPECT_EQ(run_sparse(world, reductions, &folds), expected_roots(reductions, world.rank()))
-        << "rank " << world.rank();
-    for (std::size_t r = 0; r < reductions.size(); ++r) {
-      if (reductions[r].root != world.rank()) continue;
-      const auto children =
-          static_cast<std::size_t>(std::bit_width(reductions[r].sources.size()));
-      EXPECT_EQ(static_cast<std::size_t>(folds[r]), children * segments_of(reductions[r].bytes))
-          << "reduction " << r;
-    }
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-  EXPECT_EQ(result.wire_bytes, bytes);
-  EXPECT_EQ(result.wire_messages, messages);
-}
-
-TEST(SparseReduce, RejectsBadRootsAndRepeatedSources) {
-  MiniCluster mc(3, 0);
-  const auto result = mc.run(3, [](Comm& world) {
-    const auto run = [&](const Reductions& reductions) {
-      world.reduce_sparse<std::uint64_t>(
-          reductions, BXor{}, [](std::size_t, std::size_t, std::span<std::byte>) {},
-          [](std::size_t, std::size_t, std::span<const std::byte>) {});
-    };
-    EXPECT_THROW(run({{.root = 3, .sources = {0}, .bytes = 64}}), std::invalid_argument);
-    EXPECT_THROW(run({{.root = 0, .sources = {0}, .bytes = 64}}), std::invalid_argument);
-    EXPECT_THROW(run({{.root = 0, .sources = {1, 1}, .bytes = 64}}), std::invalid_argument);
-    // An extent must be a whole number of elements.
-    EXPECT_THROW(run({{.root = 0, .sources = {1}, .bytes = 60}}), std::invalid_argument);
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(SparseReduce, DoesNotCrossUserTrafficOrADupdCommunicator) {
-  // Overlapping trees run at once on the rank thread and on a second
-  // thread over a dup()'d communicator (the async commit worker's setup),
-  // with user point-to-point messages between the same pair queued first.
-  constexpr int kN = 4;
-  constexpr std::size_t kLanes = 517;
-  const Reductions reductions{{.root = 0, .sources = {1, 2, 3}, .bytes = kLanes * 8},
-                              {.root = 3, .sources = {0, 1}, .bytes = kLanes * 8}};
-  const Reductions twin_reductions{{.root = 1, .sources = {2, 3, 0}, .bytes = kLanes * 8},
-                                   {.root = 0, .sources = {3, 2, 1}, .bytes = kLanes * 8}};
-  MiniCluster mc(kN, 0);
-  const auto result = mc.run(kN, [&](Comm& world) {
-    Comm twin = world.dup();
-    if (world.rank() == 1) world.send_value<int>(0, 0, 41);
-    std::vector<std::vector<std::uint64_t>> twin_got;
-    std::thread worker([&] { twin_got = run_sparse(twin, twin_reductions); });
-    const auto got = run_sparse(world, reductions);
-    worker.join();
-    EXPECT_EQ(got, expected_roots(reductions, world.rank()));
-    EXPECT_EQ(twin_got, expected_roots(twin_reductions, world.rank()));
-    if (world.rank() == 0) {
-      EXPECT_EQ(world.recv_value<int>(1, 0), 41);
-    }
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(SparseReduce, NodeFailureMidReduceUnwindsWaitingMembers) {
-  // Rank 2 dies while filling its second block, after sending the first
-  // segment of the first: rank 0 (waiting on the rest of that block) and
-  // rank 3 (waiting on rank 2's other block) must unwind with JobAborted
-  // instead of hanging.
-  constexpr int kN = 4;
-  constexpr std::size_t kBlock = 10 * kSmallChunk;
-  const Reductions reductions{{.root = 0, .sources = {1, 2}, .bytes = kBlock},
-                              {.root = 3, .sources = {2}, .bytes = kBlock}};
-  MiniCluster mc(kN, 0);
-  sim::FailureInjector injector;
-  injector.add_rule({.point = "mid.reduce", .world_rank = 2, .hit = 2, .repeat = false});
-  std::array<std::atomic<bool>, kN> unwound{};
-  const auto result = mc.run(
-      kN,
-      [&](Comm& world) {
-        try {
-          world.reduce_sparse<std::uint64_t>(
-              reductions, BXor{},
-              [&](std::size_t, std::size_t, std::span<std::byte>) {
-                world.failpoint("mid.reduce");
-              },
-              [](std::size_t, std::size_t, std::span<const std::byte>) {}, kSmallChunk);
-        } catch (const JobAborted&) {
-          unwound[static_cast<std::size_t>(world.rank())] = true;
-          throw;
-        }
-      },
-      &injector);
-  EXPECT_FALSE(result.completed);
-  EXPECT_NE(result.abort_reason.find("mid.reduce"), std::string::npos);
-  EXPECT_TRUE(unwound[0]);
-  EXPECT_TRUE(unwound[2]);
-  EXPECT_TRUE(unwound[3]);
 }
 
 // --- zero-copy messaging ---------------------------------------------------

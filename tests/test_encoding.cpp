@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -517,10 +518,10 @@ INSTANTIATE_TEST_SUITE_P(Codes, GroupCodecEncode, kCodes, code_name);
 
 /// encode_delta == encode: the bit-identity (tolerance for SUM) the
 /// dirty-block commits stake checkpoint correctness on, for every dirty
-/// pattern on both sides of the half-dirty switch, aliased and distinct
-/// outputs, and stripes of two 64 KiB segments plus a ragged 1000-byte
-/// tail, so the sparse reduce streams several segments and the last of a
-/// stripe's 33 blocks is short.
+/// pattern on both sides of the half-dirty switch, and stripes of two
+/// 64 KiB segments plus a ragged 1000-byte tail, so a whole-stripe run's
+/// loan is folded in several segments and the last of a stripe's 33
+/// blocks is short.
 class EncodeDeltaSweep : public ::testing::TestWithParam<Code> {};
 
 std::size_t sweep_data_bytes(const Code& code) {
@@ -545,18 +546,14 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
       std::vector<std::byte> reference(codec.redundancy_bytes());
       codec.encode(world, in.next, reference);
 
-      std::vector<std::byte> in_place = old_redundancy;
-      const std::vector<BlockRun> aliased =
-          codec.encode_delta(world, in.base, in.next, in_place, in_place, in.runs);
-      std::vector<std::byte> out(codec.redundancy_bytes());
-      const std::vector<BlockRun> distinct =
-          codec.encode_delta(world, in.base, in.next, old_redundancy, out, in.runs);
-      expect_same(code, in_place, reference, testing::to_string(pattern));
+      std::vector<std::byte> out = old_redundancy;
+      const std::vector<BlockRun> changed =
+          codec.encode_delta(world, in.base, in.next, out, in.runs);
       expect_same(code, out, reference, testing::to_string(pattern));
 
       // What every member can predict from the pattern: parity slot j
       // holds row j of family (rank - j) mod n, so it moves over that
-      // family's union on the sparse path, whole after the ring.
+      // family's union on the sparse path, whole after the full encode.
       std::vector<BlockRun> expect;
       const bool sparse = testing::takes_sparse_path(pattern, n, stripe, stripes);
       for (int row = 0; row < code.m; ++row) {
@@ -575,11 +572,10 @@ TEST_P(EncodeDeltaSweep, MatchesFullEncodeForEveryPattern) {
           expect.push_back(run);
         }
       }
-      EXPECT_EQ(aliased, expect) << testing::to_string(pattern);
-      EXPECT_EQ(distinct, aliased) << testing::to_string(pattern);
+      EXPECT_EQ(changed, expect) << testing::to_string(pattern);
       // Outside those runs the redundancy kept its old bytes.
       std::vector<std::byte> kept = old_redundancy;
-      for (const BlockRun& run : aliased) {
+      for (const BlockRun& run : changed) {
         const ByteRange r = run_bytes(run, stripe);
         std::memcpy(kept.data() + r.begin, out.data() + r.begin, r.size());
       }
@@ -597,8 +593,9 @@ TEST_P(EncodeDeltaSweep, SparseWireBytesAreTheExchangedDirtyBytesPerParityRow) {
   const std::size_t stripe = GroupCodec(code.kind, sweep_data_bytes(code), n, code.m).stripe_bytes();
   // Two jobs that differ only in their last collective: the delta encode,
   // or the exchange of the same runs (its first step). The difference in
-  // job-wide wire bytes is the sparse reduce's payload alone.
-  const auto job_wire_bytes = [&](testing::DirtyPattern pattern, bool delta) {
+  // job-wide traffic is the lent diffs alone: one loan per exchanged run
+  // and parity row, carrying the run's bytes, and nothing copied.
+  const auto job = [&](testing::DirtyPattern pattern, bool delta) {
     MiniCluster mc(n, 0);
     const auto result = mc.run(n, [&](mpi::Comm& world) {
       const GroupCodec codec(code.kind, sweep_data_bytes(code), n, code.m);
@@ -607,20 +604,26 @@ TEST_P(EncodeDeltaSweep, SparseWireBytesAreTheExchangedDirtyBytesPerParityRow) {
       std::vector<std::byte> redundancy(codec.redundancy_bytes());
       codec.encode(world, in.base, redundancy);
       if (delta) {
-        (void)codec.encode_delta(world, in.base, in.next, redundancy, redundancy, in.runs);
+        (void)codec.encode_delta(world, in.base, in.next, redundancy, in.runs);
       } else {
         (void)exchange_runs(world, in.runs, stripe, stripes);
       }
     });
     EXPECT_TRUE(result.completed) << result.abort_reason;
-    return result.wire_bytes;
+    return result;
   };
+  const auto rows = static_cast<std::size_t>(code.m);
   for (const testing::DirtyPattern pattern : testing::kDirtyPatterns) {
     if (!testing::takes_sparse_path(pattern, n, stripe, stripes)) continue;
-    EXPECT_EQ(job_wire_bytes(pattern, true) - job_wire_bytes(pattern, false),
-              testing::group_dirty_bytes(pattern, n, stripe, stripes) *
-                  static_cast<std::size_t>(code.m))
+    const auto delta = job(pattern, true);
+    const auto exchange = job(pattern, false);
+    EXPECT_EQ(delta.wire_bytes - exchange.wire_bytes,
+              testing::group_dirty_bytes(pattern, n, stripe, stripes) * rows)
         << testing::to_string(pattern);
+    EXPECT_EQ(delta.wire_messages - exchange.wire_messages,
+              testing::group_dirty_runs(pattern, n, stripe, stripes) * rows)
+        << testing::to_string(pattern);
+    EXPECT_EQ(delta.copied_bytes, exchange.copied_bytes) << testing::to_string(pattern);
   }
 }
 
@@ -707,11 +710,48 @@ TEST(GroupCodec, EncodeDeltaMatchesFullEncodeOnSubBlockStripes) {
       next[victim * codec.stripe_bytes() + 1] ^= std::byte{0x77};
       dirty.push_back({victim, 0, 1});
     }
-    std::vector<std::byte> delta_parity(codec.redundancy_bytes());
-    (void)codec.encode_delta(world, base, next, old_parity, delta_parity, dirty);
+    std::vector<std::byte> delta_parity = old_parity;
+    (void)codec.encode_delta(world, base, next, delta_parity, dirty);
     std::vector<std::byte> full_parity(codec.redundancy_bytes());
     codec.encode(world, next, full_parity);
     EXPECT_EQ(delta_parity, full_parity);
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+// Two delta encodes at once, one on the rank thread and one on a second
+// thread over a dup()'d communicator (the async commit worker's setup),
+// with a user message between the same pair queued first: neither
+// encode's loans match the other's or the user's traffic, and each leaves
+// the parity its full encode computes.
+TEST(GroupCodec, DeltaEncodesDoNotCrossUserTrafficOrADupdCommunicator) {
+  constexpr int kN = 4;
+  const Code code{CodecKind::kXor, kN, 1};
+  MiniCluster mc(kN, 0);
+  const auto result = mc.run(kN, [&](mpi::Comm& world) {
+    const GroupCodec codec(code.kind, sweep_data_bytes(code), kN);
+    const auto matches_full_encode = [&](mpi::Comm& comm, testing::DirtyPattern pattern) {
+      const testing::DeltaInputs in = testing::make_delta_inputs(
+          pattern, kN, comm.rank(), codec.stripe_bytes(), codec.stripe_count());
+      std::vector<std::byte> want(codec.redundancy_bytes());
+      codec.encode(comm, in.next, want);
+      std::vector<std::byte> got(codec.redundancy_bytes());
+      codec.encode(comm, in.base, got);
+      (void)codec.encode_delta(comm, in.base, in.next, got, in.runs);
+      return got == want;
+    };
+    mpi::Comm twin = world.dup();
+    if (world.rank() == 1) world.send_value<int>(0, 0, 41);
+    bool twin_ok = false;
+    std::jthread worker(
+        [&] { twin_ok = matches_full_encode(twin, testing::DirtyPattern::kFamilyOverlap); });
+    const bool ok = matches_full_encode(world, testing::DirtyPattern::kTwoRuns);
+    worker.join();
+    EXPECT_TRUE(ok) << "rank " << world.rank();
+    EXPECT_TRUE(twin_ok) << "rank " << world.rank();
+    if (world.rank() == 0) {
+      EXPECT_EQ(world.recv_value<int>(1, 0), 41);
+    }
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }

@@ -89,9 +89,13 @@ TEST(MultiLevel, SingleFailureUsesFastInMemoryLevel) {
 TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   // Two members of the SAME group die: the single-erasure in-memory level
   // cannot recover, the disk level can — the composition the paper points
-  // at for "a higher degree of fault tolerance".
+  // at for "a higher degree of fault tolerance". Every device read costs a
+  // modeled second, which the disk restore reports as device_s, apart
+  // from its measured rebuild_s.
   MiniCluster mc(4, 4);
   storage::SnapshotVault vault;
+  ckpt::MultiLevelCheckpoint::Params params = ml_params(&vault);
+  params.device.latency_s = 1.0;
   sim::FailureInjector injector;
   // First failure mid-compute; second failure during the restore of the
   // first restart, before the group is re-encoded.
@@ -101,8 +105,9 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   mpi::JobLauncher launcher(mc.cluster, &injector, {.max_restarts = 4});
   bool used_disk = false;
   std::uint64_t restored_epoch = 0;
+  ckpt::RestoreStats disk_restore;
   const auto result = launcher.run(4, [&](mpi::Comm& world) {
-    ckpt::MultiLevelCheckpoint protocol(ml_params(&vault));
+    ckpt::MultiLevelCheckpoint protocol(params);
     ckpt::CommCtx ctx{world, world};
     const bool restored = protocol.open(ctx);
     auto* iter = reinterpret_cast<std::uint64_t*>(protocol.user_state().data());
@@ -111,6 +116,7 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
       if (world.rank() == 0 && protocol.last_restore_used_disk()) {
         used_disk = true;
         restored_epoch = rs.epoch;
+        disk_restore = rs;
       }
       if (!skt::testing::matches_pattern(protocol.data(), 5, world.rank(), *iter, 0.0)) {
         throw std::runtime_error("restored data mismatch at iteration " +
@@ -131,6 +137,8 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   ASSERT_TRUE(result.success) << result.failure;
   EXPECT_TRUE(used_disk);
   EXPECT_GE(restored_epoch, 2u);  // a flushed generation, not a fresh start
+  EXPECT_GE(disk_restore.device_s, 1.0);
+  EXPECT_LT(disk_restore.rebuild_s, 1.0);
 }
 
 // Two groups of four, and group 0 loses two members: rank 1 mid-compute,

@@ -156,10 +156,10 @@ INSTANTIATE_TEST_SUITE_P(
 // Partially-dirty synchronous commits: the app annotates a 512-byte hot
 // suffix (of 2048) that lies in each member's last stripe, so 4 of the
 // group's 12 (member, stripe) pairs are dirty and the encode is the sparse
-// reduce folded into D in place (the harness fails any such commit that
-// moves as many wire bytes as a full encode). Kills land after that fold,
-// after the seal, and mid-flush — where C is refreshed only over the runs
-// of D that changed. Each 688-byte stripe here is a single block; the
+// delta, whose lent diffs the owners fold into D in place (the harness
+// fails any such commit that moves as many wire bytes as a full encode).
+// Kills land after that fold, after the seal, and mid-flush — where C is
+// refreshed only over the runs of D that changed. Each 688-byte stripe here is a single block; the
 // SubStripeMatrix rows below cover runs shorter than a stripe.
 INSTANTIATE_TEST_SUITE_P(
     PartialDirtySync, FailureMatrix,
@@ -335,8 +335,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Partially-dirty staging under failure: the app annotates a 512-byte hot
 // suffix (of 2048) inside each member's last stripe, so the staged copy S
 // refreshed only that stripe and the worker's encode was the sparse
-// reduce (4 of 12 pairs dirty; the harness checks its wire bytes) when
-// the victim died mid commit_staged. Recovery reads (S, D) — the cold
+// delta (4 of 12 pairs dirty; the harness checks its wire bytes) when the
+// victim died mid commit_staged. Recovery reads (S, D) — the cold
 // stripes of S (carried, not recopied) and the delta-updated parity must
 // still agree bit-for-bit, and the rebuilt rank's cold region must
 // reproduce the iteration-0 pattern end-to-end.
@@ -358,15 +358,18 @@ INSTANTIATE_TEST_SUITE_P(
 // RS(4, 2) stripe) and the app rewrites an unaligned 9000-byte window at
 // byte 5000, so every commit stages, encodes and flushes two runs per
 // member — blocks 1-3 of stripe 0 and the user tail's block — and leaves
-// the rest of each stripe alone. Kills land after the encode folded those
-// runs into D, after the seal, and mid-flush, in both commit modes; the
-// relaunched job must restore the window and the cold blocks around it
-// bit for bit.
+// the rest of each stripe alone. Kills land inside the delta's fold, after
+// the encode folded those runs into D, after the seal, and mid-flush, in
+// both commit modes; the relaunched job must restore the window and the
+// cold blocks around it bit for bit. The fold rows kill an owner while it
+// holds a lender's diff view: the first, full commit passes enc.fold once
+// per parity slot, so visit m + 1 is the delta's first fold.
 struct SubStripeCase {
   const char* name;
   const char* failpoint;
   CommitMode mode;
   int parity;
+  int hit = 2;  ///< the visit of `failpoint` on rank 1 that kills it
 };
 
 class SubStripeMatrix : public ::testing::TestWithParam<SubStripeCase> {};
@@ -390,7 +393,7 @@ TEST_P(SubStripeMatrix, KillDuringSubStripeCommitRestoresBitExact) {
   sim::FailureInjector injector;
   injector.add_rule({.point = c.failpoint,
                      .world_rank = 1,
-                     .hit = 2,
+                     .hit = c.hit,
                      .repeat = false,
                      .victim_world_rank = 1});
 
@@ -408,6 +411,10 @@ TEST_P(SubStripeMatrix, KillDuringSubStripeCommitRestoresBitExact) {
 INSTANTIATE_TEST_SUITE_P(
     Points, SubStripeMatrix,
     ::testing::Values(
+        SubStripeCase{"xor_delta_fold", "enc.fold", CommitMode::kSync, 1, 2},
+        SubStripeCase{"xor_async_delta_fold", "enc.fold", CommitMode::kAsync, 1, 2},
+        SubStripeCase{"rs4p2_delta_fold", "enc.fold", CommitMode::kSync, 2, 3},
+        SubStripeCase{"rs4p2_async_delta_fold", "enc.fold", CommitMode::kAsync, 2, 3},
         SubStripeCase{"xor_encode_done", "ckpt.encode_done", CommitMode::kSync, 1},
         SubStripeCase{"xor_sealed", "ckpt.sealed", CommitMode::kSync, 1},
         SubStripeCase{"xor_mid_flush", "ckpt.mid_flush", CommitMode::kSync, 1},
