@@ -33,8 +33,8 @@ echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + codec + protocol + HPL sui
 # slices of every length a block run can have, which test_encoding's delta
 # sweep and test_failure_matrix (sub-stripe commits killed mid-way,
 # inside the delta's fold among other steps) carry. test_collectives runs
-# here too: its chunked reduce and ring collectives combine ragged 96-byte
-# segments through the same XOR and SUM kernels.
+# here too: its chunked reduce combines ragged 96-byte segments, and its
+# multi-segment allreduce 64 KiB ones, through the same XOR and SUM kernels.
 # The HPL suites run here as well: the trailing-update GEMM follows the
 # same tier, so they solve and verify on the scalar loop.
 cmake -B build-scalar -S . -DSKT_SIMD=OFF >/dev/null
@@ -90,10 +90,10 @@ cmake -B build-tsan -S . -DSKT_SANITIZE_THREAD=ON >/dev/null
 # test_encoding (the RS(k, m) encode and rebuild run one thread per member)
 # and test_scrubber (cadence thread vs. rank thread vs. async worker over
 # the commit-exclusion mutex) ride the same lane, as do test_kernels and
-# test_collectives, whose reduce and ring rounds have several ranks push
-# into one mailbox at once. test_encoding also runs two delta encodes at
-# once, on the rank thread and on a second thread over a dup()'d
-# communicator that shares the rank's mailbox, beside user traffic.
+# test_collectives, whose chunked reduce and multi-segment allreduce have
+# several ranks push into one mailbox at once. test_encoding also runs two
+# delta encodes at once, on the rank thread and on a second thread over a
+# dup()'d communicator that shares the rank's mailbox, beside user traffic.
 # test_protocols and test_failure_matrix run the group-coded commit frame
 # on the async worker and kill nodes inside it, the four enc.fold
 # SubStripeMatrix rows (xor_delta_fold, xor_async_delta_fold,

@@ -13,6 +13,25 @@
 
 namespace skt::ckpt {
 
+CommitStats run_commit(StoreService* service, const std::string& tenant, Scrubber* scrubber,
+                       int world_rank, const std::function<CommitStats()>& commit) {
+  CommitStats stats;
+  {
+    CommitGate gate(service, tenant);
+    util::WallTimer timer;
+    // A scrub pass gives way, so this waits at most one chunk copy.
+    std::unique_lock<std::mutex> scrub_lock;
+    if (scrubber != nullptr) scrub_lock = scrubber->lock_for_commit();
+    stats = commit();
+    gate.account(stats.checkpoint_bytes + stats.checksum_bytes, timer.seconds());
+  }
+  // Telemetry is the Session layer's job; protocols publish none of their own.
+  record_commit_telemetry(stats);
+  telemetry::forensics::recorder().note_commit(
+      world_rank, {stats.epoch, stats.dirty_bytes, stats.dirty_fraction});
+  return stats;
+}
+
 bool CommitTicket::poll() const {
   if (!state_) return true;
   std::lock_guard lock(state_->mutex);
@@ -140,28 +159,16 @@ void AsyncCommitEngine::run_job(const std::shared_ptr<CommitTicket::State>& stat
   std::exception_ptr error;
   try {
     SKT_SPAN("ckpt.async.pipeline");
-    // Multi-tenant sessions take a fair-share turnstile slot first: the
-    // service serializes commit windows across tenants, so concurrent
+    // The service serializes commit windows across tenants, so concurrent
     // jobs' pipelines share the store bandwidth instead of piling up.
-    CommitGate gate(store_service_, tenant_);
-    util::WallTimer commit_timer;
-    // Keep the scrubber out of the sealed buffers while the state machine
-    // rewrites them (a pass gives way, so this waits at most one chunk copy).
-    std::unique_lock<std::mutex> scrub_lock;
-    if (scrubber_ != nullptr) scrub_lock = scrubber_->lock_for_commit();
-    stats = protocol_.commit_staged({world_, group_});
-    gate.account(stats.checkpoint_bytes + stats.checksum_bytes, commit_timer.seconds());
+    stats = run_commit(store_service_, tenant_, scrubber_, world_rank_,
+                       [&] { return protocol_.commit_staged({world_, group_}); });
   } catch (...) {
     error = std::current_exception();
   }
   const double worker_s = timer.seconds();
 
   if (!error) {
-    // Telemetry is the Session layer's job (protocols no longer publish
-    // their own) — for async commits that layer is this worker.
-    record_commit_telemetry(stats);
-    telemetry::forensics::recorder().note_commit(
-        world_rank_, {stats.epoch, stats.dirty_bytes, stats.dirty_fraction});
     group_.record_time("ckpt_worker", worker_s);
     auto& metrics = telemetry::metrics();
     metrics.histogram("ckpt.async.stage_s").record(stage_s);

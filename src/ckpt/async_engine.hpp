@@ -23,8 +23,10 @@
 
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "ckpt/protocol.hpp"
@@ -34,6 +36,14 @@ namespace skt::ckpt {
 
 class Scrubber;
 class StoreService;
+
+/// One commit's bracket, the same on the rank thread (Session::commit) and
+/// on the async worker: take `tenant`'s fair-share turnstile slot (none
+/// without a service), then exclude the scrubber (none without one), run
+/// `commit`, account its payload to the slot, release both, and only then
+/// publish the commit's telemetry and forensic note for `world_rank`.
+CommitStats run_commit(StoreService* service, const std::string& tenant, Scrubber* scrubber,
+                       int world_rank, const std::function<CommitStats()>& commit);
 
 /// Completion handle for one asynchronous commit epoch. Copyable; all
 /// copies observe the same completion.

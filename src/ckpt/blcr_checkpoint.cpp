@@ -124,7 +124,8 @@ CommitStats BlcrCheckpoint::commit_impl(CommCtx ctx, bool async) {
 
   epoch_.store(stats.epoch, std::memory_order_release);
   stats.checkpoint_bytes = image.size();
-  if (!async) ctx.group.record_time("checkpoint", stats.device_s + stats.flush_s);
+  // Measured time only: the vault's modeled write stays in device_s.
+  if (!async) ctx.group.record_time("checkpoint", stats.flush_s);
   ctx.world.barrier();
   return stats;
 }

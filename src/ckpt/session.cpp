@@ -7,7 +7,6 @@
 #include "ckpt/multilevel.hpp"
 #include "ckpt/plan.hpp"
 #include "telemetry/forensics.hpp"
-#include "util/clock.hpp"
 
 namespace skt::ckpt {
 namespace {
@@ -209,19 +208,8 @@ void Session::start_scrubber() {
 CommitStats Session::commit() {
   require_open();
   drain();
-  // Multi-tenant sessions take their fair-share turnstile slot first (a
-  // no-op without a service), then exclude the scrubber while the state
-  // machine rewrites the sealed buffers it verifies.
-  CommitGate gate(service_, tenant_);
-  util::WallTimer timer;
-  std::unique_lock<std::mutex> scrub_lock;
-  if (scrubber_ != nullptr) scrub_lock = scrubber_->lock_for_commit();
-  const CommitStats stats = protocol_->commit({*world_, *group_});
-  gate.account(stats.checkpoint_bytes + stats.checksum_bytes, timer.seconds());
-  record_commit_telemetry(stats);
-  telemetry::forensics::recorder().note_commit(
-      world_->world_rank(), {stats.epoch, stats.dirty_bytes, stats.dirty_fraction});
-  return stats;
+  return run_commit(service_, tenant_, scrubber_.get(), world_->world_rank(),
+                    [&] { return protocol_->commit({*world_, *group_}); });
 }
 
 CommitTicket Session::commit_async() {

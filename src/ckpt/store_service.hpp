@@ -242,8 +242,8 @@ class StoreService {
   int waiters_ = 0;  ///< threads blocked in admit()/begin_commit() waits
 };
 
-/// RAII commit-gate guard used by Session / AsyncCommitEngine around one
-/// collective commit. Tolerates a null service (single-tenant sessions).
+/// RAII commit-gate guard that run_commit (async_engine.hpp) holds around
+/// one collective commit. Tolerates a null service (single-tenant sessions).
 class CommitGate {
  public:
   CommitGate(StoreService* service, const std::string& tenant)

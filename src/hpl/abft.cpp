@@ -111,7 +111,7 @@ AbftResult run_abft_hpl(mpi::Comm& world, const AbftConfig& config) {
     }
     return true;
   };
-  lu_factorize(grid, a, h.n, 0, hook, nullptr, h.panel_bcast);
+  lu_factorize(grid, a, h.n, 0, hook);
   const std::vector<double> x = back_substitute(world, grid, a, h.n);
   const double elapsed = timer.seconds();
   const double virtual_delta = world.virtual_seconds() - virtual_before;

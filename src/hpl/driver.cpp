@@ -22,7 +22,7 @@ HplResult run_hpl(mpi::Comm& world, const HplConfig& config) {
 
   const double virtual_before = world.virtual_seconds();
   util::WallTimer timer;
-  lu_factorize(grid, a, config.n, 0, {}, nullptr, config.panel_bcast);
+  lu_factorize(grid, a, config.n, 0);
   const std::vector<double> x = back_substitute(world, grid, a, config.n);
   const double elapsed = timer.seconds();
   const double virtual_delta = world.virtual_seconds() - virtual_before;

@@ -16,7 +16,6 @@ struct HplConfig {
   int grid_p = 2;         ///< process grid rows
   int grid_q = 2;         ///< process grid columns
   std::uint64_t seed = 42;
-  PanelBcast panel_bcast = PanelBcast::kBinomial;  ///< HPL's BCAST tunable
 };
 
 struct HplResult {

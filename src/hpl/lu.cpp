@@ -234,8 +234,7 @@ void apply_row_interchanges(mpi::Comm& col, DistMatrix& a, std::int64_t j0,
 }
 
 void lu_factorize(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_t start_panel,
-                  const PanelHook& hook, std::vector<double>* pivot_values,
-                  PanelBcast panel_bcast) {
+                  const PanelHook& hook, std::vector<double>* pivot_values) {
   const std::int64_t nb = a.rows().nb();
   if (a.cols().nb() != nb) throw std::invalid_argument("lu_factorize: row/col nb must match");
   if (a.cols().n() < n + 1) {
@@ -285,11 +284,7 @@ void lu_factorize(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_t s
           if (pivot_values != nullptr) dpiv[uw + jj] = pivvals[jj];
         }
       }
-      if (panel_bcast == PanelBcast::kRing) {
-        grid.row().bcast_pipeline<double>(pcolk, strip);
-      } else {
-        grid.row().bcast<double>(pcolk, strip);
-      }
+      grid.row().bcast<double>(pcolk, strip);
       for (std::size_t jj = 0; jj < uw; ++jj) piv[jj] = static_cast<std::int64_t>(dpiv[jj]);
       if (pivot_values != nullptr) {
         pivot_values->resize(static_cast<std::size_t>(j0 + w));

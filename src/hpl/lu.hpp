@@ -31,11 +31,6 @@ void generate(DistMatrix& a, std::uint64_t seed);
 /// false aborts factorization early (unused by HPL; available for tests).
 using PanelHook = std::function<bool(std::int64_t next_panel)>;
 
-/// Panel broadcast algorithm (HPL's BCAST tunable): binomial tree (low
-/// latency) or pipelined increasing-ring (bandwidth-friendly for wide
-/// panels). Both deliver identical bytes, so results are bit-equal.
-enum class PanelBcast { kBinomial, kRing };
-
 /// Eliminate columns [start_panel*nb, N) of the N x (N+1) augmented
 /// matrix. All ranks of the grid must call collectively. Pivoting moves
 /// whole rows — the stored L, the trailing columns and b — as HPL does.
@@ -51,8 +46,7 @@ enum class PanelBcast { kBinomial, kRing };
 /// correction needs them). Only meaningful with start_panel == 0 unless
 /// the caller persisted earlier entries.
 void lu_factorize(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_t start_panel,
-                  const PanelHook& hook = {}, std::vector<double>* pivot_values = nullptr,
-                  PanelBcast panel_bcast = PanelBcast::kBinomial);
+                  const PanelHook& hook = {}, std::vector<double>* pivot_values = nullptr);
 
 /// Apply one panel's row interchanges — rows j0 + jj and piv[jj] swapped
 /// for jj = 0, 1, ... in order — to every local column outside

@@ -151,7 +151,7 @@ SktHplResult run_skt_hpl(mpi::Comm& world, const SktHplConfig& config) {
     return true;
   };
 
-  lu_factorize(grid, a, h.n, state->next_panel, hook, nullptr, h.panel_bcast);
+  lu_factorize(grid, a, h.n, state->next_panel, hook);
   if (pending.valid()) {
     const ckpt::CommitStats done = pending.wait();
     absorb_pipeline(done);

@@ -206,30 +206,6 @@ void Comm::bcast_bytes(int root, std::span<std::byte> data) {
   }
 }
 
-void Comm::bcast_pipeline(int root, std::span<std::byte> data, std::size_t chunk_bytes) {
-  if (root < 0 || root >= size()) throw std::invalid_argument("bcast_pipeline: bad root");
-  if (chunk_bytes == 0) throw std::invalid_argument("bcast_pipeline: zero chunk size");
-  static telemetry::Histogram& h_bytes =
-      telemetry::metrics().histogram("mpi.coll.bcast_pipeline_bytes", 1.0);
-  h_bytes.record(static_cast<double>(data.size()));
-  const int n = size();
-  if (n == 1 || data.empty()) return;
-  const Tag seq = next_seq();
-  const int relr = relative_rank(root);
-  const int prev = relr > 0 ? absolute_rank(relr - 1, root) : -1;
-  const int next = absolute_rank(relr + 1, root);
-  const bool is_last = relr == n - 1;
-
-  for (std::size_t offset = 0, round = 0; offset < data.size();
-       offset += chunk_bytes, ++round) {
-    const std::size_t len = std::min(chunk_bytes, data.size() - offset);
-    const std::span<std::byte> chunk = data.subspan(offset, len);
-    const Tag tag = collective_tag(seq, static_cast<int>(round % 250));
-    if (relr != 0) recv_bytes(prev, tag, chunk);
-    if (!is_last) send_bytes(next, tag, chunk);
-  }
-}
-
 Comm Comm::split(int color, int key) {
   if (color < 0) throw std::invalid_argument("split: color must be >= 0");
   struct Entry {

@@ -1,12 +1,13 @@
 // Communicator: the application-facing API of the SimMPI runtime.
 //
 // Matches the MPI subset the paper's systems need: blocking point-to-point
-// with tags, barrier / bcast / reduce / allreduce / gather / allgather /
-// scatter built as binomial-tree or dissemination algorithms over p2p, and
-// communicator splitting (HPL row/column communicators, encoding group
-// communicators). Beyond MPI, a rank can lend a buffer to a peer, which
-// reads it in place (lend/borrow). Every entry point checks node liveness,
-// so a powered-off node unwinds the whole job just like a production MPI.
+// with tags, one algorithm per collective built over p2p (a dissemination
+// barrier, binomial-tree bcast and pipelined binomial reduce, allreduce as
+// the two in turn, gather / allgather), and communicator splitting (HPL
+// row/column communicators, encoding group communicators). Beyond MPI, a
+// rank can lend a buffer to a peer, which reads it in place (lend/borrow).
+// Every entry point checks node liveness, so a powered-off node unwinds the
+// whole job just like a production MPI.
 #pragma once
 
 #include <algorithm>
@@ -26,14 +27,9 @@
 
 namespace skt::mpi {
 
-/// Default pipeline segment for the chunked collectives: large payloads are
-/// moved in segments of this size so combining overlaps communication.
+/// Segment size of the pipelined reduce() (a parent combines one segment
+/// while its children send the next) and of GroupCodec's folds of lent bytes.
 inline constexpr std::size_t kCollectiveChunkBytes = 64 << 10;
-
-/// Payloads at least this large take the ring (bandwidth-optimal) allreduce
-/// when the element count divides the communicator size; smaller ones keep
-/// the binomial tree, whose log2(n) latency steps beat the ring's n-1.
-inline constexpr std::size_t kRingMinBytes = 32 << 10;
 
 class Comm {
  public:
@@ -79,18 +75,6 @@ class Comm {
   void send(int dst, Tag tag, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
     send_bytes(dst, tag, std::as_bytes(data));
-  }
-
-  /// Typed rvalue overload: moves byte buffers into the mailbox; for other
-  /// trivially-copyable T the payload is still serialized with one copy.
-  template <typename T>
-  void send(int dst, Tag tag, std::vector<T>&& data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if constexpr (std::is_same_v<T, std::byte>) {
-      send_bytes(dst, tag, std::move(data));
-    } else {
-      send_bytes(dst, tag, std::as_bytes(std::span<const T>(data)));
-    }
   }
 
   template <typename T>
@@ -203,19 +187,6 @@ class Comm {
     bcast_bytes(root, std::as_writable_bytes(data));
   }
 
-  /// Pipelined ring broadcast (HPL's "increasing-ring" panel broadcast):
-  /// the payload moves root -> root+1 -> ... in `chunk_bytes` segments, so
-  /// every link carries the full payload once and forwarding overlaps with
-  /// reception. Latency-heavier than the binomial tree for small messages,
-  /// bandwidth-friendlier for wide panels on congested networks.
-  void bcast_pipeline(int root, std::span<std::byte> data, std::size_t chunk_bytes = 64 << 10);
-
-  template <typename T>
-  void bcast_pipeline(int root, std::span<T> data, std::size_t chunk_bytes = 64 << 10) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    bcast_pipeline(root, std::as_writable_bytes(data), chunk_bytes);
-  }
-
   template <typename T>
   void bcast_value(int root, T& value) {
     bcast<T>(root, std::span<T>(&value, 1));
@@ -293,125 +264,16 @@ class Comm {
     }
   }
 
-  /// Ring reduce-scatter: `in` holds size() blocks of out.size() elements
-  /// in rank order — block r is this member's contribution to the result
-  /// that lands on rank r — and `out` receives the fully combined block for
-  /// this rank. Bandwidth-optimal: every rank moves (n-1) blocks once, in
-  /// `chunk_bytes` segments, and partially-reduced mailbox buffers are
-  /// forwarded hop to hop by move. `op` must be commutative (all the
-  /// built-in ones are); SUM combines in ring order, so floating-point
-  /// results are tolerance-equal, not bit-equal, to the binomial reduce.
-  /// `out` may alias this member's own block of `in`.
-  template <typename T, typename Op>
-  void reduce_scatter(std::span<const T> in, std::span<T> out, Op op,
-                      std::size_t chunk_bytes = kCollectiveChunkBytes) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int n = size();
-    const std::size_t count = out.size();
-    if (in.size() != count * static_cast<std::size_t>(n)) {
-      throw std::invalid_argument("reduce_scatter: in must hold size() blocks of out.size()");
-    }
-    if (chunk_bytes == 0) throw std::invalid_argument("reduce_scatter: zero chunk size");
-    static telemetry::Histogram& h_bytes =
-        telemetry::metrics().histogram("mpi.coll.reduce_scatter_bytes", 1.0);
-    h_bytes.record(static_cast<double>(in.size() * sizeof(T)));
-    const Tag seq = next_seq();
-    if (n == 1) {
-      if (out.data() != in.data() && count > 0) {
-        std::memcpy(out.data(), in.data(), count * sizeof(T));
-      }
-      return;
-    }
-    const auto block = [&](int r, std::size_t off, std::size_t len) {
-      return in.subspan(static_cast<std::size_t>(r) * count + off, len);
-    };
-    const int next = (rank_ + 1) % n;
-    const int prev = (rank_ - 1 + n) % n;
-    const std::size_t chunk_elems = std::max<std::size_t>(1, chunk_bytes / sizeof(T));
-    const std::size_t chunks = count == 0 ? 1 : (count + chunk_elems - 1) / chunk_elems;
-    // Segments of the partially-reduced block passing through this rank;
-    // each mailbox buffer is combined in place and forwarded by move.
-    std::vector<std::vector<std::byte>> acc(chunks);
-    for (int s = 0; s < n - 1; ++s) {
-      // Block b travels rank b+1 -> b+2 -> ... -> b, gaining one
-      // contribution per hop; at step s this rank emits block r-s-1 and
-      // absorbs its own contribution into incoming block r-s-2.
-      const int send_block = (rank_ - s - 1 + 2 * n) % n;
-      const int recv_block = (rank_ - s - 2 + 2 * n) % n;
-      const Tag tag = collective_tag(seq, static_cast<int>(s % 250));
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t off = c * chunk_elems;
-        const std::size_t len = count == 0 ? 0 : std::min(chunk_elems, count - off);
-        if (s == 0) {
-          send<T>(next, tag, block(send_block, off, len));
-        } else {
-          send_bytes(next, tag, std::move(acc[c]));
-        }
-        std::vector<std::byte> incoming = recv_take(prev, tag, len * sizeof(T));
-        combine_inplace<T, Op>(std::span<T>(reinterpret_cast<T*>(incoming.data()), len),
-                               block(recv_block, off, len), op);
-        acc[c] = std::move(incoming);
-      }
-    }
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t off = c * chunk_elems;
-      const std::size_t len = count == 0 ? 0 : std::min(chunk_elems, count - off);
-      if (len > 0) std::memcpy(out.data() + off, acc[c].data(), len * sizeof(T));
-    }
-  }
-
-  /// Ring allreduce: reduce-scatter followed by a ring allgather. Each rank
-  /// moves 2(n-1)/n of the payload regardless of n — the bandwidth-optimal
-  /// schedule — at the price of 2(n-1) latency steps. Requires
-  /// in.size() % size() == 0; allreduce() falls back to the binomial tree
-  /// otherwise. In-place (out aliasing in) is allowed.
-  template <typename T, typename Op>
-  void allreduce_ring(std::span<const T> in, std::span<T> out, Op op,
-                      std::size_t chunk_bytes = kCollectiveChunkBytes) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int n = size();
-    if (out.size() != in.size()) throw std::invalid_argument("allreduce_ring: size mismatch");
-    if (in.size() % static_cast<std::size_t>(n) != 0) {
-      throw std::invalid_argument("allreduce_ring: element count must divide comm size");
-    }
-    const std::size_t count = in.size() / static_cast<std::size_t>(n);
-    reduce_scatter<T, Op>(in, out.subspan(static_cast<std::size_t>(rank_) * count, count), op,
-                          chunk_bytes);
-    if (n == 1) return;
-    const Tag seq = next_seq();
-    const int next = (rank_ + 1) % n;
-    const int prev = (rank_ - 1 + n) % n;
-    const std::size_t chunk_elems = std::max<std::size_t>(1, chunk_bytes / sizeof(T));
-    const std::size_t chunks = count == 0 ? 1 : (count + chunk_elems - 1) / chunk_elems;
-    for (int s = 0; s < n - 1; ++s) {
-      const int send_block = (rank_ - s + 2 * n) % n;
-      const int recv_block = (rank_ - s - 1 + 2 * n) % n;
-      const Tag tag = collective_tag(seq, static_cast<int>(s % 250));
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t off = c * chunk_elems;
-        const std::size_t len = count == 0 ? 0 : std::min(chunk_elems, count - off);
-        send<T>(next, tag,
-                std::span<const T>(out.subspan(
-                    static_cast<std::size_t>(send_block) * count + off, len)));
-        recv<T>(prev, tag,
-                out.subspan(static_cast<std::size_t>(recv_block) * count + off, len));
-      }
-    }
-  }
-
-  /// Algorithm-selecting allreduce: ring for large evenly-divisible
-  /// payloads, binomial reduce + bcast otherwise (see kRingMinBytes).
+  /// The pipelined reduce to rank 0, then the binomial bcast of its result.
+  /// That puts 2(n-1) times the payload on the wire, as a ring allreduce
+  /// does; the ring only spreads those bytes evenly over the ranks, at about
+  /// n times the messages. In-place (out aliasing in) is allowed.
   template <typename T, typename Op>
   void allreduce(std::span<const T> in, std::span<T> out, Op op) {
     if (out.size() != in.size()) throw std::invalid_argument("allreduce: size mismatch");
     static telemetry::Histogram& h_bytes =
         telemetry::metrics().histogram("mpi.coll.allreduce_bytes", 1.0);
     h_bytes.record(static_cast<double>(in.size() * sizeof(T)));
-    if (size() > 2 && in.size() % static_cast<std::size_t>(size()) == 0 &&
-        in.size() * sizeof(T) >= kRingMinBytes) {
-      allreduce_ring<T, Op>(in, out, op);
-      return;
-    }
     reduce<T, Op>(0, in, out, op);
     bcast<T>(0, out);
   }
@@ -457,33 +319,6 @@ class Comm {
     if (rank_ != 0) all.resize(static_cast<std::size_t>(size()) * in.size());
     bcast<T>(0, std::span<T>(all));
     return all;
-  }
-
-  /// Equal-share scatter from root: `all` holds size()*chunk elements at the
-  /// root; every member receives its chunk into `out`.
-  template <typename T>
-  void scatter(int root, std::span<const T> all, std::span<T> out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static telemetry::Histogram& h_bytes =
-        telemetry::metrics().histogram("mpi.coll.scatter_bytes", 1.0);
-    h_bytes.record(static_cast<double>(out.size() * sizeof(T)));
-    const Tag seq = next_seq();
-    const Tag tag = collective_tag(seq, 0);
-    if (rank_ == root) {
-      if (all.size() != out.size() * static_cast<std::size_t>(size())) {
-        throw std::invalid_argument("scatter: bad buffer size at root");
-      }
-      for (int r = 0; r < size(); ++r) {
-        std::span<const T> slot(all.data() + static_cast<std::size_t>(r) * out.size(), out.size());
-        if (r == root) {
-          std::memcpy(out.data(), slot.data(), out.size() * sizeof(T));
-        } else {
-          send<T>(r, tag, slot);
-        }
-      }
-    } else {
-      recv<T>(root, tag, out);
-    }
   }
 
   /// MPI_Comm_split: members with the same color form a new communicator,

@@ -20,13 +20,6 @@ struct Sum {
   }
 };
 
-struct Prod {
-  template <typename T>
-  T operator()(T a, T b) const {
-    return a * b;
-  }
-};
-
 struct Max {
   template <typename T>
   T operator()(T a, T b) const {
@@ -50,16 +43,11 @@ struct BXor {
   }
 };
 
-struct LAnd {
-  bool operator()(bool a, bool b) const { return a && b; }
-};
-
 /// acc[i] = op(acc[i], in[i]) over equal-length spans — the combine step of
-/// every collective. The two bulk-data cases (XOR over uint64 lanes, SUM
-/// over doubles) dispatch into the runtime-selected SIMD kernels; the
-/// generic fallback keeps the fixed-length inner block the compiler
-/// auto-vectorizes, so either way the combine is memory-bound instead of
-/// instruction-bound.
+/// reduce(). The two bulk-data cases (XOR over uint64 lanes, SUM over
+/// doubles) dispatch into the runtime-selected SIMD kernels; the generic
+/// fallback keeps the fixed-length inner block the compiler auto-vectorizes,
+/// so either way the combine is memory-bound instead of instruction-bound.
 template <typename T, typename Op>
 inline void combine_inplace(std::span<T> acc, std::span<const T> in, Op op) {
   if constexpr (std::is_same_v<Op, BXor> && std::is_same_v<T, std::uint64_t>) {
@@ -78,10 +66,6 @@ inline void combine_inplace(std::span<T> acc, std::span<const T> in, Op op) {
     for (; i < n; ++i) a[i] = op(a[i], b[i]);
   }
 }
-
-struct LOr {
-  bool operator()(bool a, bool b) const { return a || b; }
-};
 
 /// (value, index) pair for pivot search — MPI_MAXLOC over |value|.
 struct ValueLoc {

@@ -112,7 +112,7 @@ TEST(CommProperties, InterleavedCollectivesOnOverlappingComms) {
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }
 
-TEST(CommProperties, GatherScatterRoundTripRandomSizes) {
+TEST(CommProperties, GatherHoldsEveryChunkInRankOrder) {
   MiniCluster mc(6, 0);
   const auto result = mc.run(6, [](Comm& world) {
     for (const int chunk : {1, 5, 64}) {
@@ -121,10 +121,17 @@ TEST(CommProperties, GatherScatterRoundTripRandomSizes) {
         mine[static_cast<std::size_t>(i)] = world.rank() * 1000.0 + i;
       }
       const std::vector<double> all = world.gather<double>(3, mine);
-      std::vector<double> back(static_cast<std::size_t>(chunk), -1.0);
-      world.scatter<double>(3, all, back);
-      // gather then scatter is the identity on each rank's chunk.
-      ASSERT_EQ(back, mine) << "chunk " << chunk;
+      if (world.rank() != 3) {
+        ASSERT_TRUE(all.empty()) << "chunk " << chunk;
+        continue;
+      }
+      ASSERT_EQ(all.size(), static_cast<std::size_t>(world.size() * chunk));
+      for (int r = 0; r < world.size(); ++r) {
+        for (int i = 0; i < chunk; ++i) {
+          ASSERT_EQ(all[static_cast<std::size_t>(r * chunk + i)], r * 1000.0 + i)
+              << "chunk " << chunk << " rank " << r;
+        }
+      }
     }
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
@@ -147,44 +154,6 @@ TEST(CommProperties, MaxLocAgreesWithSerialScan) {
       ASSERT_EQ(best.index, expect.index) << trial;
       ASSERT_DOUBLE_EQ(best.value, expect.value);
     }
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(CommProperties, PipelineBcastMatchesBinomialForAllRootsAndChunks) {
-  MiniCluster mc(6, 0);
-  const auto result = mc.run(6, [](Comm& world) {
-    for (int root = 0; root < world.size(); ++root) {
-      for (const std::size_t chunk : {8u, 64u, 4096u, 1u << 20}) {
-        std::vector<std::uint64_t> via_pipeline(301);
-        std::vector<std::uint64_t> via_tree(301);
-        if (world.rank() == root) {
-          util::Xoshiro256 rng(static_cast<std::uint64_t>(root) * 31 + chunk);
-          for (std::size_t i = 0; i < via_pipeline.size(); ++i) {
-            via_pipeline[i] = rng.next();
-            via_tree[i] = via_pipeline[i];
-          }
-        }
-        world.bcast_pipeline<std::uint64_t>(root, via_pipeline, chunk);
-        world.bcast<std::uint64_t>(root, via_tree);
-        ASSERT_EQ(via_pipeline, via_tree) << "root " << root << " chunk " << chunk;
-      }
-    }
-  });
-  ASSERT_TRUE(result.completed) << result.abort_reason;
-}
-
-TEST(CommProperties, PipelineBcastEdgeCases) {
-  MiniCluster mc(2, 0);
-  const auto result = mc.run(2, [](Comm& world) {
-    std::vector<std::byte> empty;
-    world.bcast_pipeline(0, std::span<std::byte>(empty));  // no-op, no hang
-    std::vector<std::uint64_t> one{world.rank() == 1 ? 42u : 0u};
-    world.bcast_pipeline<std::uint64_t>(1, one, 3);  // chunk smaller than element
-    EXPECT_EQ(one[0], 42u);
-    std::vector<std::byte> buf(8);
-    EXPECT_THROW(world.bcast_pipeline(0, std::span<std::byte>(buf), 0),
-                 std::invalid_argument);
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
 }

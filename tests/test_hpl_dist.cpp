@@ -189,35 +189,6 @@ TEST(Lu, RestartFromMidPanelMatchesFullRun) {
   }
 }
 
-TEST(Lu, RingPanelBcastIsBitIdenticalToBinomial) {
-  // Both panel broadcast algorithms deliver the same bytes, so the whole
-  // factorization must agree bit-for-bit.
-  const std::int64_t n = 80, nb = 16;
-  const std::uint64_t seed = 33;
-  std::vector<double> x_tree;
-  for (const PanelBcast algo : {PanelBcast::kBinomial, PanelBcast::kRing}) {
-    MiniCluster mc(6, 0);
-    const auto result = mc.run(6, [&](mpi::Comm& world) {
-      mpi::Grid grid(world, 2, 3);
-      const std::int64_t elems = DistMatrix::max_local_elements(n, n + 1, nb, 2, 3);
-      std::vector<double> storage(static_cast<std::size_t>(elems));
-      DistMatrix a(grid, n, n + 1, nb, storage);
-      generate(a, seed);
-      lu_factorize(grid, a, n, 0, {}, nullptr, algo);
-      const auto x = back_substitute(world, grid, a, n);
-      if (world.rank() == 0) {
-        if (algo == PanelBcast::kBinomial) {
-          x_tree = x;
-        } else {
-          ASSERT_EQ(x.size(), x_tree.size());
-          for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(x[i], x_tree[i]) << i;
-        }
-      }
-    });
-    ASSERT_TRUE(result.completed) << result.abort_reason;
-  }
-}
-
 TEST(Lu, PivotValuesGiveDeterminantMagnitude) {
   // |det(A)| = product of |U(j,j)| — checks the replicated pivot-value
   // collection against a serial elimination.
