@@ -141,19 +141,26 @@ inline HplRun run_hpl_job(const ClusterSpec& spec, const hpl::SktHplConfig& conf
   return run;
 }
 
-/// Median-of-`reps` wrapper over run_hpl_job: the host is shared, with
-/// ~±10% wall-clock noise, so every figure that compares GFLOP rates uses
-/// the median of several runs.
-inline HplRun run_hpl_job_median(const ClusterSpec& spec, const hpl::SktHplConfig& config,
-                                 int reps) {
+/// The median-GFLOP/s run of `reps` calls of `run`, or the first failed
+/// one: the host is shared, with ~±10% wall-clock noise, so every figure
+/// that compares GFLOP rates uses the median of several runs.
+inline HplRun median_of(int reps, const std::function<HplRun()>& run) {
   std::vector<HplRun> runs;
   for (int i = 0; i < reps; ++i) {
-    runs.push_back(run_hpl_job(spec, config));
+    runs.push_back(run());
     if (!runs.back().ok) return runs.back();
   }
   std::sort(runs.begin(), runs.end(),
             [](const HplRun& a, const HplRun& b) { return a.gflops < b.gflops; });
   return runs[runs.size() / 2];
+}
+
+/// Median-of-`reps` wrapper over run_hpl_job. The reps share
+/// config.vault, so a BLCR rep would resume the previous rep's finished
+/// solve: give each rep its own vault through median_of instead.
+inline HplRun run_hpl_job_median(const ClusterSpec& spec, const hpl::SktHplConfig& config,
+                                 int reps) {
+  return median_of(reps, [&] { return run_hpl_job(spec, config); });
 }
 
 /// HPL geometry used throughout the benches unless a figure needs more.

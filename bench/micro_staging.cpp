@@ -42,8 +42,7 @@
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
 #include "sim/cluster.hpp"
-#include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "util/clock.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -87,7 +86,7 @@ RowResult measure_commit(const StagingConfig& cfg, double frac, bool async) {
       {.num_nodes = kRanks, .spare_nodes = 0, .nodes_per_rack = 4, .profile = profile});
   std::vector<int> ranklist(kRanks);
   std::iota(ranklist.begin(), ranklist.end(), 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   mpi::Runtime rt(cluster, ranklist, nullptr, {.model_network = true});
   const mpi::JobResult result = rt.run([&](mpi::Comm& world) {
     ckpt::Session session =
@@ -98,7 +97,6 @@ RowResult measure_commit(const StagingConfig& cfg, double frac, bool async) {
             .user_bytes(64)
             .key_prefix("stagebench")
             .vault(cfg.needs_vault || cfg.level2_every > 0 ? &vault : nullptr)
-            .device(storage::ssd_profile())
             .mode(async ? ckpt::CommitMode::kAsync : ckpt::CommitMode::kSync)
             .level2_flush_every(cfg.level2_every)
             .build(world);

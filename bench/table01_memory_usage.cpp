@@ -7,8 +7,7 @@
 #include "bench_common.hpp"
 #include "ckpt/plan.hpp"
 #include "ckpt/session.hpp"
-#include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 
 using namespace skt;
 
@@ -17,7 +16,7 @@ namespace {
 /// Actually allocated protocol footprint for one strategy at group size N.
 std::size_t measured_footprint(ckpt::Strategy strategy, int group, std::size_t m) {
   std::size_t bytes = 0;
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   bench::ClusterSpec spec;
   spec.ranks = group;
   spec.spares = 0;
@@ -27,7 +26,6 @@ std::size_t measured_footprint(ckpt::Strategy strategy, int group, std::size_t m
                                 .key_prefix("t1")
                                 .data_bytes(m)
                                 .vault(&vault)
-                                .device(storage::ssd_profile())
                                 .build(world);
     (void)session.open();
     if (world.rank() == 0) bytes = session.memory_bytes();

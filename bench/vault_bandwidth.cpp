@@ -2,25 +2,25 @@
 // tier across N node-local shards is that one large L2 flush engages every
 // shard's device concurrently instead of funnelling through a single
 // mount point. The gated quantity is the MODELED aggregate flush
-// bandwidth — bytes / ShardedVault::write_seconds(), the same number a
-// multi-level session charges its virtual clock — because that is what
-// the paper-level efficiency projections consume. Ideal scaling is Nx
-// (extents stripe round-robin from the anchor, so an image much larger
-// than one extent puts ceil(bytes/N) on every shard); the gate requires
-// >= 2x at 4 shards vs 1, leaving honest headroom for anchor skew on
-// small images. Wall-clock put/get throughput (real memcpy work through
-// the striping, replication, and index paths) is reported for trending
-// only — it measures this host's memory system, not the modeled devices.
+// bandwidth — bytes / Vault::write_seconds(), the same number a
+// multi-level session or a BLCR image charges its virtual clock. Ideal
+// scaling is Nx (extents stripe round-robin from the anchor, so an image
+// much larger than one extent puts ceil(bytes/N) on every shard); the
+// gate requires >= 2x at 4 shards vs 1, leaving honest headroom for
+// anchor skew on small images. Wall-clock put/get throughput (real memcpy
+// work through the striping, replication, and index paths) is reported
+// for trending only — it measures this host's memory system, not the
+// modeled devices.
 // Results land in BENCH_vault.json; exit status enforces the gate.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <numeric>
 #include <string>
 #include <vector>
 
-#include "storage/device.hpp"
-#include "storage/sharded_vault.hpp"
+#include "storage/vault.hpp"
 #include "util/json_writer.hpp"
 
 namespace {
@@ -47,10 +47,9 @@ struct Sample {
 };
 
 Sample run_at(int shards) {
-  storage::ShardedVaultConfig config;
-  for (int n = 0; n < shards; ++n) config.nodes.push_back(n);
-  config.shard_profile = storage::ssd_profile();
-  storage::ShardedVault vault(config);
+  std::vector<int> nodes(static_cast<std::size_t>(shards));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  storage::Vault vault({.nodes = std::move(nodes), .device = storage::ssd_profile()});
 
   std::vector<std::byte> image(kImageBytes);
   for (std::size_t i = 0; i < image.size(); ++i) {
@@ -66,7 +65,7 @@ Sample run_at(int shards) {
   const double put0 = wall_seconds();
   for (int r = 0; r < kImages; ++r) {
     const std::string key = "bench.r" + std::to_string(r) + ".L2.img";
-    modeled_write_s += vault.write_seconds(key, image.size()).value();
+    modeled_write_s += vault.write_seconds(image.size());
     vault.put(key, image);
   }
   const double put_wall = wall_seconds() - put0;
@@ -74,7 +73,7 @@ Sample run_at(int shards) {
   const double get0 = wall_seconds();
   for (int r = 0; r < kImages; ++r) {
     const std::string key = "bench.r" + std::to_string(r) + ".L2.img";
-    modeled_read_s += vault.read_seconds(key, image.size()).value();
+    modeled_read_s += vault.read_seconds(image.size());
     const auto blob = vault.get(key);
     if (!blob.has_value() || blob->size() != image.size() ||
         std::memcmp(blob->data(), image.data(), image.size()) != 0) {

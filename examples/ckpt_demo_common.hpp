@@ -8,8 +8,7 @@
 
 #include "ckpt/session.hpp"
 #include "mpi/launcher.hpp"
-#include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "util/rng.hpp"
 
 namespace skt::examples {
@@ -23,16 +22,16 @@ struct StrategyProbe {
 inline StrategyProbe probe_strategy(ckpt::Strategy strategy, int ranks, int group_size,
                                     std::size_t data_bytes) {
   StrategyProbe probe;
-  storage::SnapshotVault vault;
 
-  const auto app = [&](mpi::Comm& world, bool* done) {
+  // Each pass gets a fresh vault: pass 2 must not resume pass 1's final
+  // BLCR image.
+  const auto app = [&](mpi::Comm& world, storage::Vault& vault, bool* done) {
     ckpt::Session session = ckpt::SessionBuilder{}
                                 .strategy(strategy)
                                 .key_prefix("probe")
                                 .data_bytes(data_bytes)
                                 .group_size(group_size)
                                 .vault(&vault)
-                                .device(storage::ssd_profile())
                                 .build(world);
     const bool restored = session.open() == ckpt::OpenOutcome::kRestored;
     auto* iter = reinterpret_cast<std::uint64_t*>(session.user_state().data());
@@ -56,8 +55,9 @@ inline StrategyProbe probe_strategy(ckpt::Strategy strategy, int ranks, int grou
   // Pass 1: fault-free, to measure footprint and commit time.
   {
     sim::Cluster cluster({.num_nodes = ranks, .spare_nodes = 0, .nodes_per_rack = 4});
+    storage::Vault vault;
     mpi::JobLauncher launcher(cluster, nullptr, {.max_restarts = 0});
-    (void)launcher.run(ranks, [&](mpi::Comm& w) { app(w, nullptr); });
+    (void)launcher.run(ranks, [&](mpi::Comm& w) { app(w, vault, nullptr); });
   }
   // Pass 2: kill a node inside the second commit's update window.
   {
@@ -66,9 +66,10 @@ inline StrategyProbe probe_strategy(ckpt::Strategy strategy, int ranks, int grou
     const char* point =
         strategy == ckpt::Strategy::kSelf ? "ckpt.mid_flush" : "ckpt.mid_update";
     injector.add_rule({.point = point, .world_rank = 1, .hit = 2, .repeat = false});
+    storage::Vault vault;
     mpi::JobLauncher launcher(cluster, &injector, {.max_restarts = 2});
     bool done = false;
-    const auto result = launcher.run(ranks, [&](mpi::Comm& w) { app(w, &done); });
+    const auto result = launcher.run(ranks, [&](mpi::Comm& w) { app(w, vault, &done); });
     probe.survives_update_failure = result.success && done;
   }
   return probe;

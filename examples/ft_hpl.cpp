@@ -27,8 +27,7 @@
 
 #include "hpl/skt_hpl.hpp"
 #include "mpi/launcher.hpp"
-#include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
@@ -69,9 +68,8 @@ int main(int argc, char** argv) {
   if (telemetry_prefix.empty()) telemetry_prefix = monitor_prefix;
   if (!telemetry_prefix.empty()) telemetry::set_enabled(true);
 
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
 
   const int ranks = config.hpl.grid_p * config.hpl.grid_q;
   sim::Cluster cluster({.num_nodes = ranks, .spare_nodes = 2, .nodes_per_rack = 4});

@@ -31,11 +31,11 @@
 // the scrub.* counters (visible in the RunReport).
 //
 // With --shards N the faulty run's session becomes multi-level: every
-// other commit flushes to a ShardedVault spread over the job's first N
+// other commit flushes to a storage::Vault sharded over the job's first N
 // nodes, the injected kill takes a shard host with it, and the launcher
 // reshards (wipe dead shard, spare takes the slot, extents re-homed from
 // replicas) before relaunch — validated via the vault.* gauges and
-// ShardedVaultStats (visible in the RunReport).
+// VaultStats (visible in the RunReport).
 //
 //   ./ft_jacobi [--grid 128] [--ranks 4] [--iters 60] [--ckpt-every 10]
 //               [--telemetry out/jacobi] [--monitor out/jacobi]
@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -54,8 +55,7 @@
 
 #include "ckpt/session.hpp"
 #include "mpi/launcher.hpp"
-#include "storage/device.hpp"
-#include "storage/sharded_vault.hpp"
+#include "storage/vault.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
@@ -133,7 +133,7 @@ void jacobi(mpi::Comm& world, std::int64_t grid_n, std::int64_t iterations,
   if (vault != nullptr) {
     // --shards: wrap in a multi-level session flushing every other commit
     // to the sharded durable tier.
-    builder.vault(vault).device(storage::ssd_profile()).level2_flush_every(2);
+    builder.vault(vault).level2_flush_every(2);
   }
   // group_size 0: one encoding group spanning the job
   ckpt::Session session = builder.build(world);
@@ -326,8 +326,8 @@ int main(int argc, char** argv) {
   scrub.interval_s = opts.get_double("scrub", 0.0);
   scrub.parity = static_cast<int>(opts.get_int("parity", 1));
   scrub.bitflip = opts.has("bitflip");
-  // --shards N: back the faulty run's level-2 tier with a ShardedVault
-  // over the job's first N nodes; the launcher reshards it when the
+  // --shards N: back the faulty run's level-2 tier with a storage::Vault
+  // sharded over the job's first N nodes; the launcher reshards it when the
   // injected kill takes a shard host down.
   const int shards = static_cast<int>(opts.get_int("shards", 0));
   if (shards > ranks) {
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
   std::uint64_t monitor_ticks = 0;
   std::size_t postmortems = 0;
   double detect_latency_s = -1.0;
-  std::optional<storage::ShardedVault> vault;
+  std::optional<storage::Vault> vault;
   {
     sim::Cluster cluster({.num_nodes = ranks, .spare_nodes = 2, .nodes_per_rack = 4});
     sim::FailureInjector injector;
@@ -375,10 +375,10 @@ int main(int argc, char** argv) {
                        .repeat = false});
     mpi::LauncherConfig launch_config{.max_restarts = 2};
     if (shards > 0) {
-      storage::ShardedVaultConfig vc;
-      for (int n = 0; n < shards; ++n) vc.nodes.push_back(n);
-      vault.emplace(vc);
-      launch_config.sharded_vault = &*vault;
+      std::vector<int> nodes(static_cast<std::size_t>(shards));
+      std::iota(nodes.begin(), nodes.end(), 0);
+      vault.emplace(storage::VaultConfig{.nodes = std::move(nodes)});
+      launch_config.vault = &*vault;
     }
     std::optional<telemetry::Aggregator> monitor;
     if (!monitor_prefix.empty()) {
@@ -416,7 +416,7 @@ int main(int argc, char** argv) {
   // shard), and no extent may have been lost — a single shard death always
   // leaves the replica copy.
   bool vault_ok = true;
-  storage::ShardedVaultStats vault_stats;
+  storage::VaultStats vault_stats;
   if (vault.has_value()) {
     vault_stats = vault->stats();
     if (restarts > 0 && ranks / 2 < shards && vault_stats.rebalances == 0) {

@@ -209,22 +209,25 @@ jq -e '(.metrics.gauges."store.capacity_bytes" > 0)
 
 echo
 echo "=== vault lane: sharded tier under sanitizers + live reshard drill ==="
-# The sharded vault moves extents between shards while rank threads flush
-# and the launcher reshards — pointer/lock discipline worth both
-# sanitizers. Then a real drill: ft_jacobi stripes its L2 images over 4
-# shards, an injected kill takes a shard-hosting node down, and the
+# The vault moves extents between shards while rank threads flush and
+# the launcher reshards — pointer/lock discipline worth both sanitizers.
+# Every BLCR image and level-2 flush goes through those extents, so
+# test_extensions (4-8 rank threads flushing into one vault, kills, disk
+# restores) runs beside the vault suites. Then a real drill: ft_jacobi
+# stripes its L2 images over 4 shards, an injected kill takes a
+# shard-hosting node down, and the
 # replace phase must re-home the dead shard's extents onto the
 # substitute with nothing lost and the run still bit-identical. jq
 # checks the RunReport's vault.* gauges (including the replica
 # invariant: physical bytes == 2x logical) the way an external operator
 # would. vault_bandwidth holds the modeled flush scaling to >= 2x at 4
 # shards vs 1.
-cmake --build build-asan -j --target test_storage test_sharded_vault
+cmake --build build-asan -j --target test_storage test_sharded_vault test_extensions
 (cd build-asan && ctest --output-on-failure \
-  -R '^(test_storage|test_sharded_vault)$' -j)
-cmake --build build-tsan -j --target test_storage test_sharded_vault
+  -R '^(test_storage|test_sharded_vault|test_extensions)$' -j)
+cmake --build build-tsan -j --target test_storage test_sharded_vault test_extensions
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(test_storage|test_sharded_vault)$' -j)
+  -R '^(test_storage|test_sharded_vault|test_extensions)$' -j)
 cmake --build build -j --target ft_jacobi vault_bandwidth
 rm -rf build/vault-lane && mkdir -p build/vault-lane
 (cd build/vault-lane && ../examples/ft_jacobi --grid 128 --ranks 4 \

@@ -3,13 +3,14 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "storage/vault.hpp"
 #include "telemetry/trace.hpp"
 #include "util/clock.hpp"
 
 namespace skt::ckpt {
 
 BlcrCheckpoint::BlcrCheckpoint(FactoryParams params)
-    : params_(std::move(params)), device_(params_.device) {
+    : params_(std::move(params)) {
   if (params_.data_bytes == 0) throw std::invalid_argument("BlcrCheckpoint: data_bytes == 0");
   if (params_.user_bytes == 0) throw std::invalid_argument("BlcrCheckpoint: user_bytes == 0");
   if (params_.vault == nullptr) throw std::invalid_argument("BlcrCheckpoint: vault required");
@@ -25,6 +26,10 @@ std::string BlcrCheckpoint::image_key(std::uint64_t epoch) const {
          std::to_string(epoch);
 }
 
+std::string BlcrCheckpoint::newest_key() const {
+  return params_.key_prefix + ".r" + std::to_string(world_rank_) + ".blcr.newest";
+}
+
 void BlcrCheckpoint::require_open() const {
   if (world_rank_ < 0) throw std::logic_error("BlcrCheckpoint: open() has not been called");
 }
@@ -35,11 +40,12 @@ bool BlcrCheckpoint::open(CommCtx ctx) {
   tracker_.reset(params_.data_bytes, params_.user_bytes, kStripeBytes,
                  (combined + kStripeBytes - 1) / kStripeBytes);
   // Find this rank's newest image on disk (disk survives node loss).
-  epoch_ = 0;
-  for (std::uint64_t e = 1;; ++e) {
-    if (!params_.vault->exists(image_key(e))) break;
-    epoch_ = e;
+  std::uint64_t mine = 0;
+  if (const auto blob = params_.vault->get(newest_key());
+      blob.has_value() && blob->size() == sizeof(mine)) {
+    std::memcpy(&mine, blob->data(), sizeof(mine));
   }
+  epoch_ = mine >= 1 && params_.vault->exists(image_key(mine)) ? mine : 0;
   const std::uint64_t newest = ctx.world.allreduce_value<std::uint64_t>(epoch_, mpi::Max{});
   return newest >= 1;
 }
@@ -109,10 +115,10 @@ CommitStats BlcrCheckpoint::commit_impl(CommCtx ctx, bool async) {
   util::WallTimer timer;
   {
     SKT_SPAN("ckpt.flush");
-    const std::string key = image_key(stats.epoch);
-    params_.vault->put(key, image);
-    stats.device_s = params_.vault->write_seconds(key, image.size())
-                         .value_or(device_.write_seconds(image.size()));
+    params_.vault->put(image_key(stats.epoch), image);
+    // Written after the image, so it only ever names a complete one.
+    params_.vault->put(newest_key(), std::as_bytes(std::span(&stats.epoch, 1)));
+    stats.device_s = params_.vault->write_seconds(image.size());
     ctx.group.charge_virtual(stats.device_s);
   }
   stats.flush_s = timer.seconds();
@@ -148,8 +154,7 @@ RestoreStats BlcrCheckpoint::restore(CommCtx ctx) {
   if (!image.has_value() || image->size() != app_.size() + user_.size()) {
     throw Unrecoverable("blcr: image for epoch " + std::to_string(target) + " missing/corrupt");
   }
-  stats.device_s = params_.vault->read_seconds(image_key(target), image->size())
-                       .value_or(device_.read_seconds(image->size()));
+  stats.device_s = params_.vault->read_seconds(image->size());
   ctx.group.charge_virtual(stats.device_s);
   std::memcpy(app_.data(), image->data(), app_.size());
   std::memcpy(user_.data(), image->data() + app_.size(), user_.size());

@@ -1,11 +1,13 @@
 // BLCR-style full-image checkpoint to a storage device (Table 3 baselines
 // BLCR+HDD and BLCR+SSD).
 //
-// Every commit serializes [A|A2] into the SnapshotVault — the simulation's
-// durable disk — and charges the device's transfer time to the rank's
-// virtual clock. Two image generations are retained so a failure during a
-// write always leaves a complete previous image, and restore() agrees on
-// the newest epoch present on every rank.
+// Every commit serializes [A|A2] into the storage::Vault — the
+// simulation's durable disk — and charges the vault device's transfer time
+// to the rank's virtual clock. Two image generations are retained so a
+// failure during a write always leaves a complete previous image; a
+// per-rank key names the newest one, so a relaunch finds it after any
+// number of commits, and restore() agrees on the newest epoch present on
+// every rank.
 #pragma once
 
 #include <atomic>
@@ -14,17 +16,15 @@
 
 #include "ckpt/factory.hpp"
 #include "ckpt/protocol.hpp"
-#include "storage/device.hpp"
 
 namespace skt::ckpt {
 
 class BlcrCheckpoint final : public CheckpointProtocol {
  public:
-  /// Uses key_prefix, data_bytes, user_bytes, vault (required: any Vault
-  /// implementation), device (the fallback model for vaults without one of
-  /// their own, e.g. hdd_profile(ranks_per_node)) and async_staging (a
-  /// heap staging buffer; the vault keeps a complete previous image
-  /// either way, so recovery is unchanged).
+  /// Uses key_prefix, data_bytes, user_bytes, vault (required; its device,
+  /// e.g. hdd_profile(ranks_per_node), prices the images) and
+  /// async_staging (a heap staging buffer; the vault keeps a complete
+  /// previous image either way, so recovery is unchanged).
   explicit BlcrCheckpoint(FactoryParams params);
 
   bool open(CommCtx ctx) override;
@@ -47,11 +47,12 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   static constexpr std::size_t kStripeBytes = enc::kBlockBytes;
 
   [[nodiscard]] std::string image_key(std::uint64_t epoch) const;
+  /// Per-rank key holding the epoch of the newest complete image.
+  [[nodiscard]] std::string newest_key() const;
   void require_open() const;
   CommitStats commit_impl(CommCtx ctx, bool async);
 
   FactoryParams params_;
-  storage::Device device_;
   std::vector<std::byte> app_;
   std::vector<std::byte> user_;
   std::vector<std::byte> stage_;  // [A|A2] snapshot, async_staging only

@@ -12,8 +12,10 @@
 
 #include "ckpt/protocol.hpp"
 #include "encoding/codec.hpp"
-#include "storage/device.hpp"
-#include "storage/vault.hpp"
+
+namespace skt::storage {
+class Vault;
+}
 
 namespace skt::ckpt {
 
@@ -28,11 +30,9 @@ struct FactoryParams {
   /// wide-stripe groups surviving m concurrent losses per group. Single
   /// stays single-parity.
   int parity_degree = 1;
-  /// BLCR's disk and the multi-level disk level: any Vault implementation
-  /// (required there), and the device model charged for vaults without
-  /// one of their own (e.g. hdd_profile(), pfs_profile(ranks)).
+  /// BLCR's disk and the multi-level disk level (required there). The
+  /// vault's own device prices every image it writes or reads.
   storage::Vault* vault = nullptr;
-  storage::DeviceProfile device;
   /// Allocate the staging buffer for stage()/commit_staged(). Changes the
   /// persistent-store layout of self-checkpoint (its SHM staging segment),
   /// so a run cannot restart with a different setting than it committed

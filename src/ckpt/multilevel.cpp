@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "storage/vault.hpp"
 #include "telemetry/trace.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
@@ -10,7 +11,7 @@
 namespace skt::ckpt {
 
 MultiLevelCheckpoint::MultiLevelCheckpoint(Params params)
-    : params_(std::move(params)), device_(params_.device) {
+    : params_(std::move(params)) {
   if (params_.vault == nullptr) {
     throw std::invalid_argument("MultiLevelCheckpoint: vault required");
   }
@@ -89,16 +90,13 @@ CommitStats MultiLevelCheckpoint::commit_impl(CommCtx ctx, CommitStats stats,
                                               bool from_staged) {
   if (params_.flush_every > 0 && ++commits_since_flush_ >= params_.flush_every) {
     commits_since_flush_ = 0;
-    flush_to_disk(ctx, stats.epoch, from_staged);
-    const std::size_t image_bytes = params_.data_bytes + params_.user_bytes;
-    stats.device_s = params_.vault->write_seconds(image_key(stats.epoch), image_bytes)
-                         .value_or(device_.write_seconds(image_bytes));
+    stats.device_s = flush_to_disk(ctx, stats.epoch, from_staged);
   }
   return stats;
 }
 
-void MultiLevelCheckpoint::flush_to_disk(CommCtx ctx, std::uint64_t epoch,
-                                         bool from_staged) {
+double MultiLevelCheckpoint::flush_to_disk(CommCtx ctx, std::uint64_t epoch,
+                                           bool from_staged) {
   SKT_SPAN("ckpt.l2_flush");
   ctx.group.failpoint(from_staged ? "ckpt.async_l2_flush" : "ckpt.l2_flush");
   std::vector<std::byte> image(params_.data_bytes + params_.user_bytes);
@@ -110,12 +108,9 @@ void MultiLevelCheckpoint::flush_to_disk(CommCtx ctx, std::uint64_t epoch,
     std::memcpy(image.data() + params_.data_bytes, inner_->user_state().data(),
                 params_.user_bytes);
   }
-  const std::string key = image_key(epoch);
-  params_.vault->put(key, image);
-  // Sharded vaults model the parallel-extent transfer themselves; plain
-  // SnapshotVault has no opinion and we charge the configured device.
-  ctx.group.charge_virtual(params_.vault->write_seconds(key, image.size())
-                               .value_or(device_.write_seconds(image.size())));
+  params_.vault->put(image_key(epoch), image);
+  const double device_s = params_.vault->write_seconds(image.size());
+  ctx.group.charge_virtual(device_s);
 
   // Retain two generations so a torn flush always leaves one complete
   // generation on every rank; GC the grandparent only.
@@ -129,6 +124,7 @@ void MultiLevelCheckpoint::flush_to_disk(CommCtx ctx, std::uint64_t epoch,
   flushes_.fetch_add(1, std::memory_order_acq_rel);
   // A disk generation is only usable if every rank finished writing it.
   ctx.world.barrier();
+  return device_s;
 }
 
 RestoreStats MultiLevelCheckpoint::restore(CommCtx ctx) {
@@ -174,8 +170,7 @@ RestoreStats MultiLevelCheckpoint::restore(CommCtx ctx) {
               params_.user_bytes);
   RestoreStats stats;
   stats.epoch = target;
-  stats.device_s = params_.vault->read_seconds(image_key(target), image->size())
-                       .value_or(device_.read_seconds(image->size()));
+  stats.device_s = params_.vault->read_seconds(image->size());
   ctx.group.charge_virtual(stats.device_s);
 
   // Re-establish level-1 redundancy immediately: the restored data gets a

@@ -4,8 +4,8 @@
 // degree of fault tolerance".
 //
 // Level 1 is any in-memory CheckpointProtocol (self-checkpoint by
-// default); level 2 periodically flushes the *committed* image to a
-// durable device (parallel file system model). Restore first tries the
+// default); level 2 periodically flushes the *committed* image to the
+// storage::Vault, whose device prices the transfer. Restore first tries the
 // fast in-memory path; when that is unrecoverable — e.g. two nodes of one
 // encoding group lost at once — it falls back to the newest complete disk
 // generation, trading recovery time for coverage.
@@ -18,15 +18,14 @@
 
 #include "ckpt/factory.hpp"
 #include "ckpt/protocol.hpp"
-#include "storage/device.hpp"
 
 namespace skt::ckpt {
 
 class MultiLevelCheckpoint final : public CheckpointProtocol {
  public:
-  /// The level-1 strategy's FactoryParams (vault and device required for
-  /// the disk level; async_staging makes the level-2 flush read the staged
-  /// image instead of the live working buffer) plus the level-2 cadence.
+  /// The level-1 strategy's FactoryParams (vault required for the disk
+  /// level; async_staging makes the level-2 flush read the staged image
+  /// instead of the live working buffer) plus the level-2 cadence.
   struct Params : FactoryParams {
     /// Level-1 strategy (must be an in-memory one).
     Strategy level1 = Strategy::kSelf;
@@ -72,14 +71,14 @@ class MultiLevelCheckpoint final : public CheckpointProtocol {
 
   [[nodiscard]] std::string image_key(std::uint64_t epoch) const;
   [[nodiscard]] std::string manifest_key() const;
-  void flush_to_disk(CommCtx ctx, std::uint64_t epoch, bool from_staged);
+  /// Returns the modeled device seconds the flush charged.
+  double flush_to_disk(CommCtx ctx, std::uint64_t epoch, bool from_staged);
   [[nodiscard]] Manifest load_manifest() const;
   void store_manifest(const Manifest& manifest);
   [[nodiscard]] std::uint64_t newest_disk_epoch() const;
   CommitStats commit_impl(CommCtx ctx, CommitStats stats, bool from_staged);
 
   Params params_;
-  storage::Device device_;
   std::unique_ptr<CheckpointProtocol> inner_;
   int world_rank_ = -1;
   /// Flush cadence counter. Touched by whichever thread runs the commit;

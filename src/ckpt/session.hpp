@@ -86,10 +86,8 @@ class SessionBuilder {
   SessionBuilder& parity_degree(int d) { params_.parity_degree = d; return *this; }
   SessionBuilder& key_prefix(std::string p) { params_.key_prefix = std::move(p); return *this; }
   /// Durable store; required for Strategy::kBlcr and level2_flush_every.
-  /// Accepts any Vault (SnapshotVault, or ShardedVault for a durable tier
-  /// spread across node-local shards).
+  /// Its device (VaultConfig::device) prices every image it stores.
   SessionBuilder& vault(storage::Vault* v) { params_.vault = v; return *this; }
-  SessionBuilder& device(storage::DeviceProfile d) { params_.device = d; return *this; }
   /// Ranks per encoding group (0 = one job-wide group). Must divide the
   /// world size.
   SessionBuilder& group_size(int n) { group_size_ = n; return *this; }

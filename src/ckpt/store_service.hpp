@@ -1,7 +1,7 @@
 // StoreService — checkpoint storage as a shared, multi-tenant service.
 //
 // One StoreService per cluster owns the checkpoint-memory budget that the
-// per-node PersistentStores and the (optional) shared SnapshotVault
+// per-node PersistentStores and the (optional) shared storage::Vault
 // provide, and serves many concurrent jobs. Each job registers as a named
 // TENANT and opens its ckpt::Sessions against that namespace
 // (SessionBuilder::tenant("hpl-a").service(&svc)):
@@ -74,8 +74,8 @@ struct StoreServiceConfig {
   /// A queued open gives up (AdmissionTimeout) after this long.
   double admission_timeout_s = 30.0;
   /// Shared durable tier handed to every tenant Session (level-2 flushes,
-  /// BLCR images) under its namespace prefix; may be nullptr. Accepts any
-  /// Vault implementation — a SnapshotVault or a node-sharded ShardedVault.
+  /// BLCR images) under its namespace prefix; may be nullptr. One shard
+  /// off the cluster by default, or sharded across node-local devices.
   storage::Vault* vault = nullptr;
 };
 

@@ -65,7 +65,6 @@ SktHplResult run_skt_hpl(mpi::Comm& world, const SktHplConfig& config) {
           .user_bytes(sizeof(SktState))
           .codec(config.codec)
           .vault(config.vault)
-          .device(config.device)
           .group(build_group_comm(world, config.group_size, config.mapping))
           .mode(config.async ? ckpt::CommitMode::kAsync : ckpt::CommitMode::kSync)
           .service(config.service)

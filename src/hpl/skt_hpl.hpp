@@ -31,9 +31,8 @@ struct SktHplConfig {
   /// Checkpoint after every this many eliminated panels (0 = never).
   std::int64_t ckpt_every_panels = 8;
   std::string key_prefix = "skthpl";
-  /// BLCR only:
+  /// BLCR only; the vault's device prices the images.
   storage::Vault* vault = nullptr;
-  storage::DeviceProfile device;
   /// Asynchronous commit pipeline: the elimination loop pays only the
   /// stage copy; encode + flush overlap the following panels on a
   /// background worker (bounded to one in-flight epoch).

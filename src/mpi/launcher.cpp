@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "storage/sharded_vault.hpp"
+#include "storage/vault.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/clock.hpp"
@@ -274,10 +274,8 @@ LaunchResult JobLauncher::run(int nranks, const std::function<void(Comm&)>& fn) 
       // multi-node loss can never re-home an extent out of another dead
       // (but not yet replaced) shard — that would resurrect lost data and
       // hide a genuine hole in the replica invariant.
-      if (config_.sharded_vault != nullptr) {
-        for (const int node_id : lost_nodes) {
-          config_.sharded_vault->wipe_shard(node_id);
-        }
+      if (config_.vault != nullptr) {
+        for (const int node_id : lost_nodes) config_.vault->wipe_shard(node_id);
       }
       std::vector<int> replacement(static_cast<std::size_t>(cluster_.total_nodes()), -1);
       for (int& node_id : ranklist) {
@@ -297,10 +295,9 @@ LaunchResult JobLauncher::run(int nranks, const std::function<void(Comm&)>& fn) 
           // the dead node's placement slot and its extents are re-homed
           // from surviving replica shards, so the restarted job's L2
           // restore finds every extent where the placement map says.
-          if (config_.sharded_vault != nullptr &&
-              config_.sharded_vault->has_shard(node_id)) {
-            config_.sharded_vault->replace_node(node_id, subst);
-            const storage::ShardedVaultStats vs = config_.sharded_vault->stats();
+          if (config_.vault != nullptr && config_.vault->has_shard(node_id)) {
+            config_.vault->replace_node(node_id, subst);
+            const storage::VaultStats vs = config_.vault->stats();
             SKT_LOG_INFO(
                 "launcher: resharded vault (shard {} -> {}, {} extents re-homed, "
                 "{} lost)",

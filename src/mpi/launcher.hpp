@@ -18,7 +18,7 @@
 #include "telemetry/health.hpp"
 
 namespace skt::storage {
-class ShardedVault;
+class Vault;
 }
 
 namespace skt::mpi {
@@ -55,12 +55,13 @@ struct LauncherConfig {
   /// When set, every incident's postmortem is also written to
   /// `POSTMORTEM_<name>.json` (incident k > 0 appends `_<k>`).
   std::string postmortem_name;
-  /// When the job's durable tier is sharded across its own nodes, the
-  /// replace phase reshards it: each dead node that hosts a shard gets
-  /// ShardedVault::replace_node(dead, spare), which hands the spare the
-  /// dead node's placement slot and re-homes its extents from surviving
-  /// replicas before the relaunch reads anything back.
-  storage::ShardedVault* sharded_vault = nullptr;
+  /// The job's durable tier, when its shards live on the job's own nodes:
+  /// the replace phase wipes every dead node's shard, then gives each one
+  /// Vault::replace_node(dead, spare), which hands the spare the dead
+  /// node's placement slot and re-homes its extents from surviving
+  /// replicas before the relaunch reads anything back. A vault with no
+  /// shard on a lost node is left as it is.
+  storage::Vault* vault = nullptr;
   RuntimeConfig runtime;
 };
 

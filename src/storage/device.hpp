@@ -1,9 +1,10 @@
 // Storage device models for the disk-based checkpoint baselines of
 // Table 3 (BLCR+HDD, BLCR+SSD) and for multi-level flush policies.
 //
-// Devices do not store bytes themselves (SnapshotVault does); they model
-// the *time* a transfer costs, which is charged to the job's virtual clock
-// so benches finish in milliseconds while reporting paper-scale runtimes.
+// Devices do not store bytes themselves (storage::Vault does, and carries
+// one Device); they model the *time* a transfer costs, which is charged to
+// the job's virtual clock so benches finish in milliseconds while
+// reporting paper-scale runtimes.
 #pragma once
 
 #include <cstddef>

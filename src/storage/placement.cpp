@@ -8,19 +8,6 @@ namespace skt::storage {
 
 namespace {
 
-void validate_nodes(const std::vector<int>& nodes) {
-  if (nodes.empty()) {
-    throw std::invalid_argument("PlacementMap: node list must not be empty");
-  }
-  std::unordered_set<int> seen;
-  for (int node : nodes) {
-    if (!seen.insert(node).second) {
-      throw std::invalid_argument("PlacementMap: duplicate node id " +
-                                  std::to_string(node));
-    }
-  }
-}
-
 // splitmix64 finalizer — strong enough avalanche for HRW scoring and fully
 // deterministic across platforms (no std::hash, whose result is
 // implementation-defined).
@@ -43,7 +30,16 @@ std::uint64_t fnv1a(std::string_view s) {
 }  // namespace
 
 PlacementMap::PlacementMap(std::vector<int> nodes) : nodes_(std::move(nodes)) {
-  validate_nodes(nodes_);
+  if (nodes_.empty()) {
+    throw std::invalid_argument("PlacementMap: node list must not be empty");
+  }
+  std::unordered_set<int> seen;
+  for (int node : nodes_) {
+    if (!seen.insert(node).second) {
+      throw std::invalid_argument("PlacementMap: duplicate node id " +
+                                  std::to_string(node));
+    }
+  }
 }
 
 std::uint64_t PlacementMap::score(std::string_view key, int node) {
@@ -83,12 +79,6 @@ void PlacementMap::replace(int dead, int replacement) {
                                 " already holds a slot");
   }
   *it = replacement;
-  ++version_;
-}
-
-void PlacementMap::rebuild(std::vector<int> nodes) {
-  validate_nodes(nodes);
-  nodes_ = std::move(nodes);
   ++version_;
 }
 

@@ -39,7 +39,7 @@ class PlacementMap {
   explicit PlacementMap(std::vector<int> nodes);
 
   /// Rendezvous score of (key, node); exposed so tests can verify the
-  /// argmax rule and the stability of survivor scores across rebuilds.
+  /// argmax rule and the stability of survivor scores across replaces.
   [[nodiscard]] static std::uint64_t score(std::string_view key, int node);
 
   /// Anchor slot index of `key` (the HRW argmax over the current nodes).
@@ -53,16 +53,11 @@ class PlacementMap {
   /// holds no slot or `replacement` already does.
   void replace(int dead, int replacement);
 
-  /// Rebuild from a full node list (same contract as the constructor);
-  /// bumps the version. Prefer replace() for single-node swaps — it keeps
-  /// every surviving slot stable.
-  void rebuild(std::vector<int> nodes);
-
   [[nodiscard]] const std::vector<int>& nodes() const { return nodes_; }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] bool contains(int node) const;
-  /// Incremented by every replace()/rebuild(); lets consumers detect that
-  /// cached placements are stale.
+  /// Incremented by every replace(); lets consumers detect that cached
+  /// placements are stale.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
  private:

@@ -33,8 +33,7 @@ struct CkptAppConfig {
   int parity_degree = 1;       ///< self-checkpoint only
   int iterations = 5;
   std::uint64_t seed = 2017;
-  storage::Vault* vault = nullptr;  ///< BLCR / level 2 only (any implementation)
-  storage::DeviceProfile device;    ///< BLCR / level 2 only
+  storage::Vault* vault = nullptr;  ///< BLCR / level 2 only
   ckpt::CommitMode mode = ckpt::CommitMode::kSync;
   /// > 0 wraps the strategy in a multi-level session (level-2 disk flush
   /// every N commits).
@@ -114,7 +113,6 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
                               .parity_degree(config.parity_degree)
                               .key_prefix("test")
                               .vault(config.vault)
-                              .device(config.device)
                               .mode(config.mode)
                               .level2_flush_every(config.level2_every)
                               .scrub_interval(config.scrub_interval)

@@ -9,7 +9,7 @@
 #include "ckpt/multilevel.hpp"
 #include "mpi/launcher.hpp"
 #include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "ckpt_harness.hpp"
 #include "testing.hpp"
 
@@ -20,7 +20,7 @@ using skt::testing::MiniCluster;
 
 // -------------------------------------------------------- multi-level ---
 
-ckpt::MultiLevelCheckpoint::Params ml_params(storage::SnapshotVault* vault,
+ckpt::MultiLevelCheckpoint::Params ml_params(storage::Vault* vault,
                                              std::size_t data_bytes = 2048) {
   ckpt::MultiLevelCheckpoint::Params params;
   params.key_prefix = "ml";
@@ -28,13 +28,12 @@ ckpt::MultiLevelCheckpoint::Params ml_params(storage::SnapshotVault* vault,
   params.user_bytes = 16;
   params.flush_every = 2;
   params.vault = vault;
-  params.device = storage::pfs_profile();
   return params;
 }
 
 TEST(MultiLevel, FlushesEveryKCommitsAndKeepsTwoGenerations) {
   MiniCluster mc(4, 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault({.device = storage::pfs_profile()});
   const auto result = mc.run(4, [&](mpi::Comm& world) {
     ckpt::MultiLevelCheckpoint protocol(ml_params(&vault));
     ckpt::CommCtx ctx{world, world};
@@ -53,7 +52,7 @@ TEST(MultiLevel, FlushesEveryKCommitsAndKeepsTwoGenerations) {
 
 TEST(MultiLevel, SingleFailureUsesFastInMemoryLevel) {
   MiniCluster mc(4, 2);
-  storage::SnapshotVault vault;
+  storage::Vault vault({.device = storage::pfs_profile()});
   sim::FailureInjector injector;
   injector.add_rule({.point = "app.work", .world_rank = 1, .hit = 3, .repeat = false});
 
@@ -93,9 +92,10 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   // modeled second, which the disk restore reports as device_s, apart
   // from its measured rebuild_s.
   MiniCluster mc(4, 4);
-  storage::SnapshotVault vault;
-  ckpt::MultiLevelCheckpoint::Params params = ml_params(&vault);
-  params.device.latency_s = 1.0;
+  storage::DeviceProfile slow = storage::pfs_profile();
+  slow.latency_s = 1.0;
+  storage::Vault vault({.device = slow});
+  const ckpt::MultiLevelCheckpoint::Params params = ml_params(&vault);
   sim::FailureInjector injector;
   // First failure mid-compute; second failure during the restore of the
   // first restart, before the group is re-encoded.
@@ -137,7 +137,7 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   ASSERT_TRUE(result.success) << result.failure;
   EXPECT_TRUE(used_disk);
   EXPECT_GE(restored_epoch, 2u);  // a flushed generation, not a fresh start
-  EXPECT_GE(disk_restore.device_s, 1.0);
+  EXPECT_EQ(disk_restore.device_s, storage::Device(slow).read_seconds(2048 + 16));
   EXPECT_LT(disk_restore.rebuild_s, 1.0);
 }
 
@@ -152,7 +152,7 @@ TEST_P(MultiLevelTwoGroups, GroupBeyondItsCodeSendsEveryGroupToDisk) {
   constexpr int kWorld = 8;
   const ckpt::Strategy level1 = GetParam();
   MiniCluster mc(kWorld, 4);
-  storage::SnapshotVault vault;
+  storage::Vault vault({.device = storage::pfs_profile()});
   sim::FailureInjector injector;
   injector.add_rule({.point = "app.work", .world_rank = 1, .hit = 3, .repeat = false});
   injector.add_rule({.point = "ckpt.restore", .world_rank = 2, .hit = 1, .repeat = false});
@@ -199,8 +199,45 @@ INSTANTIATE_TEST_SUITE_P(Level1, MultiLevelTwoGroups,
                            return name.substr(0, name.find('-'));
                          });
 
+// A level-2 session over a 4-shard vault with no other device setting:
+// the vault's own device prices the flush and the disk restore, ⌈bytes/4⌉
+// each. The restore runs on a fresh cluster, so level 1 holds nothing.
+TEST(MultiLevel, ShardedVaultPricesItsOwnFlushAndRestore) {
+  constexpr std::size_t kData = 4096;
+  constexpr std::size_t kUser = 16;
+  storage::Vault vault({.nodes = {0, 1, 2, 3}, .extent_bytes = 1024});
+  const auto session_on = [&](mpi::Comm& world) {
+    return ckpt::SessionBuilder{}
+        .group_size(4)
+        .data_bytes(kData)
+        .user_bytes(kUser)
+        .key_prefix("l2shards")
+        .vault(&vault)
+        .level2_flush_every(1)
+        .build(world);
+  };
+  MiniCluster first(4, 0);
+  const auto result = first.run(4, [&](mpi::Comm& world) {
+    ckpt::Session session = session_on(world);
+    EXPECT_EQ(session.open(), ckpt::OpenOutcome::kFresh);
+    skt::testing::fill_pattern(session.data(), 3, world.rank(), 1);
+    EXPECT_EQ(session.commit().device_s, vault.write_seconds(kData + kUser));
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+  MiniCluster second(4, 0);
+  const auto relaunch = second.run(4, [&](mpi::Comm& world) {
+    ckpt::Session session = session_on(world);
+    ASSERT_EQ(session.open(), ckpt::OpenOutcome::kRestored);
+    const ckpt::RestoreStats& stats = session.last_restore().value();
+    EXPECT_EQ(stats.epoch, 1u);
+    EXPECT_EQ(stats.device_s, vault.read_seconds(kData + kUser));
+    EXPECT_TRUE(skt::testing::matches_pattern(session.data(), 3, world.rank(), 1, 0.0));
+  });
+  ASSERT_TRUE(relaunch.completed) << relaunch.abort_reason;
+}
+
 TEST(MultiLevel, RejectsBadConfigs) {
-  storage::SnapshotVault vault;
+  storage::Vault vault({.device = storage::pfs_profile()});
   auto params = ml_params(&vault);
   params.vault = nullptr;
   EXPECT_THROW(ckpt::MultiLevelCheckpoint{params}, std::invalid_argument);

@@ -18,9 +18,7 @@
 
 #include "ckpt_harness.hpp"
 #include "mpi/launcher.hpp"
-#include "storage/device.hpp"
-#include "storage/sharded_vault.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "testing.hpp"
 
 namespace skt::ckpt {
@@ -89,7 +87,7 @@ TEST_P(FailureMatrix, KillDuringProtocolStep) {
   const int world = 2 * group_size;  // two groups: cross-group epoch agreement is exercised
   skt::testing::MiniCluster mc(world, 2);
 
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   CkptAppConfig config;
   config.strategy = c.strategy;
   config.group_size = group_size;
@@ -97,7 +95,6 @@ TEST_P(FailureMatrix, KillDuringProtocolStep) {
   config.iterations = 4;
   config.data_bytes = 2048;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
   config.hot_bytes = c.hot_bytes;
 
   sim::FailureInjector injector;
@@ -249,14 +246,13 @@ TEST_P(AsyncFailureMatrix, KillDuringAsyncPipelineStep) {
   const int world = 2 * group_size;
   skt::testing::MiniCluster mc(world, 2);
 
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   CkptAppConfig config;
   config.strategy = c.strategy;
   config.group_size = group_size;
   config.iterations = 4;
   config.data_bytes = 2048;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
   config.mode = CommitMode::kAsync;
   config.level2_every = c.level2_every;
   config.hot_bytes = c.hot_bytes;
@@ -903,8 +899,7 @@ TEST_P(ShardedVaultFailureMatrix, ShardNodeDiesDuringL2FlushThenReshardServesRes
   const int world = 8;
   skt::testing::MiniCluster mc(world, 4);
 
-  storage::ShardedVault vault(
-      {.nodes = {0, 1, 2, 3, 4, 5, 6, 7}, .extent_bytes = 256});
+  storage::Vault vault({.nodes = {0, 1, 2, 3, 4, 5, 6, 7}, .extent_bytes = 256});
   CkptAppConfig config;
   config.strategy = Strategy::kSelf;
   config.group_size = 4;  // groups {0..3} and {4..7}
@@ -912,7 +907,6 @@ TEST_P(ShardedVaultFailureMatrix, ShardNodeDiesDuringL2FlushThenReshardServesRes
   config.iterations = 6;
   config.data_bytes = 2048;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
   config.mode = c.mode;
   config.level2_every = 2;  // L2 flushes after commits 2, 4, 6
 
@@ -940,7 +934,7 @@ TEST_P(ShardedVaultFailureMatrix, ShardNodeDiesDuringL2FlushThenReshardServesRes
 
   mpi::JobLauncher launcher(
       mc.cluster, &injector,
-      {.max_restarts = 3, .ranks_per_node = 1, .sharded_vault = &vault});
+      {.max_restarts = 3, .ranks_per_node = 1, .vault = &vault});
   const auto result = launcher.run(world, [&](mpi::Comm& w) { checkpointed_app(w, config); });
 
   EXPECT_EQ(injector.triggered_count(), 2u);
@@ -957,7 +951,7 @@ TEST_P(ShardedVaultFailureMatrix, ShardNodeDiesDuringL2FlushThenReshardServesRes
     EXPECT_GE(result.final_ranklist[static_cast<std::size_t>(dead)], world);
   }
   EXPECT_EQ(vault.shard_count(), 8u);
-  const storage::ShardedVaultStats vs = vault.stats();
+  const storage::VaultStats vs = vault.stats();
   EXPECT_GE(vs.rebalances, 4u);  // one replace_node per dead shard host
   EXPECT_GT(vs.extents_rehomed, 0u);
   EXPECT_EQ(vs.extents_lost, 0u) << "replica invariant violated during reshard";

@@ -9,8 +9,7 @@
 
 #include "ckpt_harness.hpp"
 #include "mpi/launcher.hpp"
-#include "storage/device.hpp"
-#include "storage/sharded_vault.hpp"
+#include "storage/vault.hpp"
 #include "testing.hpp"
 #include "util/rng.hpp"
 
@@ -177,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FailureFuzzCorrelated,
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
 
 // Random kill schedules against a MULTI-LEVEL session whose level-2 tier
-// is a ShardedVault over the job's own nodes: every node loss also takes
+// is a storage::Vault sharded over the job's own nodes: every node loss also takes
 // a vault shard with it, the launcher wipes the dead shards and re-homes
 // their extents onto the spares, and the restarted job may have to restore
 // straight out of the resharded tier (two losses in one group defeat the
@@ -193,9 +192,8 @@ TEST_P(FailureFuzzShardedVault, RandomScheduleMultiLevelOverShardedVault) {
 
   const int world = 8;
   skt::testing::MiniCluster mc(world, 4);
-  storage::ShardedVault vault(
-      {.nodes = {0, 1, 2, 3, 4, 5, 6, 7},
-       .extent_bytes = 128 + rng.next_below(8) * 64});
+  storage::Vault vault({.nodes = {0, 1, 2, 3, 4, 5, 6, 7},
+                        .extent_bytes = 128 + rng.next_below(8) * 64});
 
   CkptAppConfig config;
   config.strategy = Strategy::kSelf;
@@ -204,7 +202,6 @@ TEST_P(FailureFuzzShardedVault, RandomScheduleMultiLevelOverShardedVault) {
   config.data_bytes = 1024 + rng.next_below(4096) / 8 * 8;
   config.seed = seed;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
   config.level2_every = 2;
   config.mode = rng.next_below(2) == 0 ? CommitMode::kSync : CommitMode::kAsync;
 
@@ -236,7 +233,7 @@ TEST_P(FailureFuzzShardedVault, RandomScheduleMultiLevelOverShardedVault) {
   mpi::JobLauncher launcher(mc.cluster, &injector,
                             {.max_restarts = kills + 2,
                              .ranks_per_node = 1,
-                             .sharded_vault = &vault});
+                             .vault = &vault});
   const auto result = launcher.run(world, [&](mpi::Comm& w) { checkpointed_app(w, config); });
 
   if (result.success) {

@@ -18,7 +18,7 @@
 #include "encoding/group_codec.hpp"
 #include "mpi/launcher.hpp"
 #include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "testing.hpp"
 #include "util/rng.hpp"
 
@@ -34,13 +34,12 @@ class AllStrategies : public ::testing::TestWithParam<Strategy> {};
 TEST_P(AllStrategies, FaultFreeRunCompletes) {
   const Strategy strategy = GetParam();
   MiniCluster mc(4, 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   CkptAppConfig config;
   config.strategy = strategy;
   config.group_size = 4;
   config.iterations = 3;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
   const auto result = mc.run(4, [&](mpi::Comm& w) { checkpointed_app(w, config); });
   EXPECT_TRUE(result.completed) << result.abort_reason;
 }
@@ -48,13 +47,12 @@ TEST_P(AllStrategies, FaultFreeRunCompletes) {
 TEST_P(AllStrategies, AsyncFaultFreeRunCompletes) {
   const Strategy strategy = GetParam();
   MiniCluster mc(4, 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   CkptAppConfig config;
   config.strategy = strategy;
   config.group_size = 4;
   config.iterations = 4;
   config.vault = &vault;
-  config.device = storage::ssd_profile();
   config.mode = CommitMode::kAsync;
   const auto result = mc.run(4, [&](mpi::Comm& w) { checkpointed_app(w, config); });
   EXPECT_TRUE(result.completed) << result.abort_reason;
@@ -104,7 +102,7 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
   for (const Strategy strategy :
        {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf, Strategy::kBlcr}) {
     MiniCluster mc(kN, 0);
-    storage::SnapshotVault vault;
+    storage::Vault vault;
     const auto result = mc.run(kN, [&](mpi::Comm& world) {
       Session session = SessionBuilder{}
                             .strategy(strategy)
@@ -113,7 +111,6 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
                             .user_bytes(8)
                             .key_prefix("wire")
                             .vault(&vault)
-                            .device(storage::ssd_profile())
                             .build(world);
       session.open();
       session.mark_all_dirty();
@@ -211,7 +208,7 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
   storage::DeviceProfile slow = storage::ssd_profile();
   slow.latency_s = 1.0;
   MiniCluster mc(kN, 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault({.device = slow});
   double flush = 0.0;
   std::mutex mutex;
   const auto result = mc.run(kN, [&](mpi::Comm& world) {
@@ -222,7 +219,6 @@ TEST(CommitStats, EveryStrategyReportsEncodeWireBytes) {
                           .user_bytes(8)
                           .key_prefix("critical")
                           .vault(&vault)
-                          .device(slow)
                           .build(world);
     session.open();
     for (int i = 0; i < 3; ++i) {
@@ -258,7 +254,7 @@ TEST(RestoreStats, EveryStrategyReportsRebuildWireBytes) {
       if ((strategy == Strategy::kBlcr || strategy == Strategy::kSingle) && m == 2) continue;
       const std::string what = std::string(to_string(strategy)) + " m=" + std::to_string(m);
       MiniCluster mc(kN, m);
-      storage::SnapshotVault vault;
+      storage::Vault vault({.device = slow});
       sim::FailureInjector injector;
       injector.add_rule({.point = "app.kill",
                          .world_rank = 1,
@@ -278,7 +274,6 @@ TEST(RestoreStats, EveryStrategyReportsRebuildWireBytes) {
                               .user_bytes(8)
                               .key_prefix("rebuild")
                               .vault(&vault)
-                              .device(slow)
                               .build(world);
         if (session.open() == OpenOutcome::kFresh) {
           session.commit();
@@ -624,15 +619,16 @@ TEST(DoubleCheckpoint, FootprintHasTwoFullCopies) {
 
 TEST(BlcrCheckpoint, WritesChargeDeviceTime) {
   MiniCluster mc(2, 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault({.device = storage::hdd_profile()});
   const auto result = mc.run(2, [&](mpi::Comm& world) {
-    BlcrCheckpoint proto({.key_prefix = "b", .data_bytes = 1 << 20, .user_bytes = 8,
-                          .vault = &vault, .device = storage::hdd_profile()});
+    BlcrCheckpoint proto(
+        {.key_prefix = "b", .data_bytes = 1 << 20, .user_bytes = 8, .vault = &vault});
     CommCtx ctx{world, world};
     EXPECT_FALSE(proto.open(ctx));
     const CommitStats stats = proto.commit(ctx);
-    // 1 MiB at 160 MB/s ~= 6.5 ms of virtual device time.
-    EXPECT_GT(stats.device_s, 1e-3);
+    // 1 MiB + 8 at 160 MB/s ~= 6.5 ms of virtual device time.
+    EXPECT_EQ(stats.device_s,
+              storage::Device(storage::hdd_profile()).write_seconds((1 << 20) + 8));
     EXPECT_GT(world.virtual_seconds(), 1e-3);
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
@@ -641,10 +637,11 @@ TEST(BlcrCheckpoint, WritesChargeDeviceTime) {
 
 TEST(BlcrCheckpoint, KeepsTwoGenerations) {
   MiniCluster mc(1, 0);
-  storage::SnapshotVault vault;
+  storage::Vault vault;
+  const FactoryParams params{
+      .key_prefix = "gen", .data_bytes = 64, .user_bytes = 8, .vault = &vault};
   const auto result = mc.run(1, [&](mpi::Comm& world) {
-    BlcrCheckpoint proto({.key_prefix = "gen", .data_bytes = 64, .user_bytes = 8,
-                          .vault = &vault, .device = storage::ssd_profile()});
+    BlcrCheckpoint proto(params);
     CommCtx ctx{world, world};
     proto.open(ctx);
     for (int i = 0; i < 3; ++i) proto.commit(ctx);
@@ -653,6 +650,43 @@ TEST(BlcrCheckpoint, KeepsTwoGenerations) {
     EXPECT_TRUE(vault.exists("gen.r0.blcr.img.e3"));
   });
   EXPECT_TRUE(result.completed) << result.abort_reason;
+  // A relaunch finds the newest image although the first one is gone.
+  const auto relaunch = mc.run(1, [&](mpi::Comm& world) {
+    BlcrCheckpoint proto(params);
+    CommCtx ctx{world, world};
+    ASSERT_TRUE(proto.open(ctx));
+    EXPECT_EQ(proto.restore(ctx).epoch, 3u);
+  });
+  EXPECT_TRUE(relaunch.completed) << relaunch.abort_reason;
+}
+
+// A BLCR image on a 4-shard vault with no other device setting: the
+// vault's own device prices every write and read, ⌈bytes/4⌉ each.
+TEST(BlcrCheckpoint, ShardedVaultPricesItsOwnImages) {
+  constexpr std::size_t kData = 3000;
+  constexpr std::size_t kUser = 8;
+  MiniCluster mc(2, 0);
+  storage::Vault vault({.nodes = {0, 1, 2, 3}, .extent_bytes = 512});
+  const FactoryParams params{
+      .key_prefix = "shards", .data_bytes = kData, .user_bytes = kUser, .vault = &vault};
+  const auto result = mc.run(2, [&](mpi::Comm& world) {
+    BlcrCheckpoint proto(params);
+    CommCtx ctx{world, world};
+    EXPECT_FALSE(proto.open(ctx));
+    skt::testing::fill_pattern(proto.data(), 9, world.rank(), 1);
+    EXPECT_EQ(proto.commit(ctx).device_s, vault.write_seconds(kData + kUser));
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+  const auto relaunch = mc.run(2, [&](mpi::Comm& world) {
+    BlcrCheckpoint proto(params);
+    CommCtx ctx{world, world};
+    ASSERT_TRUE(proto.open(ctx));
+    const RestoreStats stats = proto.restore(ctx);
+    EXPECT_EQ(stats.epoch, 1u);
+    EXPECT_EQ(stats.device_s, vault.read_seconds(kData + kUser));
+    EXPECT_TRUE(skt::testing::matches_pattern(proto.data(), 9, world.rank(), 1, 0.0));
+  });
+  ASSERT_TRUE(relaunch.completed) << relaunch.abort_reason;
 }
 
 // A survivor re-opening its store must find the layout it committed with.
@@ -693,11 +727,10 @@ INSTANTIATE_TEST_SUITE_P(Coded, ReopenLayout,
                          });
 
 TEST(Factory, BuildsEveryStrategyAndRejectsNone) {
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   FactoryParams params;
   params.data_bytes = 64;
   params.vault = &vault;
-  params.device = storage::ssd_profile();
   for (auto s : {Strategy::kSingle, Strategy::kDouble, Strategy::kSelf, Strategy::kBlcr}) {
     const auto proto = make_protocol(s, params);
     EXPECT_EQ(proto->strategy(), s);

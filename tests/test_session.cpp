@@ -13,7 +13,6 @@
 
 #include "ckpt_harness.hpp"
 #include "encoding/block_runs.hpp"
-#include "storage/device.hpp"
 #include "testing.hpp"
 
 namespace skt::ckpt {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "storage/placement.hpp"
-#include "storage/sharded_vault.hpp"
+#include "storage/vault.hpp"
 
 namespace skt::storage {
 namespace {
@@ -20,11 +20,8 @@ std::vector<std::byte> pattern_blob(std::size_t n, unsigned seed = 1) {
   return blob;
 }
 
-ShardedVaultConfig small_config(std::vector<int> nodes, std::size_t extent = 64) {
-  ShardedVaultConfig config;
-  config.nodes = std::move(nodes);
-  config.extent_bytes = extent;
-  return config;
+VaultConfig small_config(std::vector<int> nodes, std::size_t extent = 64) {
+  return {.nodes = std::move(nodes), .extent_bytes = extent};
 }
 
 TEST(PlacementMap, AnchorIsDeterministicArgmax) {
@@ -102,8 +99,8 @@ TEST(PlacementMap, ReplaceValidates) {
   EXPECT_THROW(PlacementMap({3, 3}), std::invalid_argument);  // duplicate
 }
 
-TEST(ShardedVault, RoundTripsOddSizesAcrossExtentBoundaries) {
-  ShardedVault vault(small_config({0, 1, 2, 3}, 64));
+TEST(Vault, RoundTripsOddSizesAcrossExtentBoundaries) {
+  Vault vault(small_config({0, 1, 2, 3}, 64));
   // 0, 1, just-below/at/above one extent, several extents + ragged tail.
   for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 256u, 1000u}) {
     const auto blob = pattern_blob(n, static_cast<unsigned>(n));
@@ -117,16 +114,16 @@ TEST(ShardedVault, RoundTripsOddSizesAcrossExtentBoundaries) {
   EXPECT_EQ(vault.bytes_in_use(), 0u + 1 + 63 + 64 + 65 + 256 + 1000);
 }
 
-TEST(ShardedVault, LargeBlobEngagesEveryShard) {
-  ShardedVault vault(small_config({0, 1, 2, 3}, 64));
+TEST(Vault, LargeBlobEngagesEveryShard) {
+  Vault vault(small_config({0, 1, 2, 3}, 64));
   vault.put("big", pattern_blob(64 * 16));  // 16 extents over 4 shards
   for (const int node : {0, 1, 2, 3}) {
     EXPECT_GT(vault.shard_bytes(node), 0u) << "shard " << node << " idle";
   }
 }
 
-TEST(ShardedVault, ReplicationDoublesPhysicalNotLogicalBytes) {
-  ShardedVault vault(small_config({0, 1, 2}, 64));
+TEST(Vault, ReplicationDoublesPhysicalNotLogicalBytes) {
+  Vault vault(small_config({0, 1, 2}, 64));
   vault.put("k", pattern_blob(640));
   EXPECT_EQ(vault.bytes_in_use(), 640u);
   std::size_t physical = 0;
@@ -134,8 +131,8 @@ TEST(ShardedVault, ReplicationDoublesPhysicalNotLogicalBytes) {
   EXPECT_EQ(physical, 2 * 640u);  // primary + successor copy of every extent
 }
 
-TEST(ShardedVault, PutReplacesAtomicallyWithoutOrphanExtents) {
-  ShardedVault vault(small_config({0, 1}, 64));
+TEST(Vault, PutReplacesAtomicallyWithoutOrphanExtents) {
+  Vault vault(small_config({0, 1}, 64));
   vault.put("k", pattern_blob(640, 1));
   vault.put("k", pattern_blob(100, 2));  // shrink: old tail extents must go
   const auto back = vault.get("k");
@@ -146,8 +143,8 @@ TEST(ShardedVault, PutReplacesAtomicallyWithoutOrphanExtents) {
   EXPECT_EQ(physical, 2 * 100u);
 }
 
-TEST(ShardedVault, ReplaceNodeRehomesFromSurvivingReplicas) {
-  ShardedVault vault(small_config({0, 1, 2, 3}, 64));
+TEST(Vault, ReplaceNodeRehomesFromSurvivingReplicas) {
+  Vault vault(small_config({0, 1, 2, 3}, 64));
   std::vector<std::pair<std::string, std::vector<std::byte>>> blobs;
   for (int i = 0; i < 12; ++i) {
     blobs.emplace_back("blob" + std::to_string(i),
@@ -163,7 +160,7 @@ TEST(ShardedVault, ReplaceNodeRehomesFromSurvivingReplicas) {
   EXPECT_FALSE(vault.has_shard(2));
   EXPECT_TRUE(vault.has_shard(9));
   EXPECT_GT(vault.placement_version(), v0);
-  const ShardedVaultStats stats = vault.stats();
+  const VaultStats stats = vault.stats();
   EXPECT_EQ(stats.rebalances, 1u);
   EXPECT_GT(stats.extents_rehomed, 0u);
   EXPECT_EQ(stats.extents_lost, 0u);  // single loss: replica invariant holds
@@ -182,8 +179,8 @@ TEST(ShardedVault, ReplaceNodeRehomesFromSurvivingReplicas) {
   EXPECT_EQ(physical, 2 * vault.bytes_in_use());
 }
 
-TEST(ShardedVault, SurvivesSequentialLossOfEveryOriginalShard) {
-  ShardedVault vault(small_config({0, 1, 2, 3}, 64));
+TEST(Vault, SurvivesSequentialLossOfEveryOriginalShard) {
+  Vault vault(small_config({0, 1, 2, 3}, 64));
   const auto blob = pattern_blob(64 * 9 + 17);
   vault.put("k", blob);
   // One loss at a time with a reshard in between — the replica invariant
@@ -198,8 +195,26 @@ TEST(ShardedVault, SurvivesSequentialLossOfEveryOriginalShard) {
   EXPECT_EQ(*back, blob);
 }
 
-TEST(ShardedVault, ReplaceNodeWithoutShardIsNoOp) {
-  ShardedVault vault(small_config({0, 1}, 64));
+TEST(Vault, ExistsCountsNoDegradedRead) {
+  Vault vault(small_config({0, 1, 2, 3}, 64));
+  const auto blob = pattern_blob(64 * 8);  // 8 extents: two primaries per shard
+  vault.put("k", blob);
+  vault.wipe_shard(0);
+  // Every extent keeps its successor copy, so the blob still exists, and
+  // asking is not a read.
+  EXPECT_TRUE(vault.exists("k"));
+  EXPECT_EQ(vault.stats().gets, 0u);
+  EXPECT_EQ(vault.stats().degraded_reads, 0u);
+  // A read of the extents whose primary was on node 0 is degraded.
+  const auto back = vault.get("k");
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, blob);
+  EXPECT_EQ(vault.stats().gets, 1u);
+  EXPECT_EQ(vault.stats().degraded_reads, 2u);
+}
+
+TEST(Vault, ReplaceNodeWithoutShardIsNoOp) {
+  Vault vault(small_config({0, 1}, 64));
   vault.put("k", pattern_blob(100));
   const std::uint64_t v0 = vault.placement_version();
   vault.replace_node(7, 8);  // node 7 never hosted a shard
@@ -208,46 +223,43 @@ TEST(ShardedVault, ReplaceNodeWithoutShardIsNoOp) {
   EXPECT_TRUE(vault.exists("k"));
 }
 
-TEST(ShardedVault, PrefixAccountingSpansShards) {
-  ShardedVault vault(small_config({0, 1, 2}, 64));
-  vault.put("ns/a/x", pattern_blob(200, 1));
-  vault.put("ns/a/y", pattern_blob(300, 2));
-  vault.put("ns/b/x", pattern_blob(500, 3));
-  EXPECT_EQ(vault.bytes_under("ns/a/"), 500u);
-  EXPECT_EQ(vault.bytes_under("ns/"), 1000u);
-  EXPECT_EQ(vault.bytes_under("nope"), 0u);
-  EXPECT_EQ(vault.remove_prefix("ns/a/"), 2u);
-  EXPECT_FALSE(vault.exists("ns/a/x"));
-  EXPECT_TRUE(vault.exists("ns/b/x"));
-  EXPECT_EQ(vault.bytes_in_use(), 500u);
-  // Extents of the removed tenant are gone from every shard: physical is
-  // exactly the survivor's replicated footprint.
-  std::size_t physical = 0;
-  for (const int node : {0, 1, 2}) physical += vault.shard_bytes(node);
-  EXPECT_EQ(physical, 2 * 500u);
+TEST(Vault, ReplaceOntoAnotherShardHostThrowsAndChangesNothing) {
+  Vault vault(small_config({0, 1}, 64));
+  const auto blob = pattern_blob(300);
+  vault.put("k", blob);
+  EXPECT_THROW(vault.replace_node(0, 1), std::invalid_argument);  // 1 holds a slot
+  EXPECT_EQ(vault.shard_nodes(), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(vault.has_shard(0));
+  EXPECT_EQ(vault.stats().rebalances, 0u);
+  const auto back = vault.get("k");
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, blob);
 }
 
-TEST(ShardedVault, WriteSecondsScalesWithShardCount) {
+TEST(Vault, WriteSecondsScalesWithShardCount) {
   const std::size_t bytes = 256u << 20;  // large enough to swamp latency
-  ShardedVault one(small_config({0}, 256 * 1024));
-  ShardedVault four(small_config({0, 1, 2, 3}, 256 * 1024));
-  const double t1 = one.write_seconds("k", bytes).value();
-  const double t4 = four.write_seconds("k", bytes).value();
+  const Vault one(small_config({0}, 256 * 1024));
+  const Vault four(small_config({0, 1, 2, 3}, 256 * 1024));
+  const double t1 = one.write_seconds(bytes);
+  const double t4 = four.write_seconds(bytes);
   // The bench gate requires >= 2x aggregate bandwidth at 4 shards; the
   // model gives ~4x for latency-dominated-free transfers.
   EXPECT_GE(t1 / t4, 2.0);
   EXPECT_LT(t1 / t4, 4.5);
-  EXPECT_TRUE(one.read_seconds("k", bytes).has_value());
+  // Exactly ceil(bytes / N) through the one device.
+  const Device ssd(ssd_profile());
+  EXPECT_EQ(four.write_seconds(bytes + 1), ssd.write_seconds(bytes / 4 + 1));
+  EXPECT_EQ(four.read_seconds(bytes + 1), ssd.read_seconds(bytes / 4 + 1));
 }
 
-TEST(ShardedVault, ExtentKeysCannotCollideAcrossBlobNames) {
+TEST(Vault, ExtentKeysCannotCollideAcrossBlobNames) {
   // "k" extent 12 vs "k1" extent 2: a naive "k" + index scheme would
   // collide ("k12"); the separator keeps them distinct.
-  EXPECT_NE(ShardedVault::extent_key("k", 12), ShardedVault::extent_key("k1", 2));
+  EXPECT_NE(Vault::extent_key("k", 12), Vault::extent_key("k1", 2));
 }
 
-TEST(ShardedVault, ConcurrentPutGetRemoveAreLinearizable) {
-  ShardedVault vault(small_config({0, 1, 2, 3}, 64));
+TEST(Vault, ConcurrentPutGetRemoveAreLinearizable) {
+  Vault vault(small_config({0, 1, 2, 3}, 64));
   constexpr int kThreads = 8;
   constexpr int kOps = 100;
   std::vector<std::thread> threads;
@@ -278,8 +290,9 @@ TEST(ShardedVault, ConcurrentPutGetRemoveAreLinearizable) {
     });
   }
   for (auto& th : threads) th.join();
-  vault.clear();
+  for (int k = 0; k < 4; ++k) vault.remove("k" + std::to_string(k));
   EXPECT_EQ(vault.bytes_in_use(), 0u);
+  for (const int node : vault.shard_nodes()) EXPECT_EQ(vault.shard_bytes(node), 0u) << node;
 }
 
 }  // namespace

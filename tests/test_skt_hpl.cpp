@@ -4,8 +4,7 @@
 
 #include "hpl/skt_hpl.hpp"
 #include "mpi/launcher.hpp"
-#include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 #include "testing.hpp"
 
 namespace skt::hpl {
@@ -57,11 +56,10 @@ class SktHplStrategies : public ::testing::TestWithParam<ckpt::Strategy> {};
 
 TEST_P(SktHplStrategies, PowerOffDuringEliminationRecovers) {
   MiniCluster mc(4, 2);
-  storage::SnapshotVault vault;
+  storage::Vault vault;
   SktHplConfig config = small_config();
   config.strategy = GetParam();
   config.vault = &vault;
-  config.device = storage::ssd_profile();
 
   sim::FailureInjector injector;
   // Kill rank 2 partway through elimination, after at least one commit

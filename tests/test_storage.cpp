@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "storage/device.hpp"
-#include "storage/snapshot_vault.hpp"
+#include "storage/vault.hpp"
 
 namespace skt::storage {
 namespace {
@@ -44,8 +44,8 @@ TEST(Device, ProfilePresetsAreOrdered) {
   EXPECT_GT(ssd_profile().write_bandwidth_Bps, hdd_profile().write_bandwidth_Bps);
 }
 
-TEST(SnapshotVault, PutGetRemove) {
-  SnapshotVault vault;
+TEST(Vault, PutGetRemove) {
+  Vault vault;
   const std::vector<std::byte> blob{std::byte{1}, std::byte{2}, std::byte{3}};
   vault.put("a", blob);
   EXPECT_TRUE(vault.exists("a"));
@@ -59,8 +59,8 @@ TEST(SnapshotVault, PutGetRemove) {
   EXPECT_FALSE(vault.get("a").has_value());
 }
 
-TEST(SnapshotVault, PutReplacesAtomically) {
-  SnapshotVault vault;
+TEST(Vault, PutReplacesAtomically) {
+  Vault vault;
   vault.put("k", std::vector<std::byte>(10, std::byte{1}));
   vault.put("k", std::vector<std::byte>(4, std::byte{2}));
   const auto back = vault.get("k");
@@ -70,8 +70,8 @@ TEST(SnapshotVault, PutReplacesAtomically) {
   EXPECT_EQ(vault.bytes_in_use(), 4u);
 }
 
-TEST(SnapshotVault, GetReturnsCopyNotView) {
-  SnapshotVault vault;
+TEST(Vault, GetReturnsCopyNotView) {
+  Vault vault;
   vault.put("k", std::vector<std::byte>(4, std::byte{7}));
   auto copy = vault.get("k");
   ASSERT_TRUE(copy.has_value());
@@ -79,89 +79,8 @@ TEST(SnapshotVault, GetReturnsCopyNotView) {
   EXPECT_EQ((*vault.get("k"))[0], std::byte{7});
 }
 
-TEST(SnapshotVault, BytesUnderEmptyPrefixCountsEverything) {
-  SnapshotVault vault;
-  vault.put("a", std::vector<std::byte>(3, std::byte{1}));
-  vault.put("b/c", std::vector<std::byte>(5, std::byte{2}));
-  // The empty prefix matches every key: bytes_under("") == bytes_in_use().
-  EXPECT_EQ(vault.bytes_under(""), vault.bytes_in_use());
-  EXPECT_EQ(vault.bytes_under(""), 8u);
-}
-
-TEST(SnapshotVault, BytesUnderPrefixEqualToFullKey) {
-  SnapshotVault vault;
-  vault.put("ns/t/img", std::vector<std::byte>(7, std::byte{1}));
-  // A prefix equal to a complete key matches that key (closed interval).
-  EXPECT_EQ(vault.bytes_under("ns/t/img"), 7u);
-  // ...and longer prefixes match nothing.
-  EXPECT_EQ(vault.bytes_under("ns/t/img0"), 0u);
-}
-
-TEST(SnapshotVault, OverlappingPrefixesStayDistinct) {
-  SnapshotVault vault;
-  vault.put("ns/a", std::vector<std::byte>(1, std::byte{1}));
-  vault.put("ns/ab", std::vector<std::byte>(2, std::byte{2}));
-  vault.put("ns/ab/x", std::vector<std::byte>(4, std::byte{3}));
-  vault.put("ns/b", std::vector<std::byte>(8, std::byte{4}));
-  // "ns/a" is a string prefix of "ns/ab": both count under "ns/a"...
-  EXPECT_EQ(vault.bytes_under("ns/a"), 1u + 2 + 4);
-  // ...but "ns/ab" must not pull in the shorter sibling.
-  EXPECT_EQ(vault.bytes_under("ns/ab"), 2u + 4);
-  // remove_prefix has the same matching rule.
-  EXPECT_EQ(vault.remove_prefix("ns/ab"), 2u);
-  EXPECT_TRUE(vault.exists("ns/a"));
-  EXPECT_FALSE(vault.exists("ns/ab"));
-  EXPECT_FALSE(vault.exists("ns/ab/x"));
-  EXPECT_TRUE(vault.exists("ns/b"));
-  EXPECT_EQ(vault.bytes_in_use(), 1u + 8);
-}
-
-TEST(SnapshotVault, RemovePrefixEmptyPrefixClearsAll) {
-  SnapshotVault vault;
-  vault.put("a", std::vector<std::byte>(1, std::byte{1}));
-  vault.put("b", std::vector<std::byte>(1, std::byte{1}));
-  EXPECT_EQ(vault.remove_prefix(""), 2u);
-  EXPECT_EQ(vault.bytes_in_use(), 0u);
-  EXPECT_EQ(vault.remove_prefix(""), 0u);  // idempotent on empty vault
-}
-
-TEST(SnapshotVault, RemovePrefixWhileReading) {
-  // Thread-safety of prefix eviction against concurrent readers/writers —
-  // run under TSan in the check.sh vault lane. Readers must see each blob
-  // whole (never torn) even while remove_prefix sweeps the same namespace.
-  SnapshotVault vault;
-  constexpr int kBlobs = 16;
-  for (int i = 0; i < kBlobs; ++i) {
-    vault.put("ns/t/" + std::to_string(i), std::vector<std::byte>(256, std::byte{5}));
-  }
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&vault] {
-      for (int pass = 0; pass < 50; ++pass) {
-        for (int i = 0; i < kBlobs; ++i) {
-          const auto blob = vault.get("ns/t/" + std::to_string(i));
-          if (!blob.has_value()) continue;  // evicted — fine
-          ASSERT_EQ(blob->size(), 256u);
-          for (const std::byte b : *blob) ASSERT_EQ(b, std::byte{5});
-        }
-        (void)vault.bytes_under("ns/t/");
-      }
-    });
-  }
-  threads.emplace_back([&vault] {
-    for (int pass = 0; pass < 25; ++pass) {
-      (void)vault.remove_prefix("ns/t/");
-      for (int i = 0; i < kBlobs; ++i) {
-        vault.put("ns/t/" + std::to_string(i), std::vector<std::byte>(256, std::byte{5}));
-      }
-    }
-  });
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(vault.bytes_in_use(), kBlobs * 256u);
-}
-
-TEST(SnapshotVault, ConcurrentWritersAndReaders) {
-  SnapshotVault vault;
+TEST(Vault, ConcurrentWritersAndReaders) {
+  Vault vault;
   constexpr int kThreads = 8;
   constexpr int kOps = 200;
   std::vector<std::thread> threads;
@@ -182,8 +101,30 @@ TEST(SnapshotVault, ConcurrentWritersAndReaders) {
     });
   }
   for (auto& th : threads) th.join();
-  vault.clear();
+  for (int k = 0; k < 4; ++k) vault.remove("k" + std::to_string(k));
   EXPECT_EQ(vault.bytes_in_use(), 0u);
+  EXPECT_EQ(vault.shard_bytes(kOffClusterNode), 0u);
+}
+
+TEST(Vault, DefaultIsOneOffClusterShardOnSsd) {
+  const Vault vault;
+  EXPECT_EQ(vault.shard_nodes(), std::vector<int>{kOffClusterNode});
+  // One shard prices a transfer exactly as its device does.
+  const Device ssd(ssd_profile());
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{4097}, std::size_t{6} << 20}) {
+    EXPECT_EQ(vault.write_seconds(bytes), ssd.write_seconds(bytes)) << bytes;
+    EXPECT_EQ(vault.read_seconds(bytes), ssd.read_seconds(bytes)) << bytes;
+  }
+}
+
+TEST(Vault, RejectsDeviceWithoutBandwidth) {
+  // Caught when the vault is built, not at the first transfer inside a
+  // collective commit.
+  EXPECT_THROW(Vault({.device = DeviceProfile{}}), std::invalid_argument);
+  DeviceProfile write_only = hdd_profile();
+  write_only.read_bandwidth_Bps = 0.0;
+  EXPECT_THROW(Vault({.device = write_only}), std::invalid_argument);
+  EXPECT_THROW(Vault({.extent_bytes = 0}), std::invalid_argument);
 }
 
 }  // namespace
