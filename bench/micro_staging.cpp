@@ -63,7 +63,7 @@ constexpr int kReps = 7;
 struct StagingConfig {
   ckpt::Strategy strategy = ckpt::Strategy::kSelf;
   const char* name = "self";
-  int level2_every = 0;   ///< > 0: multi-level wrapper, flushing every N
+  int level2_every = 0;   ///< > 0: level 2, flushing to the vault every N
   bool needs_vault = false;
 };
 

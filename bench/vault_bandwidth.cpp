@@ -3,7 +3,7 @@
 // shard's device concurrently instead of funnelling through a single
 // mount point. The gated quantity is the MODELED aggregate flush
 // bandwidth — bytes / Vault::write_seconds(), the same number a
-// multi-level session or a BLCR image charges its virtual clock. Ideal
+// level-2 flush or a BLCR image charges its virtual clock. Ideal
 // scaling is Nx (extents stripe round-robin from the anchor, so an image
 // much larger than one extent puts ceil(bytes/N) on every shard); the
 // gate requires >= 2x at 4 shards vs 1, leaving honest headroom for
@@ -59,7 +59,7 @@ Sample run_at(int shards) {
   Sample s;
   s.shards = shards;
 
-  // Modeled time: what a multi-level flush would charge its virtual clock.
+  // Modeled time: what a level-2 flush would charge its virtual clock.
   double modeled_write_s = 0.0;
   double modeled_read_s = 0.0;
   const double put0 = wall_seconds();

@@ -131,8 +131,8 @@ void jacobi(mpi::Comm& world, std::int64_t grid_n, std::int64_t iterations,
       .parity_degree(scrub.parity)
       .scrub_interval(scrub.interval_s);
   if (vault != nullptr) {
-    // --shards: wrap in a multi-level session flushing every other commit
-    // to the sharded durable tier.
+    // --shards: add level 2, flushing every other commit to the sharded
+    // durable tier.
     builder.vault(vault).level2_flush_every(2);
   }
   // group_size 0: one encoding group spanning the job

@@ -1,19 +1,21 @@
 // BLCR-style full-image checkpoint to a storage device (Table 3 baselines
 // BLCR+HDD and BLCR+SSD).
 //
-// Every commit serializes [A|A2] into the storage::Vault — the
-// simulation's durable disk — and charges the vault device's transfer time
-// to the rank's virtual clock. Two image generations are retained so a
-// failure during a write always leaves a complete previous image; a
-// per-rank key names the newest one, so a relaunch finds it after any
-// number of commits, and restore() agrees on the newest epoch present on
-// every rank.
+// Every commit writes [A|A2] into the storage::Vault — the simulation's
+// durable disk — as a DiskImages generation, and charges the vault
+// device's transfer time to the rank's virtual clock. Two generations are
+// retained so a failure during a write always leaves a complete previous
+// image; the per-rank manifest names them, so a relaunch finds the newest
+// after any number of commits, and restore() agrees on the newest one
+// every rank holds — falling back one generation where a rank lost its
+// newest.
 #pragma once
 
 #include <atomic>
-#include <string>
+#include <optional>
 #include <vector>
 
+#include "ckpt/disk_images.hpp"
 #include "ckpt/factory.hpp"
 #include "ckpt/protocol.hpp"
 
@@ -32,10 +34,8 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   [[nodiscard]] std::span<std::byte> user_state() override;
   CommitStats commit(CommCtx ctx) override;
   RestoreStats restore(CommCtx ctx) override;
-  [[nodiscard]] bool supports_async() const override { return params_.async_staging; }
   double stage() override;
   CommitStats commit_staged(CommCtx ctx) override;
-  [[nodiscard]] std::span<const std::byte> staged() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
   [[nodiscard]] Strategy strategy() const override { return Strategy::kBlcr; }
   [[nodiscard]] std::uint64_t committed_epoch() const override;
@@ -46,15 +46,11 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   /// single blocks.
   static constexpr std::size_t kStripeBytes = enc::kBlockBytes;
 
-  [[nodiscard]] std::string image_key(std::uint64_t epoch) const;
-  /// Per-rank key holding the epoch of the newest complete image.
-  [[nodiscard]] std::string newest_key() const;
   void require_open() const;
   CommitStats commit_impl(CommCtx ctx, bool async);
 
   FactoryParams params_;
-  std::vector<std::byte> app_;
-  std::vector<std::byte> user_;
+  std::vector<std::byte> image_;  // [A|A2], the working buffers
   std::vector<std::byte> stage_;  // [A|A2] snapshot, async_staging only
   /// Blocks dirtied since the last stage()/sync commit. The vault write
   /// is a full image either way (the strategy's defining cost), but the
@@ -62,7 +58,8 @@ class BlcrCheckpoint final : public CheckpointProtocol {
   DirtyTracker tracker_;
   /// The runs the last stage() copied, for the staged commit's stats.
   std::vector<enc::BlockRun> staged_runs_;
-  int world_rank_ = -1;
+  /// This rank's generations; set by open().
+  std::optional<DiskImages> images_;
   /// Newest image this rank has written/read. Atomic: the async worker
   /// publishes it while the rank thread may poll committed_epoch().
   std::atomic<std::uint64_t> epoch_ = 0;

@@ -2,9 +2,8 @@
 // parameters onto a concrete CheckpointProtocol.
 //
 // SPI note: make_protocol is the service-provider entry point. Application
-// code should build a ckpt::Session (session.hpp) instead; the Session —
-// and layered strategies like MultiLevelCheckpoint — call make_protocol
-// internally.
+// code should build a ckpt::Session (session.hpp) instead, which calls
+// make_protocol internally.
 #pragma once
 
 #include <memory>
@@ -19,8 +18,8 @@ class Vault;
 
 namespace skt::ckpt {
 
-/// The one parameter set of every strategy (and, with its level-2 knobs,
-/// of MultiLevelCheckpoint::Params). A strategy ignores what it does not use.
+/// The one parameter set of every strategy. A strategy ignores what it
+/// does not use.
 struct FactoryParams {
   std::string key_prefix = "skt";
   std::size_t data_bytes = 0;
@@ -30,9 +29,14 @@ struct FactoryParams {
   /// wide-stripe groups surviving m concurrent losses per group. Single
   /// stays single-parity.
   int parity_degree = 1;
-  /// BLCR's disk and the multi-level disk level (required there). The
-  /// vault's own device prices every image it writes or reads.
+  /// BLCR's disk and level 2's (required there). The vault's own device
+  /// prices every image it writes or reads.
   storage::Vault* vault = nullptr;
+  /// Self, single and double: > 0 adds level 2, writing the committed
+  /// image to the vault every N commits and falling back to the newest
+  /// disk generation when level 1 cannot restore (a group lost more
+  /// members than its code absorbs). 0 = in-memory only.
+  int level2_flush_every = 0;
   /// Allocate the staging buffer for stage()/commit_staged(). Changes the
   /// persistent-store layout of self-checkpoint (its SHM staging segment),
   /// so a run cannot restart with a different setting than it committed

@@ -5,6 +5,7 @@
 
 #include "telemetry/trace.hpp"
 #include "util/clock.hpp"
+#include "util/log.hpp"
 
 namespace skt::ckpt {
 
@@ -13,6 +14,9 @@ GroupCheckpoint::GroupCheckpoint(FactoryParams params, const char* tag)
   const std::string name = std::string(tag_) + "-checkpoint: ";
   if (params_.data_bytes == 0) throw std::invalid_argument(name + "data_bytes == 0");
   if (params_.user_bytes == 0) throw std::invalid_argument(name + "user_bytes == 0");
+  if (params_.level2_flush_every > 0 && params_.vault == nullptr) {
+    throw std::invalid_argument(name + "level 2 needs a vault");
+  }
   combined_bytes_ = params_.data_bytes + params_.user_bytes;
   user_.assign(params_.user_bytes, std::byte{0});
 }
@@ -69,6 +73,9 @@ bool GroupCheckpoint::open(CommCtx ctx) {
   const Header mine = load_header(header_);
   const EpochSummary global =
       summarize_epochs(ctx.world, survivor_, mine.bc_epoch, mine.d_epoch);
+  // A committed checkpoint exists iff some survivor published at least
+  // one epoch, or every rank holds a disk generation.
+  bool committed = std::max(epoch_of(global.bc_max), epoch_of(global.d_max)) >= 1;
   if (!global.any_survivor) {
     // Globally fresh start: every rank initializes an epoch-0 header.
     // A blank node joining a job that has survivors must NOT write one —
@@ -76,11 +83,12 @@ bool GroupCheckpoint::open(CommCtx ctx) {
     // before its restore completes.
     store_header(header_, header_or_init());
     survivor_ = true;
-    return false;
   }
-  // A committed checkpoint exists iff some survivor published at least
-  // one epoch.
-  return std::max(epoch_of(global.bc_max), epoch_of(global.d_max)) >= 1;
+  if (params_.level2_flush_every > 0) {
+    disk_.emplace(*params_.vault, params_.key_prefix + ".r" + std::to_string(world_rank_) + ".L2");
+    if (disk_->agree(ctx.world) >= 1) committed = true;
+  }
+  return committed;
 }
 
 double GroupCheckpoint::stage() {
@@ -112,11 +120,11 @@ CommitStats GroupCheckpoint::commit_staged(CommCtx ctx) {
   return commit_frame(ctx, /*async=*/true);
 }
 
-CommitStats GroupCheckpoint::commit_frame(CommCtx ctx, bool async) {
+CommitStats GroupCheckpoint::commit_frame(CommCtx ctx, bool async, bool level2) {
   SKT_SPAN("ckpt.commit");
   Commit c{.ctx = ctx, .async = async, .header = header_or_init()};
-  // Agree on the epoch globally: after a disk-level fallback restore (see
-  // MultiLevelCheckpoint) a replacement's header may lag the survivors'.
+  // Agree on the epoch globally: after a level-2 disk restore a
+  // replacement's header may lag the survivors'.
   c.stats.epoch = ctx.world.allreduce_value<std::uint64_t>(
                       std::max(epoch_of(c.header.bc_epoch), epoch_of(c.header.d_epoch)),
                       mpi::Max{}) +
@@ -131,6 +139,15 @@ CommitStats GroupCheckpoint::commit_frame(CommCtx ctx, bool async) {
   store_header(header_, c.header);
   ctx.group.failpoint(async ? "ckpt.async_flushed" : "ckpt.flushed");
   ctx.world.barrier();
+
+  if (disk_ && level2 && ++commits_since_flush_ >= params_.level2_flush_every) {
+    commits_since_flush_ = 0;
+    SKT_SPAN("ckpt.l2_flush");
+    ctx.group.failpoint(async ? "ckpt.async_l2_flush" : "ckpt.l2_flush");
+    c.stats.device_s = disk_->write(c.stats.epoch, c.sealed);
+    ctx.group.charge_virtual(c.stats.device_s);
+    ctx.world.barrier();
+  }
 
   tracker_.account(c.dirty, c.stats);
   // The flush copies exactly the dirty runs into the checkpoint copy.
@@ -170,13 +187,54 @@ void GroupCheckpoint::encode_barrier(Commit& c) {
       c.ctx.world.allreduce_value<std::uint64_t>(c.encode_sent_bytes, mpi::Sum{});
 }
 
-bool GroupCheckpoint::restore_feasible(CommCtx ctx) {
-  return static_cast<int>(missing_members(ctx.group, survivor_).size()) <=
-         coder_->max_failures();
-}
-
 RestoreStats GroupCheckpoint::restore(CommCtx ctx) {
   require_open();
+  if (!disk_) return restore_level1(ctx);
+  // Member loss is a per-group verdict, but a disk rollback changes the
+  // restored epoch, so whether to try level 1 at all is decided world-wide
+  // before anyone restores: a group that could rebuild locally still rolls
+  // back with everyone else, or the job would resume on two epochs.
+  const bool feasible = static_cast<int>(missing_members(ctx.group, survivor_).size()) <=
+                        coder_->max_failures();
+  if (ctx.world.allreduce_value<std::uint64_t>(feasible ? 1 : 0, mpi::Min{}) != 0) {
+    try {
+      return restore_level1(ctx);
+    } catch (const Unrecoverable& e) {
+      // Reachable only by world-uniform verdicts (epoch disagreement, no
+      // committed generation): every rank lands here together.
+      SKT_LOG_WARN("level 2: level 1 unrecoverable ({}); trying the disk", e.what());
+    }
+  } else {
+    SKT_LOG_WARN("level 2: a group lost more members than level 1 absorbs; "
+                 "rolling every group back to the disk generation");
+  }
+  return restore_from_disk(ctx);
+}
+
+RestoreStats GroupCheckpoint::restore_from_disk(CommCtx ctx) {
+  SKT_SPAN("ckpt.l2_restore");
+  const std::uint64_t target = disk_->agree(ctx.world);
+  if (target == 0) {
+    throw Unrecoverable(std::string(tag_) + "-checkpoint: no complete disk generation either");
+  }
+  util::WallTimer timer;
+  RestoreStats stats;
+  stats.epoch = target;
+  stats.device_s = disk_->read(target, data(), user_);
+  ctx.group.charge_virtual(stats.device_s);
+  // Re-establish level-1 redundancy at once, outside the level-2 cadence,
+  // so the next failure is cheap again. Commits agree on Max(epoch) + 1
+  // world-wide and survivors' headers still carry their pre-rollback
+  // epochs, so the strategy reseeds first.
+  reseed(target - 1);
+  if (params_.async_staging) stage();
+  commit_frame(ctx, /*async=*/false, /*level2=*/false);
+  stats.rebuild_s = timer.seconds();
+  ctx.group.record_time("recover", stats.rebuild_s);
+  return stats;
+}
+
+RestoreStats GroupCheckpoint::restore_level1(CommCtx ctx) {
   SKT_SPAN("ckpt.restore");
   ctx.group.failpoint("ckpt.restore");
 

@@ -11,11 +11,20 @@
 // accounting and one critical-path rule: a synchronous commit records
 // encode_s + flush_s as "checkpoint" time, measured wall time only.
 //
+// Level 2 (FactoryParams::level2_flush_every, the SCR/FTI composition the
+// paper points at in Sections 2.1 and 7) is a step of the same frame:
+// every N-th commit writes the checkpoint copy the steps just sealed to
+// the vault's DiskImages after the closing barrier, and passes one more
+// world barrier, since a disk generation is only usable once every rank
+// wrote it.
+//
 // open() checks a surviving header's layout against the parameters, sums
 // up survivors and epochs world-wide, and writes a fresh header only on a
 // globally fresh start. restore() runs the epoch agreement, the group's
 // loss budget, the recover timer and the closing barrier around the
-// strategy's side choice, rebuild and reload.
+// strategy's side choice, rebuild and reload. With level 2 it first votes
+// world-wide on whether every group can rebuild, and falls back to the
+// newest disk generation every rank holds when one cannot.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/disk_images.hpp"
 #include "ckpt/epoch.hpp"
 #include "ckpt/factory.hpp"
 #include "ckpt/header.hpp"
@@ -37,10 +47,8 @@ class GroupCheckpoint : public CheckpointProtocol {
   bool open(CommCtx ctx) final;
   [[nodiscard]] std::span<std::byte> user_state() final { return user_; }
   CommitStats commit(CommCtx ctx) final;
-  [[nodiscard]] bool supports_async() const final { return params_.async_staging; }
   double stage() final;
   CommitStats commit_staged(CommCtx ctx) final;
-  [[nodiscard]] bool restore_feasible(CommCtx ctx) final;
   RestoreStats restore(CommCtx ctx) final;
   [[nodiscard]] std::uint64_t committed_epoch() const final;
   [[nodiscard]] DirtyTracker* dirty_tracker() final { return &tracker_; }
@@ -63,6 +71,9 @@ class GroupCheckpoint : public CheckpointProtocol {
     std::vector<enc::BlockRun> dirty;
     /// This rank's share of the encode's wire bytes.
     std::uint64_t encode_sent_bytes = 0;
+    /// The checkpoint copy the steps sealed, laid out [data | user state]:
+    /// what a level-2 flush writes.
+    std::span<const std::byte> sealed;
   };
 
   /// open(): create the strategy's segments, after the tracker's reset and
@@ -79,6 +90,12 @@ class GroupCheckpoint : public CheckpointProtocol {
                                       std::span<const int> missing) = 0;
   /// The header's codec field, compared on re-open: the code and its degree.
   [[nodiscard]] virtual std::uint32_t codec_field() const;
+  /// A disk restore reloaded generation `epoch + 1`: rewind the stored
+  /// epochs to `epoch`, so the restore's commit re-mints exactly that
+  /// generation and the epoch stays in step with the application's own
+  /// progress counter. Default: nothing (a reseeded pair would look
+  /// complete again).
+  virtual void reseed(std::uint64_t epoch) { (void)epoch; }
 
   [[nodiscard]] std::string key(const std::string& part) const;
   void require_open() const;
@@ -103,11 +120,20 @@ class GroupCheckpoint : public CheckpointProtocol {
   sim::SegmentPtr header_;
 
  private:
-  CommitStats commit_frame(CommCtx ctx, bool async);
+  /// `level2`: this commit counts toward the level-2 cadence (a disk
+  /// restore's own commit does not).
+  CommitStats commit_frame(CommCtx ctx, bool async, bool level2 = true);
+  RestoreStats restore_level1(CommCtx ctx);
+  RestoreStats restore_from_disk(CommCtx ctx);
 
   const char* tag_;
   int world_rank_ = -1;
   int group_size_ = 0;
+  /// Level 2's generations; set by open() when level2_flush_every > 0.
+  std::optional<DiskImages> disk_;
+  /// Level-2 cadence counter. Touched by whichever thread runs the
+  /// commit; the async engine's ticket hand-off orders those accesses.
+  int commits_since_flush_ = 0;
 };
 
 }  // namespace skt::ckpt

@@ -68,11 +68,6 @@ void PairedCheckpoint::stage_dirty() {
   }
 }
 
-std::span<const std::byte> PairedCheckpoint::staged() const {
-  if (image_.empty()) return {};
-  return std::span<const std::byte>(image_.data(), combined_bytes_);
-}
-
 void PairedCheckpoint::commit_steps(Commit& c) {
   // Epoch e lives in pair e % pairs: with two pairs the commit always
   // overwrites the older pair and the newer one stays intact throughout.
@@ -119,6 +114,7 @@ void PairedCheckpoint::commit_steps(Commit& c) {
   // committed until every rank finished writing it.
   encode_barrier(c);
   c.header.slot(target) = c.stats.epoch;
+  c.sealed = std::span<const std::byte>(pair).first(combined_bytes_);
 }
 
 std::uint64_t PairedCheckpoint::restore_steps(CommCtx ctx, const EpochSummary& global,

@@ -43,7 +43,6 @@ class PairedCheckpoint final : public GroupCheckpoint {
   PairedCheckpoint(FactoryParams params, Strategy strategy);
 
   [[nodiscard]] std::span<std::byte> data() override;
-  [[nodiscard]] std::span<const std::byte> staged() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
   [[nodiscard]] Strategy strategy() const override { return strategy_; }
   [[nodiscard]] std::vector<ScrubRegion> scrub_view() override;

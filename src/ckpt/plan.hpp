@@ -69,8 +69,8 @@ struct MemoryPlan {
 /// segment and header slack. The StoreService admits a tenant against
 /// this estimate BEFORE the protocol allocates anything, so an over-quota
 /// open fails with zero segments created. `group_size` <= 0 means "one
-/// job-wide group"; pass the world size. `level2` adds multilevel L2
-/// slack.
+/// job-wide group"; pass the world size. `level2` adds slack for the
+/// level-2 disk flush.
 [[nodiscard]] std::size_t estimate_session_bytes(Strategy strategy, std::size_t data_bytes,
                                                  std::size_t user_bytes, int group_size,
                                                  int parity_degree, bool async_staging,

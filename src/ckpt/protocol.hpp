@@ -3,7 +3,7 @@
 // the front door is ckpt::Session (session.hpp), which owns the group
 // communicator, drives restore-on-open, publishes telemetry, and runs the
 // async commit pipeline. CheckpointProtocol is what a new *strategy*
-// implements, and what layered strategies (MultiLevelCheckpoint) compose.
+// implements.
 //
 // Lifecycle (all calls are collective):
 //
@@ -17,8 +17,8 @@
 //               newest consistent checkpoint, rebuilding any member whose
 //               node was lost.
 //
-// Strategies that support the asynchronous pipeline additionally implement
-// the staged pair:
+// Strategies built with FactoryParams::async_staging additionally run the
+// staged pair:
 //
 //   stage()         — LOCAL, non-collective: seal a point-in-time copy of
 //                     data()+user_state() into a staging buffer. This is
@@ -168,11 +168,6 @@ class CheckpointProtocol {
   /// Collective: checkpoint the current contents.
   virtual CommitStats commit(CommCtx ctx) = 0;
 
-  /// True when this strategy implements the staged (asynchronous) commit
-  /// pair below. Construct the protocol with async staging enabled (see
-  /// FactoryParams::async_staging) before relying on it.
-  [[nodiscard]] virtual bool supports_async() const { return false; }
-
   /// LOCAL, non-collective: copy the current data()+user_state() into the
   /// staging buffer. Returns the seconds the copy took (the critical-path
   /// cost of an async commit). Precondition: no commit_staged() in flight.
@@ -187,11 +182,6 @@ class CheckpointProtocol {
     (void)ctx;
     throw std::logic_error("commit_staged(): strategy does not support async commit");
   }
-
-  /// The sealed staging copy, laid out [data | user_state]. Valid between
-  /// stage() and the next stage(). Layered strategies (multilevel) use
-  /// this to flush the staged image instead of the live buffers.
-  [[nodiscard]] virtual std::span<const std::byte> staged() const { return {}; }
 
   /// Sealed buffers a background scrubber may verify and repair between
   /// commits. Only valid after open(); spans stay stable until the
@@ -210,32 +200,6 @@ class CheckpointProtocol {
   /// via Session::mark_dirty) so stage()/commit() copy and encode only the
   /// dirty blocks; an un-annotated tracker degrades to full-cost commits.
   [[nodiscard]] virtual DirtyTracker* dirty_tracker() { return nullptr; }
-
-  /// Collective over ctx.group: can THIS group's level-1 state be rebuilt
-  /// (did it lose no more members than its erasure code absorbs)? Member
-  /// loss is a per-group verdict, so a multi-level session agrees on this
-  /// world-wide BEFORE attempting restore(): when any group is infeasible,
-  /// every group must skip level 1 and roll back to the same disk
-  /// generation together — a locally successful level-1 restore would
-  /// resume on a different epoch than the groups forced onto disk. The
-  /// default claims feasibility; strategies that can be defeated by group
-  /// member loss override it.
-  [[nodiscard]] virtual bool restore_feasible(CommCtx ctx) {
-    (void)ctx;
-    return true;
-  }
-
-  /// Rewind this rank's stored epoch counters to `epoch`, so the next
-  /// commit mints `epoch + 1` (commits agree on Max(epoch)+1 world-wide).
-  /// A multi-level session calls this with the reloaded disk generation
-  /// before its redundancy-re-establishing commit: that commit then
-  /// re-mints exactly the restored epoch instead of a drifted one, keeping
-  /// the epoch counter in lock-step with the application's own progress
-  /// counter across disk rollbacks. Default: no-op.
-  virtual void reseed_epoch(CommCtx ctx, std::uint64_t epoch) {
-    (void)ctx;
-    (void)epoch;
-  }
 
   /// Collective: recover after a restart. Throws Unrecoverable when no
   /// consistent checkpoint exists.

@@ -43,11 +43,6 @@ void SelfCheckpoint::stage_dirty() {
   tracker_.clear();
 }
 
-std::span<const std::byte> SelfCheckpoint::staged() const {
-  if (!stage_) return {};
-  return std::span<const std::byte>(stage_->bytes()).subspan(0, combined_bytes_);
-}
-
 void SelfCheckpoint::commit_steps(Commit& c) {
   // The encoded domain: the staged copy S when staging, else work itself.
   const std::span<std::byte> source =
@@ -112,9 +107,10 @@ void SelfCheckpoint::commit_steps(Commit& c) {
   c.stats.flush_s = flush_timer.seconds();
   if (!params_.async_staging) tracker_.clear();
   c.header.bc_epoch = c.stats.epoch;
+  c.sealed = std::span<const std::byte>(ckpt_b_->bytes()).first(combined_bytes_);
 }
 
-void SelfCheckpoint::reseed_epoch(CommCtx /*ctx*/, std::uint64_t epoch) {
+void SelfCheckpoint::reseed(std::uint64_t epoch) {
   Header h = header_or_init();
   h.bc_epoch = epoch;
   h.d_epoch = epoch;

@@ -43,8 +43,6 @@ class SelfCheckpoint final : public GroupCheckpoint {
   explicit SelfCheckpoint(FactoryParams params) : GroupCheckpoint(std::move(params), "self") {}
 
   [[nodiscard]] std::span<std::byte> data() override;
-  void reseed_epoch(CommCtx ctx, std::uint64_t epoch) override;
-  [[nodiscard]] std::span<const std::byte> staged() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
   [[nodiscard]] Strategy strategy() const override { return Strategy::kSelf; }
   [[nodiscard]] std::vector<ScrubRegion> scrub_view() override;
@@ -55,6 +53,7 @@ class SelfCheckpoint final : public GroupCheckpoint {
   void commit_steps(Commit& c) override;
   std::uint64_t restore_steps(CommCtx ctx, const EpochSummary& global,
                               std::span<const int> missing) override;
+  void reseed(std::uint64_t epoch) override;
   /// The S segment changes the persistent layout, so the field records it.
   [[nodiscard]] std::uint32_t codec_field() const override;
 

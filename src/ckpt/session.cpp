@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/multilevel.hpp"
 #include "ckpt/plan.hpp"
 #include "telemetry/forensics.hpp"
 
@@ -41,6 +40,13 @@ void note_session_geometry(mpi::Comm& group, CheckpointProtocol& protocol) {
 Session SessionBuilder::build(mpi::Comm& world) const {
   // Unified configuration validation: every misconfigured knob reports
   // through ConfigError with its field name, before anything is built.
+  if (strategy_ == Strategy::kNone) {
+    throw ConfigError("strategy", "Strategy::kNone has no checkpoint protocol");
+  }
+  if (strategy_ == Strategy::kBlcr && params_.level2_flush_every > 0) {
+    throw ConfigError("level2_flush_every",
+                      "Strategy::kBlcr already writes every commit to the vault");
+  }
   if (params_.data_bytes == 0) {
     throw ConfigError("data_bytes", "must be > 0");
   }
@@ -95,7 +101,7 @@ Session SessionBuilder::build(mpi::Comm& world) const {
   if (strategy_ == Strategy::kBlcr && params.vault == nullptr) {
     throw ConfigError("vault", "required for Strategy::kBlcr");
   }
-  if (level2_flush_every_ > 0 && params.vault == nullptr) {
+  if (params.level2_flush_every > 0 && params.vault == nullptr) {
     throw ConfigError("vault", "required for level2_flush_every");
   }
 
@@ -107,19 +113,10 @@ Session SessionBuilder::build(mpi::Comm& world) const {
     group = std::make_unique<mpi::Comm>(world.split(color, world.rank()));
   }
 
-  std::unique_ptr<CheckpointProtocol> protocol;
-  if (level2_flush_every_ > 0) {
-    protocol = std::make_unique<MultiLevelCheckpoint>(
-        MultiLevelCheckpoint::Params{params, strategy_, level2_flush_every_});
-  } else {
-    protocol = make_protocol(strategy_, params);
-  }
+  std::unique_ptr<CheckpointProtocol> protocol = make_protocol(strategy_, params);
 
   std::unique_ptr<AsyncCommitEngine> engine;
   if (mode_ == CommitMode::kAsync) {
-    if (!protocol->supports_async()) {
-      throw ConfigError("mode", "strategy does not support async commit");
-    }
     // The worker thread gets private communicators: sim::Comm is not
     // thread-safe, so it must not share the rank thread's handles. dup()
     // is communication-free but the derivation is ordered — every rank
@@ -136,7 +133,8 @@ Session SessionBuilder::build(mpi::Comm& world) const {
   if (service_ != nullptr) {
     admit_bytes = estimate_session_bytes(strategy_, params.data_bytes, params.user_bytes,
                                          effective_group, params.parity_degree,
-                                         params.async_staging, level2_flush_every_ > 0);
+                                         params.async_staging,
+                                         params.level2_flush_every > 0);
   }
 
   return Session(world, std::move(group), std::move(protocol), std::move(engine), mode_,

@@ -2,9 +2,9 @@
 //
 // A Session bundles everything an application previously wired by hand:
 // the encoding-group communicator (split from world by group size), the
-// concrete CheckpointProtocol (built through the make_protocol SPI,
-// optionally wrapped in MultiLevelCheckpoint), restore-on-open, commit
-// telemetry, and — in CommitMode::kAsync — the background commit pipeline.
+// concrete CheckpointProtocol (built through the make_protocol SPI, with
+// an optional level-2 disk flush), restore-on-open, commit telemetry, and
+// — in CommitMode::kAsync — the background commit pipeline.
 //
 //   auto session = ckpt::SessionBuilder{}
 //                      .strategy(ckpt::Strategy::kSelf)
@@ -97,9 +97,10 @@ class SessionBuilder {
   /// caller must not keep using another handle to it.
   SessionBuilder& group(mpi::Comm g) { group_ = std::move(g); return *this; }
   SessionBuilder& mode(CommitMode m) { mode_ = m; return *this; }
-  /// > 0 wraps the strategy in MultiLevelCheckpoint flushing to the vault
-  /// every N commits (SCR/FTI-style level 2).
-  SessionBuilder& level2_flush_every(int n) { level2_flush_every_ = n; return *this; }
+  /// > 0 adds level 2 (SCR/FTI-style) to self, single or double: the
+  /// committed image goes to the vault every N commits, and a restore that
+  /// level 1 cannot serve falls back to the newest disk generation.
+  SessionBuilder& level2_flush_every(int n) { params_.level2_flush_every = n; return *this; }
   /// > 0 starts a background scrubber on open(): a low-priority thread
   /// re-verifying the CRC32C of every sealed checkpoint buffer each
   /// `seconds`, repairing mirror-backed corruption in place (scrubber.hpp).
@@ -122,7 +123,6 @@ class SessionBuilder {
   int group_size_ = 0;
   std::optional<mpi::Comm> group_;
   CommitMode mode_ = CommitMode::kSync;
-  int level2_flush_every_ = 0;
   double scrub_interval_s_ = 0.0;
   StoreService* service_ = nullptr;
   std::string tenant_;

@@ -1,5 +1,5 @@
 // Storage device models for the disk-based checkpoint baselines of
-// Table 3 (BLCR+HDD, BLCR+SSD) and for multi-level flush policies.
+// Table 3 (BLCR+HDD, BLCR+SSD) and for level 2's disk flush.
 //
 // Devices do not store bytes themselves (storage::Vault does, and carries
 // one Device); they model the *time* a transfer costs, which is charged to

@@ -1,12 +1,15 @@
-// Tests for the multi-level checkpoint framework, the paper's extension
-// point that backs the in-memory level with a disk level. (Multi-erasure
-// group encoding is covered by the RS(k, m) tests in test_encoding.cpp.)
+// Tests for level 2, the paper's extension point that backs the in-memory
+// level with a disk level: a step of the group commit frame
+// (FactoryParams::level2_flush_every). A disk restore is the one with
+// device_s > 0. (Multi-erasure group encoding is covered by the RS(k, m)
+// tests in test_encoding.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
+#include <vector>
 
-#include "ckpt/multilevel.hpp"
+#include "ckpt/factory.hpp"
 #include "mpi/launcher.hpp"
 #include "storage/device.hpp"
 #include "storage/vault.hpp"
@@ -20,28 +23,25 @@ using skt::testing::MiniCluster;
 
 // -------------------------------------------------------- multi-level ---
 
-ckpt::MultiLevelCheckpoint::Params ml_params(storage::Vault* vault,
-                                             std::size_t data_bytes = 2048) {
-  ckpt::MultiLevelCheckpoint::Params params;
-  params.key_prefix = "ml";
-  params.data_bytes = data_bytes;
-  params.user_bytes = 16;
-  params.flush_every = 2;
-  params.vault = vault;
-  return params;
+ckpt::FactoryParams ml_params(storage::Vault* vault) {
+  return {.key_prefix = "ml",
+          .data_bytes = 2048,
+          .user_bytes = 16,
+          .vault = vault,
+          .level2_flush_every = 2};
 }
 
 TEST(MultiLevel, FlushesEveryKCommitsAndKeepsTwoGenerations) {
   MiniCluster mc(4, 0);
   storage::Vault vault({.device = storage::pfs_profile()});
   const auto result = mc.run(4, [&](mpi::Comm& world) {
-    ckpt::MultiLevelCheckpoint protocol(ml_params(&vault));
+    const auto protocol = ckpt::make_protocol(ckpt::Strategy::kSelf, ml_params(&vault));
     ckpt::CommCtx ctx{world, world};
-    EXPECT_FALSE(protocol.open(ctx));
-    for (int i = 0; i < 6; ++i) protocol.commit(ctx);
-    EXPECT_EQ(protocol.flushes(), 3);        // commits 2, 4, 6
-    EXPECT_EQ(protocol.disk_epoch(), 6u);
-    EXPECT_EQ(protocol.committed_epoch(), 6u);
+    EXPECT_FALSE(protocol->open(ctx));
+    int flushes = 0;
+    for (int i = 0; i < 6; ++i) flushes += protocol->commit(ctx).device_s > 0.0 ? 1 : 0;
+    EXPECT_EQ(flushes, 3);  // commits 2, 4, 6
+    EXPECT_EQ(protocol->committed_epoch(), 6u);
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
   // Two generations retained per rank (epochs 4 and 6) plus manifests.
@@ -59,25 +59,25 @@ TEST(MultiLevel, SingleFailureUsesFastInMemoryLevel) {
   mpi::JobLauncher launcher(mc.cluster, &injector, {.max_restarts = 2});
   bool used_disk = true;
   const auto result = launcher.run(4, [&](mpi::Comm& world) {
-    ckpt::MultiLevelCheckpoint protocol(ml_params(&vault));
+    const auto protocol = ckpt::make_protocol(ckpt::Strategy::kSelf, ml_params(&vault));
     ckpt::CommCtx ctx{world, world};
-    const bool restored = protocol.open(ctx);
-    auto* iter = reinterpret_cast<std::uint64_t*>(protocol.user_state().data());
+    const bool restored = protocol->open(ctx);
+    auto* iter = reinterpret_cast<std::uint64_t*>(protocol->user_state().data());
     if (restored) {
-      protocol.restore(ctx);
-      if (world.rank() == 0) used_disk = protocol.last_restore_used_disk();
+      const double device_s = protocol->restore(ctx).device_s;
+      if (world.rank() == 0) used_disk = device_s > 0.0;
     } else {
       *iter = 0;
-      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), 0);
+      skt::testing::fill_pattern(protocol->data(), 5, world.rank(), 0);
     }
     while (*iter < 4) {
       world.failpoint("app.work");
       const std::uint64_t next = *iter + 1;
-      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), next);
+      skt::testing::fill_pattern(protocol->data(), 5, world.rank(), next);
       *iter = next;
-      protocol.commit(ctx);
+      protocol->commit(ctx);
     }
-    if (!skt::testing::matches_pattern(protocol.data(), 5, world.rank(), 4, 0.0)) {
+    if (!skt::testing::matches_pattern(protocol->data(), 5, world.rank(), 4, 0.0)) {
       throw std::runtime_error("final data mismatch");
     }
   });
@@ -95,7 +95,7 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   storage::DeviceProfile slow = storage::pfs_profile();
   slow.latency_s = 1.0;
   storage::Vault vault({.device = slow});
-  const ckpt::MultiLevelCheckpoint::Params params = ml_params(&vault);
+  const ckpt::FactoryParams params = ml_params(&vault);
   sim::FailureInjector injector;
   // First failure mid-compute; second failure during the restore of the
   // first restart, before the group is re-encoded.
@@ -107,31 +107,31 @@ TEST(MultiLevel, DoubleFailureFallsBackToDiskLevel) {
   std::uint64_t restored_epoch = 0;
   ckpt::RestoreStats disk_restore;
   const auto result = launcher.run(4, [&](mpi::Comm& world) {
-    ckpt::MultiLevelCheckpoint protocol(params);
+    const auto protocol = ckpt::make_protocol(ckpt::Strategy::kSelf, params);
     ckpt::CommCtx ctx{world, world};
-    const bool restored = protocol.open(ctx);
-    auto* iter = reinterpret_cast<std::uint64_t*>(protocol.user_state().data());
+    const bool restored = protocol->open(ctx);
+    auto* iter = reinterpret_cast<std::uint64_t*>(protocol->user_state().data());
     if (restored) {
-      const ckpt::RestoreStats rs = protocol.restore(ctx);
-      if (world.rank() == 0 && protocol.last_restore_used_disk()) {
+      const ckpt::RestoreStats rs = protocol->restore(ctx);
+      if (world.rank() == 0 && rs.device_s > 0.0) {
         used_disk = true;
         restored_epoch = rs.epoch;
         disk_restore = rs;
       }
-      if (!skt::testing::matches_pattern(protocol.data(), 5, world.rank(), *iter, 0.0)) {
+      if (!skt::testing::matches_pattern(protocol->data(), 5, world.rank(), *iter, 0.0)) {
         throw std::runtime_error("restored data mismatch at iteration " +
                                  std::to_string(*iter));
       }
     } else {
       *iter = 0;
-      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), 0);
+      skt::testing::fill_pattern(protocol->data(), 5, world.rank(), 0);
     }
     while (*iter < 5) {
       world.failpoint("app.work");
       const std::uint64_t next = *iter + 1;
-      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), next);
+      skt::testing::fill_pattern(protocol->data(), 5, world.rank(), next);
       *iter = next;
-      protocol.commit(ctx);
+      protocol->commit(ctx);
     }
   });
   ASSERT_TRUE(result.success) << result.failure;
@@ -161,29 +161,26 @@ TEST_P(MultiLevelTwoGroups, GroupBeyondItsCodeSendsEveryGroupToDisk) {
   std::atomic<int> disk_restores{0};
   const auto result = launcher.run(kWorld, [&](mpi::Comm& world) {
     mpi::Comm group = world.split(world.rank() / 4, world.rank());
-    auto params = ml_params(&vault);
-    params.level1 = level1;
-    ckpt::MultiLevelCheckpoint protocol(params);
+    const auto protocol = ckpt::make_protocol(level1, ml_params(&vault));
     ckpt::CommCtx ctx{world, group};
-    const bool restored = protocol.open(ctx);
-    auto* iter = reinterpret_cast<std::uint64_t*>(protocol.user_state().data());
+    const bool restored = protocol->open(ctx);
+    auto* iter = reinterpret_cast<std::uint64_t*>(protocol->user_state().data());
     if (restored) {
-      protocol.restore(ctx);
-      if (protocol.last_restore_used_disk()) disk_restores.fetch_add(1);
-      if (!skt::testing::matches_pattern(protocol.data(), 5, world.rank(), *iter, 0.0)) {
+      if (protocol->restore(ctx).device_s > 0.0) disk_restores.fetch_add(1);
+      if (!skt::testing::matches_pattern(protocol->data(), 5, world.rank(), *iter, 0.0)) {
         throw std::runtime_error("restored data mismatch at iteration " +
                                  std::to_string(*iter));
       }
     } else {
       *iter = 0;
-      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), 0);
+      skt::testing::fill_pattern(protocol->data(), 5, world.rank(), 0);
     }
     while (*iter < 5) {
       world.failpoint("app.work");
       const std::uint64_t next = *iter + 1;
-      skt::testing::fill_pattern(protocol.data(), 5, world.rank(), next);
+      skt::testing::fill_pattern(protocol->data(), 5, world.rank(), next);
       *iter = next;
-      protocol.commit(ctx);
+      protocol->commit(ctx);
     }
   });
   ASSERT_TRUE(result.success) << result.failure;
@@ -236,14 +233,123 @@ TEST(MultiLevel, ShardedVaultPricesItsOwnFlushAndRestore) {
   ASSERT_TRUE(relaunch.completed) << relaunch.abort_reason;
 }
 
+// ---------------------------------------------- disk generation agreement ---
+
+// Self with level 2 every 2 commits on 4 ranks, driven by the test harness,
+// which checks every restore's data and epoch against its iteration.
+skt::testing::CkptAppConfig agree_config(storage::Vault& vault, int iterations) {
+  skt::testing::CkptAppConfig config;
+  config.vault = &vault;
+  config.level2_every = 2;
+  config.iterations = iterations;
+  return config;
+}
+
+/// Run the harness on `mc` until its iteration counter reaches `iterations`.
+void run_to(MiniCluster& mc, storage::Vault& vault, int iterations) {
+  const auto result = mc.run(4, [&](mpi::Comm& world) {
+    skt::testing::checkpointed_app(world, agree_config(vault, iterations));
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+const std::string kRank1Manifest = "test.r1.L2.manifest";
+
+/// Leave rank 1 one flush behind: put back the manifest it held before the
+/// flush of `epoch` and drop that flush's image, the vault state a kill
+/// before its put leaves.
+void miss_flush(storage::Vault& vault, const std::vector<std::byte>& manifest,
+                std::uint64_t epoch) {
+  vault.put(kRank1Manifest, manifest);
+  vault.remove("test.r1.L2.img.e" + std::to_string(epoch));
+}
+
+// Rank 1 misses the flush of 4, the job rolls back to 2 from disk and
+// flushes 4 and 6, and rank 1 misses the flush of 6 as well. Every rank
+// must still hold generation 4 for the next disk restore.
+TEST(MultiLevelAgreement, RanksAgreeOnTheGenerationAfterADiskRollback) {
+  storage::Vault vault;
+  {
+    MiniCluster mc(4, 0);
+    run_to(mc, vault, 2);
+    const std::vector<std::byte> before_4 = vault.get(kRank1Manifest).value();
+    run_to(mc, vault, 4);
+    miss_flush(vault, before_4, 4);
+  }
+  {
+    // A fresh cluster holds no level-1 state: the restore reads disk.
+    MiniCluster mc(4, 0);
+    run_to(mc, vault, 4);
+    const std::vector<std::byte> before_6 = vault.get(kRank1Manifest).value();
+    run_to(mc, vault, 6);
+    miss_flush(vault, before_6, 6);
+  }
+  MiniCluster mc(4, 0);
+  run_to(mc, vault, 6);
+}
+
+// Rank 1 misses the flush of 4, the job restores 4 from level 1 and
+// flushes 6, and rank 1 misses that flush too. Every rank must still hold
+// generation 2 for the next disk restore.
+TEST(MultiLevelAgreement, RanksAgreeOnTheGenerationAfterALevel1Restore) {
+  storage::Vault vault;
+  {
+    MiniCluster mc(4, 0);
+    run_to(mc, vault, 2);
+    const std::vector<std::byte> before_4 = vault.get(kRank1Manifest).value();
+    run_to(mc, vault, 4);
+    miss_flush(vault, before_4, 4);
+    run_to(mc, vault, 6);
+    miss_flush(vault, before_4, 6);
+  }
+  MiniCluster mc(4, 0);
+  run_to(mc, vault, 6);
+}
+
+// -------------------------------------------------- level-2 sessions ---
+
+// Level 2 rides on the group commit frame, so a level-2 session scrubs the
+// same sealed segments as a level-1 one: self's B, C and D.
+TEST(MultiLevel, SessionScrubsTheSealedSegments) {
+  MiniCluster mc(4, 0);
+  storage::Vault vault;
+  const auto result = mc.run(4, [&](mpi::Comm& world) {
+    ckpt::Session session = ckpt::SessionBuilder{}
+                                .key_prefix("scrub")
+                                .data_bytes(64 * 1024)
+                                .vault(&vault)
+                                .level2_flush_every(2)
+                                .scrub_interval(60.0)
+                                .build(world);
+    ASSERT_EQ(session.open(), ckpt::OpenOutcome::kFresh);
+    for (int i = 0; i < 2; ++i) session.commit();
+    EXPECT_EQ(session.unsafe_protocol().scrub_view().size(), 3u);
+    session.scrubber()->scrub_now();  // baselines this epoch
+    const std::uint64_t before = session.scrubber()->stats().chunks_verified;
+    session.scrubber()->scrub_now();
+    EXPECT_GT(session.scrubber()->stats().chunks_verified, before);
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+// A level-2 session's postmortem names the parity of its group code.
+TEST(MultiLevel, PostmortemNamesTheCodesParity) {
+  MiniCluster mc(4, 1);
+  storage::Vault vault;
+  sim::FailureInjector injector;
+  injector.add_rule({.point = "app.work", .world_rank = 1, .hit = 3, .repeat = false});
+  mpi::JobLauncher launcher(mc.cluster, &injector, {.max_restarts = 1});
+  const auto result = launcher.run(
+      4, [&](mpi::Comm& world) { skt::testing::checkpointed_app(world, agree_config(vault, 4)); });
+  ASSERT_TRUE(result.success) << result.failure;
+  ASSERT_EQ(result.postmortems.size(), 1u);
+  EXPECT_EQ(result.postmortems.front().geometry.parity_count, 1);
+}
+
+// BLCR with level 2 is a Session ConfigError (test_session.cpp).
 TEST(MultiLevel, RejectsBadConfigs) {
-  storage::Vault vault({.device = storage::pfs_profile()});
-  auto params = ml_params(&vault);
-  params.vault = nullptr;
-  EXPECT_THROW(ckpt::MultiLevelCheckpoint{params}, std::invalid_argument);
-  params = ml_params(&vault);
-  params.level1 = ckpt::Strategy::kBlcr;
-  EXPECT_THROW(ckpt::MultiLevelCheckpoint{params}, std::invalid_argument);
+  EXPECT_THROW((void)ckpt::make_protocol(ckpt::Strategy::kSelf, ml_params(nullptr)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -62,6 +62,8 @@ struct Case {
   int trigger = -1;
   /// > 0: partial-dirty mode (see CkptAppConfig::hot_bytes).
   std::size_t hot_bytes = 0;
+  /// > 0: level 2 flushes to disk every N commits.
+  int level2_every = 0;
 };
 
 std::string case_name(const ::testing::TestParamInfo<std::tuple<Case, int, enc::CodecKind>>& i) {
@@ -74,6 +76,7 @@ std::string case_name(const ::testing::TestParamInfo<std::tuple<Case, int, enc::
   if (const auto dash = strategy.find('-'); dash != std::string::npos) {
     strategy = strategy.substr(0, dash);
   }
+  if (c.level2_every > 0) strategy += "_l2";
   if (c.hot_bytes > 0) strategy += "_pd";
   return strategy + "_" + point + "_g" + std::to_string(group) + "_" +
          std::string(enc::to_string(codec));
@@ -96,6 +99,7 @@ TEST_P(FailureMatrix, KillDuringProtocolStep) {
   config.data_bytes = 2048;
   config.vault = &vault;
   config.hot_bytes = c.hot_bytes;
+  config.level2_every = c.level2_every;
 
   sim::FailureInjector injector;
   // Kill rank 1 (a member of group 0) on the SECOND visit to the failpoint
@@ -177,6 +181,14 @@ INSTANTIATE_TEST_SUITE_P(
                           Case{Strategy::kDouble, "ckpt.encode_done", true},
                           Case{Strategy::kDouble, "ckpt.flushed", true}),
         ::testing::Values(2, 4), ::testing::Values(enc::CodecKind::kXor)),
+    case_name);
+
+// Level 2 is a step of the commit frame every group strategy shares: a
+// kill inside double's second flush recovers like self's.
+INSTANTIATE_TEST_SUITE_P(
+    MultiLevelSync, FailureMatrix,
+    ::testing::Combine(::testing::Values(Case{Strategy::kDouble, "ckpt.l2_flush", true, -1, 0, 2}),
+                       ::testing::Values(4), ::testing::Values(enc::CodecKind::kXor)),
     case_name);
 
 INSTANTIATE_TEST_SUITE_P(
@@ -431,7 +443,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(
             AsyncCase{Strategy::kSelf, "ckpt.async_sealed", true, -1, 2},
-            AsyncCase{Strategy::kSelf, "ckpt.async_l2_flush", true, -1, 2}),
+            AsyncCase{Strategy::kSelf, "ckpt.async_l2_flush", true, -1, 2},
+            AsyncCase{Strategy::kDouble, "ckpt.async_l2_flush", true, -1, 2}),
         ::testing::Values(4)),
     async_case_name);
 

@@ -660,6 +660,34 @@ TEST(BlcrCheckpoint, KeepsTwoGenerations) {
   EXPECT_TRUE(relaunch.completed) << relaunch.abort_reason;
 }
 
+// A rank that lost its newest image falls back one generation, and every
+// rank restores that generation with it.
+TEST(BlcrCheckpoint, RankMissingItsNewestImageFallsBackOneGeneration) {
+  MiniCluster mc(2, 0);
+  storage::Vault vault;
+  const FactoryParams params{
+      .key_prefix = "fallback", .data_bytes = 64, .user_bytes = 8, .vault = &vault};
+  const auto result = mc.run(2, [&](mpi::Comm& world) {
+    BlcrCheckpoint proto(params);
+    CommCtx ctx{world, world};
+    proto.open(ctx);
+    for (std::uint64_t e = 1; e <= 3; ++e) {
+      skt::testing::fill_pattern(proto.data(), 9, world.rank(), e);
+      proto.commit(ctx);
+    }
+  });
+  ASSERT_TRUE(result.completed) << result.abort_reason;
+  vault.remove("fallback.r1.blcr.img.e3");
+  const auto relaunch = mc.run(2, [&](mpi::Comm& world) {
+    BlcrCheckpoint proto(params);
+    CommCtx ctx{world, world};
+    ASSERT_TRUE(proto.open(ctx));
+    EXPECT_EQ(proto.restore(ctx).epoch, 2u);
+    EXPECT_TRUE(skt::testing::matches_pattern(proto.data(), 9, world.rank(), 2, 0.0));
+  });
+  EXPECT_TRUE(relaunch.completed) << relaunch.abort_reason;
+}
+
 // A BLCR image on a 4-shard vault with no other device setting: the
 // vault's own device prices every write and read, ⌈bytes/4⌉ each.
 TEST(BlcrCheckpoint, ShardedVaultPricesItsOwnImages) {

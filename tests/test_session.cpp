@@ -13,6 +13,7 @@
 
 #include "ckpt_harness.hpp"
 #include "encoding/block_runs.hpp"
+#include "storage/vault.hpp"
 #include "testing.hpp"
 
 namespace skt::ckpt {
@@ -277,6 +278,19 @@ TEST(Session, ConfigErrorsNameTheOffendingField) {
                            .key_prefix("z")
                            .data_bytes(kBytes)),
               "vault");
+    EXPECT_EQ(field_of(SessionBuilder{}.strategy(Strategy::kNone).key_prefix("z").data_bytes(
+                  kBytes)),
+              "strategy");
+    // BLCR writes every commit to the vault already; level 2 is for the
+    // in-memory strategies.
+    storage::Vault vault;
+    EXPECT_EQ(field_of(SessionBuilder{}
+                           .strategy(Strategy::kBlcr)
+                           .key_prefix("z")
+                           .data_bytes(kBytes)
+                           .vault(&vault)
+                           .level2_flush_every(2)),
+              "level2_flush_every");
     // Tenancy knobs come in pairs: a tenant without a service (and vice
     // versa) is a configuration bug, not a silent single-tenant fallback.
     EXPECT_EQ(field_of(SessionBuilder{}
