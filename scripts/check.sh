@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 check: the normal build + full ctest, then a -DSKT_SIMD=OFF lane
+# Tier-1 check: the normal build + full ctest, a check that the pinned hot
+# kernels start on 64-byte boundaries in a built binary, then a
+# -DSKT_SIMD=OFF lane
 # (the scalar kernel paths must be a complete, bit-identical implementation,
 # not a vestige, and the HPL suites must solve on the scalar GEMM), an
 # ASan/UBSan build (SKT_SANITIZE=ON) running the mpi, encoding, HPL and
@@ -24,6 +26,40 @@ cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
 echo
+echo "=== kernel pins: hot kernels start on 64-byte boundaries ==="
+# The AVX2 encoding kernels and the HPL kernels (the GEMM's entry point,
+# micro-tile and row block, the panel column step and the TRSM) carry
+# aligned(64), so code added or deleted elsewhere in a binary does not move
+# their loops across fetch blocks: placement alone once moved hpl_ckpt's
+# op_cpu_ms by 5%. ft_hpl links both libraries. Every pattern must match at
+# least one text symbol, and every match, compiler clones included (a
+# .cold split is not an entry point), must sit at 0 mod 64.
+pins=(
+  'skt::enc::kernels::(anonymous namespace)::xor_acc_avx2('
+  'skt::enc::kernels::(anonymous namespace)::xor_delta_avx2('
+  'skt::enc::kernels::(anonymous namespace)::sum_acc_avx2('
+  'skt::enc::kernels::(anonymous namespace)::sum_sub_avx2('
+  'skt::enc::kernels::(anonymous namespace)::gf_mul_acc_avx2('
+  'skt::hpl::blas::gemm_minus('
+  'skt::hpl::blas::(anonymous namespace)::micro_tile<'
+  'skt::hpl::blas::(anonymous namespace)::row_block<'
+  'skt::hpl::blas::panel_column('
+  'skt::hpl::blas::(anonymous namespace)::panel_column_avx2('
+  'skt::hpl::blas::trsm_lower_unit('
+  'skt::hpl::blas::(anonymous namespace)::trsm_lower_unit_avx2('
+)
+text_syms=$(nm -C build/examples/ft_hpl | awk '$2 == "t" || $2 == "T"' | grep -vF '[clone .cold]')
+for pin in "${pins[@]}"; do
+  matches=$(grep -F "$pin" <<<"$text_syms" || true)
+  [ -n "$matches" ] || { echo "[FAIL] no text symbol in ft_hpl matches $pin"; exit 1; }
+  while read -r addr _ name; do
+    off=$((16#$addr % 64))
+    [ "$off" -eq 0 ] || { echo "[FAIL] $name sits at $off mod 64"; exit 1; }
+  done <<<"$matches"
+  echo "[PASS] $pin... ($(wc -l <<<"$matches") symbol(s)) at 0 mod 64"
+done
+
+echo
 echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + codec + protocol + HPL suites ==="
 # The SIMD tier must be droppable at configure time with zero behaviour
 # change: the kernels' scalar paths and the runtime dispatcher carry the
@@ -35,8 +71,9 @@ echo "=== scalar lane: -DSKT_SIMD=OFF build, kernel + codec + protocol + HPL sui
 # inside the delta's fold among other steps) carry. test_collectives runs
 # here too: its chunked reduce combines ragged 96-byte segments, and its
 # multi-segment allreduce 64 KiB ones, through the same XOR and SUM kernels.
-# The HPL suites run here as well: the trailing-update GEMM follows the
-# same tier, so they solve and verify on the scalar loop.
+# The HPL suites run here as well: the HPL kernels (the trailing-update
+# GEMM, the panel column step and the TRSM) follow the same tier, so they
+# solve and verify on the scalar loops.
 cmake -B build-scalar -S . -DSKT_SIMD=OFF >/dev/null
 cmake --build build-scalar -j --target \
   test_kernels test_encoding test_protocols test_collectives test_failure_matrix \
@@ -49,8 +86,11 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # test_kernels rides along for UBSan in particular: the vector kernels take
 # arbitrarily misaligned spans and the property tests feed them offset
 # slices, so any alignment-assuming load is caught here. test_hpl_core and
-# test_hpl_dist cover the GEMM's B packing and its fringe tiles, whose
-# pointer arithmetic must stay inside each operand's window.
+# test_hpl_dist cover the GEMM's B packing and its fringe tiles and the
+# panel column step's and the TRSM's masked tails, whose pointer
+# arithmetic must stay inside each operand's window; test_hpl_dist's
+# NanPivot cases factor a matrix whose every pivot candidate in some
+# column is NaN, which must abort before any rank writes a row.
 # test_protocols and test_failure_matrix carry the checkpoint protocols'
 # dirty-block commits, restores and moving-window sparse updates: the
 # block-run copies between the work, staging and checkpoint segments.

@@ -22,13 +22,15 @@
 // misaligned spans are handled internally — so callers need no padding
 // contract beyond matching span lengths.
 //
-// The same tier also selects the HPL trailing-update GEMM
-// (hpl::blas::gemm_minus): its packed AVX2+FMA kernel runs when the tier
-// is kAvx2 and the CPU reports FMA (util::cpu_has_fma), its scalar loop
-// otherwise, so -DSKT_SIMD=OFF, SKT_KERNELS=scalar and force_tier() pin it
-// too. Unlike the kernels here, the GEMM's two tiers round differently
-// (fused vs separate multiply-add), so they agree within tolerance, not
-// bit for bit.
+// The same tier also selects the HPL kernels (hpl/blas.hpp): the
+// trailing-update GEMM (gemm_minus), the panel's per-column scale, rank-1
+// update and next pivot search (panel_column) and the U12 solve
+// (trsm_lower_unit). Their AVX2+FMA paths run when the tier is kAvx2 and
+// the CPU reports FMA (util::cpu_has_fma), their scalar loops otherwise,
+// so -DSKT_SIMD=OFF, SKT_KERNELS=scalar and force_tier() pin them too.
+// Unlike the kernels here, their two tiers round differently (fused vs
+// separate multiply-add), so they agree within tolerance, not bit for
+// bit.
 #pragma once
 
 #include <cstddef>

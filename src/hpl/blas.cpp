@@ -1,6 +1,7 @@
 #include "hpl/blas.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include "encoding/kernels.hpp"
@@ -53,7 +54,42 @@ void gemm_minus_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const dou
   }
 }
 
+std::int64_t panel_column_scalar(std::int64_t rows, std::int64_t len, double* a,
+                                 std::int64_t lda, const double* u, double pivot) {
+  std::int64_t best = -1;
+  double best_v = -1.0;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    double* r = a + i * lda;
+    r[0] /= pivot;
+    const double l = r[0];
+    for (std::int64_t c = 1; c < len; ++c) r[c] -= l * u[c];
+    if (len > 1 && std::abs(r[1]) > best_v) {
+      best_v = std::abs(r[1]);
+      best = i;
+    }
+  }
+  return best;
+}
+
+// Forward substitution row by row: row i of X depends on rows < i.
+void trsm_lower_unit_scalar(std::int64_t m, std::int64_t n, const double* l, std::int64_t ldl,
+                            double* b, std::int64_t ldb) {
+  for (std::int64_t i = 1; i < m; ++i) {
+    double* bi = b + i * ldb;
+    for (std::int64_t kk = 0; kk < i; ++kk) {
+      const double lik = l[i * ldl + kk];
+      if (lik == 0.0) continue;
+      const double* bk = b + kk * ldb;
+      for (std::int64_t j = 0; j < n; ++j) bi[j] -= lik * bk[j];
+    }
+  }
+}
+
 // --------------------------------------------------------- AVX2 tier ---
+// Every kernel here starts on a 64-byte boundary, like the AVX2 encoding
+// kernels, so code added or deleted elsewhere in a binary does not move
+// its loops across fetch blocks and shift its timing. scripts/check.sh
+// checks the pins in a built binary.
 #if SKT_BLAS_HAVE_AVX2
 
 // Micro-tile: kMr rows x kNr columns of C live in 2*kMr ymm accumulators
@@ -112,10 +148,9 @@ __attribute__((target("avx2,fma"))) inline void store_part(double* p, __m256d v,
 // the fused chain c = fma(-a_ik, b_kj, c) over k in ascending order, so the
 // result does not depend on where the element falls in the tiling.
 template <int Mr>
-__attribute__((target("avx2,fma"))) void micro_tile(std::int64_t kb, const double* a,
-                                                    std::int64_t lda, const double* strip,
-                                                    double* c, std::int64_t ldc,
-                                                    std::int64_t cols) {
+__attribute__((target("avx2,fma"), aligned(64))) void micro_tile(
+    std::int64_t kb, const double* a, std::int64_t lda, const double* strip, double* c,
+    std::int64_t ldc, std::int64_t cols) {
   __m256d lo[Mr];
   __m256d hi[Mr];
 #pragma GCC unroll 6
@@ -140,12 +175,12 @@ __attribute__((target("avx2,fma"))) void micro_tile(std::int64_t kb, const doubl
   }
 }
 
-// One block of Mr rows of C against every packed strip.
+// One block of Mr rows of C against every packed strip. noclone keeps
+// GCC from emitting an unpinned IPA-SRA copy (row_block<1> got one).
 template <int Mr>
-__attribute__((target("avx2,fma"))) void row_block(std::int64_t n, std::int64_t kb,
-                                                   const double* a, std::int64_t lda,
-                                                   const double* packed, double* c,
-                                                   std::int64_t ldc) {
+__attribute__((target("avx2,fma"), aligned(64), noclone)) void row_block(
+    std::int64_t n, std::int64_t kb, const double* a, std::int64_t lda, const double* packed,
+    double* c, std::int64_t ldc) {
   for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
     micro_tile<Mr>(kb, a, lda, packed, c + j0, ldc, std::min(kNr, n - j0));
     packed += kb * kNr;
@@ -183,19 +218,98 @@ void gemm_minus_avx2(std::int64_t m, std::int64_t n, std::int64_t k, const doubl
   }
 }
 
+// panel_column on FMA: the update of each row runs 4 doubles wide, the
+// last 1-3 through masked loads and stores, and the next column's
+// candidate |a[1]| is read from the first vector's low lane.
+__attribute__((target("avx2,fma"), aligned(64))) std::int64_t panel_column_avx2(
+    std::int64_t rows, std::int64_t len, double* a, std::int64_t lda, const double* u,
+    double pivot) {
+  std::int64_t best = -1;
+  double best_v = -1.0;
+  const std::int64_t lanes0 = std::min<std::int64_t>(4, len - 1);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    double* r = a + i * lda;
+    r[0] /= pivot;
+    if (lanes0 <= 0) continue;
+    const __m256d l = _mm256_set1_pd(r[0]);
+    const __m256d head = _mm256_fnmadd_pd(l, load_part(u + 1, lanes0), load_part(r + 1, lanes0));
+    store_part(r + 1, head, lanes0);
+    std::int64_t c = 5;
+    for (; c + 4 <= len; c += 4) {
+      _mm256_storeu_pd(r + c,
+                       _mm256_fnmadd_pd(l, _mm256_loadu_pd(u + c), _mm256_loadu_pd(r + c)));
+    }
+    if (c < len) {
+      store_part(r + c, _mm256_fnmadd_pd(l, load_part(u + c, len - c), load_part(r + c, len - c)),
+                 len - c);
+    }
+    const double v = std::abs(_mm256_cvtsd_f64(head));
+    if (v > best_v) {
+      best_v = v;
+      best = i;
+    }
+  }
+  return best;
+}
+
+// trsm_lower_unit on FMA: row i of B is updated 16 columns at a time,
+// held in four ymm accumulators across its whole k loop, so it is loaded
+// and stored once per block instead of once per k; the last 0-15 columns
+// go 4 at a time, the final 1-3 through masked loads and stores.
+__attribute__((target("avx2,fma"), aligned(64))) void trsm_lower_unit_avx2(
+    std::int64_t m, std::int64_t n, const double* l, std::int64_t ldl, double* b,
+    std::int64_t ldb) {
+  for (std::int64_t i = 1; i < m; ++i) {
+    const double* li = l + i * ldl;
+    double* bi = b + i * ldb;
+    std::int64_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+      __m256d x0 = _mm256_loadu_pd(bi + j);
+      __m256d x1 = _mm256_loadu_pd(bi + j + 4);
+      __m256d x2 = _mm256_loadu_pd(bi + j + 8);
+      __m256d x3 = _mm256_loadu_pd(bi + j + 12);
+      for (std::int64_t kk = 0; kk < i; ++kk) {
+        if (li[kk] == 0.0) continue;
+        const __m256d lik = _mm256_set1_pd(li[kk]);
+        const double* bk = b + kk * ldb + j;
+        x0 = _mm256_fnmadd_pd(lik, _mm256_loadu_pd(bk), x0);
+        x1 = _mm256_fnmadd_pd(lik, _mm256_loadu_pd(bk + 4), x1);
+        x2 = _mm256_fnmadd_pd(lik, _mm256_loadu_pd(bk + 8), x2);
+        x3 = _mm256_fnmadd_pd(lik, _mm256_loadu_pd(bk + 12), x3);
+      }
+      _mm256_storeu_pd(bi + j, x0);
+      _mm256_storeu_pd(bi + j + 4, x1);
+      _mm256_storeu_pd(bi + j + 8, x2);
+      _mm256_storeu_pd(bi + j + 12, x3);
+    }
+    for (; j < n; j += 4) {
+      const std::int64_t lanes = n - j;
+      __m256d x = load_part(bi + j, lanes);
+      for (std::int64_t kk = 0; kk < i; ++kk) {
+        if (li[kk] == 0.0) continue;
+        x = _mm256_fnmadd_pd(_mm256_set1_pd(li[kk]), load_part(b + kk * ldb + j, lanes), x);
+      }
+      store_part(bi + j, x, lanes);
+    }
+  }
+}
+
+// The tier that the three kernels share with the encoding kernels.
+bool fma_tier() {
+  return enc::kernels::active_tier() == enc::kernels::Tier::kAvx2 && util::cpu_has_fma();
+}
+
 #endif  // SKT_BLAS_HAVE_AVX2
 
 }  // namespace
 
-// Pinned to a 64-byte boundary, like the AVX2 encoding kernels, so code
-// added or deleted elsewhere in a binary does not move the hot entry
-// across fetch blocks and shift its timing.
+// The entry points are pinned like the AVX2 kernels above.
 __attribute__((aligned(64))) void gemm_minus(std::int64_t m, std::int64_t n, std::int64_t k,
                                              const double* a, std::int64_t lda, const double* b,
                                              std::int64_t ldb, double* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
 #if SKT_BLAS_HAVE_AVX2
-  if (enc::kernels::active_tier() == enc::kernels::Tier::kAvx2 && util::cpu_has_fma()) {
+  if (fma_tier()) {
     gemm_minus_avx2(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
@@ -203,19 +317,26 @@ __attribute__((aligned(64))) void gemm_minus(std::int64_t m, std::int64_t n, std
   gemm_minus_scalar(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-void trsm_lower_unit(std::int64_t m, std::int64_t n, const double* l, std::int64_t ldl,
-                     double* b, std::int64_t ldb) {
-  // Forward substitution row by row: row i of X depends on rows < i.
-  for (std::int64_t i = 0; i < m; ++i) {
-    double* bi = b + i * ldb;
-    for (std::int64_t kk = 0; kk < i; ++kk) {
-      const double lik = l[i * ldl + kk];
-      if (lik == 0.0) continue;
-      const double* bk = b + kk * ldb;
-      for (std::int64_t j = 0; j < n; ++j) bi[j] -= lik * bk[j];
-    }
-    // unit diagonal: no scaling
+__attribute__((aligned(64))) std::int64_t panel_column(std::int64_t rows, std::int64_t len,
+                                                       double* a, std::int64_t lda,
+                                                       const double* u, double pivot) {
+#if SKT_BLAS_HAVE_AVX2
+  if (fma_tier()) return panel_column_avx2(rows, len, a, lda, u, pivot);
+#endif
+  return panel_column_scalar(rows, len, a, lda, u, pivot);
+}
+
+__attribute__((aligned(64))) void trsm_lower_unit(std::int64_t m, std::int64_t n,
+                                                  const double* l, std::int64_t ldl, double* b,
+                                                  std::int64_t ldb) {
+  if (m <= 1 || n <= 0) return;
+#if SKT_BLAS_HAVE_AVX2
+  if (fma_tier()) {
+    trsm_lower_unit_avx2(m, n, l, ldl, b, ldb);
+    return;
   }
+#endif
+  trsm_lower_unit_scalar(m, n, l, ldl, b, ldb);
 }
 
 void trsv_upper(std::int64_t m, const double* u, std::int64_t ldu, double* y) {

@@ -23,12 +23,16 @@ constexpr mpi::Tag kTagInterchange = 105;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
+/// The max-loc state before any row is seen; it loses to every real
+/// candidate, and a column whose every entry is NaN leaves it standing.
+constexpr mpi::ValueLoc kNoCandidate{-1.0, std::numeric_limits<std::int64_t>::max()};
+
 /// One column's pivot search state as it travels through the pivot
 /// exchange (HPL's HPL_pdmxswp work buffer): the max-loc pair of |A(i, j)|
 /// over the rows seen so far, the w-wide panel row it names, and the
 /// panel's current row j once its owner's contribution has been merged.
 struct PivotCandidate {
-  mpi::ValueLoc best{-1.0, std::numeric_limits<std::int64_t>::max()};
+  mpi::ValueLoc best = kNoCandidate;
   std::vector<double> row;    ///< panel row `best.index` (pre-swap)
   std::vector<double> row_j;  ///< panel row j (pre-swap); empty until merged
 
@@ -91,7 +95,9 @@ void exchange_pivot(mpi::Comm& col, PivotCandidate& c) {
 /// Factor the w-wide panel starting at global column j0. Collective over
 /// the owning process column's col communicator: one pivot exchange per
 /// column, after which every rank knows the pivot row and the owners of
-/// rows j and piv[jj] write the swapped panel rows locally.
+/// rows j and piv[jj] write the swapped panel rows locally. Each column's
+/// elimination pass (blas::panel_column) also finds the next column's
+/// local candidate, so only the panel's first column is searched apart.
 void factor_panel(mpi::Grid& grid, DistMatrix& a, std::int64_t j0, std::int64_t w,
                   std::vector<std::int64_t>& piv, std::vector<double>& pivvals) {
   const BlockCyclicDim& rows = a.rows();
@@ -101,20 +107,20 @@ void factor_panel(mpi::Grid& grid, DistMatrix& a, std::int64_t j0, std::int64_t 
   // Every panel row lives on one process row: the panel's row block.
   const bool own_j = pr == rows.owner(j0);
 
+  // Local pivot search for column j0: largest |A(i, j0)| over global rows
+  // i >= j0, the first maximum winning and a NaN never.
   PivotCandidate c;
+  std::int64_t best_li = -1;
+  for (std::int64_t li = rows.local_lower_bound(pr, j0); li < a.lrows(); ++li) {
+    const double v = std::abs(a.at(li, lc_panel));
+    if (v > c.best.value) {
+      c.best = {v, rows.global(pr, li)};
+      best_li = li;
+    }
+  }
   for (std::int64_t jj = 0; jj < w; ++jj) {
     const std::int64_t j = j0 + jj;
 
-    // Local pivot search: largest |A(i, j)| over global rows i >= j.
-    c.best = {-1.0, std::numeric_limits<std::int64_t>::max()};
-    std::int64_t best_li = -1;
-    for (std::int64_t li = rows.local_lower_bound(pr, j); li < a.lrows(); ++li) {
-      const double v = std::abs(a.at(li, lc_panel + jj));
-      if (v > c.best.value) {
-        c.best = {v, rows.global(pr, li)};
-        best_li = li;
-      }
-    }
     c.row.assign(static_cast<std::size_t>(w), 0.0);
     if (best_li >= 0) std::memcpy(c.row.data(), &a.at(best_li, lc_panel), row_bytes);
     c.row_j.clear();
@@ -123,7 +129,14 @@ void factor_panel(mpi::Grid& grid, DistMatrix& a, std::int64_t j0, std::int64_t 
       c.row_j.assign(row_j, row_j + w);
     }
     exchange_pivot(grid.col(), c);
-    if (c.best.index < 0 || c.best.value == 0.0) {
+    // No candidate (every entry NaN) is as fatal as a zero one. Every rank
+    // of the column holds the same winner, so all of them throw here,
+    // before any touches a row.
+    if (c.best.index == kNoCandidate.index) {
+      throw std::runtime_error("lu_factorize: every pivot candidate is NaN at column " +
+                               std::to_string(j));
+    }
+    if (!(c.best.value > 0.0)) {
       throw std::runtime_error("lu_factorize: zero pivot at column " + std::to_string(j));
     }
     const std::int64_t r = c.best.index;
@@ -141,13 +154,19 @@ void factor_panel(mpi::Grid& grid, DistMatrix& a, std::int64_t j0, std::int64_t 
     const double pivot = rowj[0];
     pivvals[static_cast<std::size_t>(jj)] = pivot;
 
-    // Scale the multipliers and apply the rank-1 update to the rest of
-    // the panel.
-    for (std::int64_t li = rows.local_lower_bound(pr, j + 1); li < a.lrows(); ++li) {
-      double* arow = &a.at(li, lc_panel + jj);  // column jj + 1 may lie past the end
-      arow[0] /= pivot;
-      const double l = arow[0];
-      for (std::int64_t cc = 1; cc < w - jj; ++cc) arow[cc] -= l * rowj[cc];
+    // Scale the multipliers, apply the rank-1 update to the rest of the
+    // panel and take the next column's local candidate from the same pass.
+    const std::int64_t li1 = rows.local_lower_bound(pr, j + 1);
+    const std::int64_t next =
+        li1 < a.lrows()
+            ? blas::panel_column(a.lrows() - li1, w - jj, a.row_ptr(li1) + lc_panel + jj, a.ld(),
+                                 rowj, pivot)
+            : -1;
+    c.best = kNoCandidate;
+    best_li = -1;
+    if (next >= 0) {
+      best_li = li1 + next;
+      c.best = {std::abs(a.at(best_li, lc_panel + jj + 1)), rows.global(pr, best_li)};
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,6 +22,13 @@ thread_local std::uint16_t t_depth = 0;
 // Names of the open spans on this thread, innermost last; parent attribution
 // only, so raw pointers to the string literals are enough.
 thread_local const char* t_stack[64] = {};
+
+/// CPU time consumed by the calling thread, in microseconds.
+double thread_cpu_us() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
+}
 
 void copy_name(char (&dst)[SpanRecord::kNameBytes], std::string_view src) {
   const std::size_t n = std::min(src.size(), sizeof(dst) - 1);
@@ -210,6 +218,7 @@ std::string Tracer::chrome_trace_json() const {
     w.begin_object();
     w.field("epoch", static_cast<std::uint64_t>(rec.epoch));
     if (rec.parent[0] != '\0') w.field("parent", rec.parent);
+    if (!rec.instant()) w.field("cpu_us", rec.cpu_us);
     w.end_object();
     w.end_object();
   }
@@ -241,15 +250,17 @@ void set_thread_async_worker(int rank) {
 
 void set_epoch(std::uint64_t epoch) { t_epoch = epoch; }
 
-Span::Span(const char* name) : name_(name), t0_us_(-1.0) {
+Span::Span(const char* name) : name_(name), t0_us_(-1.0), cpu0_us_(0.0) {
   if (!enabled()) return;
   t0_us_ = Tracer::instance().now_us();
+  cpu0_us_ = thread_cpu_us();
   if (t_depth < std::size(t_stack)) t_stack[t_depth] = name_;
   ++t_depth;
 }
 
 Span::~Span() {
   if (t0_us_ < 0.0) return;
+  const double cpu_us = std::max(0.0, thread_cpu_us() - cpu0_us_);
   if (t_depth > 0) --t_depth;
   SpanRecord rec;
   copy_name(rec.name, name_);
@@ -259,6 +270,7 @@ Span::~Span() {
   }
   rec.t0_us = t0_us_;
   rec.dur_us = std::max(0.0, Tracer::instance().now_us() - t0_us_);
+  rec.cpu_us = cpu_us;
   rec.rank = t_rank;
   rec.epoch = t_epoch;
   rec.depth = t_depth;

@@ -21,6 +21,7 @@
 // https://ui.perfetto.dev and load the file. One row (tid) per rank; the
 // launcher daemon gets its own row.
 //
+// Each span records its wall duration and the thread CPU time it used.
 // Everything is a no-op while telemetry::enabled() is false — a disabled
 // SKT_SPAN costs one relaxed atomic load.
 #pragma once
@@ -39,6 +40,10 @@ struct SpanRecord {
   char parent[kNameBytes] = {};  ///< enclosing span on the same thread, if any
   double t0_us = 0.0;            ///< microseconds since tracer start
   double dur_us = 0.0;           ///< < 0 marks an instant event
+  /// Measured CPU time of the recording thread over the span
+  /// (CLOCK_THREAD_CPUTIME_ID delta); 0 for instants. With dur_us it
+  /// tells a span that waits (bcast_panel) from one that computes.
+  double cpu_us = 0.0;
   int rank = -1;                 ///< world rank; -1 = non-rank (launcher) thread
   std::uint64_t epoch = 0;       ///< checkpoint epoch active when the span closed
   std::uint16_t depth = 0;       ///< nesting depth at record time
@@ -71,7 +76,8 @@ class Span {
 
  private:
   const char* name_;
-  double t0_us_;  ///< < 0 when telemetry was disabled at construction
+  double t0_us_;   ///< < 0 when telemetry was disabled at construction
+  double cpu0_us_;  ///< thread CPU time at construction (when enabled)
 };
 
 /// Zero-duration marker (failpoint hits, aborts).

@@ -1,6 +1,6 @@
 // Unit tests for the HPL substrate's local pieces: BLAS kernels against
-// naive references (the GEMM on every dispatch tier) and block-cyclic
-// index arithmetic properties.
+// naive references (the GEMM, the panel column step and the TRSM on every
+// dispatch tier) and block-cyclic index arithmetic properties.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -100,6 +100,189 @@ TEST_P(BlasTiers, GemmMinusSweep) {
                            again.data() + kSlack, ldc);
           ASSERT_EQ(std::memcmp(c.data(), again.data(), c.size() * sizeof(double)), 0)
               << "two calls on equal inputs differ";
+        }
+      }
+    }
+  }
+}
+
+/// trsm_lower_unit on each dispatch tier: m from 0 to one past an HPL
+/// panel width (32), n around the AVX2 path's 4- and 16-column blocks and
+/// at hpl_ckpt's widest trailing block (769), with tight and padded
+/// leading dimensions. L's diagonal and upper triangle and every cell outside B's
+/// window are NaN guards: reading one would poison B, and writing a B
+/// guard changes its bits. Every 7th strictly-lower entry of L is zero.
+TEST_P(BlasTiers, TrsmLowerUnitSweep) {
+  const skt::testing::TierGuard guard(GetParam());
+  if (enc::kernels::active_tier() != GetParam()) {
+    GTEST_SKIP() << "tier not compiled in or not supported on this CPU";
+  }
+  const double guard_nan = std::bit_cast<double>(std::uint64_t{0x7ff8dead0000beefULL});
+  constexpr std::int64_t kSlack = 5;
+  std::uint64_t seed = 11;
+  for (const std::int64_t m : {0, 1, 2, 7, 8, 32, 33}) {
+    for (const std::int64_t n : {0, 1, 3, 4, 5, 15, 16, 17, 769}) {
+      for (const std::int64_t pad : {0, 3}) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " pad=" << pad);
+        const std::int64_t ldl = m + pad, ldb = n + 2 * pad;
+        util::Xoshiro256 rng(seed++);
+        std::vector<double> l(static_cast<std::size_t>(m * ldl + 2 * kSlack), guard_nan);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t k = 0; k < i; ++k) {
+            l[static_cast<std::size_t>(kSlack + i * ldl + k)] =
+                (i * m + k) % 7 == 0 ? 0.0 : 0.5 * rng.next_centered();
+          }
+        }
+        std::vector<double> b0(static_cast<std::size_t>(m * ldb + 2 * kSlack), guard_nan);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            b0[static_cast<std::size_t>(kSlack + i * ldb + j)] = rng.next_centered();
+          }
+        }
+        // Naive forward substitution over the strictly lower triangle.
+        auto ref = b0;
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            double acc = ref[static_cast<std::size_t>(kSlack + i * ldb + j)];
+            for (std::int64_t k = 0; k < i; ++k) {
+              acc -= l[static_cast<std::size_t>(kSlack + i * ldl + k)] *
+                     ref[static_cast<std::size_t>(kSlack + k * ldb + j)];
+            }
+            ref[static_cast<std::size_t>(kSlack + i * ldb + j)] = acc;
+          }
+        }
+        auto b = b0;
+        blas::trsm_lower_unit(m, n, l.data() + kSlack, ldl, b.data() + kSlack, ldb);
+        for (std::size_t e = 0; e < b.size(); ++e) {
+          const std::int64_t off = static_cast<std::int64_t>(e) - kSlack;
+          const bool inside = off >= 0 && off < m * ldb && off % ldb < n;
+          if (inside) {
+            ASSERT_NEAR(b[e], ref[e], 1e-12 * (1.0 + std::abs(ref[e]))) << "element " << off;
+          } else {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(b[e]), std::bit_cast<std::uint64_t>(b0[e]))
+                << "guard cell " << off << " was written";
+          }
+        }
+        auto again = b0;
+        blas::trsm_lower_unit(m, n, l.data() + kSlack, ldl, again.data() + kSlack, ldb);
+        ASSERT_EQ(std::memcmp(b.data(), again.data(), b.size() * sizeof(double)), 0)
+            << "two calls on equal inputs differ";
+      }
+    }
+  }
+}
+
+/// A zero multiplier is skipped, not multiplied: with l_10 = l_20 = 0 an
+/// infinite row 0 of B leaves rows 1 and 2 finite.
+TEST_P(BlasTiers, TrsmSkipsZeroMultipliers) {
+  const skt::testing::TierGuard guard(GetParam());
+  if (enc::kernels::active_tier() != GetParam()) {
+    GTEST_SKIP() << "tier not compiled in or not supported on this CPU";
+  }
+  constexpr std::int64_t n = 21;
+  const double l[9] = {NAN, NAN, NAN, 0.0, NAN, NAN, 0.0, 0.5, NAN};
+  std::vector<double> b(3 * n);
+  for (std::int64_t j = 0; j < n; ++j) {
+    b[static_cast<std::size_t>(j)] = INFINITY;
+    b[static_cast<std::size_t>(n + j)] = 2.0 + static_cast<double>(j);
+    b[static_cast<std::size_t>(2 * n + j)] = 1.0;
+  }
+  blas::trsm_lower_unit(3, n, l, 3, b.data(), n);
+  for (std::int64_t j = 0; j < n; ++j) {
+    EXPECT_EQ(b[static_cast<std::size_t>(n + j)], 2.0 + static_cast<double>(j)) << j;
+    EXPECT_EQ(b[static_cast<std::size_t>(2 * n + j)], 1.0 - 0.5 * (2.0 + static_cast<double>(j)))
+        << j;
+  }
+}
+
+/// panel_column on each dispatch tier: rows and the panel width left
+/// (len) around the AVX2 path's 4-wide head, body and masked tail, with
+/// tight and padded leading dimensions. Every cell outside the rows'
+/// [0, len) windows is a NaN guard. The scaled multipliers match the
+/// scalar division exactly and the updated entries the naive update
+/// within rounding; the returned row is the first maximum of |a[1]| as
+/// stored, never a NaN row, and -1 when no row qualifies. Pattern 1 puts
+/// NaN in a[1] of row 0 and a[0] of row 2 (a NaN multiplier turns the row
+/// NaN); pattern 2 puts NaN in a[1] of every row; pattern 3 ties every
+/// row's |a[1]| (u[1] = 0, a[1] = +-0.5), so the first row must win.
+TEST_P(BlasTiers, PanelColumnSweep) {
+  const skt::testing::TierGuard guard(GetParam());
+  if (enc::kernels::active_tier() != GetParam()) {
+    GTEST_SKIP() << "tier not compiled in or not supported on this CPU";
+  }
+  const double guard_nan = std::bit_cast<double>(std::uint64_t{0x7ff8dead0000beefULL});
+  constexpr std::int64_t kSlack = 5;
+  std::uint64_t seed = 31;
+  for (const std::int64_t rows : {0, 1, 5, 64}) {
+    for (const std::int64_t len : {1, 2, 4, 5, 8, 9, 31, 32}) {
+      for (const std::int64_t pad : {0, 3}) {
+        for (const int pattern : {0, 1, 2, 3}) {
+          SCOPED_TRACE(::testing::Message() << "rows=" << rows << " len=" << len
+                                            << " pad=" << pad << " pattern=" << pattern);
+          const std::int64_t lda = len + pad;
+          util::Xoshiro256 rng(seed++);
+          std::vector<double> u(static_cast<std::size_t>(len + 2 * kSlack), guard_nan);
+          const double pivot = 1.5 + rng.next_centered();
+          u[kSlack] = pivot;
+          for (std::int64_t c = 1; c < len; ++c) {
+            u[static_cast<std::size_t>(kSlack + c)] = rng.next_centered();
+          }
+          std::vector<double> a0(static_cast<std::size_t>(rows * lda + 2 * kSlack), guard_nan);
+          const auto at = [&](std::int64_t i, std::int64_t c) {
+            return static_cast<std::size_t>(kSlack + i * lda + c);
+          };
+          for (std::int64_t i = 0; i < rows; ++i) {
+            for (std::int64_t c = 0; c < len; ++c) a0[at(i, c)] = rng.next_centered();
+          }
+          if (pattern == 1) {
+            if (rows > 0 && len > 1) a0[at(0, 1)] = NAN;
+            if (rows > 2) a0[at(2, 0)] = NAN;
+          } else if (pattern == 2 && len > 1) {
+            for (std::int64_t i = 0; i < rows; ++i) a0[at(i, 1)] = NAN;
+          } else if (pattern == 3 && len > 1) {
+            u[kSlack + 1] = 0.0;
+            for (std::int64_t i = 0; i < rows; ++i) a0[at(i, 1)] = i % 2 == 0 ? 0.5 : -0.5;
+          }
+          auto a = a0;
+          const std::int64_t got =
+              blas::panel_column(rows, len, a.data() + kSlack, lda, u.data() + kSlack, pivot);
+
+          std::int64_t first_max = -1;
+          double best = -1.0;
+          for (std::size_t e = 0; e < a.size(); ++e) {
+            const std::int64_t off = static_cast<std::int64_t>(e) - kSlack;
+            const bool inside = off >= 0 && off < rows * lda && off % lda < len;
+            if (!inside) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(a[e]), std::bit_cast<std::uint64_t>(a0[e]))
+                  << "guard cell " << off << " was written";
+              continue;
+            }
+            const std::int64_t i = off / lda, c = off % lda;
+            const double l = a0[at(i, 0)] / pivot;
+            if (c == 0) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(a[e]), std::bit_cast<std::uint64_t>(l));
+              continue;
+            }
+            const double want = a0[e] - l * u[static_cast<std::size_t>(kSlack + c)];
+            if (std::isnan(want)) {
+              ASSERT_TRUE(std::isnan(a[e])) << "element " << i << "," << c;
+            } else {
+              ASSERT_NEAR(a[e], want, 1e-14) << "element " << i << "," << c;
+            }
+            if (c == 1 && std::abs(a[e]) > best) {
+              best = std::abs(a[e]);
+              first_max = i;
+            }
+          }
+          ASSERT_EQ(got, first_max);
+          if (got >= 0) {
+            ASSERT_FALSE(std::isnan(a[at(got, 1)]));
+          }
+          if (pattern == 2 || len == 1 || rows == 0) {
+            ASSERT_EQ(got, -1);
+          } else if (pattern == 3) {
+            ASSERT_EQ(got, 0);
+          }
         }
       }
     }

@@ -6,8 +6,11 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "encoding/kernels.hpp"
@@ -370,32 +373,38 @@ TEST(Lu, MessageCountIsOneExchangePerColumnPlusPerPanelConstant) {
   }
 }
 
-/// A column that is zero in every row stays zero through the elimination,
-/// so its pivot search finds nothing. Every rank of the panel's process
-/// column must throw the same error, and the job must abort, not hang.
-class ZeroPivot : public ::testing::TestWithParam<std::pair<int, int>> {};
+/// What each rank of a factorization that must fail saw: the error text
+/// of every rank that threw it, "aborted" for a rank unwound by the job
+/// abort, "returned" for one that finished.
+struct FailedFactorization {
+  mpi::JobResult result;
+  int thrown = 0;
+  std::vector<std::string> outcome;
+};
 
-TEST_P(ZeroPivot, EveryPanelColumnRankAbortsAtTheColumn) {
-  const auto [P, Q] = GetParam();
-  const std::int64_t n = 48, nb = 8, jz = 21;
-  const int panel_col = BlockCyclicDim(n + 1, nb, Q).owner(jz);
-  const std::string expected = "lu_factorize: zero pivot at column " + std::to_string(jz);
+constexpr std::int64_t kPoisonedN = 48, kPoisonedNb = 8;
+
+/// lu_factorize on a P x Q grid (kPoisonedN, kPoisonedNb, seed 13) after
+/// `poison` has edited each rank's block. Each rank that throws holds the
+/// abort until P ranks have thrown — the panel's process column — so none
+/// of them is unwound by another's abort first; a rank that went on
+/// instead never arrives and the wait times out.
+FailedFactorization factor_poisoned(int P, int Q,
+                                    const std::function<void(int, DistMatrix&)>& poison) {
+  const std::int64_t n = kPoisonedN, nb = kPoisonedNb;
   std::mutex mu;
   std::condition_variable cv;
-  int thrown = 0;
-  std::vector<std::string> outcome(static_cast<std::size_t>(P * Q), "returned");
+  FailedFactorization f;
+  f.outcome.assign(static_cast<std::size_t>(P * Q), "returned");
   MiniCluster mc(P * Q, 0);
-  const auto result = mc.run(P * Q, [&](mpi::Comm& world) {
+  f.result = mc.run(P * Q, [&](mpi::Comm& world) {
     mpi::Grid grid(world, P, Q);
     std::vector<double> storage(
         static_cast<std::size_t>(DistMatrix::max_local_elements(n, n + 1, nb, P, Q)));
     DistMatrix a(grid, n, n + 1, nb, storage);
     generate(a, 13);
-    for (std::int64_t lj = 0; lj < a.lcols(); ++lj) {
-      if (a.cols().global(a.pcol(), lj) != jz) continue;
-      for (std::int64_t li = 0; li < a.lrows(); ++li) a.at(li, lj) = 0.0;
-    }
-    std::string& mine = outcome[static_cast<std::size_t>(world.rank())];
+    poison(world.rank(), a);
+    std::string& mine = f.outcome[static_cast<std::size_t>(world.rank())];
     try {
       lu_factorize(grid, a, n, 0);
     } catch (const mpi::JobAborted&) {
@@ -403,25 +412,50 @@ TEST_P(ZeroPivot, EveryPanelColumnRankAbortsAtTheColumn) {
       mine = "aborted";
       throw;
     } catch (const std::runtime_error& e) {
-      // Hold the abort until every rank of the panel column has thrown, so
-      // none of them is unwound by another's abort first. A rank that went
-      // on instead never arrives and the wait times out.
       std::unique_lock<std::mutex> lock(mu);
       mine = e.what();
-      ++thrown;
+      ++f.thrown;
       cv.notify_all();
-      cv.wait_for(lock, std::chrono::seconds(20), [&] { return thrown == P; });
+      cv.wait_for(lock, std::chrono::seconds(20), [&] { return f.thrown == P; });
       throw;
     }
   });
-  EXPECT_FALSE(result.completed);
-  EXPECT_NE(result.abort_reason.find(expected), std::string::npos) << result.abort_reason;
-  EXPECT_EQ(thrown, P);
+  return f;
+}
+
+/// Every rank of the process column owning global column `col` threw
+/// `expected` and aborted the job with it; every other rank was unwound.
+void expect_column_abort(const FailedFactorization& f, int P, int Q, std::int64_t col,
+                         const std::string& expected) {
+  const int panel_col = BlockCyclicDim(kPoisonedN + 1, kPoisonedNb, Q).owner(col);
+  EXPECT_FALSE(f.result.completed);
+  EXPECT_NE(f.result.abort_reason.find(expected), std::string::npos) << f.result.abort_reason;
+  EXPECT_EQ(f.thrown, P);
   for (int r = 0; r < P * Q; ++r) {
     const bool in_panel_col = r % Q == panel_col;
-    EXPECT_EQ(outcome[static_cast<std::size_t>(r)], in_panel_col ? expected : "aborted")
+    EXPECT_EQ(f.outcome[static_cast<std::size_t>(r)], in_panel_col ? expected : "aborted")
         << "rank " << r;
   }
+}
+
+/// Sets every local entry of global column `col` to `v`.
+void fill_column(DistMatrix& a, std::int64_t col, double v) {
+  for (std::int64_t lj = 0; lj < a.lcols(); ++lj) {
+    if (a.cols().global(a.pcol(), lj) != col) continue;
+    for (std::int64_t li = 0; li < a.lrows(); ++li) a.at(li, lj) = v;
+  }
+}
+
+/// A column that is zero in every row stays zero through the elimination,
+/// so its pivot search finds nothing. Every rank of the panel's process
+/// column must throw the same error, and the job must abort, not hang.
+class ZeroPivot : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ZeroPivot, EveryPanelColumnRankAbortsAtTheColumn) {
+  const auto [P, Q] = GetParam();
+  const std::int64_t jz = 21;
+  const auto f = factor_poisoned(P, Q, [&](int, DistMatrix& a) { fill_column(a, jz, 0.0); });
+  expect_column_abort(f, P, Q, jz, "lu_factorize: zero pivot at column " + std::to_string(jz));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, ZeroPivot,
@@ -430,6 +464,65 @@ INSTANTIATE_TEST_SUITE_P(Grids, ZeroPivot,
                            return std::to_string(info.param.first) + "x" +
                                   std::to_string(info.param.second);
                          });
+
+/// A NaN never wins the pivot search (|NaN| > best is false), and its
+/// multiplier turns its row NaN, so NaNs end as a column whose every
+/// candidate is NaN. That column must fail like a zero one, on every
+/// rank of its process column and before any of them touches a row; the
+/// search is fused into the elimination pass on both kernel tiers, so
+/// both run.
+class NanPivot
+    : public ::testing::TestWithParam<std::tuple<std::pair<int, int>, enc::kernels::Tier>> {
+ protected:
+  void SetUp() override {
+    guard_.emplace(std::get<1>(GetParam()));
+    if (enc::kernels::active_tier() != std::get<1>(GetParam())) {
+      GTEST_SKIP() << "tier not compiled in or not supported on this CPU";
+    }
+  }
+  std::optional<skt::testing::TierGuard> guard_;
+};
+
+const std::string kNanPivot = "lu_factorize: every pivot candidate is NaN at column ";
+
+TEST_P(NanPivot, ColumnOfNaNsAbortsAtTheColumn) {
+  const auto [P, Q] = std::get<0>(GetParam());
+  const std::int64_t jz = 21;
+  const auto f = factor_poisoned(P, Q, [&](int, DistMatrix& a) { fill_column(a, jz, NAN); });
+  expect_column_abort(f, P, Q, jz, kNanPivot + std::to_string(jz));
+}
+
+TEST_P(NanPivot, OneNaNAbortsAtOneColumn) {
+  // The NaN's row either becomes a pivot row first, and then every row
+  // below it is NaN in the NaN's column, or it never wins and is the last
+  // row left: the factorization stops at the NaN's column or the last one.
+  const auto [P, Q] = std::get<0>(GetParam());
+  std::int64_t nan_col = -1;
+  const auto f = factor_poisoned(P, Q, [&](int rank, DistMatrix& a) {
+    if (rank != 3) return;
+    a.at(5, 3) = NAN;
+    nan_col = a.cols().global(a.pcol(), 3);
+  });
+  const std::size_t at = f.result.abort_reason.find(kNanPivot);
+  ASSERT_NE(at, std::string::npos) << f.result.abort_reason;
+  const std::int64_t col = std::stoll(f.result.abort_reason.substr(at + kNanPivot.size()));
+  EXPECT_TRUE(col == nan_col || col == kPoisonedN - 1)
+      << "column " << col << ", NaN in " << nan_col;
+  expect_column_abort(f, P, Q, col, kNanPivot + std::to_string(col));
+}
+
+std::string grid_and_tier(
+    const ::testing::TestParamInfo<std::tuple<std::pair<int, int>, enc::kernels::Tier>>& info) {
+  const auto [P, Q] = std::get<0>(info.param);
+  return std::to_string(P) + "x" + std::to_string(Q) + "_" +
+         std::string(enc::kernels::to_string(std::get<1>(info.param)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GridsAndTiers, NanPivot,
+    ::testing::Combine(::testing::Values(std::pair{2, 2}, std::pair{3, 2}),
+                       ::testing::Values(enc::kernels::Tier::kScalar, enc::kernels::Tier::kAvx2)),
+    grid_and_tier);
 
 TEST(Lu, MaxProblemSizeFitsBudget) {
   const std::size_t budget = 4u << 20;  // 4 MiB per rank

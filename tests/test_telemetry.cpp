@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt_harness.hpp"
@@ -113,6 +116,60 @@ TEST_F(TelemetryTest, NestedSpansRecordParent) {
   EXPECT_STREQ(records[1].parent, "test.outer");
   EXPECT_EQ(records[1].depth, 1u);
   EXPECT_STREQ(records[0].parent, "");
+}
+
+double thread_cpu_us() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
+}
+
+// cpu_us is the span's thread CPU time: a span that spins until its thread
+// has used 5 ms of CPU reports at least that and no more than its wall
+// duration, and a span that sleeps reports under half of its wall
+// duration. Neither bound is a wall-clock bound, so the test passes the
+// same on an idle or a loaded machine. The export carries it as args.
+TEST_F(TelemetryTest, SpansCarryThreadCpuTime) {
+  {
+    SKT_SPAN("test.spin");
+    const double start = thread_cpu_us();
+    while (thread_cpu_us() - start < 5000.0) {
+    }
+  }
+  {
+    SKT_SPAN("test.sleep");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  instant("test.mark");
+  timespec res{};
+  clock_getres(CLOCK_THREAD_CPUTIME_ID, &res);
+  const double granularity_us = 2.0 * static_cast<double>(res.tv_nsec) * 1e-3 + 1.0;
+
+  const auto records = Tracer::instance().collect();
+  ASSERT_EQ(records.size(), 3u);
+  const SpanRecord& spin = records[0];
+  const SpanRecord& sleep = records[1];
+  ASSERT_STREQ(spin.name, "test.spin");
+  ASSERT_STREQ(sleep.name, "test.sleep");
+  EXPECT_GE(spin.cpu_us, 5000.0);
+  EXPECT_LE(spin.cpu_us, spin.dur_us + granularity_us);
+  EXPECT_LT(sleep.cpu_us, 0.5 * sleep.dur_us);
+  EXPECT_EQ(records[2].cpu_us, 0.0);
+
+  const auto doc = testing::json::parse(Tracer::instance().chrome_trace_json());
+  const auto& events = doc.at("traceEvents");
+  int with_cpu = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& e = events.at(i);
+    const std::string name = e.at("name").string;
+    if (name == "test.spin") {
+      EXPECT_DOUBLE_EQ(e.at("args").at("cpu_us").number, spin.cpu_us);
+      ++with_cpu;
+    } else if (name == "test.mark") {
+      EXPECT_FALSE(e.at("args").has("cpu_us")) << "an instant carries no CPU time";
+    }
+  }
+  EXPECT_EQ(with_cpu, 1);
 }
 
 TEST_F(TelemetryTest, DisabledSpanRecordsNothing) {
