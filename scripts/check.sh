@@ -111,16 +111,19 @@ echo "=== sanitizers: asan+ubsan on mpi/encoding/hpl/checkpoint-protocol suites 
 # use-after-free.
 # test_fuzz_failures runs 100 seeded kill schedules, every relaunch of
 # which rebuilds over lent survivor segments. test_session builds and
-# tears down Sessions whose async engine, scrubber and protocol must go in
-# that order, and its builder cases throw before anything is built: a
-# teardown out of order would show as a use-after-free here.
+# tears down Sessions whose async worker, scrubber and protocol must go in
+# that order, moves one while its epoch is in flight, and its builder cases
+# throw before anything is built: a teardown out of order, or a job that
+# kept the moved-from Session, would show as a use-after-free here.
+# test_scrubber's cadence and async cases tear down Sessions whose
+# scrubber thread and async worker both hold pointers into the protocol.
 cmake -B build-asan -S . -DSKT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target \
   test_mailbox test_comm test_collectives test_comm_properties test_encoding test_kernels \
   test_hpl_core test_hpl_dist test_skt_hpl test_protocols test_failure_matrix \
-  test_fuzz_failures test_session
+  test_fuzz_failures test_session test_scrubber
 (cd build-asan && ctest --output-on-failure \
-  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_skt_hpl|test_protocols|test_failure_matrix|test_fuzz_failures|test_session)$' -j)
+  -R '^(test_mailbox|test_comm|test_collectives|test_comm_properties|test_encoding|test_kernels|test_hpl_core|test_hpl_dist|test_skt_hpl|test_protocols|test_failure_matrix|test_fuzz_failures|test_session|test_scrubber)$' -j)
 
 echo
 echo "=== sanitizers: tsan on telemetry + async-commit suites ==="

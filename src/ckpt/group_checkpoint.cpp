@@ -154,7 +154,7 @@ CommitStats GroupCheckpoint::commit_frame(CommCtx ctx, bool async, bool level2) 
   c.stats.checkpoint_bytes = c.stats.dirty_bytes;
   c.stats.checksum_bytes = coder_->redundancy_bytes();
   // The async worker's pipeline time is recorded as "ckpt_worker" by the
-  // engine; only a synchronous commit charges the critical-path slot, and
+  // Session; only a synchronous commit charges the critical-path slot, and
   // only with measured time (encode_virtual_s is modeled).
   if (!async) ctx.group.record_time("checkpoint", c.stats.encode_s + c.stats.flush_s);
   return c.stats;

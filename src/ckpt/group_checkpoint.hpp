@@ -132,7 +132,7 @@ class GroupCheckpoint : public CheckpointProtocol {
   /// Level 2's generations; set by open() when level2_flush_every > 0.
   std::optional<DiskImages> disk_;
   /// Level-2 cadence counter. Touched by whichever thread runs the
-  /// commit; the async engine's ticket hand-off orders those accesses.
+  /// commit; the Session's one-epoch-in-flight drain orders those accesses.
   int commits_since_flush_ = 0;
 };
 

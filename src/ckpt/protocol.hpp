@@ -113,10 +113,11 @@ struct RestoreStats {
 /// counters, and the commit counter. Also stamps the epoch onto this
 /// thread's subsequent trace spans.
 ///
-/// SPI hook: ckpt::Session (and its async engine) calls this once per
-/// completed commit, so protocols themselves must NOT. Embedders that
-/// drive a CheckpointProtocol directly should call it after each commit
-/// if they want run reports to aggregate identically across strategies.
+/// SPI hook: ckpt::Session calls this once per completed commit, on the
+/// rank thread or on its async worker, so protocols themselves must NOT.
+/// Embedders that drive a CheckpointProtocol directly should call it after
+/// each commit if they want run reports to aggregate identically across
+/// strategies.
 void record_commit_telemetry(const CommitStats& stats);
 
 /// Restore-side counterpart: ckpt.restore_s histogram, restore/rebuild

@@ -21,12 +21,8 @@ std::span<std::byte> chunk_of(std::span<std::byte> region, std::size_t index,
 
 }  // namespace
 
-Scrubber::Scrubber(CheckpointProtocol& protocol) : Scrubber(protocol, Options{}) {}
-
 Scrubber::Scrubber(CheckpointProtocol& protocol, Options options)
-    : protocol_(protocol), options_(options) {
-  if (options_.chunk_bytes == 0) options_.chunk_bytes = enc::kBlockBytes;
-}
+    : protocol_(protocol), options_(options) {}
 
 Scrubber::~Scrubber() { stop(); }
 
@@ -92,7 +88,7 @@ ScrubStats Scrubber::run_pass(bool blocking) {
   // protocol is open; only their *contents* move under a commit, so the
   // list itself can be fetched without the exclusion lock.
   const std::vector<ScrubRegion> view = protocol_.scrub_view();
-  const std::size_t chunk = options_.chunk_bytes;
+  const std::size_t chunk = Options::chunk_bytes;
 
   // Per-chunk acquisition: a chunk is copied out under the lock and its CRC
   // computed after the release, so a commit arriving mid-pass waits for at

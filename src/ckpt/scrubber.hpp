@@ -14,8 +14,8 @@
 //
 //   * Commits and scrub passes exclude each other through
 //     commit_exclusion(): the Session takes it with lock_for_commit()
-//     around commit() (and hands the scrubber to the async engine for
-//     commit_staged()), while a pass re-acquires it PER CHUNK, only long
+//     around every commit, commit() on the rank thread and commit_staged()
+//     on its async worker, while a pass re-acquires it PER CHUNK, only long
 //     enough to copy the chunk out; the CRC runs on the copy after the
 //     release. A pass that observes the epoch advance between chunks
 //     abandons itself (the buffers it was reading were legitimately
@@ -70,14 +70,13 @@ class Scrubber {
     /// Cadence of the background thread; each tick try-locks the commit
     /// exclusion and runs one full pass over every region.
     double interval_s = 0.002;
-    /// Verification granularity. Smaller chunks localize repairs; larger
-    /// ones amortize the table-driven CRC better. Defaults to the dirty
-    /// tracker's block.
-    std::size_t chunk_bytes = enc::kBlockBytes;
+    /// Verification granularity: the dirty tracker's block. Smaller
+    /// chunks would localize repairs; larger ones amortize the
+    /// table-driven CRC better.
+    static constexpr std::size_t chunk_bytes = enc::kBlockBytes;
   };
 
   /// `protocol` must be open()ed already and outlive the scrubber.
-  explicit Scrubber(CheckpointProtocol& protocol);
   Scrubber(CheckpointProtocol& protocol, Options options);
 
   /// Stops and joins the background thread.

@@ -43,12 +43,13 @@
 // contract.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "ckpt/async_engine.hpp"
 #include "ckpt/errors.hpp"
 #include "ckpt/factory.hpp"
 #include "ckpt/protocol.hpp"
@@ -69,6 +70,42 @@ enum class OpenOutcome {
 };
 
 class Session;
+
+/// Completion handle for one asynchronous commit epoch. Copyable; all
+/// copies observe the same completion.
+class CommitTicket {
+ public:
+  CommitTicket() = default;
+
+  /// True once the pipeline finished (successfully or not), and for an
+  /// empty ticket. Never blocks.
+  [[nodiscard]] bool poll() const {
+    return !result_.valid() ||
+           result_.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  }
+
+  /// Block until the pipeline finishes. Returns the commit's stats on
+  /// success; rethrows the worker's exception (e.g. mpi::JobAborted when
+  /// a node died mid-pipeline) on every call. Idempotent; {} for an empty
+  /// ticket.
+  CommitStats wait() const { return result_.valid() ? result_.get() : CommitStats{}; }
+
+  /// True when this ticket refers to a real commit (default constructed
+  /// tickets are empty and poll() as done).
+  [[nodiscard]] bool valid() const { return result_.valid(); }
+
+  /// Seconds the critical-path stage() copy took for this epoch (known at
+  /// issue time; 0 for an empty ticket).
+  [[nodiscard]] double stage_seconds() const { return stage_s_; }
+
+ private:
+  friend class Session;
+  CommitTicket(std::shared_future<CommitStats> result, double stage_s)
+      : result_(std::move(result)), stage_s_(stage_s) {}
+
+  std::shared_future<CommitStats> result_;
+  double stage_s_ = 0.0;
+};
 
 /// Fluent configuration for a Session. build() is collective (it splits
 /// the encoding-group communicator off `world`), so every rank must call
@@ -130,12 +167,12 @@ class SessionBuilder {
 
 class Session {
  public:
-  Session(Session&&) noexcept = default;
-  Session& operator=(Session&&) noexcept = default;
+  Session(Session&&) noexcept;
+  Session& operator=(Session&&) noexcept;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
   /// Drains any in-flight async commit, then stops the worker.
-  ~Session() = default;
+  ~Session();
 
   /// Collective. Attaches/creates the checkpoint state; on a restart it
   /// ALSO restores data()/user_state() (recording restore telemetry) and
@@ -211,9 +248,13 @@ class Session {
 
  private:
   friend class SessionBuilder;
+  /// The async commit worker (session.cpp): a thread with a one-job slot
+  /// and its own dup()'d communicators. Heap-allocated, so a job it runs
+  /// never sees the Session move.
+  struct Worker;
+
   Session(mpi::Comm& world, std::unique_ptr<mpi::Comm> group,
-          std::unique_ptr<CheckpointProtocol> protocol,
-          std::unique_ptr<AsyncCommitEngine> engine, CommitMode mode,
+          std::unique_ptr<CheckpointProtocol> protocol, CommitMode mode,
           double scrub_interval_s, StoreService* service, std::string tenant,
           std::size_t admit_bytes);
 
@@ -233,13 +274,13 @@ class Session {
   mpi::Comm* world_;                             // borrowed; outlives the Session
   std::unique_ptr<mpi::Comm> group_;             // owned encoding group
   std::unique_ptr<CheckpointProtocol> protocol_;
-  // Teardown order (reverse of declaration): the engine joins its worker
-  // first — it borrows the scrubber and the protocol —
-  // then the scrubber stops its thread, then the protocol and comms go,
-  // and the admission lease is released last.
+  // Teardown order (reverse of declaration): the worker drains and joins
+  // first — its jobs use the scrubber and the protocol — then the
+  // scrubber stops its thread, then the admission lease is released, and
+  // the protocol and comms go last.
   std::unique_ptr<LeaseHolder> lease_;
   std::unique_ptr<Scrubber> scrubber_;
-  std::unique_ptr<AsyncCommitEngine> engine_;
+  std::unique_ptr<Worker> worker_;  // kAsync only
   CommitMode mode_;
   double scrub_interval_s_ = 0.0;
   StoreService* service_ = nullptr;  // borrowed; outlives the Session

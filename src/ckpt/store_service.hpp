@@ -21,8 +21,8 @@
 //     AdmissionTimeout when capacity never frees up.
 //
 //   * Fair-share commit dispatch — independent jobs' commit pipelines
-//     (sync commits on rank threads, async commits on AsyncCommitEngine
-//     workers) multiplex over the shared memory/NIC. The service runs a
+//     (sync commits on rank threads, async commits on each Session's
+//     worker) multiplex over the shared memory/NIC. The service runs a
 //     tenant-granularity turnstile: at most `max_concurrent_commits`
 //     tenants hold an active commit window, a window admits exactly one
 //     entry per open session (one collective epoch), and the tenant then
@@ -242,8 +242,9 @@ class StoreService {
   int waiters_ = 0;  ///< threads blocked in admit()/begin_commit() waits
 };
 
-/// RAII commit-gate guard that run_commit (async_engine.hpp) holds around
-/// one collective commit. Tolerates a null service (single-tenant sessions).
+/// RAII commit-gate guard that the Session's commit bracket (run_commit in
+/// session.cpp) holds around one collective commit. Tolerates a null
+/// service (single-tenant sessions).
 class CommitGate {
  public:
   CommitGate(StoreService* service, const std::string& tenant)

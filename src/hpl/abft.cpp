@@ -10,6 +10,10 @@
 namespace skt::hpl {
 namespace {
 
+/// Relative tolerance for the row-sum invariant (grows with accumulated
+/// floating-point error, so it is scaled by the row's magnitude and n).
+constexpr double kTolerance = 1e-9;
+
 /// Check the row-sum invariant for the active rows (global row >= j0).
 ///
 /// An active row's eliminated columns (j < j0) are mathematically zero —
@@ -18,8 +22,7 @@ namespace {
 ///     s_i == sum_{j0 <= j <= n} A(i, j).
 /// The per-row verdicts are reduced along the process rows to the checksum
 /// column's owner, then agreed grid-wide. Returns the global verdict.
-bool verify_row_sums(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_t j0,
-                     double tolerance) {
+bool verify_row_sums(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_t j0) {
   const std::int64_t scol = n + 1;  // checksum column
   const int qs = a.cols().owner(scol);
   const std::int64_t lcS = a.cols().local(scol);
@@ -50,7 +53,7 @@ bool verify_row_sums(mpi::Grid& grid, DistMatrix& a, std::int64_t n, std::int64_
     for (std::int64_t li = li0; li < a.lrows(); ++li) {
       const double expect = a.at(li, lcS);
       const double got = sums[static_cast<std::size_t>(li - li0)];
-      const double tol = tolerance * (mags[static_cast<std::size_t>(li - li0)] + 1.0) *
+      const double tol = kTolerance * (mags[static_cast<std::size_t>(li - li0)] + 1.0) *
                          static_cast<double>(n);
       if (std::abs(expect - got) > tol) {
         ok = 0;
@@ -105,7 +108,7 @@ AbftResult run_abft_hpl(mpi::Comm& world, const AbftConfig& config) {
     if (config.verify_every_panels > 0 && next_panel % config.verify_every_panels == 0) {
       ++result.checks;
       const std::int64_t j0 = next_panel * h.nb;
-      if (!verify_row_sums(grid, a, h.n, std::min(j0, h.n), config.tolerance)) {
+      if (!verify_row_sums(grid, a, h.n, std::min(j0, h.n))) {
         result.checksum_ok = false;
       }
     }

@@ -21,9 +21,6 @@ struct AbftConfig {
   /// Verify the row-sum invariant after every this many panels (the
   /// detection overhead ABFT pays); 0 disables checks.
   std::int64_t verify_every_panels = 4;
-  /// Relative tolerance for the invariant (grows with accumulated
-  /// floating-point error, scaled internally by n).
-  double tolerance = 1e-9;
 };
 
 struct AbftResult {

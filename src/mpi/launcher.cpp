@@ -21,6 +21,10 @@ namespace {
 /// (immediately suspect), which JSON cannot hold.
 constexpr double kNeverBeatPhi = 999.0;
 
+/// Detect-phase polling cadence and give-up time (real seconds).
+constexpr double kDetectPollS = 0.0002;
+constexpr double kDetectMaxWaitS = 2.0;
+
 /// Disarms the health board and death observer on every exit path.
 struct MonitorScope {
   sim::Cluster& cluster;
@@ -190,8 +194,8 @@ LaunchResult JobLauncher::run(int nranks, const std::function<void(Comm&)>& fn) 
       // detect_delay_s stays a purely virtual charge, as before.
       SKT_SPAN("launcher.detect");
       if (config_.health.enabled && !lost_ranks.empty()) {
-        const double deadline_us = telemetry::Tracer::instance().now_us() +
-                                   config_.health.max_wait_s * 1e6;
+        const double deadline_us =
+            telemetry::Tracer::instance().now_us() + kDetectMaxWaitS * 1e6;
         for (;;) {
           const double now_us = telemetry::Tracer::instance().now_us();
           bool all_suspect = true;
@@ -199,7 +203,7 @@ LaunchResult JobLauncher::run(int nranks, const std::function<void(Comm&)>& fn) 
           for (const int r : lost_ranks) {
             const double p = board.phi(r, now_us);
             worst_phi = std::max(worst_phi, std::isfinite(p) ? p : kNeverBeatPhi);
-            if (p < config_.health.phi_threshold) all_suspect = false;
+            if (p < telemetry::HealthBoard::kDefaultPhiThreshold) all_suspect = false;
           }
           if (all_suspect || now_us >= deadline_us) {
             cycle.detect_phi = worst_phi;
@@ -217,8 +221,7 @@ LaunchResult JobLauncher::run(int nranks, const std::function<void(Comm&)>& fn) 
             }
             break;
           }
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(config_.health.poll_interval_s));
+          std::this_thread::sleep_for(std::chrono::duration<double>(kDetectPollS));
         }
       }
       cycle.detect_s = config_.detect_delay_s;

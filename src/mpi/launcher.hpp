@@ -26,14 +26,12 @@ namespace skt::mpi {
 /// Heartbeat-driven failure detection for the launcher's detect phase.
 /// When enabled, the launcher resets and arms the HealthBoard, registers a
 /// cluster power-off observer to stamp true death instants, and on abort
-/// POLLS the board until every lost rank's suspicion crosses
-/// `phi_threshold` — so detection latency becomes a measured histogram
+/// POLLS the board (every 0.2 ms, for at most 2 s of real time) until
+/// every lost rank's suspicion crosses HealthBoard::kDefaultPhiThreshold —
+/// so detection latency becomes a measured histogram
 /// (`launcher.detect_latency_s`) instead of the implicit `detect_delay_s`.
 struct HealthConfig {
   bool enabled = false;
-  double phi_threshold = telemetry::HealthBoard::kDefaultPhiThreshold;
-  double poll_interval_s = 0.0002;  ///< detect-phase polling cadence (real)
-  double max_wait_s = 2.0;          ///< give up polling after this (real)
 };
 
 struct LauncherConfig {

@@ -5,7 +5,7 @@
 // what from whom" is the first question an operator asks. This module
 // collects exactly that, with two halves:
 //
-//  * Rank threads (via ckpt::Session and the async engine) leave NOTES as
+//  * Rank threads (via ckpt::Session and its async worker) leave NOTES as
 //    they go: the encoding-group geometry at open(), every commit's epoch
 //    and dirty footprint, every restore's epoch and rebuilt-member flag.
 //    Notes are plain data — the recorder never reaches back into protocol

@@ -1,6 +1,7 @@
 // ckpt::Session API contract: open semantics (fresh vs restored), the
 // async pipeline's bounded staleness and snapshot isolation, destructor
-// drain, and misuse errors.
+// drain, a failed epoch's rethrow, a move with an epoch in flight, and
+// misuse errors.
 //
 // The async stress test at the bottom doubles as the TSan workload (see
 // scripts/check.sh): the rank thread mutates data() while the worker
@@ -8,11 +9,14 @@
 // design must make race-free.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "ckpt_harness.hpp"
 #include "encoding/block_runs.hpp"
+#include "sim/failure.hpp"
 #include "storage/vault.hpp"
 #include "testing.hpp"
 
@@ -159,6 +163,54 @@ TEST(Session, DestructorDrainsInFlightCommit) {
   EXPECT_TRUE(result.completed) << result.abort_reason;
 }
 
+// A node death inside the worker's pipeline lands in the epoch's ticket:
+// every rank's wait() rethrows it on every call, drain() and any later
+// commit_async() rethrow it too, and the Session still tears down.
+TEST(Session, FailedAsyncEpochRethrowsOnEveryWaitAndTearsDown) {
+  MiniCluster mc(4, 0);
+  sim::FailureInjector injector;
+  injector.add_rule({.point = "ckpt.async_mid_flush", .world_rank = 1, .hit = 1});
+  std::atomic<int> torn_down{0};
+  const auto result = mc.run(
+      4,
+      [&](mpi::Comm& world) {
+        {
+          Session session = make_session(world, CommitMode::kAsync, "fail");
+          ASSERT_EQ(session.open(), OpenOutcome::kFresh);
+          fill_pattern(session.data(), kSeed, world.rank(), 1);
+          const CommitTicket ticket = session.commit_async();
+          EXPECT_THROW((void)ticket.wait(), mpi::JobAborted);
+          EXPECT_TRUE(ticket.poll());
+          EXPECT_THROW((void)ticket.wait(), mpi::JobAborted);
+          EXPECT_THROW(session.drain(), mpi::JobAborted);
+          EXPECT_THROW((void)session.commit_async(), mpi::JobAborted);
+        }
+        torn_down.fetch_add(1);
+      },
+      &injector);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(injector.triggered_count(), 1u);
+  EXPECT_EQ(torn_down.load(), 4);
+}
+
+// The in-flight job holds nothing of the Session object itself, so a
+// Session moved while its epoch is in the pipe still completes it.
+TEST(Session, MovedSessionCompletesItsInFlightEpoch) {
+  MiniCluster mc(4, 0);
+  const auto result = mc.run(4, [](mpi::Comm& world) {
+    Session session = make_session(world, CommitMode::kAsync, "moved");
+    ASSERT_EQ(session.open(), OpenOutcome::kFresh);
+    fill_pattern(session.data(), kSeed, world.rank(), 1);
+    session.commit_async();
+    std::optional<Session> moved(std::move(session));
+    moved->drain();
+    EXPECT_EQ(moved->committed_epoch(), 1u);
+    fill_pattern(moved->data(), kSeed, world.rank(), 2);
+    EXPECT_EQ(moved->commit_async().wait().epoch, 2u);
+  });
+  EXPECT_TRUE(result.completed) << result.abort_reason;
+}
+
 // An async commit's encode stats count the encode alone. The rank threads
 // keep the world busy during every commit (eight 1 MiB broadcasts), yet
 // every rank reports the exact bytes the encode moved, and the modeled
@@ -271,12 +323,33 @@ TEST(Session, ConfigErrorsNameTheOffendingField) {
                            .strategy(Strategy::kSelf)
                            .key_prefix("z")
                            .data_bytes(kBytes)
+                           .group(world.split(0, world.rank()))
+                           .group_size(2)),
+              "group_size");
+    EXPECT_EQ(field_of(SessionBuilder{}
+                           .strategy(Strategy::kSelf)
+                           .key_prefix("z")
+                           .data_bytes(kBytes)
                            .parity_degree(0)),
+              "parity_degree");
+    // RS(k, 2) needs a group of at least 4.
+    EXPECT_EQ(field_of(SessionBuilder{}
+                           .strategy(Strategy::kSelf)
+                           .key_prefix("z")
+                           .data_bytes(kBytes)
+                           .group_size(2)
+                           .parity_degree(2)),
               "parity_degree");
     EXPECT_EQ(field_of(SessionBuilder{}
                            .strategy(Strategy::kBlcr)
                            .key_prefix("z")
                            .data_bytes(kBytes)),
+              "vault");
+    EXPECT_EQ(field_of(SessionBuilder{}
+                           .strategy(Strategy::kSelf)
+                           .key_prefix("z")
+                           .data_bytes(kBytes)
+                           .level2_flush_every(2)),
               "vault");
     EXPECT_EQ(field_of(SessionBuilder{}.strategy(Strategy::kNone).key_prefix("z").data_bytes(
                   kBytes)),
